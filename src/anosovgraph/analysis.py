@@ -11,6 +11,12 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from .errors import (
+    PreconditionViolation,
+    SeedSearchExhausted,
+    WitnessAssemblyError,
+    WitnessRefused,
+)
 from .graphs import CoherentPartition, Graph, coherent_components
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND, HolonomyAction, build_action
 from .hyperbolicity import CancelToken
@@ -151,7 +157,12 @@ def analyze(
                 max_retries=max_retries,
                 cancel=cancel,
             )
-        except Exception as exc:  # reported, not raised: the decision stands
+        except (
+            SeedSearchExhausted,
+            WitnessRefused,
+            WitnessAssemblyError,
+            PreconditionViolation,
+        ) as exc:  # reported, not raised: the decision stands
             report.witness_error = str(exc)
         timing["witness_s"] = time.monotonic() - t0
     return report

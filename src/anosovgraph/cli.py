@@ -48,7 +48,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_graph_argument(path: str) -> tuple[Graph, tuple]:
     """Read a graph file (or '-' for stdin); returns (graph, embedded holonomy)."""
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise GraphInputError(f"cannot read graph file {path!r}: {reason}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

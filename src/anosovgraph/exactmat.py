@@ -1,7 +1,8 @@
 """Immutable exact-rational matrices.
 
 A thin exact linear algebra kernel: Fraction entries, Gauss-Jordan inversion,
-fraction-free determinants. No floating point.
+and determinants by Gaussian elimination over the rationals (rows with a zero
+entry below the pivot are skipped). No floating point.
 """
 
 from __future__ import annotations

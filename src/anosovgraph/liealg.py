@@ -101,6 +101,11 @@ def build_algebra(graph: Graph) -> GraphLieAlgebra:
     return GraphLieAlgebra(graph)
 
 
+def _exact_rows(m: RationalMatrix):
+    """Rows of m with int entries when m is integral, else its Fraction rows."""
+    return m.int_rows() if m.is_integer else m.rows
+
+
 def extend_to_algebra(alg: GraphLieAlgebra, g_v) -> RationalMatrix:
     """Extend an invertible map on V to V + W by acting on wedges.
 
@@ -114,16 +119,14 @@ def extend_to_algebra(alg: GraphLieAlgebra, g_v) -> RationalMatrix:
     if g_v.det() == 0:
         raise PreconditionViolation("map on V is not invertible")
     graph = alg.graph
-    full = [[Fraction(0)] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            full[i][j] = g_v[i, j]
+    rows = _exact_rows(g_v)
+    full = [list(row) + [0] * m for row in rows] + [[0] * (n + m) for _ in range(m)]
     for col, (a, b) in enumerate(alg.w_basis):
         ia, ib = graph.index(a), graph.index(b)
         for u in range(n):
-            gu_a, gu_b = g_v[u, ia], g_v[u, ib]
+            gu_a, gu_b = rows[u][ia], rows[u][ib]
             for v in range(u + 1, n):
-                coeff = gu_a * g_v[v, ib] - g_v[v, ia] * gu_b
+                coeff = gu_a * rows[v][ib] - rows[v][ia] * gu_b
                 if coeff == 0:
                     continue
                 lu, lv = graph.vertices[u], graph.vertices[v]
@@ -138,30 +141,65 @@ def extend_to_algebra(alg: GraphLieAlgebra, g_v) -> RationalMatrix:
     return RationalMatrix(full)
 
 
+def extend_permutation(alg: GraphLieAlgebra, p) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The extension of a vertex permutation to V + W as a signed permutation.
+
+    Returns (sigma, signs): basis vector i goes to signs[i] times basis vector
+    sigma[i]. A vertex v goes to p(v); the wedge a^b goes to p(a)^p(b), which
+    is +-1 times an edge wedge. Raises PreconditionViolation when some image
+    is a non-edge, i.e. when p is not a graph automorphism.
+    """
+    graph = alg.graph
+    n = alg.dim_v
+    sigma = [graph.index(p(v)) for v in graph.vertices]
+    signs = [1] * n
+    for a, b in alg.w_basis:
+        signed = alg.wedge_index(p(a), p(b))
+        if signed is None:
+            raise PreconditionViolation(
+                f"{p.cycle_string()} sends the wedge {a}^{b} to the non-edge {p(a)}^{p(b)}"
+            )
+        sign, idx = signed
+        sigma.append(n + idx)
+        signs.append(sign)
+    return tuple(sigma), tuple(signs)
+
+
 def is_algebra_automorphism(alg: GraphLieAlgebra, m) -> bool:
-    """Exact check: m is invertible and preserves the bracket on all basis pairs."""
+    """Exact check: m is invertible and preserves the bracket on all basis pairs.
+
+    Brackets land in W and depend only on the V-parts of their arguments, so
+    the condition on all pairs of basis images comes down to two parts:
+    every wedge column has zero V-rows (then each pair involving a wedge
+    column brackets to zero on both sides), and each pair of vertex columns
+    brackets to the signed wedge column of the pair's edge, or to zero for a
+    non-edge. Integral inputs are checked on ints, others on their Fractions.
+    """
     m = coerce_matrix(m)
     dim = alg.dimension
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
     if m.det() == 0:
         return False
-    cols = [tuple(m[i, j] for i in range(dim)) for j in range(dim)]
-    table = alg.bracket_table()
+    rows = _exact_rows(m)
     n = alg.dim_v
-    for x in range(dim):
-        for y in range(x + 1, dim):
-            lhs = alg.bracket(cols[x], cols[y])
-            if x < n and y < n:
-                u, v = alg.v_basis[x], alg.v_basis[y]
-                entry = table.get((u, v))
-                if entry is None:
-                    rhs = tuple(Fraction(0) for _ in range(dim))
-                else:
-                    sign, idx = entry
-                    rhs = tuple(sign * c for c in cols[n + idx])
+    if any(rows[i][j] for i in range(n) for j in range(n, dim)):
+        return False
+    cols = list(zip(*rows))
+    graph = alg.graph
+    edges = [(graph.index(a), graph.index(b)) for a, b in alg.w_basis]
+    zero = [0] * alg.dim_w
+    for x in range(n):
+        cx = cols[x]
+        for y in range(x + 1, n):
+            cy = cols[y]
+            lhs = [cx[a] * cy[b] - cx[b] * cy[a] for a, b in edges]
+            signed = alg.wedge_index(alg.v_basis[x], alg.v_basis[y])
+            if signed is None:
+                rhs = zero
             else:
-                rhs = tuple(Fraction(0) for _ in range(dim))
+                sign, idx = signed
+                rhs = [sign * c for c in cols[n + idx][n:]]
             if lhs != rhs:
                 return False
     return True

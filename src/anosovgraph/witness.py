@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exactmat import RationalMatrix
 from .graphs import VertexPermutation
-from .holonomy import HolonomyAction, permutation_matrix, restriction_to_component
+from .holonomy import HolonomyAction, restriction_to_component
 from .hyperbolicity import (
     CancelToken,
     HyperbolicityCertificate,
@@ -33,9 +33,14 @@ from .hyperbolicity import (
     char_poly,
     is_c_hyperbolic,
     is_integer_like,
-    unit_circle_analysis,
 )
-from .liealg import GraphLieAlgebra, build_algebra, extend_to_algebra, is_algebra_automorphism
+from .liealg import (
+    GraphLieAlgebra,
+    build_algebra,
+    extend_permutation,
+    extend_to_algebra,
+    is_algebra_automorphism,
+)
 from .polynomials import (
     IntPolynomial,
     companion_rows,
@@ -131,10 +136,20 @@ def commutant_pair_orbits(perm: tuple[int, ...]) -> list[list[tuple[int, int]]]:
     return orbits
 
 
-def commutes_with_perm(rows, perm: tuple[int, ...]) -> bool:
-    return all(
-        rows[perm[i]][perm[j]] == rows[i][j] for i in range(len(perm)) for j in range(len(perm))
-    )
+def commutes_with_perm(rows, perm: tuple[int, ...], signs: tuple[int, ...] | None = None) -> bool:
+    """Whether rows commutes with the signed permutation e_i -> signs[i] * e_perm[i].
+
+    That is rows[perm i][perm j] == signs[i] * signs[j] * rows[i][j] for all
+    i, j: O(dim^2) comparisons, no matrix product. Signs default to +1.
+    """
+    n = len(perm)
+    if signs is None:
+        signs = (1,) * n
+    for i in range(n):
+        row, image, s = rows[i], rows[perm[i]], signs[i]
+        if any(image[perm[j]] != s * signs[j] * row[j] for j in range(n)):
+            return False
+    return True
 
 
 def seed_catalog(dim: int, c: int, stabilizer_perm: tuple[int, ...] | None = None,
@@ -485,14 +500,20 @@ def assemble_witness(
             "integer-like", f"constant term {full_poly.constant} is not a unit"
         )
 
-    analysis = unit_circle_analysis(full_poly, cancel)
-    if analysis.exists:
-        raise WitnessAssemblyError("hyperbolicity", analysis.detail)
+    certificate = certify_polynomial(full_poly, 1, cancel=cancel)
+    if not certificate.valid:
+        raise WitnessAssemblyError("hyperbolicity", certificate.stages[0].analysis.detail)
 
+    # Each generator extends to a signed permutation of the V+W basis, so
+    # commutation is a reindexing check on the integer rows.
+    full_rows = full.int_rows()
     commuted = []
     for gen in action.generators:
-        ext = extend_to_algebra(alg, permutation_matrix(graph, gen))
-        if full * ext != ext * full:
+        try:
+            sigma, signs = extend_permutation(alg, gen)
+        except PreconditionViolation as exc:
+            raise WitnessAssemblyError("commutation", str(exc)) from exc
+        if not commutes_with_perm(full_rows, sigma, signs):
             raise WitnessAssemblyError(
                 "commutation", f"witness does not commute with {gen.cycle_string()}"
             )
@@ -503,7 +524,7 @@ def assemble_witness(
         full_matrix=full,
         v_char_poly=char_poly(v_matrix, cancel),
         full_char_poly=full_poly,
-        certificate=certify_polynomial(full_poly, 1, cancel=cancel),
+        certificate=certificate,
         commutes_with=tuple(commuted),
         plan=plan,
     )

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+import anosovgraph.analysis
 from anosovgraph.cli import (
     EXIT_BOUNDS,
     EXIT_HOLONOMY,
+    EXIT_INTERNAL,
     EXIT_NO,
     EXIT_PARSE,
     EXIT_UNDECIDED,
@@ -15,7 +17,7 @@ from anosovgraph.cli import (
     main,
 )
 from anosovgraph.fixtures import all_loops_chain, four_pair_chain, loop_end_chain, pentagon
-from anosovgraph.graphs import complete_bipartite, discrete_graph
+from anosovgraph.graphs import VertexPermutation, complete_bipartite, discrete_graph
 
 
 @pytest.fixture
@@ -71,6 +73,36 @@ class TestAnalyze:
         code, _, err = run("analyze", "--graph", str(path))
         assert code == EXIT_PARSE
         assert "input error" in err
+
+    def test_missing_graph_file_exit(self, run, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        for command in ("analyze", "quotient"):
+            code, out, err = run(command, "--graph", missing)
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert "input error" in err and "absent.json" in err
+
+    def test_graph_directory_exit(self, run, tmp_path):
+        code, _, err = run("analyze", "--graph", str(tmp_path))
+        assert code == EXIT_PARSE
+        assert "input error" in err
+
+    def test_internal_witness_fault_is_not_a_witness_error(self, run, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("inconsistent integer check")
+
+        monkeypatch.setattr(anosovgraph.analysis, "build_witness", broken)
+        graph = complete_bipartite(3, 3)
+        swap = "(a1 b1)(a2 b2)(a3 b3)"
+        path = write_graph(tmp_path, graph)
+        code, out, err = run("analyze", "--graph", path, "--holonomy", swap, "--witness", "--json")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "internal error: inconsistent integer check" in err
+        with pytest.raises(AssertionError):
+            anosovgraph.analysis.analyze(
+                graph, [VertexPermutation.from_cycles(swap, graph.vertices)], want_witness=True
+            )
 
     def test_invalid_holonomy_exit(self, run, tmp_path):
         path = write_graph(tmp_path, pentagon())
