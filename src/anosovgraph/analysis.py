@@ -120,7 +120,6 @@ def analyze(
     entry_bound: int = DEFAULT_ENTRY_BOUND,
     search_cap: int = DEFAULT_SEARCH_CAP,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    threads: int = 1,
     cancel: CancelToken | None = None,
 ) -> AnalysisReport:
     """Run the full pipeline: components, holonomy action, decision, witness."""
@@ -134,7 +133,7 @@ def analyze(
     timing["holonomy_s"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    decision = decide(action, threads=threads)
+    decision = decide(action)
     timing["decision_s"] = time.monotonic() - t0
 
     alg = build_algebra(graph)

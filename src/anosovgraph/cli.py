@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analysis import analyze, quotient_dot
@@ -48,24 +47,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_graph_argument(path: str) -> tuple[Graph, tuple]:
     """Read a graph file (or '-' for stdin); returns (graph, embedded holonomy)."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            reason = exc.strerror or exc
-            raise GraphInputError(f"cannot read graph file {path!r}: {reason}") from None
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise GraphInputError(f"cannot read graph file {path!r}: {reason}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(f"graph file {path!r} is not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise GraphInputError(f"invalid JSON: {exc}") from None
         if isinstance(data, dict) and "graph" in data:
             graph = graph_from_json_dict(data["graph"])
             holonomy = data.get("holonomy", "")
+            if not isinstance(holonomy, str):
+                raise GraphInputError('"holonomy" must be a string of cycles, e.g. "(a b);(c d)"')
             gens = parse_holonomy_generators(holonomy, graph) if holonomy else ()
             return graph, gens
         return graph_from_json_dict(data), ()
@@ -90,7 +93,6 @@ def cmd_analyze(args) -> int:
         order_bound=args.max_group_order,
         entry_bound=args.search_bound,
         search_cap=args.search_cap,
-        threads=args.threads,
     )
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     _print_timing(report.timing)
@@ -113,7 +115,10 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_family(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
+    except ValueError:
+        raise GraphInputError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     spec = FamilySpec(family=args.name, m=args.m, sizes=sizes, n=args.n, size=args.size)
     instance = generate(spec)
     payload = {
@@ -139,7 +144,6 @@ def cmd_witness(args) -> int:
         order_bound=args.max_group_order,
         entry_bound=args.search_bound,
         search_cap=args.search_cap,
-        threads=args.threads,
     )
     if report.decision.verdict != "yes":
         sys.stdout.write(report.to_json() if args.json else report.to_text())
@@ -160,10 +164,15 @@ def cmd_witness(args) -> int:
 def _parse_matrix_argument(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise GraphInputError(f"matrix must be JSON rows, e.g. [[2,1],[1,1]]: {exc}") from None
-    if not isinstance(data, list):
-        raise GraphInputError("matrix must be a JSON list of rows")
+    if not (
+        isinstance(data, list)
+        and data
+        and all(isinstance(row, list) and len(row) == len(data) for row in data)
+        and all(type(x) is int for row in data for x in row)
+    ):
+        raise GraphInputError("matrix must be a non-empty square JSON list of integer rows")
     return data
 
 
@@ -173,6 +182,8 @@ def cmd_certify(args) -> int:
         p = parse_polynomial(args.poly)
         if not p.is_monic:
             raise GraphInputError("certification expects a monic polynomial")
+        if c == 2 and p.degree < 2:
+            raise GraphInputError("--c 2 needs a polynomial of degree at least 2")
         compound = None
         if c == 2:
             from .polynomials import companion_rows
@@ -182,6 +193,8 @@ def cmd_certify(args) -> int:
         integer_like = is_integer_like(p)
     else:
         rows = _parse_matrix_argument(args.matrix)
+        if c == 2 and len(rows) < 2:
+            raise GraphInputError("--c 2 needs a matrix of size at least 2")
         cert = is_c_hyperbolic(rows, c)
         integer_like = is_integer_like(cert.char_poly)
     payload = {
@@ -221,7 +234,6 @@ def build_parser() -> _Parser:
         p.add_argument("--search-bound", type=int, default=3, help="seed entry bound")
         p.add_argument("--search-cap", type=int, default=200_000, help="max seed candidates")
         p.add_argument("--max-group-order", type=int, default=10_000)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         if witness_flag:
             p.add_argument("--witness", action="store_true", help="also construct a witness")
 
@@ -277,9 +289,6 @@ def main(argv=None) -> int:
     except (SeedSearchExhausted, WitnessRefused, WitnessAssemblyError) as exc:
         print(f"witness error: {exc}", file=sys.stderr)
         return EXIT_WITNESS
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,8 +1,9 @@
 """Immutable exact-rational matrices.
 
-A thin exact linear algebra kernel: Fraction entries, Gauss-Jordan inversion,
-and determinants by Gaussian elimination over the rationals (rows with a zero
-entry below the pivot are skipped). No floating point.
+A thin exact linear algebra kernel: Fraction entries, kernel vectors by
+Gauss-Jordan elimination, and determinants by Gaussian elimination over the
+rationals (rows with a zero entry below the pivot are skipped). No floating
+point.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -64,13 +61,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(x) for x in row] for row in self.rows]})"
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -89,30 +79,6 @@ class RationalMatrix:
         return RationalMatrix([[x * other for x in row] for row in self.rows])
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "RationalMatrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = RationalMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
-
-    def apply(self, vector):
-        """Matrix-vector product; vector is a sequence of length ncols."""
-        vec = [Fraction(x) for x in vector]
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
     def det(self) -> Fraction:
         if not self.is_square:
@@ -135,24 +101,6 @@ class RationalMatrix:
                     for c in range(col, n):
                         m[r][c] -= f * m[col][c]
         return det
-
-    def inverse(self) -> "RationalMatrix":
-        if not self.is_square:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return RationalMatrix([row[n:] for row in m])
 
     def kernel_vector(self):
         """A nonzero rational kernel vector, or None if the matrix has full column rank."""

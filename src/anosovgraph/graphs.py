@@ -13,7 +13,7 @@ import json
 import re
 from math import lcm
 
-from .errors import BoundExceeded, GraphInputError, NotAnAutomorphism, PermutationError, PreconditionViolation
+from .errors import BoundExceeded, GraphInputError, PermutationError, PreconditionViolation
 
 
 class Graph:
@@ -70,9 +70,6 @@ class Graph:
             return self._index[v]
         except KeyError:
             raise GraphInputError(f"unknown vertex {v!r}") from None
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
         return v in self._adjacency.get(u, frozenset())
@@ -341,7 +338,7 @@ class CoherentPartition:
     j in the induced order, then i <= j. Ties keep first-appearance order.
     """
 
-    __slots__ = ("graph", "components", "kinds", "order_pairs", "quotient_edges", "_index_of")
+    __slots__ = ("graph", "components", "kinds", "order_pairs", "quotient_edges")
 
     def __init__(self, graph, components, kinds, order_pairs, quotient_edges):
         object.__setattr__(self, "graph", graph)
@@ -349,11 +346,6 @@ class CoherentPartition:
         object.__setattr__(self, "kinds", tuple(kinds))
         object.__setattr__(self, "order_pairs", frozenset(order_pairs))
         object.__setattr__(self, "quotient_edges", tuple(sorted(tuple(sorted(e)) for e in quotient_edges)))
-        index_of = {}
-        for i, comp in enumerate(self.components):
-            for v in comp:
-                index_of[v] = i
-        object.__setattr__(self, "_index_of", index_of)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoherentPartition is immutable")
@@ -367,19 +359,8 @@ class CoherentPartition:
         """Loop flags of the quotient graph, derived from component kind."""
         return tuple(kind == "complete" for kind in self.kinds)
 
-    def component_of(self, v: str) -> int:
-        try:
-            return self._index_of[v]
-        except KeyError:
-            raise GraphInputError(f"unknown vertex {v!r}") from None
-
     def component_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
-
-    def quotient_has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return self.loops[i]
-        return tuple(sorted((i, j))) in set(self.quotient_edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -520,9 +501,3 @@ def component_order_group(part: CoherentPartition, max_components: int = 8) -> l
         if all((perm[i], perm[j]) in part.order_pairs for i, j in part.order_pairs):
             out.append(perm)
     return out
-
-
-def automorphism_or_raise(graph: Graph, p: VertexPermutation) -> VertexPermutation:
-    if not is_graph_automorphism(graph, p):
-        raise NotAnAutomorphism(f"{p.cycle_string()} is not a graph automorphism")
-    return p

@@ -225,10 +225,6 @@ class AlgebraicNumber:
         if not self.annihilator.is_monic:
             raise ValueError("annihilator must be monic")
 
-    @classmethod
-    def from_int(cls, k: int) -> "AlgebraicNumber":
-        return cls(IntPolynomial([-k, 1]), complex(k))
-
     def __mul__(self, other: "AlgebraicNumber") -> "AlgebraicNumber":
         from .hyperbolicity import char_poly
         from .polynomials import companion_rows

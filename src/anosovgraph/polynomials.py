@@ -325,6 +325,13 @@ def companion_rows(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<x>x)|(?P<pow>\^)|(?P<op>[+-])|(?P<mul>\*))")
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise GraphInputError(f"number with {len(digits)} digits is too long") from None
+
+
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse integer polynomials in human syntax: "x^2-3x+1", "2*x + 5", "-x^3"."""
     pos = 0
@@ -359,13 +366,13 @@ def parse_polynomial(text: str) -> IntPolynomial:
         first = False
         num = take("num")
         take("mul")
-        coef = sign * int(num) if num is not None else sign
+        coef = sign * _parse_int(num) if num is not None else sign
         if take("x") is not None:
             if take("pow") is not None:
                 exp = take("num")
                 if exp is None:
                     raise GraphInputError("missing exponent after '^'")
-                power = int(exp)
+                power = _parse_int(exp)
             else:
                 power = 1
         else:

@@ -9,7 +9,6 @@ passes when every occurring summand satisfies multiplicity * real_splits > c.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -157,15 +156,10 @@ def orbit_verdict(action: HolonomyAction, orbit_index: int) -> OrbitVerdict:
     )
 
 
-def decide(action: HolonomyAction, threads: int = 1) -> Decision:
+def decide(action: HolonomyAction) -> Decision:
     """Aggregate orbit verdicts: yes when all pass, no when any fails,
     undecided when something is undecided and nothing fails."""
-    indices = range(len(action.orbits))
-    if threads > 1 and len(action.orbits) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = tuple(pool.map(lambda i: orbit_verdict(action, i), indices))
-    else:
-        verdicts = tuple(orbit_verdict(action, i) for i in indices)
+    verdicts = tuple(orbit_verdict(action, i) for i in range(len(action.orbits)))
     if any(v.passed is False for v in verdicts):
         verdict = "no"
     elif any(v.passed is None for v in verdicts):

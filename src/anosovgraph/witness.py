@@ -11,7 +11,7 @@ freeness, commutation with every generator's extension).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil
 
@@ -376,15 +376,19 @@ def _int_matpow(rows, k: int):
     return tuple(tuple(r) for r in result)
 
 
+def _exponents(certificates, margin: float = 2.0) -> tuple[int, ...]:
+    """Exponents separating the orbits' seeds, from their certified char polys."""
+    return choose_exponents([log_modulus_bounds(cert.char_poly) for cert in certificates], margin)
+
+
 def plan_blocks(
     action: HolonomyAction,
     *,
     entry_bound: int = DEFAULT_ENTRY_BOUND,
     search_cap: int = DEFAULT_SEARCH_CAP,
-    margin: float = 2.0,
     cancel: CancelToken | None = None,
 ) -> BlockPlan:
-    """Pick certified seeds, exponents, and conjugators for every orbit."""
+    """Pick certified seeds, exponents (at margin 2), and conjugators for every orbit."""
     part = action.partition
     seeds = []
     for orbit in action.orbits:
@@ -398,9 +402,7 @@ def plan_blocks(
             restriction = None
         seed, cert = find_seed(dim, orbit.c, restriction, entry_bound, search_cap, cancel)
         seeds.append((orbit, seed, cert))
-    exponents = choose_exponents(
-        [log_modulus_bounds(cert.char_poly) for _, _, cert in seeds], margin
-    )
+    exponents = _exponents(cert for _, _, cert in seeds)
     plans = []
     for (orbit, seed, cert), k in zip(seeds, exponents):
         conjugators = []
@@ -423,6 +425,15 @@ def plan_blocks(
     return BlockPlan(tuple(plans))
 
 
+def _require_yes(action: HolonomyAction) -> None:
+    """Refuse witness construction unless the decision criterion says yes."""
+    decision = decide(action)
+    if decision.verdict != "yes":
+        raise WitnessRefused(
+            f"decision is '{decision.verdict}'; a witness exists only for 'yes' instances"
+        )
+
+
 def assemble_witness(
     action: HolonomyAction,
     plan: BlockPlan,
@@ -435,13 +446,13 @@ def assemble_witness(
     certificate raises a structured error naming the stage, so callers can
     escalate exponents and retry.
     """
-    decision = decide(action)
-    if decision.verdict != "yes":
-        raise WitnessRefused(
-            f"decision is '{decision.verdict}'; a witness exists only for 'yes' instances"
-        )
-    if alg is None:
-        alg = build_algebra(action.graph)
+    _require_yes(action)
+    return _assemble(action, plan, build_algebra(action.graph) if alg is None else alg, cancel)
+
+
+def _assemble(
+    action: HolonomyAction, plan: BlockPlan, alg: GraphLieAlgebra, cancel: CancelToken | None
+) -> Witness:
     graph = action.graph
     part = action.partition
     n = graph.num_vertices
@@ -541,27 +552,26 @@ def build_witness(
 ) -> Witness:
     """End-to-end witness construction with exponent escalation.
 
-    Each retry doubles the separation margin used for the exponents; the
-    exact re-certification in assemble_witness is what finally accepts.
+    Seeds and conjugators are searched once. Each retry recomputes only the
+    exponents, at double the separation margin; the exact re-certification
+    in the assembly is what finally accepts.
     """
-    decision = decide(action)
-    if decision.verdict != "yes":
-        raise WitnessRefused(
-            f"decision is '{decision.verdict}'; a witness exists only for 'yes' instances"
-        )
+    _require_yes(action)
     if alg is None:
         alg = build_algebra(action.graph)
+    plan = plan_blocks(action, entry_bound=entry_bound, search_cap=search_cap, cancel=cancel)
     margin = 2.0
     last_error: WitnessAssemblyError | None = None
-    for _ in range(max_retries + 1):
-        plan = plan_blocks(
-            action, entry_bound=entry_bound, search_cap=search_cap, margin=margin, cancel=cancel
-        )
+    for attempt in range(max_retries + 1):
+        if attempt:
+            margin *= 2
+            orbit_plans = plan.orbit_plans
+            exponents = _exponents((p.certificate for p in orbit_plans), margin)
+            plan = BlockPlan(tuple(replace(p, exponent=k) for p, k in zip(orbit_plans, exponents)))
         try:
-            return assemble_witness(action, plan, alg, cancel)
+            return _assemble(action, plan, alg, cancel)
         except WitnessAssemblyError as exc:
             if exc.stage != "hyperbolicity":
                 raise
             last_error = exc
-            margin *= 2
     raise last_error

@@ -104,6 +104,19 @@ class TestAnalyze:
                 graph, [VertexPermutation.from_cycles(swap, graph.vertices)], want_witness=True
             )
 
+    def test_value_error_in_witness_stage_is_internal(self, run, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("inconsistent block shape")
+
+        monkeypatch.setattr(anosovgraph.analysis, "build_witness", broken)
+        path = write_graph(tmp_path, complete_bipartite(3, 3))
+        code, out, err = run(
+            "analyze", "--graph", path, "--holonomy", "(a1 b1)(a2 b2)(a3 b3)", "--witness"
+        )
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "internal error: inconsistent block shape" in err
+
     def test_invalid_holonomy_exit(self, run, tmp_path):
         path = write_graph(tmp_path, pentagon())
         # (a b) preserves the trivial order but is not an automorphism
@@ -257,6 +270,42 @@ class TestCertify:
     def test_malformed_poly(self, run):
         code, _, err = run("certify", "--poly", "x^^2")
         assert code == EXIT_PARSE
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv, file_bytes",
+        [
+            pytest.param(["certify", "--matrix", "[[null]]"], None, id="matrix-null"),
+            pytest.param(["certify", "--matrix", "[1,2]"], None, id="matrix-flat"),
+            pytest.param(["certify", "--matrix", "[[1,2]]"], None, id="matrix-not-square"),
+            pytest.param(["certify", "--matrix", "[[true]]"], None, id="matrix-bool"),
+            pytest.param(["certify", "--matrix", "[[2]]", "--c", "2"], None, id="matrix-1x1-c2"),
+            pytest.param(["certify", "--poly", "x", "--c", "2"], None, id="poly-degree-1-c2"),
+            pytest.param(["certify", "--poly", "x + " + "1" * 5000], None, id="poly-long-number"),
+            pytest.param(["family", "--name", "I", "--m", "2", "--sizes", "2,x"], None, id="sizes"),
+            pytest.param(
+                ["analyze", "--graph", "FILE"],
+                b'{"graph": {"vertices": ["a"], "edges": []}, "holonomy": 5}',
+                id="holonomy-not-string",
+            ),
+            pytest.param(
+                ["analyze", "--graph", "FILE"],
+                b'{"vertices": [' + b"1" * 5000 + b'], "edges": []}',
+                id="json-long-number",
+            ),
+            pytest.param(["quotient", "--graph", "FILE"], b"\xff\xfe", id="graph-not-utf8"),
+        ],
+    )
+    def test_malformed_input_exits_3(self, run, tmp_path, argv, file_bytes):
+        if file_bytes is not None:
+            path = tmp_path / "input"
+            path.write_bytes(file_bytes)
+            argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run(*argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("input error: ")
 
 
 class TestSubprocessEntry:

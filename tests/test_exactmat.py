@@ -23,19 +23,6 @@ class TestRationalMatrix:
         assert m * RationalMatrix.identity(2) == m
         assert (m * m)[0, 0] == 5
 
-    def test_inverse_exact(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            n = rng.randint(1, 5)
-            m = random_matrix(rng, n)
-            if m.det() == 0:
-                continue
-            assert m * m.inverse() == RationalMatrix.identity(n)
-
-    def test_singular_inverse_raises(self):
-        with pytest.raises(ValueError):
-            RationalMatrix([[1, 1], [1, 1]]).inverse()
-
     def test_det_matches_numpy(self):
         rng = random.Random(17)
         for _ in range(100):
@@ -44,17 +31,11 @@ class TestRationalMatrix:
             numeric = np.linalg.det(np.array([[float(x) for x in row] for row in m.rows]))
             assert m.det() == round(numeric)
 
-    def test_pow(self):
-        m = RationalMatrix([[2, 1], [1, 1]])
-        assert m ** 0 == RationalMatrix.identity(2)
-        assert m ** 3 == m * m * m
-        assert m ** -1 == m.inverse()
-
     def test_kernel_vector(self):
         m = RationalMatrix([[1, 2], [2, 4]])
         vec = m.kernel_vector()
         assert vec is not None
-        assert m.apply(vec) == (0, 0)
+        assert [sum(a * x for a, x in zip(row, vec)) for row in m.rows] == [0, 0]
         assert RationalMatrix([[1, 0], [0, 1]]).kernel_vector() is None
 
     def test_int_rows_guard(self):
@@ -82,8 +63,3 @@ class TestRationalMatrix:
         m = coerce_matrix([[1, 2], [3, 4]])
         assert isinstance(m, RationalMatrix)
         assert coerce_matrix(m) is m
-
-    def test_transpose_and_apply(self):
-        m = RationalMatrix([[1, 2], [3, 4]])
-        assert m.transpose().rows == ((1, 3), (2, 4))
-        assert m.apply([1, 1]) == (3, 7)

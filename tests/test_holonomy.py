@@ -143,8 +143,8 @@ class TestPermutationMatrix:
         g = pentagon()
         rot = VertexPermutation.from_cycles("(a b c d e)", g.vertices)
         m = permutation_matrix(g, rot)
-        vec = m.apply([1, 0, 0, 0, 0])
-        assert vec == (0, 1, 0, 0, 0)  # a moves to b
+        vec = [sum(a * x for a, x in zip(row, [1, 0, 0, 0, 0])) for row in m.rows]
+        assert vec == [0, 1, 0, 0, 0]  # a moves to b
 
     def test_homomorphism(self):
         g = pentagon()

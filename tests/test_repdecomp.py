@@ -198,10 +198,6 @@ class TestDecide:
         assert decision.verdict == "undecided"
         assert decision.realizability == "unknown"
 
-    def test_threaded_matches_sequential(self):
-        action = action_for(four_pair_chain(), "(a1 b1)(a2 b2)(c1 d1)(c2 d2)")
-        assert decide(action, threads=4) == decide(action)
-
     def test_json_shape(self):
         action = action_for(complete_bipartite(3, 3), "(a1 b1)(a2 b2)(a3 b3)")
         blob = decide(action).to_json_dict()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import anosovgraph.witness as witness_module
 from anosovgraph.errors import (
     OperationCancelled,
     PreconditionViolation,
@@ -11,6 +12,7 @@ from anosovgraph.errors import (
     WitnessAssemblyError,
     WitnessRefused,
 )
+from anosovgraph.families import family_I
 from anosovgraph.fixtures import four_pair_chain, four_pair_chain_swap
 from anosovgraph.graphs import (
     Graph,
@@ -205,6 +207,32 @@ class TestBuildWitness:
         assert decide(action).verdict == "undecided"
         with pytest.raises(WitnessRefused):
             build_witness(action)
+
+    def test_exponent_retry_reuses_seeds(self, monkeypatch):
+        # all-ones exponents at the first margin fail the hyperbolicity stage;
+        # the retry must recompute only the exponents, not search seeds again
+        inst = family_I(3, (2, 2, 3))
+        action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
+        margins, seed_searches = [], []
+        real_choose, real_find = witness_module.choose_exponents, witness_module.find_seed
+
+        def choose(bounds, margin=2.0):
+            margins.append(margin)
+            ks = real_choose(bounds, margin)
+            return (1,) * len(ks) if margin == 2.0 else ks
+
+        def find(*args, **kwargs):
+            seed_searches.append(args)
+            return real_find(*args, **kwargs)
+
+        monkeypatch.setattr(witness_module, "choose_exponents", choose)
+        monkeypatch.setattr(witness_module, "find_seed", find)
+        w = build_witness(action)
+        assert margins == [2.0, 4.0]
+        assert tuple(p.exponent for p in w.plan.orbit_plans) == (1, 4, 88)
+        assert w.certificate.valid
+        assert is_algebra_automorphism(build_algebra(inst.graph), w.full_matrix)
+        assert len(seed_searches) == 3  # one per orbit
 
     def test_json_and_text_exports(self):
         g = complete_bipartite(3, 3)
