@@ -171,10 +171,15 @@ def graph_from_json_dict(data) -> Graph:
     edges = data["edges"]
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise GraphInputError('"vertices" and "edges" must be lists')
+    for v in vertices:
+        if not isinstance(v, str):
+            raise GraphInputError(f"vertex label must be a string: {v!r}")
     pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphInputError(f"edge must be a pair: {e!r}")
+        if not all(isinstance(v, str) for v in e):
+            raise GraphInputError(f"edge endpoints must be vertex labels (strings): {e!r}")
         pairs.append((e[0], e[1]))
     return Graph(vertices, pairs)
 

@@ -3,6 +3,13 @@
 Everything here is exact: integer coefficients stay Python ints, rational
 intermediates use fractions.Fraction. Floating point never enters.
 Coefficients are stored in ascending degree order.
+
+The gcd in Z[x] is a small-prime modular gcd (Brown 1971): Euclid on the
+images mod word-size primes, CRT on the images of least degree, then exact
+trial division. An image of degree 0 proves the gcd is 1, since no image mod
+a prime that divides neither leading coefficient has a lower degree than the
+true gcd. Any other result is returned only after it divides both inputs
+exactly, so the choice of primes affects the running time, never the answer.
 """
 
 from __future__ import annotations
@@ -143,42 +150,104 @@ def divide_exact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # lc(b)^(deg a - deg b + 1) * a  mod  b, computed in Z
-    rem = list(a)
-    lb = b[-1]
-    while len(rem) >= len(b) and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin for odd n > 61; the bases 2, 7 and 61 decide every n < 4,759,123,141.
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
             continue
-        lead = rem[-1]
-        shift = len(rem) - len(b)
-        rem = [lb * c for c in rem]
-        for i, c in enumerate(b):
-            rem[shift + i] -= lead * c
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-    return rem
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _word_primes():
+    """The primes below 2^31, largest first."""
+    for n in range(2**31 - 1, 61, -2):
+        if _is_prime(n):
+            yield n
+
+
+def _monic_gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
+    """Monic gcd in (Z/prime)[x] of two reduced, nonzero coefficient lists (ascending)."""
+    while b:
+        inv = pow(b[-1], -1, prime)
+        n = len(b) - 1
+        a = list(a)
+        while len(a) > n:  # replace a by its remainder mod b, one leading term at a time
+            c = a.pop() * inv % prime
+            if c:
+                shift = len(a) - n
+                a[shift:] = [(x - c * y) % prime for x, y in zip(a[shift:], b)]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
+def _divides(d: IntPolynomial, n: IntPolynomial) -> bool:
+    try:
+        divide_exact(n, d)
+    except ValueError:
+        return False
+    return True
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
-    """Primitive gcd in Z[x] via a primitive pseudo-remainder sequence."""
+    """Primitive gcd in Z[x] with a positive leading coefficient, by a small-prime modular gcd.
+
+    Let A, B be the primitive parts of p and q, and G their gcd. Each prime
+    below 2^31 that divides neither leading coefficient gives the monic gcd
+    of A and B modulo it, by Euclid. That image has degree at least deg G,
+    because G keeps its degree modulo the prime and divides both images; so
+    an image of degree 0 proves G = 1. Otherwise only the images of least
+    degree so far are kept. Once that degree is deg G, which holds for all
+    but finitely many primes, the images scaled by gcd(lc A, lc B), which
+    lc G divides, are images of one integer multiple of G; CRT recovers it
+    once the primes' product exceeds twice its largest coefficient. After
+    each prime, the primitive part of the symmetric lift is returned only if
+    exact trial division shows that it divides both A and B. A common
+    divisor of degree at least deg G is G up to sign, so the answer is exact
+    whichever primes are unlucky; they only delay it. Polls ``cancel`` once
+    per prime.
+    """
     if p.is_zero:
         return q.primitive()
     if q.is_zero:
         return p.primitive()
-    a = list(p.primitive().coefficients)
-    b = list(q.primitive().coefficients)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
+    a, b = p.primitive(), q.primitive()
+    gamma = gcd(a.leading, b.leading)
+    degree, residues, modulus = None, [], 1
+    for prime in _word_primes():
         if cancel is not None:
             cancel.check()
-        r = _pseudo_rem(a, b)
-        if not any(r):
-            return IntPolynomial(b).primitive()
-        r = list(IntPolynomial(r).primitive().coefficients)
-        a, b = b, r
+        if a.leading % prime == 0 or b.leading % prime == 0:
+            continue
+        image = _monic_gcd_mod(
+            [c % prime for c in a.coefficients], [c % prime for c in b.coefficients], prime
+        )
+        if len(image) == 1:
+            return IntPolynomial([1])
+        if degree is None or len(image) - 1 < degree:
+            degree, residues, modulus = len(image) - 1, [0] * len(image), 1
+        elif len(image) - 1 > degree:
+            continue  # an unlucky prime: the earlier images prove this degree too high
+        scale, inv = gamma % prime, pow(modulus, -1, prime)
+        residues = [r + modulus * ((c * scale - r) * inv % prime) for r, c in zip(residues, image)]
+        modulus *= prime
+        candidate = IntPolynomial([r - modulus if 2 * r > modulus else r for r in residues])
+        candidate = candidate.primitive()
+        if _divides(candidate, a) and _divides(candidate, b):
+            return candidate
+    raise AssertionError("ran out of word-size primes")
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

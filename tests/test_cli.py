@@ -295,6 +295,16 @@ class TestInputErrors:
                 id="json-long-number",
             ),
             pytest.param(["quotient", "--graph", "FILE"], b"\xff\xfe", id="graph-not-utf8"),
+            pytest.param(
+                ["analyze", "--graph", "FILE"],
+                b'{"vertices": [1, 2], "edges": []}',
+                id="vertex-label-not-string",
+            ),
+            pytest.param(
+                ["quotient", "--graph", "FILE"],
+                b'{"vertices": ["1", "2"], "edges": [[1, "2"]]}',
+                id="edge-endpoint-not-string",
+            ),
         ],
     )
     def test_malformed_input_exits_3(self, run, tmp_path, argv, file_bytes):

@@ -13,9 +13,10 @@ from anosovgraph.hyperbolicity import (
     exterior_square_char_poly,
     is_c_hyperbolic,
     is_integer_like,
+    unit_circle_analysis,
     unit_circle_root_exists,
 )
-from anosovgraph.polynomials import IntPolynomial, companion_rows, cyclotomic
+from anosovgraph.polynomials import IntPolynomial, companion_rows, cyclotomic, poly_gcd
 
 CAT_MAP = ((2, 1), (1, 1))
 CUBIC = IntPolynomial((1, -2, -1, 1))  # x^3 - x^2 - 2x + 1
@@ -223,12 +224,61 @@ class TestCHyperbolic:
         assert "exterior_square" in blob
 
 
+class CancelOnCheck(CancelToken):
+    """A token that counts its `check()` calls and cancels itself at call number `at`."""
+
+    __slots__ = ("_at", "checks")
+
+    def __init__(self, at=None):
+        super().__init__()
+        self._at = at
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self._at:
+            self.cancel()
+        super().check()
+
+
+def _degree_50():
+    # reciprocal gcd (x^2 - 3x + 1)(x^2 + x + 1), so the test reaches the Sturm stage
+    rng = random.Random(50)
+    rest = IntPolynomial([rng.randint(-(2**20), 2**20) for _ in range(46)] + [1])
+    return P(1, -3, 1) * P(1, 1, 1) * rest
+
+
 class TestCancellation:
     def test_cancelled_token_interrupts(self):
         token = CancelToken()
         token.cancel()
         with pytest.raises(OperationCancelled):
             char_poly([[2, 1], [1, 1]], cancel=token)
+        with pytest.raises(OperationCancelled):
+            poly_gcd(P(-1, 0, 1), P(1, 2, 1), cancel=token)
+        with pytest.raises(OperationCancelled):
+            unit_circle_analysis(_degree_50(), cancel=token)
+
+    def test_poly_gcd_stops_at_every_poll(self):
+        f = P(*[3**189 + k for k in range(6)])  # 300-bit gcd: no single prime recovers it
+        p, q = f * P(1, 1, 1), f * P(-1, 2, 0, 1)
+        token = CancelOnCheck()
+        assert poly_gcd(p, q, cancel=token) == f
+        assert token.checks > 1
+        for at in range(1, token.checks + 1):
+            with pytest.raises(OperationCancelled):
+                poly_gcd(p, q, cancel=CancelOnCheck(at))
+
+    def test_unit_circle_analysis_stops_at_every_poll(self):
+        p = _degree_50()
+        assert p.degree == 50
+        token = CancelOnCheck()
+        analysis = unit_circle_analysis(p, cancel=token)
+        assert analysis.stage == "sturm" and analysis.exists
+        assert analysis.reciprocal_gcd_degree == 4
+        for at in range(1, token.checks + 1):
+            with pytest.raises(OperationCancelled):
+                unit_circle_analysis(p, cancel=CancelOnCheck(at))
 
     def test_cancel_from_other_thread(self):
         token = CancelToken()

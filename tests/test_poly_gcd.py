@@ -1,0 +1,182 @@
+"""Differential tests for the modular gcd in anosovgraph.polynomials.
+
+`poly_gcd` is compared with two oracles: the primitive pseudo-remainder
+sequence it replaced (kept here as the slow reference) and sympy's gcd over
+Z[x], normalised to a primitive polynomial with a positive leading
+coefficient. Random inputs are products f*g and f*h that share the factor f.
+"""
+
+import itertools
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from anosovgraph.polynomials import IntPolynomial, _word_primes, divide_exact, poly_gcd
+
+SETTINGS = settings(max_examples=100, deadline=None)
+FIRST_PRIMES = list(itertools.islice(_word_primes(), 4))
+X = sympy.Symbol("x")
+
+
+def P(*ascending):
+    return IntPolynomial(ascending)
+
+
+def _pseudo_rem(a, b):
+    # lc(b)^(deg a - deg b + 1) * a  mod  b, computed in Z
+    rem = list(a)
+    lb = b[-1]
+    while len(rem) >= len(b) and any(rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        lead = rem[-1]
+        shift = len(rem) - len(b)
+        rem = [lb * c for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= lead * c
+        while len(rem) > 1 and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def prs_gcd(p, q):
+    """The primitive pseudo-remainder sequence that `poly_gcd` used to run."""
+    if p.is_zero:
+        return q.primitive()
+    if q.is_zero:
+        return p.primitive()
+    a = list(p.primitive().coefficients)
+    b = list(q.primitive().coefficients)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _pseudo_rem(a, b)
+        if not any(r):
+            return IntPolynomial(b).primitive()
+        r = list(IntPolynomial(r).primitive().coefficients)
+        a, b = b, r
+
+
+def sympy_gcd(p, q):
+    """sympy's gcd over ZZ as a primitive polynomial with a positive leading coefficient."""
+    g = sympy.Poly(list(reversed(p.coefficients)), X, domain="ZZ").gcd(
+        sympy.Poly(list(reversed(q.coefficients)), X, domain="ZZ")
+    )
+    return IntPolynomial([int(c) for c in reversed(g.all_coeffs())]).primitive()
+
+
+def assert_matches_oracles(p, q):
+    g = poly_gcd(p, q)
+    assert g == prs_gcd(p, q)
+    assert g == sympy_gcd(p, q)
+    assert g == poly_gcd(q, p)
+    return g
+
+
+coefficients = st.one_of(
+    st.integers(-9, 9), st.integers(-(2**40), 2**40), st.integers(-(2**100), 2**100)
+)
+
+
+def polys(min_degree=0, max_degree=6):
+    return st.lists(coefficients, min_size=min_degree + 1, max_size=max_degree + 1).map(
+        IntPolynomial
+    ).filter(lambda p: p.degree >= min_degree)
+
+
+class TestAgainstOracles:
+    @SETTINGS
+    @given(polys(), polys(), polys())
+    def test_shared_factor(self, f, g, h):
+        assert_matches_oracles(f * g, f * h)
+
+    @SETTINGS
+    @given(polys(min_degree=1), polys(), polys())
+    def test_result_divides_both_and_keeps_the_shared_factor(self, f, g, h):
+        a, b = f * g, f * h
+        d = assert_matches_oracles(a, b)
+        divide_exact(a.primitive(), d)
+        divide_exact(b.primitive(), d)
+        divide_exact(d, f.primitive())
+
+    @SETTINGS
+    @given(polys(), polys())
+    def test_unrelated_inputs(self, p, q):
+        assert_matches_oracles(p, q)
+
+
+class TestExplicitCases:
+    @pytest.mark.parametrize(
+        "p, q, expected",
+        [
+            pytest.param(P(0), P(0), P(0), id="zero-zero"),
+            pytest.param(P(0), P(6, 3), P(2, 1), id="zero-poly"),
+            pytest.param(P(-4, 0, -2), P(0), P(2, 0, 1), id="poly-zero"),
+            pytest.param(P(0), P(-7), P(1), id="zero-constant"),
+            pytest.param(P(6), P(4), P(1), id="constants"),
+            pytest.param(P(-3), P(1, 0, 1), P(1), id="constant-poly"),
+            pytest.param(P(2, 2), P(4), P(1), id="poly-constant"),
+        ],
+    )
+    def test_zero_and_constant_inputs(self, p, q, expected):
+        assert assert_matches_oracles(p, q) == expected
+
+    def test_negative_leading_coefficients(self):
+        common = P(1, -3)  # -3x + 1
+        p = common * P(2, 0, -5)
+        q = common * P(-7, -1)
+        assert assert_matches_oracles(p, q) == P(-1, 3)
+        assert assert_matches_oracles(-p, -q) == P(-1, 3)
+
+    @SETTINGS
+    @given(st.lists(coefficients, min_size=1, max_size=12), st.booleans())
+    def test_palindromic_is_its_own_reciprocal_gcd(self, half, odd):
+        assume(half[0] != 0)
+        p = IntPolynomial(half + half[::-1][1 if odd else 0 :])
+        assert p.is_palindromic()
+        assert assert_matches_oracles(p, p.reverse()) == p.primitive()
+
+    def test_full_degree_gcd_of_large_palindrome(self):
+        half = [(-1) ** k * (3**k * 7**40 + k) for k in range(20)]
+        p = IntPolynomial(half + half[::-1])
+        assert max(abs(c) for c in p.coefficients).bit_length() > 100
+        assert assert_matches_oracles(p, p.reverse()) == p.primitive()
+        assert assert_matches_oracles(p, p.scale(3)) == p.primitive()
+
+
+class TestUnluckyPrimes:
+    """Inputs built so that the first primes the kernel tries are unusable."""
+
+    def test_leading_coefficients_divisible_by_first_primes(self):
+        lead = FIRST_PRIMES[0] * FIRST_PRIMES[1]
+        f = P(5, -1, 2)
+        p = f * P(1, lead)
+        q = f * P(-3, lead * FIRST_PRIMES[2])
+        assert assert_matches_oracles(p, q) == f
+
+    def test_coprime_with_unlucky_first_prime(self):
+        # x and x + p0 share the root 0 mod p0 only: that image has degree 1
+        assert assert_matches_oracles(P(0, 1), P(FIRST_PRIMES[0], 1)) == P(1)
+
+    @pytest.mark.parametrize("unlucky", [1, 2, 4])
+    def test_cofactor_resultant_divisible_by_first_primes(self, unlucky):
+        # resultant(x, x + c) = c, so the cofactors meet mod every prime dividing c
+        c = 1
+        for prime in FIRST_PRIMES[:unlucky]:
+            c *= prime
+        f = P(3, -2, 0, 1) * P(2**70 + 1, 5)
+        assert assert_matches_oracles(f * P(0, 1), f * P(c, 1)) == f.primitive()
+
+    @SETTINGS
+    @given(polys(min_degree=1, max_degree=4), st.integers(1, 3), st.integers(-5, 5))
+    def test_random_shared_factor_with_unlucky_cofactors(self, f, unlucky, shift):
+        c = 1
+        for prime in FIRST_PRIMES[:unlucky]:
+            c *= prime
+        g = P(shift, 1)
+        assert_matches_oracles(f * g, f * P(shift + c, 1))
+        assert_matches_oracles(f * g * P(0, FIRST_PRIMES[0]), f * P(shift + c, 1))
+
