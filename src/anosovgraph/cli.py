@@ -24,7 +24,7 @@ from .errors import (
 )
 from .families import FamilySpec, generate
 from .graphs import Graph, coherent_components, graph_from_json_dict, parse_graph, parse_holonomy_generators
-from .hyperbolicity import certify_polynomial, exterior_square_char_poly, is_c_hyperbolic, is_integer_like
+from .hyperbolicity import certify_polynomial, exterior_square_poly, is_c_hyperbolic, is_integer_like
 from .polynomials import IntPolynomial, format_polynomial, parse_polynomial
 
 EXIT_YES = 0
@@ -184,11 +184,7 @@ def cmd_certify(args) -> int:
             raise GraphInputError("certification expects a monic polynomial")
         if c == 2 and p.degree < 2:
             raise GraphInputError("--c 2 needs a polynomial of degree at least 2")
-        compound = None
-        if c == 2:
-            from .polynomials import companion_rows
-
-            compound = exterior_square_char_poly(companion_rows(p))
+        compound = exterior_square_poly(p) if c == 2 else None
         cert = certify_polynomial(p, c, compound)
         integer_like = is_integer_like(p)
     else:

@@ -1,14 +1,15 @@
 """Immutable exact-rational matrices.
 
 A thin exact linear algebra kernel: Fraction entries, kernel vectors by
-Gauss-Jordan elimination, and determinants by Gaussian elimination over the
-rationals (rows with a zero entry below the pivot are skipped). No floating
-point.
+Gauss-Jordan elimination, and determinants by fraction-free Bareiss
+elimination on integers (a rational matrix is scaled by the lcm of its
+denominators first). No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class RationalMatrix:
@@ -81,26 +82,59 @@ class RationalMatrix:
     __rmul__ = __mul__
 
     def det(self) -> Fraction:
+        """Determinant, by fraction-free Bareiss elimination on integers.
+
+        The matrix is first scaled by the lcm L of its denominators, so
+        det(M) = det(L M) / L^n with L M integral. Step k, with pivot p_k and
+        p_-1 = 1, takes each entry right of the pivot column in a lower row r
+        to (a_rc p_k - a_rk a_kc) / p_(k-1). By Sylvester's identity every new
+        entry is a minor of L M, so each division is exact; a remainder
+        raises AssertionError. A row with a_rk = 0 is only rescaled by
+        p_k / p_(k-1). Those rescales are deferred: when the row is next
+        needed, at step j after last changing at step i, it is multiplied by
+        their product p_(j-1) / p_(i-1) at once. A zero pivot is swapped with
+        the first lower row that has a nonzero entry there, flipping the
+        sign; if there is none the determinant is 0.
+        """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self.rows]
         n = self.nrows
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
+        scale = lcm(*{x.denominator for row in self.rows for x in row})
+        if scale == 1:
+            m = [[x.numerator for x in row] for row in self.rows]
+        else:
+            m = [[x.numerator * (scale // x.denominator) for x in row] for row in self.rows]
+        divisors = [1]  # divisors[k] = p_(k-1), the divisor of step k
+        step = [0] * n  # m[r] holds row r as of the start of step step[r]
+
+        def catch_up(r: int, k: int) -> None:
+            num, den = divisors[k], divisors[step[r]]
+            if num != den:
+                m[r][k:] = _divide_exact([x * num for x in m[r][k:]], den)
+            step[r] = k
+
+        sign = 1
+        for k in range(n - 1):
+            nonzero = [r for r in range(k, n) if m[r][k]]
+            if not nonzero:
                 return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] -= f * m[col][c]
-        return det
+            pivot_row, *below = nonzero  # the row swapped down is zero in column k
+            if pivot_row != k:
+                m[k], m[pivot_row] = m[pivot_row], m[k]
+                step[k], step[pivot_row] = step[pivot_row], step[k]
+                sign = -sign
+            catch_up(k, k)
+            pivot, top = m[k][k], m[k][k + 1 :]
+            for r in below:
+                catch_up(r, k)
+                row, f = m[r], m[r][k]
+                row[k + 1 :] = _divide_exact(
+                    [x * pivot - f * y for x, y in zip(row[k + 1 :], top)], divisors[k]
+                )
+                step[r] = k + 1
+            divisors.append(pivot)
+        catch_up(n - 1, n - 1)
+        return Fraction(sign * m[n - 1][n - 1], scale**n)
 
     def kernel_vector(self):
         """A nonzero rational kernel vector, or None if the matrix has full column rank."""
@@ -144,6 +178,14 @@ class RationalMatrix:
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self.rows]
+
+
+def _divide_exact(values: list[int], d: int) -> list[int]:
+    if d == 1:
+        return values
+    if any(v % d for v in values):
+        raise AssertionError("inexact division in Bareiss elimination")
+    return [v // d for v in values]
 
 
 def coerce_matrix(m) -> RationalMatrix:

@@ -7,11 +7,17 @@ certificates additionally run the same test on the characteristic polynomial
 of the second exterior power, whose roots are the pairwise eigenvalue
 products. Repeated-index products are covered by the level-1 stage since
 |mu^2| = 1 exactly when |mu| = 1.
+
+That exterior-square polynomial comes from the characteristic polynomial p
+alone, by Newton's identities: with s_k the power sums of the roots of p, the
+pair products have power sums S_k = (s_k^2 - s_2k) / 2. Each s_k, S_k and
+coefficient is a symmetric polynomial with integer coefficients in the roots
+of the monic integer polynomial p, hence an integer, so the divisions by 2
+and by k are exact; each one is checked.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CancelToken
@@ -19,8 +25,10 @@ from .exactmat import RationalMatrix
 from .polynomials import (
     IntPolynomial,
     count_real_roots_between,
+    from_power_sums,
     palindromic_to_interval_poly,
     poly_gcd,
+    power_sums,
     strip_unit_linear_factors,
 )
 
@@ -178,21 +186,39 @@ def unit_circle_root_exists(p: IntPolynomial, cancel: CancelToken | None = None)
     return analysis.exists, analysis.detail
 
 
-def exterior_square_char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
-    """Characteristic polynomial of the second exterior power (pairwise eigenvalue products)."""
-    rows = _int_rows(m)
-    n = len(rows)
-    if n < 2:
+def exterior_square_poly(p: IntPolynomial, cancel: CancelToken | None = None) -> IntPolynomial:
+    """Monic polynomial whose roots are the pair products lambda_i lambda_j (i < j) of monic p's roots.
+
+    With s_k the k-th power sum of the roots of p, the N = C(n, 2) pair
+    products have power sums S_k = (s_k^2 - s_2k) / 2, since s_k^2 counts
+    each product (lambda_i lambda_j)^k twice for i != j and once more each
+    lambda_i^2k. Newton's identities turn S_1..S_N back into coefficients.
+    The roots are algebraic integers, so the S_k and the coefficients are
+    integers and each division, by 2 and by k, is exact; a remainder raises
+    AssertionError. Polls ``cancel`` once per k.
+    """
+    if not p.is_monic:
+        raise ValueError("the exterior square is defined for monic polynomials")
+    if p.degree < 2:
         raise ValueError("exterior square needs dimension at least 2")
-    pairs = list(itertools.combinations(range(n), 2))
-    compound = [
-        [
-            rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k]
-            for (k, l) in pairs
-        ]
-        for (i, j) in pairs
-    ]
-    return char_poly(compound, cancel)
+    n = p.degree * (p.degree - 1) // 2
+    s = power_sums(p, 2 * n, cancel)
+    pair_sums = [n]
+    for k in range(1, n + 1):
+        half, odd = divmod(s[k] * s[k] - s[2 * k], 2)
+        if odd:
+            raise AssertionError("inexact division in exterior-square power sums")
+        pair_sums.append(half)
+    return from_power_sums(pair_sums, cancel)
+
+
+def exterior_square_char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
+    """Characteristic polynomial of the second exterior power (pairwise eigenvalue products).
+
+    Equal to `exterior_square_poly` of the characteristic polynomial of m: the
+    C(n, 2) x C(n, 2) compound matrix is never built.
+    """
+    return exterior_square_poly(char_poly(m, cancel), cancel)
 
 
 @dataclass(frozen=True)
@@ -277,8 +303,7 @@ def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> Hyperbolici
     """
     if c not in (1, 2):
         raise ValueError("only c = 1 and c = 2 occur for 2-step algebras")
-    rows = _int_rows(m)
-    p = char_poly(rows, cancel)
+    p = char_poly(m, cancel)
     if c == 1:
         return certify_polynomial(p, 1, cancel=cancel)
     first = unit_circle_analysis(p, cancel)
@@ -293,5 +318,4 @@ def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> Hyperbolici
             valid=False,
             failure="eigenvalue on unit circle",
         )
-    compound = exterior_square_char_poly(rows, cancel)
-    return certify_polynomial(p, 2, compound, cancel)
+    return certify_polynomial(p, 2, exterior_square_poly(p, cancel), cancel)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import PreconditionViolation
 from .exactmat import RationalMatrix, coerce_matrix
 from .graphs import CoherentPartition, Graph
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, from_power_sums, power_sums
 
 
 class GraphLieAlgebra:
@@ -214,8 +214,9 @@ class AlgebraicNumber:
     """An algebraic integer: a monic integer annihilator plus a numeric location.
 
     The annihilator is exact; the approximation is for display and sorting
-    only. Products carry an exact annihilator computed from companion
-    matrices, which may be non-minimal.
+    only. Products carry an exact annihilator, the characteristic polynomial
+    of the Kronecker product of the companion matrices, which may be
+    non-minimal.
     """
 
     annihilator: IntPolynomial
@@ -226,21 +227,10 @@ class AlgebraicNumber:
             raise ValueError("annihilator must be monic")
 
     def __mul__(self, other: "AlgebraicNumber") -> "AlgebraicNumber":
-        from .hyperbolicity import char_poly
-        from .polynomials import companion_rows
-
-        a = companion_rows(self.annihilator)
-        b = companion_rows(other.annihilator)
-        size = len(a) * len(b)
-        rows = [[0] * size for _ in range(size)]
-        for i in range(len(a)):
-            for j in range(len(a)):
-                if a[i][j] == 0:
-                    continue
-                for k in range(len(b)):
-                    for l in range(len(b)):
-                        rows[i * len(b) + k][j * len(b) + l] = a[i][j] * b[k][l]
-        return AlgebraicNumber(char_poly(rows), self.approx * other.approx)
+        # the products lambda_i mu_j have power sums s_k(self) * s_k(other)
+        n = self.annihilator.degree * other.annihilator.degree
+        sums = zip(power_sums(self.annihilator, n), power_sums(other.annihilator, n))
+        return AlgebraicNumber(from_power_sums([a * b for a, b in sums]), self.approx * other.approx)
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.approx:.6g}, root of {self.annihilator})"

@@ -250,10 +250,58 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
     raise AssertionError("ran out of word-size primes")
 
 
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
+def squarefree_part(p: IntPolynomial, cancel=None) -> IntPolynomial:
     if p.degree <= 0:
         return p.primitive()
-    return divide_exact(p.primitive(), poly_gcd(p, p.derivative())).primitive()
+    return divide_exact(p.primitive(), poly_gcd(p, p.derivative(), cancel)).primitive()
+
+
+# ---------------------------------------------------------------------------
+# Newton's identities: coefficients <-> power sums of the roots
+
+
+def power_sums(p: IntPolynomial, count: int, cancel=None) -> list[int]:
+    """[s_0, ..., s_count], s_k the sum of the k-th powers of the roots of monic p.
+
+    Roots are counted with multiplicity, so s_0 = deg p. Newton's identities
+    give each s_k from the coefficients and the earlier sums with integer
+    products and sums only. Polls ``cancel`` once per k.
+    """
+    if not p.is_monic:
+        raise ValueError("power sums need a monic polynomial")
+    n = p.degree
+    c = p.coefficients[::-1]  # c[i] is the coefficient of x^(n-i)
+    s = [n]
+    for k in range(1, count + 1):
+        if cancel is not None:
+            cancel.check()
+        acc = k * c[k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            acc += c[i] * s[k - i]
+        s.append(-acc)
+    return s
+
+
+def from_power_sums(sums: list[int], cancel=None) -> IntPolynomial:
+    """The monic polynomial of degree n = len(sums) - 1 whose roots have power sums sums[k].
+
+    The inverse of `power_sums`; sums[0] (= n) is not read. The k-th step of
+    Newton's identities divides by k. That division is exact whenever the
+    sums are those of the roots of a monic integer polynomial, which is then
+    the result; a remainder raises AssertionError. Polls ``cancel`` once per k.
+    """
+    c = [1]  # c[i] is the coefficient of x^(n-i)
+    for k in range(1, len(sums)):
+        if cancel is not None:
+            cancel.check()
+        acc = 0
+        for i in range(k):
+            acc += c[i] * sums[k - i]
+        q, r = divmod(-acc, k)
+        if r:
+            raise AssertionError("inexact division in Newton's identities")
+        c.append(q)
+    return IntPolynomial(c[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +330,7 @@ def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def sturm_chain(p: IntPolynomial, cancel=None) -> list[list[Fraction]]:
     """Canonical Sturm chain of the squarefree part of p."""
-    sf = squarefree_part(p)
+    sf = squarefree_part(p, cancel)
     chain = [[Fraction(c) for c in sf.coefficients]]
     if sf.degree <= 0:
         return chain

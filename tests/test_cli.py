@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from anosovgraph.cli import (
 )
 from anosovgraph.fixtures import all_loops_chain, four_pair_chain, loop_end_chain, pentagon
 from anosovgraph.graphs import VertexPermutation, complete_bipartite, discrete_graph
+from anosovgraph.hyperbolicity import char_poly
+from anosovgraph.polynomials import IntPolynomial, companion_rows, format_polynomial
 
 
 @pytest.fixture
@@ -261,6 +264,33 @@ class TestCertify:
         payload = json.loads(out)
         assert payload["valid"] is True
         assert payload["certificate"]["compound_char_poly"] == [-1, -1, 2, 1]
+
+    def test_degree_12_product_c2_matches_dense_compound(self, run):
+        # four hyperbolic cubics; no eigenvalue and no pair product on the unit circle
+        cubics = [(-1, -3, 0, 1), (-1, -4, 0, 1), (1, -5, 0, 1), (-1, -1, 0, 1)]
+        poly = IntPolynomial([1])
+        blocks = []
+        for coeffs in cubics:
+            poly = poly * IntPolynomial(coeffs)
+            blocks.append(companion_rows(IntPolynomial(coeffs)))
+        # oracle: Faddeev-LeVerrier on the dense 66x66 compound of the block-diagonal
+        # companion matrix, whose char poly is poly
+        n = 12
+        rows = [[0] * n for _ in range(n)]
+        for b, block in enumerate(blocks):
+            for i, j in itertools.product(range(3), repeat=2):
+                rows[3 * b + i][3 * b + j] = block[i][j]
+        pairs = list(itertools.combinations(range(n), 2))
+        compound = [
+            [rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k] for (k, l) in pairs]
+            for (i, j) in pairs
+        ]
+        code, out, _ = run("certify", "--poly", format_polynomial(poly), "--c", "2", "--json")
+        assert code == EXIT_YES
+        payload = json.loads(out)
+        assert payload["certificate"]["char_poly"] == list(poly.coefficients)
+        assert payload["certificate"]["compound_char_poly"] == list(char_poly(compound).coefficients)
+        assert len(payload["certificate"]["compound_char_poly"]) == 67
 
     def test_non_unit_constant_invalid(self, run):
         code, out, _ = run("certify", "--poly", "x^2 - 2", "--c", "1")

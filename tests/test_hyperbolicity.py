@@ -4,6 +4,9 @@ import threading
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovgraph.errors import OperationCancelled
 from anosovgraph.exactmat import RationalMatrix
@@ -11,12 +14,19 @@ from anosovgraph.hyperbolicity import (
     CancelToken,
     char_poly,
     exterior_square_char_poly,
+    exterior_square_poly,
     is_c_hyperbolic,
     is_integer_like,
     unit_circle_analysis,
     unit_circle_root_exists,
 )
-from anosovgraph.polynomials import IntPolynomial, companion_rows, cyclotomic, poly_gcd
+from anosovgraph.polynomials import (
+    IntPolynomial,
+    companion_rows,
+    count_real_roots_between,
+    cyclotomic,
+    poly_gcd,
+)
 
 CAT_MAP = ((2, 1), (1, 1))
 CUBIC = IntPolynomial((1, -2, -1, 1))  # x^3 - x^2 - 2x + 1
@@ -143,7 +153,55 @@ class TestUnitCircle:
         assert checked > 500
 
 
+def dense_compound(rows):
+    """The C(n,2) x C(n,2) second compound matrix: minors on row pair (i, j), column pair (k, l)."""
+    pairs = list(itertools.combinations(range(len(rows)), 2))
+    return [
+        [rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k] for (k, l) in pairs]
+        for (i, j) in pairs
+    ]
+
+
+def dense_compound_char_poly(rows):
+    """The dense path `exterior_square_char_poly` used to take: Faddeev-LeVerrier on the compound."""
+    return char_poly(dense_compound(rows))
+
+
+def sympy_char_poly(rows):
+    coeffs = sympy.Matrix(rows).charpoly().all_coeffs()  # descending
+    return IntPolynomial([int(c) for c in reversed(coeffs)])
+
+
+@st.composite
+def int_matrices(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    bits = draw(st.sampled_from([2, 8, 40]))
+    tenths = draw(st.sampled_from([3, 7, 10]))  # share of nonzero entries, in tenths
+    entries = st.integers(-(2**bits), 2**bits)
+    return [
+        [draw(entries) if draw(st.integers(0, 9)) < tenths else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
 class TestExteriorSquare:
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_matches_dense_compound(self, m):
+        assert exterior_square_char_poly(m) == dense_compound_char_poly(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_matrices())
+    def test_matches_sympy_charpoly_of_compound(self, m):
+        assert exterior_square_char_poly(m) == sympy_char_poly(dense_compound(m))
+
+    def test_polynomial_kernel_needs_monic_degree_two(self):
+        assert exterior_square_poly(CUBIC) == P(-1, -1, 2, 1)
+        with pytest.raises(ValueError):
+            exterior_square_poly(P(1, 1))
+        with pytest.raises(ValueError):
+            exterior_square_poly(P(1, -3, 2))
+
     def test_cubic_pair_products(self):
         rows = companion_rows(CUBIC)
         assert exterior_square_char_poly(rows) == P(-1, -1, 2, 1)  # x^3 + 2x^2 - x - 1
@@ -279,6 +337,27 @@ class TestCancellation:
         for at in range(1, token.checks + 1):
             with pytest.raises(OperationCancelled):
                 unit_circle_analysis(p, cancel=CancelOnCheck(at))
+
+    def test_count_real_roots_stops_at_every_poll(self):
+        f = P(*[3**189 + k for k in range(6)])  # the squarefree gcd needs many primes
+        p = f * f * P(-3, 0, 1)
+        gcd_token = CancelOnCheck()
+        poly_gcd(p, p.derivative(), cancel=gcd_token)
+        token = CancelOnCheck()
+        assert count_real_roots_between(p, -2, 2, cancel=token) == 3  # +-sqrt(3), and f's root near -1
+        assert token.checks > gcd_token.checks  # the squarefree gcd polls too
+        for at in range(1, token.checks + 1):
+            with pytest.raises(OperationCancelled):
+                count_real_roots_between(p, -2, 2, cancel=CancelOnCheck(at))
+
+    def test_exterior_square_stops_at_every_poll(self):
+        p = P(1, 0, -3, 1) * P(-1, -4, 0, 1)  # degree 6: 15 pair products
+        token = CancelOnCheck()
+        assert exterior_square_poly(p, cancel=token) == dense_compound_char_poly(companion_rows(p))
+        assert token.checks == 2 * 15 + 15  # once per power sum, once per coefficient
+        for at in range(1, token.checks + 1):
+            with pytest.raises(OperationCancelled):
+                exterior_square_poly(p, cancel=CancelOnCheck(at))
 
     def test_cancel_from_other_thread(self):
         token = CancelToken()

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovgraph.errors import PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
@@ -24,7 +26,25 @@ from anosovgraph.liealg import (
     extend_to_algebra,
     is_algebra_automorphism,
 )
-from anosovgraph.polynomials import IntPolynomial
+from anosovgraph.hyperbolicity import char_poly
+from anosovgraph.polynomials import IntPolynomial, companion_rows
+
+
+def kronecker_annihilator(p, q):
+    """The path `AlgebraicNumber.__mul__` used to take: char poly of kron(companion p, companion q)."""
+    a, b = companion_rows(p), companion_rows(q)
+    size = len(a) * len(b)
+    rows = [[0] * size for _ in range(size)]
+    for i, j, k, l in itertools.product(range(len(a)), range(len(a)), range(len(b)), range(len(b))):
+        rows[i * len(b) + k][j * len(b) + l] = a[i][j] * b[k][l]
+    return char_poly(rows)
+
+
+@st.composite
+def monic_polys(draw):
+    degree = draw(st.integers(1, 5))
+    bound = 2 ** draw(st.sampled_from([2, 10, 40]))
+    return IntPolynomial(draw(st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree)) + [1])
 
 
 def random_graph(rng, max_vertices=5):
@@ -240,3 +260,10 @@ class TestEigenvalueProducts:
         prod = golden * other
         assert abs(prod.approx - 1.0) < 1e-9
         assert prod.annihilator(1) == 0  # 1 is a root of the product annihilator
+
+    @settings(max_examples=100, deadline=None)
+    @given(monic_polys(), monic_polys())
+    def test_product_annihilator_matches_kronecker(self, p, q):
+        prod = AlgebraicNumber(p, complex(1)) * AlgebraicNumber(q, complex(2))
+        assert prod.annihilator == kronecker_annihilator(p, q)
+        assert prod.approx == complex(2)
