@@ -66,9 +66,9 @@ from .hyperbolicity import (
 from .liealg import (
     AlgebraicNumber,
     GraphLieAlgebra,
-    algebra_eigenvalue_products,
     build_algebra,
     extend_to_algebra,
+    extension_char_poly,
     is_algebra_automorphism,
 )
 from .polynomials import IntPolynomial, parse_polynomial
@@ -121,7 +121,6 @@ __all__ = [
     "Witness",
     "WitnessAssemblyError",
     "WitnessRefused",
-    "algebra_eigenvalue_products",
     "analyze",
     "assemble_witness",
     "build_action",
@@ -138,6 +137,7 @@ __all__ = [
     "decompose_cyclic_perm_rep",
     "discrete_graph",
     "extend_to_algebra",
+    "extension_char_poly",
     "exterior_square_char_poly",
     "family_I",
     "family_II",

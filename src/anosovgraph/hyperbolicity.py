@@ -13,7 +13,9 @@ alone, by Newton's identities: with s_k the power sums of the roots of p, the
 pair products have power sums S_k = (s_k^2 - s_2k) / 2. Each s_k, S_k and
 coefficient is a symmetric polynomial with integer coefficients in the roots
 of the monic integer polynomial p, hence an integer, so the divisions by 2
-and by k are exact; each one is checked.
+and by k are exact; each one is checked. The same identities give the
+products of the roots of two polynomials (`tensor_poly`), whose power sums
+are s_k(p) s_k(q).
 """
 
 from __future__ import annotations
@@ -212,6 +214,22 @@ def exterior_square_poly(p: IntPolynomial, cancel: CancelToken | None = None) ->
     return from_power_sums(pair_sums, cancel)
 
 
+def tensor_poly(p: IntPolynomial, q: IntPolynomial, cancel: CancelToken | None = None) -> IntPolynomial:
+    """Monic polynomial whose roots are the products lambda_i mu_j of the roots of monic p and q.
+
+    It is the characteristic polynomial of A (x) B for any A and B with
+    characteristic polynomials p and q. The deg p * deg q products have power
+    sums s_k(p) s_k(q), and Newton's identities turn those back into
+    coefficients; each division is exact and checked. Polls ``cancel`` once
+    per k in each of the three passes.
+    """
+    if not (p.is_monic and q.is_monic):
+        raise ValueError("root products are defined for monic polynomials")
+    n = p.degree * q.degree
+    sums = zip(power_sums(p, n, cancel), power_sums(q, n, cancel))
+    return from_power_sums([a * b for a, b in sums], cancel)
+
+
 def exterior_square_char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
     """Characteristic polynomial of the second exterior power (pairwise eigenvalue products).
 
@@ -272,9 +290,15 @@ def certify_polynomial(p: IntPolynomial, level: int, compound: IntPolynomial | N
     """Certificate for eigenvalue data given directly as polynomials."""
     if level not in (1, 2):
         raise ValueError("only levels 1 and 2 are supported")
-    stages = [CertificateStage("char_poly", p, unit_circle_analysis(p, cancel))]
+    return _certificate(p, unit_circle_analysis(p, cancel), level, compound, cancel)
+
+
+def _certificate(p: IntPolynomial, first: UnitCircleAnalysis, level: int,
+                 compound: IntPolynomial | None, cancel: CancelToken | None) -> HyperbolicityCertificate:
+    """The certificate of p from its unit-circle analysis ``first``; level 2 also tests compound."""
+    stages = [CertificateStage("char_poly", p, first)]
     failure = None
-    if stages[0].analysis.exists:
+    if first.exists:
         failure = "eigenvalue on unit circle"
     if level == 2 and failure is None:
         if compound is None:
@@ -282,7 +306,6 @@ def certify_polynomial(p: IntPolynomial, level: int, compound: IntPolynomial | N
         stages.append(CertificateStage("exterior_square", compound, unit_circle_analysis(compound, cancel)))
         if stages[1].analysis.exists:
             failure = "pair product on unit circle"
-    first = stages[0].analysis
     return HyperbolicityCertificate(
         level=level,
         char_poly=p,
@@ -299,23 +322,13 @@ def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> Hyperbolici
     """Exact c-hyperbolicity certificate for c in {1, 2}.
 
     Level 1 proves no eigenvalue lies on the unit circle; level 2 additionally
-    proves no product of two eigenvalues does.
+    proves no product of two eigenvalues does. The unit-circle test runs once
+    on the characteristic polynomial; the exterior-square polynomial is only
+    built, and tested, when that test passes.
     """
     if c not in (1, 2):
         raise ValueError("only c = 1 and c = 2 occur for 2-step algebras")
     p = char_poly(m, cancel)
-    if c == 1:
-        return certify_polynomial(p, 1, cancel=cancel)
     first = unit_circle_analysis(p, cancel)
-    if first.exists:
-        return HyperbolicityCertificate(
-            level=2,
-            char_poly=p,
-            reciprocal_gcd_degree=first.reciprocal_gcd_degree,
-            sturm_root_count=first.sturm_root_count,
-            compound_char_poly=None,
-            stages=(CertificateStage("char_poly", p, first),),
-            valid=False,
-            failure="eigenvalue on unit circle",
-        )
-    return certify_polynomial(p, 2, exterior_square_poly(p, cancel), cancel)
+    compound = None if c == 1 or first.exists else exterior_square_poly(p, cancel)
+    return _certificate(p, first, c, compound, cancel)

@@ -4,6 +4,13 @@ The algebra lives on V + W where V has the vertices as basis and W has one
 wedge per edge; the bracket of two adjacent vertices is their wedge and
 everything else vanishes. Degree-0 maps on V extend to the whole algebra by
 acting on wedges.
+
+The kernels `extend_rows` and `brackets_preserved` work on plain rows (ints,
+or Fractions for rational maps); `extend_to_algebra` and
+`is_algebra_automorphism` wrap them with coercion, shape and determinant
+checks for arbitrary exact input. A map that is block-diagonal over the
+coherent components has its V + W characteristic polynomial given by its
+block polynomials alone (`extension_char_poly`).
 """
 
 from __future__ import annotations
@@ -11,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionViolation
+from .errors import CancelToken, PreconditionViolation
 from .exactmat import RationalMatrix, coerce_matrix
 from .graphs import CoherentPartition, Graph
-from .polynomials import IntPolynomial, from_power_sums, power_sums
+from .hyperbolicity import exterior_square_poly, tensor_poly
+from .polynomials import IntPolynomial
 
 
 class GraphLieAlgebra:
@@ -30,7 +38,12 @@ class GraphLieAlgebra:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "v_basis", graph.vertices)
         object.__setattr__(self, "w_basis", graph.edges)
-        object.__setattr__(self, "_w_index", {e: i for i, e in enumerate(graph.edges)})
+        # (index of a, index of b) -> wedge index; edges come with index(a) < index(b)
+        object.__setattr__(
+            self,
+            "_w_index",
+            {(graph.index(a), graph.index(b)): i for i, (a, b) in enumerate(graph.edges)},
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphLieAlgebra is immutable")
@@ -52,8 +65,7 @@ class GraphLieAlgebra:
         iu, iv = self.graph.index(u), self.graph.index(v)
         if iu == iv:
             return None
-        key = (u, v) if iu < iv else (v, u)
-        idx = self._w_index.get(key)
+        idx = self._w_index.get((iu, iv) if iu < iv else (iv, iu))
         if idx is None:
             return None
         return (1 if iu < iv else -1, idx)
@@ -61,9 +73,9 @@ class GraphLieAlgebra:
     def bracket_table(self) -> dict[tuple[str, str], tuple[int, int]]:
         """Map from ordered vertex pairs to (sign, wedge index); zero pairs omitted."""
         table = {}
-        for u, v in self.w_basis:
-            table[(u, v)] = (1, self._w_index[(u, v)])
-            table[(v, u)] = (-1, self._w_index[(u, v)])
+        for idx, (u, v) in enumerate(self.w_basis):
+            table[(u, v)] = (1, idx)
+            table[(v, u)] = (-1, idx)
         return table
 
     def bracket(self, x, y) -> tuple[Fraction, ...]:
@@ -101,6 +113,40 @@ def build_algebra(graph: Graph) -> GraphLieAlgebra:
     return GraphLieAlgebra(graph)
 
 
+def extend_rows(alg: GraphLieAlgebra, rows) -> tuple[tuple, ...]:
+    """Rows on V + W of the degree-0 extension of the map on V with the given rows.
+
+    Column n + k is the image of the k-th wedge a^b, that is g(a) ^ g(b); its
+    coefficient on u^v (u before v) is g_ua g_vb - g_va g_ub. Only the rows
+    where column a or column b of g is nonzero can give a nonzero coefficient,
+    so only their pairs are formed. A nonzero coefficient on a non-edge means
+    the map admits no degree-0 extension, and raises PreconditionViolation.
+    Exact on int or Fraction entries; invertibility is not checked here.
+    """
+    n, m = alg.dim_v, alg.dim_w
+    wedge = alg._w_index
+    support = [{u for u in range(n) if rows[u][x]} for x in range(n)]
+    full = [list(row) + [0] * m for row in rows] + [[0] * (n + m) for _ in range(m)]
+    for (ia, ib), col in wedge.items():
+        touched = sorted(support[ia] | support[ib])
+        for k, u in enumerate(touched):
+            gu_a, gu_b = rows[u][ia], rows[u][ib]
+            for v in touched[k + 1 :]:
+                coeff = gu_a * rows[v][ib] - rows[v][ia] * gu_b
+                if coeff == 0:
+                    continue
+                idx = wedge.get((u, v))
+                if idx is None:
+                    a, b = alg.w_basis[col]
+                    lu, lv = alg.v_basis[u], alg.v_basis[v]
+                    raise PreconditionViolation(
+                        f"image of wedge {a}^{b} meets the non-edge wedge {lu}^{lv}; "
+                        "the map does not respect the coherent components"
+                    )
+                full[n + idx][n + col] = coeff
+    return tuple(tuple(row) for row in full)
+
+
 def _exact_rows(m: RationalMatrix):
     """Rows of m with int entries when m is integral, else its Fraction rows."""
     return m.int_rows() if m.is_integer else m.rows
@@ -113,32 +159,12 @@ def extend_to_algebra(alg: GraphLieAlgebra, g_v) -> RationalMatrix:
     otherwise the map admits no degree-0 extension and this raises.
     """
     g_v = coerce_matrix(g_v)
-    n, m = alg.dim_v, alg.dim_w
+    n = alg.dim_v
     if g_v.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix on V, got {g_v.shape}")
     if g_v.det() == 0:
         raise PreconditionViolation("map on V is not invertible")
-    graph = alg.graph
-    rows = _exact_rows(g_v)
-    full = [list(row) + [0] * m for row in rows] + [[0] * (n + m) for _ in range(m)]
-    for col, (a, b) in enumerate(alg.w_basis):
-        ia, ib = graph.index(a), graph.index(b)
-        for u in range(n):
-            gu_a, gu_b = rows[u][ia], rows[u][ib]
-            for v in range(u + 1, n):
-                coeff = gu_a * rows[v][ib] - rows[v][ia] * gu_b
-                if coeff == 0:
-                    continue
-                lu, lv = graph.vertices[u], graph.vertices[v]
-                signed = alg.wedge_index(lu, lv)
-                if signed is None:
-                    raise PreconditionViolation(
-                        f"image of wedge {a}^{b} meets the non-edge wedge {lu}^{lv}; "
-                        "the map does not respect the coherent components"
-                    )
-                sign, idx = signed
-                full[n + idx][n + col] = sign * coeff
-    return RationalMatrix(full)
+    return RationalMatrix(extend_rows(alg, _exact_rows(g_v)))
 
 
 def extend_permutation(alg: GraphLieAlgebra, p) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -165,15 +191,53 @@ def extend_permutation(alg: GraphLieAlgebra, p) -> tuple[tuple[int, ...], tuple[
     return tuple(sigma), tuple(signs)
 
 
-def is_algebra_automorphism(alg: GraphLieAlgebra, m) -> bool:
-    """Exact check: m is invertible and preserves the bracket on all basis pairs.
+def brackets_preserved(alg: GraphLieAlgebra, rows) -> bool:
+    """Whether the square matrix with these rows on V + W preserves the bracket on all basis pairs.
 
     Brackets land in W and depend only on the V-parts of their arguments, so
     the condition on all pairs of basis images comes down to two parts:
     every wedge column has zero V-rows (then each pair involving a wedge
     column brackets to zero on both sides), and each pair of vertex columns
-    brackets to the signed wedge column of the pair's edge, or to zero for a
-    non-edge. Integral inputs are checked on ints, others on their Fractions.
+    x < y brackets to the wedge column of the edge x^y, or to zero for a
+    non-edge. The bracket of columns x and y is formed from the nonzero
+    V-entries of each; since every wedge column belongs to exactly one vertex
+    pair, the brackets of the edge pairs make up the whole expected W-block.
+    Exact on int or Fraction entries; invertibility is not checked here.
+    """
+    n, m = alg.dim_v, alg.dim_w
+    if any(any(row[n:]) for row in rows[:n]):
+        return False
+    wedge = alg._w_index
+    support = [[(a, rows[a][x]) for a in range(n) if rows[a][x]] for x in range(n)]
+    expected = [[0] * m for _ in range(m)]  # expected[e][k]: row n + e, column n + k
+    for x in range(n):
+        for y in range(x + 1, n):
+            bracket = {}  # wedge index -> coefficient of the bracket of columns x and y
+            for a, ca in support[x]:
+                for b, cb in support[y]:
+                    if a < b:
+                        e, coeff = wedge.get((a, b)), ca * cb
+                    elif b < a:
+                        e, coeff = wedge.get((b, a)), -ca * cb
+                    else:
+                        continue
+                    if e is not None:
+                        bracket[e] = bracket.get(e, 0) + coeff
+            col = wedge.get((x, y))
+            if col is None:
+                if any(bracket.values()):
+                    return False
+            else:
+                for e, coeff in bracket.items():
+                    expected[e][col] = coeff
+    return all(list(rows[n + e][n:]) == expected[e] for e in range(m))
+
+
+def is_algebra_automorphism(alg: GraphLieAlgebra, m) -> bool:
+    """Exact check: m is invertible and preserves the bracket on all basis pairs.
+
+    Integral inputs are checked on ints, others on their Fractions; the
+    bracket condition is `brackets_preserved`.
     """
     m = coerce_matrix(m)
     dim = alg.dimension
@@ -181,28 +245,7 @@ def is_algebra_automorphism(alg: GraphLieAlgebra, m) -> bool:
         raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
     if m.det() == 0:
         return False
-    rows = _exact_rows(m)
-    n = alg.dim_v
-    if any(rows[i][j] for i in range(n) for j in range(n, dim)):
-        return False
-    cols = list(zip(*rows))
-    graph = alg.graph
-    edges = [(graph.index(a), graph.index(b)) for a, b in alg.w_basis]
-    zero = [0] * alg.dim_w
-    for x in range(n):
-        cx = cols[x]
-        for y in range(x + 1, n):
-            cy = cols[y]
-            lhs = [cx[a] * cy[b] - cx[b] * cy[a] for a, b in edges]
-            signed = alg.wedge_index(alg.v_basis[x], alg.v_basis[y])
-            if signed is None:
-                rhs = zero
-            else:
-                sign, idx = signed
-                rhs = [sign * c for c in cols[n + idx][n:]]
-            if lhs != rhs:
-                return False
-    return True
+    return brackets_preserved(alg, _exact_rows(m))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +257,8 @@ class AlgebraicNumber:
     """An algebraic integer: a monic integer annihilator plus a numeric location.
 
     The annihilator is exact; the approximation is for display and sorting
-    only. Products carry an exact annihilator, the characteristic polynomial
-    of the Kronecker product of the companion matrices, which may be
-    non-minimal.
+    only. Products carry an exact annihilator, the polynomial of all
+    pairwise root products (`tensor_poly`), which may be non-minimal.
     """
 
     annihilator: IntPolynomial
@@ -227,40 +269,42 @@ class AlgebraicNumber:
             raise ValueError("annihilator must be monic")
 
     def __mul__(self, other: "AlgebraicNumber") -> "AlgebraicNumber":
-        # the products lambda_i mu_j have power sums s_k(self) * s_k(other)
-        n = self.annihilator.degree * other.annihilator.degree
-        sums = zip(power_sums(self.annihilator, n), power_sums(other.annihilator, n))
-        return AlgebraicNumber(from_power_sums([a * b for a, b in sums]), self.approx * other.approx)
+        return AlgebraicNumber(
+            tensor_poly(self.annihilator, other.annihilator), self.approx * other.approx
+        )
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.approx:.6g}, root of {self.annihilator})"
 
 
-def algebra_eigenvalue_products(part: CoherentPartition, spectra) -> list:
-    """All wedge-space eigenvalue products implied by per-component spectra.
+def extension_char_poly(
+    part: CoherentPartition, component_polys, cancel: CancelToken | None = None
+) -> IntPolynomial:
+    """Characteristic polynomial on V + W of a map that is block-diagonal over the components.
 
-    Adjacent distinct components contribute every cross product; a complete
-    component of size >= 2 contributes its internal pairwise products. Spectra
-    entries only need multiplication, so exact rationals, floats, or
-    AlgebraicNumber descriptors all work.
+    component_polys[i] is the characteristic polynomial of the map's block on
+    component i. W = [V, V] is characteristic, so the extension is block
+    triangular on V + W and its polynomial is the product of the V part and
+    the map induced on W. Adjacent components are joined by all their vertex
+    pairs, and a complete component has all its internal pairs as edges, so
+    W splits into A_i (x) A_j for each quotient edge (i, j) and the exterior
+    square of A_i for each complete component. The result is the product of
+    the component polynomials, `tensor_poly(p_i, p_j)` over the quotient
+    edges and `exterior_square_poly(p_i)` over the complete components; each
+    factor is exact.
     """
-    spectra = [list(s) for s in spectra]
-    if len(spectra) != part.num_components:
-        raise ValueError("one spectrum per component is required")
-    for comp, spec in zip(part.components, spectra):
-        if len(spec) != len(comp):
-            raise ValueError(
-                f"component of size {len(comp)} got a spectrum of size {len(spec)}"
-            )
-    out = []
+    polys = list(component_polys)
+    if len(polys) != part.num_components:
+        raise ValueError("one polynomial per component is required")
+    for comp, p in zip(part.components, polys):
+        if p.degree != len(comp):
+            raise ValueError(f"component of size {len(comp)} got a polynomial of degree {p.degree}")
+    result = IntPolynomial([1])
+    for p in polys:
+        result = result * p
     for i, j in part.quotient_edges:
-        for a in spectra[i]:
-            for b in spectra[j]:
-                out.append(a * b)
-    for i, loop in enumerate(part.loops):
+        result = result * tensor_poly(polys[i], polys[j], cancel)
+    for p, loop in zip(polys, part.loops):
         if loop:
-            spec = spectra[i]
-            for p in range(len(spec)):
-                for q in range(p + 1, len(spec)):
-                    out.append(spec[p] * spec[q])
-    return out
+            result = result * exterior_square_poly(p, cancel)
+    return result

@@ -3,9 +3,18 @@
 The witness is assembled block-per-component: a certified seed on each orbit
 representative, powered to separate eigenvalue magnitudes across orbits, and
 copied to the other components of the orbit by conjugating with holonomy
-elements. Nothing is trusted from the construction: the assembled matrix is
-re-certified exactly (bracket preservation, integer-likeness, unit-circle
-freeness, commutation with every generator's extension).
+elements. The assembled matrix is re-certified exactly on integer rows:
+invertibility on V, bracket preservation on V + W, integer-likeness and
+unit-circle freeness of its whole characteristic polynomial, and commutation
+with every generator's extension.
+
+That polynomial is read off the block structure instead of the dense V + W
+matrix. Each conjugated block is a simultaneous permutation of its orbit's
+block, so it has the same characteristic polynomial. The assembly asserts
+that the V-part is block-diagonal over the coherent components, and the
+bracket check proves that the W-part is the map induced on wedges with no
+V-rows in the wedge columns. Under those checked facts the polynomial is
+exactly `extension_char_poly` of the block polynomials.
 """
 
 from __future__ import annotations
@@ -36,10 +45,11 @@ from .hyperbolicity import (
 )
 from .liealg import (
     GraphLieAlgebra,
+    brackets_preserved,
     build_algebra,
     extend_permutation,
-    extend_to_algebra,
-    is_algebra_automorphism,
+    extend_rows,
+    extension_char_poly,
 )
 from .polynomials import (
     IntPolynomial,
@@ -304,10 +314,17 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class Witness:
-    """A certified integer automorphism of the full algebra."""
+    """A certified integer automorphism of the full algebra.
 
-    v_matrix: RationalMatrix
-    full_matrix: RationalMatrix
+    The matrices are integer rows, V first and then the edge wedges.
+    full_char_poly is the characteristic polynomial of full_matrix, taken
+    from its blocks (see the module docstring) and certified as a whole:
+    its constant term is +-1, so the matrix is invertible over the integers,
+    and it has no root on the unit circle.
+    """
+
+    v_matrix: tuple[tuple[int, ...], ...]
+    full_matrix: tuple[tuple[int, ...], ...]
     v_char_poly: IntPolynomial
     full_char_poly: IntPolynomial
     certificate: HyperbolicityCertificate
@@ -316,8 +333,8 @@ class Witness:
 
     def to_json_dict(self) -> dict:
         return {
-            "v_matrix": [[int(x) for x in row] for row in self.v_matrix.rows],
-            "full_matrix": [[int(x) for x in row] for row in self.full_matrix.rows],
+            "v_matrix": [list(row) for row in self.v_matrix],
+            "full_matrix": [list(row) for row in self.full_matrix],
             "v_char_poly": list(self.v_char_poly.coefficients),
             "full_char_poly": list(self.full_char_poly.coefficients),
             "certificate": self.certificate.to_json_dict(),
@@ -462,6 +479,7 @@ def _assemble(
         raise WitnessAssemblyError("plan", "plan orbits do not match the action's orbits")
 
     v_rows = [[0] * n for _ in range(n)]
+    component_polys = [None] * part.num_components
     for orbit_plan in plan.orbit_plans:
         orbit = by_rep[orbit_plan.orbit_rep]
         comp = part.components[orbit.rep]
@@ -485,27 +503,30 @@ def _assemble(
                     "plan", f"conjugator does not carry the representative to component {member + 1}"
                 )
             idx = [graph.index(h(v)) for v in comp]
+            # a simultaneous permutation of the block keeps its char poly
+            if sorted(idx) != sorted(graph.index(v) for v in part.components[member]):
+                raise WitnessAssemblyError(
+                    "plan", f"conjugator does not carry the representative onto component {member + 1}"
+                )
             for a in range(dim):
                 for b in range(dim):
                     v_rows[idx[a]][idx[b]] = block[a][b]
-            member_comp = part.components[member]
-            member_idx = sorted(graph.index(v) for v in member_comp)
-            conj_block = [[v_rows[i][j] for j in member_idx] for i in member_idx]
-            if char_poly(conj_block, cancel) != block_poly:
-                raise WitnessAssemblyError(
-                    "plan", "conjugated block lost the seed's characteristic polynomial"
-                )
+            component_polys[member] = block_poly
 
-    v_matrix = RationalMatrix(v_rows)
+    if RationalMatrix(v_rows).det() == 0:
+        raise WitnessAssemblyError("extension", "map on V is not invertible")
     try:
-        full = extend_to_algebra(alg, v_matrix)
+        full = extend_rows(alg, v_rows)
     except PreconditionViolation as exc:
         raise WitnessAssemblyError("extension", str(exc)) from exc
 
-    if not is_algebra_automorphism(alg, full):
+    if not brackets_preserved(alg, full):
         raise WitnessAssemblyError("automorphism", "bracket preservation failed")
 
-    full_poly = char_poly(full, cancel)
+    _require_block_diagonal(action, full)
+    full_poly = extension_char_poly(part, component_polys, cancel)
+    # The constant term is +-det of the V+W matrix, so integer-likeness also
+    # proves it invertible; no separate determinant is taken.
     if not is_integer_like(full_poly):
         raise WitnessAssemblyError(
             "integer-like", f"constant term {full_poly.constant} is not a unit"
@@ -517,28 +538,48 @@ def _assemble(
 
     # Each generator extends to a signed permutation of the V+W basis, so
     # commutation is a reindexing check on the integer rows.
-    full_rows = full.int_rows()
     commuted = []
     for gen in action.generators:
         try:
             sigma, signs = extend_permutation(alg, gen)
         except PreconditionViolation as exc:
             raise WitnessAssemblyError("commutation", str(exc)) from exc
-        if not commutes_with_perm(full_rows, sigma, signs):
+        if not commutes_with_perm(full, sigma, signs):
             raise WitnessAssemblyError(
                 "commutation", f"witness does not commute with {gen.cycle_string()}"
             )
         commuted.append(gen.cycle_string())
 
+    v_char_poly = IntPolynomial([1])
+    for p in component_polys:
+        v_char_poly = v_char_poly * p
     return Witness(
-        v_matrix=v_matrix,
+        v_matrix=tuple(tuple(row) for row in v_rows),
         full_matrix=full,
-        v_char_poly=char_poly(v_matrix, cancel),
+        v_char_poly=v_char_poly,
         full_char_poly=full_poly,
         certificate=certificate,
         commutes_with=tuple(commuted),
         plan=plan,
     )
+
+
+def _require_block_diagonal(action: HolonomyAction, rows) -> None:
+    """Raise AssertionError unless the V-part of rows is block-diagonal over the components.
+
+    This is the premise under which `extension_char_poly` of the block
+    polynomials is the characteristic polynomial of rows.
+    """
+    graph = action.graph
+    n = graph.num_vertices
+    component_of = [0] * n
+    for c, comp in enumerate(action.partition.components):
+        for v in comp:
+            component_of[graph.index(v)] = c
+    for i in range(n):
+        row, ci = rows[i], component_of[i]
+        if any(row[j] for j in range(n) if component_of[j] != ci):
+            raise AssertionError("the map on V is not block-diagonal over the coherent components")
 
 
 def build_witness(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from anosovgraph.cli import main as cli_main
+from anosovgraph.exactmat import RationalMatrix
 from anosovgraph.families import family_I, family_I_modified, family_II, family_II_z4
 from anosovgraph.fixtures import (
     all_loops_chain,
@@ -250,9 +251,10 @@ def _verify_witness(graph, cycle_string):
     # (a) certified algebra automorphism: bracket preservation on all basis pairs
     assert is_algebra_automorphism(alg, w.full_matrix)
     # (b) exact commutation with every extended generator
+    full = RationalMatrix(w.full_matrix)
     for gen in action.generators:
         ext = extend_to_algebra(alg, permutation_matrix(graph, gen))
-        assert w.full_matrix * ext == ext * w.full_matrix
+        assert full * ext == ext * full
     # (c) integer-like, zero unit-circle roots
     assert is_integer_like(w.full_char_poly)
     analysis = unit_circle_analysis(w.full_char_poly)
@@ -265,7 +267,7 @@ def test_criterion_6_end_to_end_witnesses():
     with criterion(6, "certified witnesses: bipartite swap (dim 15), chain family m=2 (dim 31)"):
         t0 = time.monotonic()
         w = _verify_witness(complete_bipartite(3, 3), "(a1 b1)(a2 b2)(a3 b3)")
-        assert w.full_matrix.shape == (15, 15)
+        assert RationalMatrix(w.full_matrix).shape == (15, 15)
         assert time.monotonic() - t0 < 10.0
 
         t0 = time.monotonic()
@@ -273,11 +275,12 @@ def test_criterion_6_end_to_end_witnesses():
         action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
         alg = build_algebra(inst.graph)
         w2 = build_witness(action, alg)
-        assert w2.full_matrix.shape == (31, 31)
+        full2 = RationalMatrix(w2.full_matrix)
+        assert full2.shape == (31, 31)
         assert is_algebra_automorphism(alg, w2.full_matrix)
         for gen in inst.generators:
             ext = extend_to_algebra(alg, permutation_matrix(inst.graph, gen))
-            assert w2.full_matrix * ext == ext * w2.full_matrix
+            assert full2 * ext == ext * full2
         assert is_integer_like(w2.full_char_poly)
         assert not unit_circle_analysis(w2.full_char_poly).exists
         assert time.monotonic() - t0 < 60.0

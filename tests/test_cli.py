@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import anosovgraph.analysis
+import anosovgraph.cli as cli_module
 from anosovgraph.cli import (
     EXIT_BOUNDS,
     EXIT_HOLONOMY,
@@ -292,6 +293,15 @@ class TestCertify:
         assert payload["certificate"]["compound_char_poly"] == list(char_poly(compound).coefficients)
         assert len(payload["certificate"]["compound_char_poly"]) == 67
 
+    def test_poly_c2_failing_first_stage_keeps_compound(self, run):
+        # (x - 1)^2 fails on p itself; the given compound x - 1 is still reported
+        code, out, _ = run("certify", "--poly", "x^2 - 2x + 1", "--c", "2", "--json")
+        assert code == EXIT_NO
+        payload = json.loads(out)
+        assert payload["certificate"]["failure"] == "eigenvalue on unit circle"
+        assert [s["label"] for s in payload["certificate"]["stages"]] == ["char_poly"]
+        assert payload["certificate"]["compound_char_poly"] == [-1, 1]
+
     def test_non_unit_constant_invalid(self, run):
         code, out, _ = run("certify", "--poly", "x^2 - 2", "--c", "1")
         assert code == EXIT_NO
@@ -346,6 +356,38 @@ class TestInputErrors:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("input error: ")
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path, complete_bipartite(3, 3))
+        analyze = ["analyze", "--graph", path, "--holonomy", "(a1 b1)(a2 b2)(a3 b3)", "--json", "--witness"]
+        runs = [
+            analyze,
+            ["certify", "--poly", "x^3 - x^2 - 2x + 1", "--c", "2", "--json"],
+            ["family", "--name", "XXX"],
+            analyze,
+        ]
+        built = []
+        real_build = cli_module.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting_build)
+        cli_module._parser.cache_clear()
+        in_process = []
+        for argv in runs:
+            code = main(list(argv))
+            in_process.append((code, capsys.readouterr().out))
+        assert len(built) == 1
+        fresh = []
+        for argv in runs:
+            done = subprocess.run([sys.executable, "-m", "anosovgraph", *argv], capture_output=True, text=True)
+            fresh.append((done.returncode, done.stdout))
+        assert in_process == fresh
+        assert [code for code, _ in fresh] == [EXIT_YES, EXIT_YES, EXIT_USAGE, EXIT_YES]
 
 
 class TestSubprocessEntry:

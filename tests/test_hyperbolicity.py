@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 
 from anosovgraph.errors import OperationCancelled
 from anosovgraph.exactmat import RationalMatrix
+import anosovgraph.hyperbolicity as hyperbolicity_module
 from anosovgraph.hyperbolicity import (
     CancelToken,
+    CertificateStage,
+    HyperbolicityCertificate,
+    certify_polynomial,
     char_poly,
     exterior_square_char_poly,
     exterior_square_poly,
     is_c_hyperbolic,
     is_integer_like,
+    tensor_poly,
     unit_circle_analysis,
     unit_circle_root_exists,
 )
@@ -245,7 +250,82 @@ class TestExteriorSquare:
         assert separated > 60
 
 
+def kronecker(a, b):
+    return [
+        [a[i][j] * b[k][l] for j in range(len(a)) for l in range(len(b))]
+        for i in range(len(a))
+        for k in range(len(b))
+    ]
+
+
+class TestTensorPoly:
+    @settings(max_examples=100, deadline=None)
+    @given(int_matrices(max_n=4), int_matrices(max_n=4))
+    def test_matches_char_poly_of_kronecker_product(self, a, b):
+        assert tensor_poly(char_poly(a), char_poly(b)) == char_poly(kronecker(a, b))
+
+    def test_small_cases(self):
+        # roots 2, 3 times roots 5, 7
+        assert tensor_poly(P(6, -5, 1), P(35, -12, 1)) == P(-10, 1) * P(-14, 1) * P(-15, 1) * P(-21, 1)
+        assert tensor_poly(CUBIC, P(-1, 1)) == CUBIC
+        with pytest.raises(ValueError):
+            tensor_poly(P(1, 2), CUBIC)
+
+
+def two_pass_c2_certificate(m):
+    """The path `is_c_hyperbolic(m, 2)` used to take: the unit-circle test of p ran twice."""
+    p = char_poly(m)
+    first = unit_circle_analysis(p)
+    if first.exists:
+        return HyperbolicityCertificate(
+            level=2,
+            char_poly=p,
+            reciprocal_gcd_degree=first.reciprocal_gcd_degree,
+            sturm_root_count=first.sturm_root_count,
+            compound_char_poly=None,
+            stages=(CertificateStage("char_poly", p, first),),
+            valid=False,
+            failure="eigenvalue on unit circle",
+        )
+    return certify_polynomial(p, 2, exterior_square_poly(p))
+
+
 class TestCHyperbolic:
+    @pytest.mark.parametrize(
+        "rows, calls",
+        [
+            (companion_rows(CUBIC), 2),  # passes both stages
+            (CAT_MAP, 2),  # passes on p, fails on the exterior square
+            ([[1, 0], [0, 1]], 1),  # fails on p
+            ([[0, -1], [1, -1]], 1),  # primitive cube roots of unity
+        ],
+    )
+    def test_level_two_tests_each_polynomial_once(self, monkeypatch, rows, calls):
+        seen = []
+        real = hyperbolicity_module.unit_circle_analysis
+
+        def counting(p, cancel=None):
+            seen.append(p)
+            return real(p, cancel)
+
+        monkeypatch.setattr(hyperbolicity_module, "unit_circle_analysis", counting)
+        cert = is_c_hyperbolic(rows, 2)
+        assert len(seen) == calls
+        assert seen[0] == char_poly(rows)
+        if calls == 2:
+            assert seen[1] == cert.compound_char_poly == exterior_square_poly(seen[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_matrices(max_n=5))
+    def test_level_two_matches_the_two_pass_path(self, m):
+        assert is_c_hyperbolic(m, 2).to_json_dict() == two_pass_c2_certificate(m).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "rows", [companion_rows(CUBIC), CAT_MAP, [[1, 0], [0, 1]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]]]
+    )
+    def test_level_two_matches_the_two_pass_path_on_each_outcome(self, rows):
+        assert is_c_hyperbolic(rows, 2).to_json_dict() == two_pass_c2_certificate(rows).to_json_dict()
+
     def test_cat_map_level_one(self):
         cert = is_c_hyperbolic(CAT_MAP, 1)
         assert cert.valid and cert.level == 1

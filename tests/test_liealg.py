@@ -21,9 +21,9 @@ from anosovgraph.graphs import (
 from anosovgraph.fixtures import loop_end_chain, pentagon
 from anosovgraph.liealg import (
     AlgebraicNumber,
-    algebra_eigenvalue_products,
     build_algebra,
     extend_to_algebra,
+    extension_char_poly,
     is_algebra_automorphism,
 )
 from anosovgraph.hyperbolicity import char_poly
@@ -45,6 +45,13 @@ def monic_polys(draw):
     degree = draw(st.integers(1, 5))
     bound = 2 ** draw(st.sampled_from([2, 10, 40]))
     return IntPolynomial(draw(st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree)) + [1])
+
+
+def from_roots(roots):
+    out = IntPolynomial([1])
+    for r in roots:
+        out = out * IntPolynomial([-r, 1])
+    return out
 
 
 def random_graph(rng, max_vertices=5):
@@ -189,17 +196,11 @@ class TestExtend:
                     for b, ib in enumerate(idx):
                         g_v[ia][ib] = block[a][b]
             ext = extend_to_algebra(alg, g_v)
-            whole = np.array([[float(ext[i, j]) for j in range(alg.dimension)] for i in range(alg.dimension)])
-            spectra = []
+            polys = []
             for comp in part.components:
                 idx = [g.index(v) for v in comp]
-                block = np.array([[float(g_v[i][j]) for j in idx] for i in idx])
-                spectra.append(list(np.linalg.eigvals(block)))
-            v_spec = [mu for spec in spectra for mu in spec]
-            products = algebra_eigenvalue_products(part, spectra)
-            expected = sorted(v_spec + products, key=lambda z: (z.real, z.imag))
-            got = sorted(np.linalg.eigvals(whole), key=lambda z: (z.real, z.imag))
-            assert np.allclose(expected, got, atol=1e-9)
+                polys.append(char_poly([[g_v[i][j] for j in idx] for i in idx]))
+            assert extension_char_poly(part, polys) == char_poly(ext)
 
 
 class TestIsAlgebraAutomorphism:
@@ -232,27 +233,31 @@ class TestIsAlgebraAutomorphism:
 class TestEigenvalueProducts:
     def test_k2_reciprocal_pair(self):
         part = coherent_components(complete_graph(2))
-        products = algebra_eigenvalue_products(part, [[Fraction(3), Fraction(1, 3)]])
-        assert products == [Fraction(1)]
+        # x^2 - 3x + 1 has the reciprocal roots phi^2, phi^-2; their product is 1
+        p = IntPolynomial((1, -3, 1))
+        assert extension_char_poly(part, [p]) == p * IntPolynomial((-1, 1))
 
     def test_chain_discrete_components_cross_only(self):
         part = coherent_components(loop_end_chain())
         spectra = [[2, 3], [5, 7, 11], [13, 17]]
-        products = algebra_eigenvalue_products(part, spectra)
+        polys = [from_roots(spec) for spec in spectra]
         # quotient edges: a-pair x c-pair and b-triple x c-pair; loop on the triple
         cross_ac = [a * c for a in (2, 3) for c in (13, 17)]
         cross_bc = [b * c for b in (5, 7, 11) for c in (13, 17)]
         intra_b = [5 * 7, 5 * 11, 7 * 11]
-        assert sorted(products) == sorted(cross_ac + cross_bc + intra_b)
+        expected = from_roots([mu for spec in spectra for mu in spec] + cross_ac + cross_bc + intra_b)
+        assert extension_char_poly(part, polys) == expected
 
     def test_triangle_pairwise(self):
         part = coherent_components(complete_graph(3))
-        assert sorted(algebra_eigenvalue_products(part, [[2, 3, 5]])) == [6, 10, 15]
+        assert extension_char_poly(part, [from_roots([2, 3, 5])]) == from_roots([2, 3, 5, 6, 10, 15])
 
     def test_size_mismatch(self):
         part = coherent_components(complete_graph(3))
         with pytest.raises(ValueError):
-            algebra_eigenvalue_products(part, [[1, 2]])
+            extension_char_poly(part, [from_roots([1, 2])])
+        with pytest.raises(ValueError):
+            extension_char_poly(part, [from_roots([1, 2, 3])] * 2)
 
     def test_algebraic_number_descriptors(self):
         golden = AlgebraicNumber(IntPolynomial((1, -3, 1)), complex(2.618033988749895))

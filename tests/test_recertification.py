@@ -3,7 +3,10 @@
 The graded bracket check and the signed-permutation commutation check are
 compared against the dense algorithms they replace: the all-pairs bracket
 check (kept here as an oracle) and RationalMatrix products with the dense
-extension of a permutation matrix.
+extension of a permutation matrix. The integer-row kernels are compared with
+their RationalMatrix wrappers and with the all-pairs extension loop, and the
+witness polynomial taken from the block structure with the dense
+characteristic polynomial of the V+W matrix.
 """
 
 import random
@@ -14,8 +17,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import anosovgraph.witness
-from anosovgraph.errors import PreconditionViolation, WitnessAssemblyError
+from anosovgraph.errors import PreconditionViolation, SeedSearchExhausted, WitnessAssemblyError
 from anosovgraph.exactmat import RationalMatrix, coerce_matrix
+from anosovgraph.families import family_I_modified, family_II, family_II_z4
 from anosovgraph.graphs import (
     Graph,
     VertexPermutation,
@@ -24,12 +28,17 @@ from anosovgraph.graphs import (
     path_graph,
 )
 from anosovgraph.holonomy import build_action, permutation_matrix
+from anosovgraph.hyperbolicity import char_poly
 from anosovgraph.liealg import (
+    brackets_preserved,
     build_algebra,
     extend_permutation,
+    extend_rows,
     extend_to_algebra,
+    extension_char_poly,
     is_algebra_automorphism,
 )
+from anosovgraph.repdecomp import decide
 from anosovgraph.witness import (
     assemble_witness,
     build_witness,
@@ -198,7 +207,7 @@ class TestSignedPermutationCommutation:
         witness = build_witness(action, alg)
         sigma, signs = extend_permutation(alg, swap)
         ext = dense_extension(alg, swap)
-        full = witness.full_matrix
+        full = RationalMatrix(witness.full_matrix)
         assert commutes_with_perm(full.int_rows(), sigma, signs)
         assert full * ext == ext * full
         bad = full.to_lists()
@@ -263,3 +272,174 @@ class TestExtendOnIntegers:
         assert outcomes[0] == outcomes[1]
         if isinstance(outcomes[0], RationalMatrix):
             assert all(isinstance(x, Fraction) for row in outcomes[0].rows for x in row)
+
+
+def all_pairs_extension(alg, rows):
+    """The loop `extend_to_algebra` used to run: every vertex pair for every wedge column."""
+    graph = alg.graph
+    n, m = alg.dim_v, alg.dim_w
+    full = [list(row) + [0] * m for row in rows] + [[0] * (n + m) for _ in range(m)]
+    for col, (a, b) in enumerate(alg.w_basis):
+        ia, ib = graph.index(a), graph.index(b)
+        for u in range(n):
+            for v in range(u + 1, n):
+                coeff = rows[u][ia] * rows[v][ib] - rows[v][ia] * rows[u][ib]
+                if coeff == 0:
+                    continue
+                lu, lv = graph.vertices[u], graph.vertices[v]
+                signed = alg.wedge_index(lu, lv)
+                if signed is None:
+                    raise PreconditionViolation(
+                        f"image of wedge {a}^{b} meets the non-edge wedge {lu}^{lv}; "
+                        "the map does not respect the coherent components"
+                    )
+                sign, idx = signed
+                full[n + idx][n + col] = sign * coeff
+    return full
+
+
+def as_fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def outcome(f, *args):
+    try:
+        return coerce_matrix(f(*args))
+    except PreconditionViolation as exc:
+        return str(exc)
+
+
+class TestIntegerRowKernels:
+    @SETTINGS
+    @given(instances(), st.sampled_from(["block", "rational", "arbitrary"]))
+    def test_extend_rows_matches_wrapper_and_all_pairs_loop(self, inst, kind):
+        rng, alg, _ = inst
+        n = alg.dim_v
+        if kind == "arbitrary":
+            g_v = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        else:
+            g_v = random_block_map(rng, alg.graph, rational=kind == "rational")
+        invertible = RationalMatrix(g_v).det() != 0
+        for rows in (g_v, as_fractions(g_v)):
+            got = outcome(extend_rows, alg, rows)
+            assert got == outcome(all_pairs_extension, alg, rows)
+            if invertible:
+                assert got == outcome(extend_to_algebra, alg, rows)
+        if kind == "block":
+            assert all(type(x) is int for row in extend_rows(alg, g_v) for x in row)
+
+    @SETTINGS
+    @given(instances(), st.sampled_from(KINDS))
+    def test_brackets_preserved_matches_wrapper(self, inst, kind):
+        rng, alg, _ = inst
+        m = candidate_matrix(rng, alg, kind)
+        invertible = RationalMatrix(m).det() != 0
+        expected = all_pairs_bracket_check(alg, m)
+        for rows in (m, as_fractions(m)):
+            kernel = brackets_preserved(alg, rows)
+            assert is_algebra_automorphism(alg, rows) == (invertible and kernel) == expected
+            assert brackets_preserved(alg, tuple(tuple(row) for row in rows)) == kernel
+
+
+def random_unimodular_block(rng, size):
+    """An integer matrix of determinant +-1, from random elementary row operations."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(rng.randint(0, 3 * size) if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.2:
+            rows[i], rows[j] = rows[j], rows[i]
+    if rng.random() < 0.5:
+        rows[0] = [-x for x in rows[0]]
+    return rows
+
+
+class TestStructuralCharPoly:
+    @SETTINGS
+    @given(instances())
+    def test_matches_dense_char_poly_of_unimodular_block_maps(self, inst):
+        rng, alg, _ = inst
+        graph = alg.graph
+        part = coherent_components(graph)
+        n = alg.dim_v
+        g_v = [[0] * n for _ in range(n)]
+        polys = []
+        for comp in part.components:
+            block = random_unimodular_block(rng, len(comp))
+            idx = [graph.index(v) for v in comp]
+            rng.shuffle(idx)  # any placement order of the block within its component
+            for a, ia in enumerate(idx):
+                for b, ib in enumerate(idx):
+                    g_v[ia][ib] = block[a][b]
+            polys.append(char_poly(block))
+        assert extension_char_poly(part, polys) == char_poly(extend_to_algebra(alg, g_v))
+
+    @settings(SETTINGS, max_examples=30)
+    @given(instances())
+    def test_witness_polys_match_dense_char_poly(self, inst):
+        _, alg, gens = inst
+        action = build_action(alg.graph, coherent_components(alg.graph), gens)
+        assume(decide(action).verdict == "yes")
+        try:
+            witness = build_witness(action, alg, search_cap=2000)
+        except SeedSearchExhausted:
+            assume(False)
+        assert witness.full_char_poly == char_poly(witness.full_matrix)
+        assert witness.v_char_poly == char_poly(witness.v_matrix)
+        assert is_algebra_automorphism(alg, witness.full_matrix)
+
+    @pytest.mark.parametrize(
+        "inst", [family_I_modified(3), family_II_z4(3)], ids=["I-modified-3", "II-Z4-3"]
+    )
+    def test_witness_with_complete_components_matches_dense_char_poly(self, inst):
+        # the random yes-instances above have no complete component; these have two and four
+        part = coherent_components(inst.graph)
+        assert any(part.loops) and part.quotient_edges
+        witness = build_witness(build_action(inst.graph, part, inst.generators))
+        assert witness.full_char_poly == char_poly(witness.full_matrix)
+        assert witness.v_char_poly == char_poly(witness.v_matrix)
+
+    def test_witness_path_builds_no_full_size_rational_matrix(self, monkeypatch):
+        inst = family_II(5, 3)
+        action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
+        alg = build_algebra(inst.graph)
+        sizes = []
+        real_init = RationalMatrix.__init__
+
+        def recording_init(self, rows):
+            real_init(self, rows)
+            sizes.append(self.nrows)
+
+        def no_conversion(self):
+            raise AssertionError("Fraction to int conversion on the witness path")
+
+        monkeypatch.setattr(RationalMatrix, "__init__", recording_init)
+        monkeypatch.setattr(RationalMatrix, "int_rows", no_conversion)
+        witness = build_witness(action, alg)
+        assert witness.certificate.valid
+        assert sizes and max(sizes) == alg.dim_v < alg.dimension
+
+    def test_v_part_mixing_components_is_refused(self, monkeypatch):
+        # composing the witness with the part swap of K3,3 keeps a bracket-preserving
+        # map that commutes with the swap, but its V-part is off the diagonal blocks,
+        # so the block polynomials no longer give its characteristic polynomial
+        g = complete_bipartite(3, 3)
+        swap = VertexPermutation.from_cycles("(a1 b1)(a2 b2)(a3 b3)", g.vertices)
+        action = build_action(g, coherent_components(g), [swap])
+        alg = build_algebra(g)
+        plan = plan_blocks(action)
+        witness = assemble_witness(action, plan, alg)
+        p = permutation_matrix(g, swap).int_rows()
+        n = alg.dim_v
+
+        def mixed(alg, v_rows):
+            swapped = [[sum(p[i][k] * v_rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            return extend_rows(alg, swapped)
+
+        full = mixed(alg, witness.v_matrix)
+        assert brackets_preserved(alg, full)
+        assert char_poly(full) != witness.full_char_poly
+        monkeypatch.setattr(anosovgraph.witness, "extend_rows", mixed)
+        with pytest.raises(AssertionError, match="block-diagonal"):
+            assemble_witness(action, plan, alg)

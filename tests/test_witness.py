@@ -12,6 +12,7 @@ from anosovgraph.errors import (
     WitnessAssemblyError,
     WitnessRefused,
 )
+from anosovgraph.exactmat import RationalMatrix
 from anosovgraph.families import family_I
 from anosovgraph.fixtures import four_pair_chain, four_pair_chain_swap
 from anosovgraph.graphs import (
@@ -148,7 +149,8 @@ class TestBuildWitness:
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
         alg = build_algebra(g)
         w = build_witness(action, alg)
-        assert w.full_matrix.shape == (15, 15)
+        full = RationalMatrix(w.full_matrix)
+        assert full.shape == (15, 15)
         # (a) certified algebra automorphism
         assert is_algebra_automorphism(alg, w.full_matrix)
         # (b) exact commutation with the extended generator
@@ -158,7 +160,7 @@ class TestBuildWitness:
                 g, action.generators[0]
             ),
         )
-        assert w.full_matrix * ext == ext * w.full_matrix
+        assert full * ext == ext * full
         # (c) integer-like and no unit-circle roots
         assert is_integer_like(w.full_char_poly)
         assert w.certificate.valid
@@ -167,14 +169,14 @@ class TestBuildWitness:
         g = discrete_graph(2)
         action = action_for(g)
         w = build_witness(action)
-        assert w.full_matrix.int_rows() == CAT_MAP_ROWS
+        assert RationalMatrix(w.full_matrix).int_rows() == CAT_MAP_ROWS
         assert w.v_char_poly == IntPolynomial((1, -3, 1))
 
     def test_conjugated_blocks_share_char_poly(self):
         g = complete_bipartite(3, 3)
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
         w = build_witness(action)
-        rows = w.v_matrix.int_rows()
+        rows = RationalMatrix(w.v_matrix).int_rows()
         block_a = [row[:3] for row in rows[:3]]
         block_b = [row[3:] for row in rows[3:]]
         assert char_poly(block_a) == char_poly(block_b)
