@@ -58,14 +58,11 @@ class HolonomyAction:
     elements: tuple[VertexPermutation, ...]
     component_action: dict
     orbits: tuple[OrbitData, ...]
+    is_cyclic: bool
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def is_cyclic(self) -> bool:
-        return any(g.order() == self.order for g in self.elements)
 
     def orbit_of_component(self, index: int) -> OrbitData:
         for orbit in self.orbits:
@@ -129,13 +126,14 @@ def _orbit_c_value(part: CoherentPartition, members: tuple[int, ...]) -> int:
     return 1
 
 
+def _cyclic_generator(elements) -> VertexPermutation | None:
+    """The first element whose order is the group's, or None when the group is not cyclic."""
+    return next((h for h in elements if h.order() == len(elements)), None)
+
+
 def _stabilizer_info(elements, action, rep: int) -> StabilizerInfo:
     stab = tuple(h for h in elements if action[h][rep] == rep)
-    generator = None
-    for h in stab:
-        if h.order() == len(stab):
-            generator = h
-            break
+    generator = _cyclic_generator(stab)
     return StabilizerInfo(elements=stab, cyclic=generator is not None, generator=generator)
 
 
@@ -150,7 +148,8 @@ def build_action(
     Orbits are listed by smallest member index, which is also the chosen
     representative. The stabilizer of the representative is scanned for a
     single generator; when none exists it is flagged non-cyclic and downstream
-    verdicts come out undecided instead of guessed.
+    verdicts come out undecided instead of guessed. The whole group is
+    scanned once the same way for `is_cyclic`.
     """
     generators = tuple(generators)
     for g in generators:
@@ -182,6 +181,7 @@ def build_action(
         elements=elements,
         component_action=action,
         orbits=tuple(orbits),
+        is_cyclic=_cyclic_generator(elements) is not None,
     )
     for orbit in action_obj.orbits:
         if orbit.stabilizer.order * len(orbit.members) != action_obj.order:
@@ -213,24 +213,28 @@ def restriction_to_component(
     return tuple(out)
 
 
+def index_cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a position permutation, each from its smallest index, in order of that index."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = perm[i]
+        cycles.append(cycle)
+    return cycles
+
+
 def cycle_type_on_component(
     part: CoherentPartition, p: VertexPermutation, comp_index: int
 ) -> tuple[int, ...]:
     """Multiset (sorted) of cycle lengths of p restricted to the component."""
-    perm = restriction_to_component(part, p, comp_index)
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+    return tuple(sorted(len(c) for c in index_cycles(restriction_to_component(part, p, comp_index))))
 
 
 def realizability_eigenvalue_one(alg: GraphLieAlgebra, gen) -> tuple[bool, tuple | None]:

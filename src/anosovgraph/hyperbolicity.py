@@ -287,22 +287,22 @@ class HyperbolicityCertificate:
 
 def certify_polynomial(p: IntPolynomial, level: int, compound: IntPolynomial | None = None,
                        cancel: CancelToken | None = None) -> HyperbolicityCertificate:
-    """Certificate for eigenvalue data given directly as polynomials."""
+    """Exact certificate that no root of p, and at level 2 no product of two roots, has modulus one.
+
+    Level 2 also tests ``compound``, the exterior-square polynomial of p; when
+    it is not given, it is built from p, and only if p passes. A given
+    compound is reported even when p fails.
+    """
     if level not in (1, 2):
         raise ValueError("only levels 1 and 2 are supported")
-    return _certificate(p, unit_circle_analysis(p, cancel), level, compound, cancel)
-
-
-def _certificate(p: IntPolynomial, first: UnitCircleAnalysis, level: int,
-                 compound: IntPolynomial | None, cancel: CancelToken | None) -> HyperbolicityCertificate:
-    """The certificate of p from its unit-circle analysis ``first``; level 2 also tests compound."""
+    first = unit_circle_analysis(p, cancel)
     stages = [CertificateStage("char_poly", p, first)]
     failure = None
     if first.exists:
         failure = "eigenvalue on unit circle"
     if level == 2 and failure is None:
         if compound is None:
-            raise ValueError("level 2 needs the exterior-square polynomial")
+            compound = exterior_square_poly(p, cancel)
         stages.append(CertificateStage("exterior_square", compound, unit_circle_analysis(compound, cancel)))
         if stages[1].analysis.exists:
             failure = "pair product on unit circle"
@@ -319,16 +319,11 @@ def _certificate(p: IntPolynomial, first: UnitCircleAnalysis, level: int,
 
 
 def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> HyperbolicityCertificate:
-    """Exact c-hyperbolicity certificate for c in {1, 2}.
+    """Exact c-hyperbolicity certificate of an integer matrix, for c in {1, 2}.
 
     Level 1 proves no eigenvalue lies on the unit circle; level 2 additionally
     proves no product of two eigenvalues does. The unit-circle test runs once
     on the characteristic polynomial; the exterior-square polynomial is only
     built, and tested, when that test passes.
     """
-    if c not in (1, 2):
-        raise ValueError("only c = 1 and c = 2 occur for 2-step algebras")
-    p = char_poly(m, cancel)
-    first = unit_circle_analysis(p, cancel)
-    compound = None if c == 1 or first.exists else exterior_square_poly(p, cancel)
-    return _certificate(p, first, c, compound, cancel)
+    return certify_polynomial(char_poly(m, cancel), c, cancel=cancel)

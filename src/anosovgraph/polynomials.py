@@ -1,8 +1,8 @@
-"""Exact univariate polynomial arithmetic over the integers and rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
-Everything here is exact: integer coefficients stay Python ints, rational
-intermediates use fractions.Fraction. Floating point never enters.
-Coefficients are stored in ascending degree order.
+Everything here is exact: coefficients stay Python ints, also in Sturm chains,
+whose terms are positive integer multiples of the canonical ones. Floating
+point never enters. Coefficients are stored in ascending degree order.
 
 The gcd in Z[x] is a small-prime modular gcd (Brown 1971): Euclid on the
 images mod word-size primes, CRT on the images of least degree, then exact
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import GraphInputError
@@ -305,49 +304,57 @@ def from_power_sums(sums: list[int], cancel=None) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains over the rationals
+# Sturm chains on integer polynomials
 
 
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    rem = list(a)
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            if not rem:
-                return [Fraction(0)]
-            continue
-        factor = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            return [Fraction(0)]
-    return rem
+def _remainder_multiple(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The remainder of a by b times a positive rational, with integer coefficients.
+
+    Each step multiplies the running remainder by |lc b| and subtracts
+    sgn(lc b) * c * b * x^s, with c its leading coefficient; the result is
+    divided by its positive content.
+    """
+    rem, scale, sign = list(a.coefficients), abs(b.leading), 1 if b.leading > 0 else -1
+    low = b.coefficients[:-1]
+    while len(rem) > len(low):
+        c = sign * rem.pop()
+        if c:
+            shift = len(rem) - len(low)
+            rem = [scale * x for x in rem]
+            for i, y in enumerate(low):
+                rem[shift + i] -= c * y
+    out = IntPolynomial(rem)
+    g = out.content()
+    return IntPolynomial([x // g for x in out.coefficients]) if g > 1 else out
 
 
-def sturm_chain(p: IntPolynomial, cancel=None) -> list[list[Fraction]]:
-    """Canonical Sturm chain of the squarefree part of p."""
+def sturm_chain(p: IntPolynomial, cancel=None) -> list[IntPolynomial]:
+    """Sturm chain of the squarefree part of p, on integer polynomials.
+
+    Each term is a positive multiple of the canonical term (p, p', then minus
+    each remainder), so every point has the same sign variations in both.
+    Polls ``cancel`` once per remainder.
+    """
     sf = squarefree_part(p, cancel)
-    chain = [[Fraction(c) for c in sf.coefficients]]
+    chain = [sf]
     if sf.degree <= 0:
         return chain
-    chain.append([Fraction(c) for c in sf.derivative().coefficients])
+    chain.append(sf.derivative())
     while True:
         if cancel is not None:
             cancel.check()
-        r = _frac_rem(chain[-2], chain[-1])
-        if len(r) == 1 and r[0] == 0:
+        r = _remainder_multiple(chain[-2], chain[-1])
+        if r.is_zero:
             return chain
-        chain.append([-c for c in r])
+        chain.append(-r)
 
 
-def _eval_frac(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _cleared_value(p: IntPolynomial, num: int, den: int) -> int:
+    """den^deg p * p(num / den), by Horner on integers; its sign is that of p(num / den) for den > 0."""
+    acc, power = 0, 1
+    for c in reversed(p.coefficients):
+        acc = acc * num + c * power
+        power *= den
     return acc
 
 
@@ -359,17 +366,17 @@ def _sign_variations(values) -> int:
 def count_real_roots_between(p: IntPolynomial, a, b, cancel=None) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
-    Requires p(a) != 0 and p(b) != 0, which makes open and half-open
-    counts coincide.
+    The endpoints are int, Fraction or float, taken exactly. Requires
+    p(a) != 0 and p(b) != 0, which makes open and half-open counts coincide.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
+    (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+    if a_num * b_den >= b_num * a_den:
         raise ValueError("empty interval")
-    if p(a) == 0 or p(b) == 0:
+    if _cleared_value(p, a_num, a_den) == 0 or _cleared_value(p, b_num, b_den) == 0:
         raise ValueError("interval endpoints must not be roots")
     chain = sturm_chain(p, cancel)
-    va = _sign_variations(_eval_frac(c, a) for c in chain)
-    vb = _sign_variations(_eval_frac(c, b) for c in chain)
+    va = _sign_variations(_cleared_value(q, a_num, a_den) for q in chain)
+    vb = _sign_variations(_cleared_value(q, b_num, b_den) for q in chain)
     return va - vb
 
 

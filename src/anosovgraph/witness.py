@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import ceil
+from math import ceil, prod
 
 import numpy as np
 
@@ -32,15 +32,13 @@ from .errors import (
     WitnessAssemblyError,
     WitnessRefused,
 )
-from .exactmat import RationalMatrix
 from .graphs import VertexPermutation
-from .holonomy import HolonomyAction, restriction_to_component
+from .holonomy import HolonomyAction, index_cycles, restriction_to_component
 from .hyperbolicity import (
     CancelToken,
     HyperbolicityCertificate,
     certify_polynomial,
     char_poly,
-    is_c_hyperbolic,
     is_integer_like,
 )
 from .liealg import (
@@ -110,22 +108,6 @@ def _identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def _index_cycles(perm: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i)
-            i = perm[i]
-        cycles.append(cycle)
-    return cycles
-
-
 def commutant_pair_orbits(perm: tuple[int, ...]) -> list[list[tuple[int, int]]]:
     """Orbits of index pairs under (i, j) -> (perm i, perm j); integer basis of the commutant."""
     n = len(perm)
@@ -187,7 +169,7 @@ def seed_catalog(dim: int, c: int, stabilizer_perm: tuple[int, ...] | None = Non
     # When the stabilizer acts with uniform cycle length d > 1, a seed B on
     # the space of cycles lifts to B (x) identity along each cycle; the lift
     # commutes with the stabilizer and inherits B's certificates.
-    cycles = _index_cycles(stabilizer_perm)
+    cycles = index_cycles(stabilizer_perm)
     lengths = {len(c) for c in cycles}
     if len(lengths) == 1 and lengths != {1} and len(cycles) >= 1:
         d = lengths.pop()
@@ -244,10 +226,10 @@ def find_seed(
                 entry_bound=entry_bound,
                 candidates_tried=tried - 1,
             )
-        p = char_poly(rows)
+        p = char_poly(rows, cancel)
         if not is_integer_like(p):
             continue
-        cert = is_c_hyperbolic(rows, c, cancel)
+        cert = certify_polynomial(p, c, cancel=cancel)
         if cert.valid:
             return tuple(tuple(r) for r in rows), cert
     raise SeedSearchExhausted(
@@ -513,7 +495,11 @@ def _assemble(
                     v_rows[idx[a]][idx[b]] = block[a][b]
             component_polys[member] = block_poly
 
-    if RationalMatrix(v_rows).det() == 0:
+    # V is block-diagonal over the components, so det V = +-(constant term of v_char_poly).
+    if None in component_polys:
+        raise WitnessAssemblyError("extension", "map on V is not invertible")
+    v_char_poly = prod(component_polys, start=IntPolynomial([1]))
+    if v_char_poly.constant == 0:
         raise WitnessAssemblyError("extension", "map on V is not invertible")
     try:
         full = extend_rows(alg, v_rows)
@@ -550,9 +536,6 @@ def _assemble(
             )
         commuted.append(gen.cycle_string())
 
-    v_char_poly = IntPolynomial([1])
-    for p in component_polys:
-        v_char_poly = v_char_poly * p
     return Witness(
         v_matrix=tuple(tuple(row) for row in v_rows),
         full_matrix=full,

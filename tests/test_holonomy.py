@@ -23,6 +23,7 @@ from anosovgraph.holonomy import (
     restriction_to_component,
 )
 from anosovgraph.liealg import build_algebra
+from anosovgraph.repdecomp import decide
 
 
 def action_for(graph, *cycle_strings, order_bound=10_000):
@@ -127,6 +128,26 @@ class TestBuildAction:
                 expected.add(acc)
                 acc = acc * step_o
             assert set(orbit.stabilizer.elements) == expected
+
+    def test_cyclicity_is_scanned_once(self, monkeypatch):
+        # S_6 on the discrete graph: one component, so one stabilizer, the whole group
+        g = discrete_graph(6)
+        calls = []
+        real_order = VertexPermutation.order
+
+        def counting_order(self):
+            calls.append(self)
+            return real_order(self)
+
+        monkeypatch.setattr(VertexPermutation, "order", counting_order)
+        action = action_for(g, "(v1 v2)", "(v1 v2 v3 v4 v5 v6)")
+        assert action.order == 720 and not action.is_cyclic
+        assert len(calls) <= action.order + sum(o.stabilizer.order for o in action.orbits)
+        calls.clear()
+        verdict = decide(action)
+        payload = action.to_json_dict()
+        assert payload["cyclic"] is False and verdict.realizability == "unknown"
+        assert calls == []
 
     def test_restriction_helpers(self):
         g = cycle_graph(4)

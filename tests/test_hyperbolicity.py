@@ -31,6 +31,7 @@ from anosovgraph.polynomials import (
     count_real_roots_between,
     cyclotomic,
     poly_gcd,
+    sturm_chain,
 )
 
 CAT_MAP = ((2, 1), (1, 1))
@@ -425,7 +426,8 @@ class TestCancellation:
         poly_gcd(p, p.derivative(), cancel=gcd_token)
         token = CancelOnCheck()
         assert count_real_roots_between(p, -2, 2, cancel=token) == 3  # +-sqrt(3), and f's root near -1
-        assert token.checks > gcd_token.checks  # the squarefree gcd polls too
+        # the squarefree gcd polls too, then the chain once per remainder
+        assert token.checks == gcd_token.checks + len(sturm_chain(p)) - 1
         for at in range(1, token.checks + 1):
             with pytest.raises(OperationCancelled):
                 count_real_roots_between(p, -2, 2, cancel=CancelOnCheck(at))

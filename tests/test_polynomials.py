@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anosovgraph.errors import GraphInputError
 from anosovgraph.polynomials import (
@@ -15,6 +18,7 @@ from anosovgraph.polynomials import (
     poly_gcd,
     squarefree_part,
     strip_unit_linear_factors,
+    sturm_chain,
 )
 
 
@@ -134,6 +138,98 @@ class TestSturm:
             # numeric multiplicity clusters can blur; only compare when roots are separated
             if len(real) == len([r for r in roots if abs(r.imag) < 1e-9 and -2 < r.real < 2]):
                 assert count_real_roots_between(p, -2, 2) == len(real)
+
+
+def fraction_sturm_count(p, a, b):
+    """The Fraction Sturm chain that the integer chain replaced: the canonical chain of the squarefree part."""
+
+    def rem(u, v):
+        u = list(u)
+        while len(u) >= len(v):
+            factor = u[-1] / v[-1]
+            shift = len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] -= factor * c
+            u.pop()
+            while u and u[-1] == 0:
+                u.pop()
+        return u
+
+    def value(coeffs, x):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    sf = squarefree_part(p)
+    chain = [[Fraction(c) for c in sf.coefficients]]
+    if sf.degree > 0:
+        chain.append([Fraction(c) for c in sf.derivative().coefficients])
+        while r := rem(chain[-2], chain[-1]):
+            chain.append([-c for c in r])
+
+    def variations(x):
+        signs = [v > 0 for v in (value(c, Fraction(x)) for c in chain) if v != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(a) - variations(b)
+
+
+def sympy_count(p, a, b):
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(p.coefficients)), x).count_roots(sympy.Rational(a), sympy.Rational(b))
+
+
+@st.composite
+def sturm_inputs(draw):
+    p = IntPolynomial(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=11)))
+    if draw(st.booleans()):  # a repeated factor, which the chain's squarefree part removes
+        f = IntPolynomial(draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4)))
+        p = p * f * f
+    endpoint = st.one_of(
+        st.integers(-6, 6), st.fractions(Fraction(-6), Fraction(6), max_denominator=12)
+    )
+    a, b = sorted((draw(endpoint), draw(endpoint)))
+    assume(a < b and not p.is_zero and p(a) != 0 and p(b) != 0)
+    return p, a, b
+
+
+class TestIntegerSturm:
+    @settings(max_examples=150, deadline=None)
+    @given(sturm_inputs())
+    def test_matches_fraction_chain_and_sympy(self, case):
+        p, a, b = case
+        count = count_real_roots_between(p, a, b)
+        assert count == fraction_sturm_count(p, a, b) == sympy_count(p, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sturm_inputs())
+    def test_chain_terms_are_integer_polynomials_of_falling_degree(self, case):
+        chain = sturm_chain(case[0])
+        assert all(isinstance(q, IntPolynomial) for q in chain)
+        assert all(q.degree > r.degree for q, r in zip(chain, chain[1:]))
+
+    def test_float_endpoints_are_exact(self):
+        p = P(-1, 0, 2)  # roots +-1/sqrt(2)
+        assert count_real_roots_between(p, -0.75, 0.5) == 1
+        assert count_real_roots_between(p, 0.5, 0.75) == 1
+        assert count_real_roots_between(P(-1, 2), 0.25, 0.625) == 1
+        with pytest.raises(ValueError, match="empty interval"):
+            count_real_roots_between(p, Fraction(3, 2), 1.5)
+
+    def test_substituted_polynomial_of_family_I_m5(self):
+        # the unit-circle stage of the I m=5 (2,2,2,2,3) witness: degree 26, 1324-bit coefficients
+        from anosovgraph.families import family_I
+        from anosovgraph.graphs import coherent_components
+        from anosovgraph.holonomy import build_action
+        from anosovgraph.witness import build_witness
+
+        inst = family_I(5, (2, 2, 2, 2, 3))
+        p = build_witness(build_action(inst.graph, coherent_components(inst.graph), inst.generators)).full_char_poly
+        core, plus, minus = strip_unit_linear_factors(poly_gcd(p, p.reverse()))
+        q = palindromic_to_interval_poly(core)
+        assert (q.degree, max(abs(c).bit_length() for c in q.coefficients), plus, minus) == (26, 1324, 0, 0)
+        assert count_real_roots_between(q, -2, 2) == fraction_sturm_count(q, -2, 2) == sympy_count(q, -2, 2) == 0
 
 
 class TestCyclotomic:

@@ -1,9 +1,11 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+import anosovgraph.hyperbolicity as hyperbolicity_module
 import anosovgraph.witness as witness_module
 from anosovgraph.errors import (
     OperationCancelled,
@@ -93,6 +95,26 @@ class TestSeedSearch:
         first = list(itertools.islice(seed_catalog(3, 2), 12))
         second = list(itertools.islice(seed_catalog(3, 2), 12))
         assert first == second
+
+    @pytest.mark.parametrize("dim, c", [(2, 1), (3, 2), (4, 2)])
+    def test_one_char_poly_per_candidate(self, monkeypatch, dim, c):
+        candidates, calls = [], []
+        real_catalog, real_char_poly = witness_module.seed_catalog, hyperbolicity_module.char_poly
+
+        def counting_catalog(*args):
+            for rows in real_catalog(*args):
+                candidates.append(rows)
+                yield rows
+
+        def counting_char_poly(m, cancel=None):
+            calls.append(m)
+            return real_char_poly(m, cancel)
+
+        monkeypatch.setattr(witness_module, "seed_catalog", counting_catalog)
+        monkeypatch.setattr(witness_module, "char_poly", counting_char_poly)
+        monkeypatch.setattr(hyperbolicity_module, "char_poly", counting_char_poly)
+        _, cert = find_seed(dim, c)
+        assert cert.valid and len(calls) == len(candidates)
 
     def test_cancel(self):
         token = CancelToken()
@@ -329,6 +351,20 @@ class TestAssembleGuard:
         )
         with pytest.raises(WitnessAssemblyError):
             assemble_witness(action, broken)
+
+    @pytest.mark.parametrize("defect", ["conjugator omitted", "singular seed"])
+    def test_plan_leaving_v_singular_fails_at_extension(self, defect):
+        g = complete_bipartite(3, 3)
+        action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
+        (orbit_plan,) = plan_blocks(action).orbit_plans
+        if defect == "conjugator omitted":  # the other part's component gets no block
+            orbit_plan = replace(orbit_plan, conjugators=())
+        else:
+            orbit_plan = replace(orbit_plan, seed=((1, 1, 0), (1, 1, 0), (0, 0, 1)), exponent=1)
+        with pytest.raises(WitnessAssemblyError) as err:
+            assemble_witness(action, BlockPlan((orbit_plan,)))
+        assert err.value.stage == "extension"
+        assert "not invertible" in str(err.value)
 
 
 class TestFamilyRegression:
