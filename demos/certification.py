@@ -8,14 +8,13 @@ polynomial, whose roots are the pairwise eigenvalue products.
 """
 
 from anosovgraph import (
-    IntPolynomial,
     char_poly,
     exterior_square_char_poly,
     is_c_hyperbolic,
     is_integer_like,
     parse_polynomial,
-    unit_circle_root_exists,
 )
+from anosovgraph.hyperbolicity import unit_circle_analysis
 from anosovgraph.polynomials import companion_rows, cyclotomic
 
 CAT_MAP = ((2, 1), (1, 1))
@@ -24,11 +23,11 @@ print("characteristic polynomial of the classical torus map:", char_poly(CAT_MAP
 
 for text in ["x^2 + x + 1", "x^2 - 1", "x^2 - 3x + 1", "x^3 - x^2 - 2x + 1"]:
     p = parse_polynomial(text)
-    exists, detail = unit_circle_root_exists(p)
-    print(f"{text:22s} unit-circle root: {str(exists):5s} ({detail})")
+    analysis = unit_circle_analysis(p)
+    print(f"{text:22s} unit-circle root: {str(analysis.exists):5s} ({analysis.detail})")
 
 phi5 = cyclotomic(5)
-print(f"{str(phi5):22s} unit-circle root: {unit_circle_root_exists(phi5)[0]}")
+print(f"{str(phi5):22s} unit-circle root: {unit_circle_analysis(phi5).exists}")
 print()
 
 # Level 1 vs level 2 on the torus map: the determinant is 1, so the product

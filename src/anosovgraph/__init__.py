@@ -49,19 +49,13 @@ from .graphs import (
     prec,
     preserves_prec,
 )
-from .holonomy import (
-    HolonomyAction,
-    build_action,
-    permutation_matrix,
-    realizability_eigenvalue_one,
-)
+from .holonomy import HolonomyAction, build_action
 from .hyperbolicity import (
     HyperbolicityCertificate,
     char_poly,
     exterior_square_char_poly,
     is_c_hyperbolic,
     is_integer_like,
-    unit_circle_root_exists,
 )
 from .liealg import (
     AlgebraicNumber,
@@ -156,12 +150,9 @@ __all__ = [
     "parse_holonomy_generators",
     "parse_polynomial",
     "path_graph",
-    "permutation_matrix",
     "prec",
     "preserves_prec",
     "quotient_dot",
-    "realizability_eigenvalue_one",
     "seed_catalog",
     "trivial_holonomy_check",
-    "unit_circle_root_exists",
 ]

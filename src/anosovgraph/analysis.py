@@ -31,6 +31,15 @@ from .witness import (
 )
 
 
+def _json_text(payload) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, one trailing newline.
+
+    Every JSON document the package writes goes through here. It is private,
+    so a per-layer trace charges the encoding to the function that renders.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def component_label(i: int) -> str:
     return f"lambda_{i + 1}"
 
@@ -67,7 +76,7 @@ class AnalysisReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.canonical_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.canonical_dict())
 
     def to_text(self) -> str:
         g, part = self.graph, self.partition

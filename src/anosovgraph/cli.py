@@ -13,7 +13,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .analysis import analyze, quotient_dot
+from .analysis import _json_text, analyze, quotient_dot
 from .errors import (
     BoundExceeded,
     GraphInputError,
@@ -26,7 +26,7 @@ from .errors import (
 from .families import FamilySpec, generate
 from .graphs import Graph, coherent_components, graph_from_json_dict, parse_graph, parse_holonomy_generators
 from .hyperbolicity import certify_polynomial, exterior_square_poly, is_c_hyperbolic, is_integer_like
-from .polynomials import IntPolynomial, format_polynomial, parse_polynomial
+from .polynomials import format_polynomial, parse_polynomial
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -81,20 +81,24 @@ def _print_timing(timing: dict) -> None:
         print(f"# {key}: {timing[key]:.4f}", file=sys.stderr)
 
 
-def cmd_analyze(args) -> int:
+def _analyze_arguments(args, want_witness: bool):
+    """Read --graph, take --holonomy over any embedded generators, and run the pipeline."""
     graph, embedded = _read_graph_argument(args.graph)
-    if args.holonomy is not None:
-        generators = parse_holonomy_generators(args.holonomy, graph)
-    else:
-        generators = embedded
-    report = analyze(
+    generators = (
+        parse_holonomy_generators(args.holonomy, graph) if args.holonomy is not None else embedded
+    )
+    return analyze(
         graph,
         generators,
-        want_witness=args.witness,
+        want_witness=want_witness,
         order_bound=args.max_group_order,
         entry_bound=args.search_bound,
         search_cap=args.search_cap,
     )
+
+
+def cmd_analyze(args) -> int:
+    report = _analyze_arguments(args, args.witness)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     _print_timing(report.timing)
     if args.witness and report.decision.verdict == "yes" and report.witness is None:
@@ -111,7 +115,7 @@ def cmd_quotient(args) -> int:
         sys.stdout.write(dot)
         return EXIT_YES
     payload = {"partition": part.to_json_dict(), "dot": dot}
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
     return EXIT_YES
 
 
@@ -127,25 +131,12 @@ def cmd_family(args) -> int:
         "holonomy": ";".join(g.cycle_string() for g in instance.generators),
         "expected_dimension": instance.expected_dimension,
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
     return EXIT_YES
 
 
 def cmd_witness(args) -> int:
-    args.witness = True
-    args.json = args.json or False
-    graph, embedded = _read_graph_argument(args.graph)
-    generators = (
-        parse_holonomy_generators(args.holonomy, graph) if args.holonomy is not None else embedded
-    )
-    report = analyze(
-        graph,
-        generators,
-        want_witness=True,
-        order_bound=args.max_group_order,
-        entry_bound=args.search_bound,
-        search_cap=args.search_cap,
-    )
+    report = _analyze_arguments(args, want_witness=True)
     if report.decision.verdict != "yes":
         sys.stdout.write(report.to_json() if args.json else report.to_text())
         return report.exit_code
@@ -153,9 +144,7 @@ def cmd_witness(args) -> int:
         print(f"witness construction failed: {report.witness_error}", file=sys.stderr)
         return EXIT_WITNESS
     if args.json:
-        sys.stdout.write(
-            json.dumps(report.witness.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        sys.stdout.write(_json_text(report.witness.to_json_dict()))
     else:
         sys.stdout.write(report.witness.to_text() + "\n")
     _print_timing(report.timing)
@@ -203,7 +192,7 @@ def cmd_certify(args) -> int:
         "reason": cert.failure if not cert.valid else (None if integer_like else "constant term is not a unit"),
     }
     if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json_text(payload))
     else:
         status = "valid" if payload["valid"] else f"invalid ({payload['reason']})"
         sys.stdout.write(

@@ -1,9 +1,10 @@
 """Immutable exact-rational matrices.
 
-A thin exact linear algebra kernel: Fraction entries, kernel vectors by
-Gauss-Jordan elimination, and determinants by fraction-free Bareiss
-elimination on integers (a rational matrix is scaled by the lcm of its
-denominators first). No floating point.
+A thin exact linear algebra kernel for rational input: Fraction entries,
+products, and determinants by fraction-free Bareiss elimination on integers
+(a rational matrix is scaled by the lcm of its denominators first). No
+floating point. This is the only module that builds Fractions; the witness
+and certification paths work on integer rows.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(x) for x in row] for row in self.rows]})"
 
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             if self.ncols != other.nrows:
@@ -89,83 +83,31 @@ class RationalMatrix:
         p_-1 = 1, takes each entry right of the pivot column in a lower row r
         to (a_rc p_k - a_rk a_kc) / p_(k-1). By Sylvester's identity every new
         entry is a minor of L M, so each division is exact; a remainder
-        raises AssertionError. A row with a_rk = 0 is only rescaled by
-        p_k / p_(k-1). Those rescales are deferred: when the row is next
-        needed, at step j after last changing at step i, it is multiplied by
-        their product p_(j-1) / p_(i-1) at once. A zero pivot is swapped with
-        the first lower row that has a nonzero entry there, flipping the
-        sign; if there is none the determinant is 0.
+        raises AssertionError. A zero pivot is swapped with the first lower
+        row that has a nonzero entry there, flipping the sign; if there is
+        none the determinant is 0.
         """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         scale = lcm(*{x.denominator for row in self.rows for x in row})
-        if scale == 1:
-            m = [[x.numerator for x in row] for row in self.rows]
-        else:
-            m = [[x.numerator * (scale // x.denominator) for x in row] for row in self.rows]
-        divisors = [1]  # divisors[k] = p_(k-1), the divisor of step k
-        step = [0] * n  # m[r] holds row r as of the start of step step[r]
-
-        def catch_up(r: int, k: int) -> None:
-            num, den = divisors[k], divisors[step[r]]
-            if num != den:
-                m[r][k:] = _divide_exact([x * num for x in m[r][k:]], den)
-            step[r] = k
-
-        sign = 1
+        m = [[x.numerator * (scale // x.denominator) for x in row] for row in self.rows]
+        sign, divisor = 1, 1
         for k in range(n - 1):
-            nonzero = [r for r in range(k, n) if m[r][k]]
-            if not nonzero:
+            pivot_row = next((r for r in range(k, n) if m[r][k]), None)
+            if pivot_row is None:
                 return Fraction(0)
-            pivot_row, *below = nonzero  # the row swapped down is zero in column k
             if pivot_row != k:
                 m[k], m[pivot_row] = m[pivot_row], m[k]
-                step[k], step[pivot_row] = step[pivot_row], step[k]
                 sign = -sign
-            catch_up(k, k)
             pivot, top = m[k][k], m[k][k + 1 :]
-            for r in below:
-                catch_up(r, k)
-                row, f = m[r], m[r][k]
+            for row in m[k + 1 :]:
+                f = row[k]
                 row[k + 1 :] = _divide_exact(
-                    [x * pivot - f * y for x, y in zip(row[k + 1 :], top)], divisors[k]
+                    [x * pivot - f * y for x, y in zip(row[k + 1 :], top)], divisor
                 )
-                step[r] = k + 1
-            divisors.append(pivot)
-        catch_up(n - 1, n - 1)
+            divisor = pivot
         return Fraction(sign * m[n - 1][n - 1], scale**n)
-
-    def kernel_vector(self):
-        """A nonzero rational kernel vector, or None if the matrix has full column rank."""
-        m = [list(row) for row in self.rows]
-        n = self.ncols
-        pivots: list[int] = []
-        row = 0
-        for col in range(n):
-            pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            inv = 1 / m[row][col]
-            m[row] = [x * inv for x in m[row]]
-            for r in range(len(m)):
-                if r != row and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-            if row == len(m):
-                break
-        free = [c for c in range(n) if c not in pivots]
-        if not free:
-            return None
-        col = free[0]
-        vec = [Fraction(0)] * n
-        vec[col] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -m[r][col]
-        return tuple(vec)
 
     @property
     def is_integer(self) -> bool:
@@ -175,9 +117,6 @@ class RationalMatrix:
         if not self.is_integer:
             raise ValueError("matrix has non-integer entries")
         return tuple(tuple(int(x) for x in row) for row in self.rows)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.rows]
 
 
 def _divide_exact(values: list[int], d: int) -> list[int]:

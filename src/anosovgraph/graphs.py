@@ -188,6 +188,23 @@ def graph_from_json_dict(data) -> Graph:
 # Vertex permutations
 
 
+def index_cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a position permutation, each from its smallest index, in order of that index."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = perm[i]
+        cycles.append(cycle)
+    return cycles
+
+
 class VertexPermutation:
     """A bijection on a fixed vertex domain, with canonical cycle form."""
 
@@ -258,22 +275,11 @@ class VertexPermutation:
         """Disjoint cycles, fixed points omitted; each cycle starts at its earliest
         domain element and cycles are ordered by that element."""
         position = {v: i for i, v in enumerate(self.domain)}
-        seen = set()
-        out = []
-        for v in self.domain:
-            if v in seen:
-                continue
-            cycle = [v]
-            seen.add(v)
-            w = self._map[v]
-            while w != v:
-                cycle.append(w)
-                seen.add(w)
-                w = self._map[w]
-            if len(cycle) > 1:
-                start = min(range(len(cycle)), key=lambda i: position[cycle[i]])
-                out.append(tuple(cycle[start:] + cycle[:start]))
-        return tuple(out)
+        return tuple(
+            tuple(self.domain[i] for i in cycle)
+            for cycle in index_cycles(tuple(position[w] for w in self._key))
+            if len(cycle) > 1
+        )
 
     def cycle_string(self) -> str:
         cycles = self.cycles()

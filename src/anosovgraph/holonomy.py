@@ -11,18 +11,16 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BoundExceeded, NotAnAutomorphism
-from .exactmat import RationalMatrix, coerce_matrix
 from .graphs import (
     CoherentPartition,
     Graph,
     VertexPermutation,
+    index_cycles,
     induced_component_permutation,
     is_graph_automorphism,
 )
-from .liealg import GraphLieAlgebra, extend_to_algebra
 
 DEFAULT_GROUP_ORDER_BOUND = 10_000
 
@@ -63,12 +61,6 @@ class HolonomyAction:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def orbit_of_component(self, index: int) -> OrbitData:
-        for orbit in self.orbits:
-            if index in orbit.members:
-                return orbit
-        raise IndexError(f"component index {index} out of range")
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,15 +181,6 @@ def build_action(
     return action_obj
 
 
-def permutation_matrix(graph: Graph, p: VertexPermutation) -> RationalMatrix:
-    """The matrix moving basis vector v to basis vector p(v), in vertex order."""
-    n = graph.num_vertices
-    rows = [[0] * n for _ in range(n)]
-    for v in graph.vertices:
-        rows[graph.index(p(v))][graph.index(v)] = 1
-    return RationalMatrix(rows)
-
-
 def restriction_to_component(
     part: CoherentPartition, p: VertexPermutation, comp_index: int
 ) -> tuple[int, ...]:
@@ -213,48 +196,9 @@ def restriction_to_component(
     return tuple(out)
 
 
-def index_cycles(perm: tuple[int, ...]) -> list[list[int]]:
-    """The cycles of a position permutation, each from its smallest index, in order of that index."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i)
-            i = perm[i]
-        cycles.append(cycle)
-    return cycles
-
-
 def cycle_type_on_component(
     part: CoherentPartition, p: VertexPermutation, comp_index: int
 ) -> tuple[int, ...]:
     """Multiset (sorted) of cycle lengths of p restricted to the component."""
     return tuple(sorted(len(c) for c in index_cycles(restriction_to_component(part, p, comp_index))))
 
-
-def realizability_eigenvalue_one(alg: GraphLieAlgebra, gen) -> tuple[bool, tuple | None]:
-    """Whether a cyclic holonomy generated by `gen` is the holonomy of some
-    almost-crystallographic lattice: the extended automorphism needs eigenvalue 1.
-
-    A graph automorphism always qualifies; the sum of all vertex basis vectors
-    is a fixed vector and is returned as the witness. A raw matrix on V is
-    accepted for diagnostics, in which case the eigenvalue-1 test runs exactly
-    on its extension to the whole algebra.
-    """
-    if isinstance(gen, VertexPermutation):
-        if not is_graph_automorphism(alg.graph, gen):
-            raise NotAnAutomorphism(f"{gen.cycle_string()} is not a graph automorphism")
-        witness = tuple([Fraction(1)] * alg.dim_v + [Fraction(0)] * alg.dim_w)
-        return True, witness
-    matrix = coerce_matrix(gen)
-    extended = extend_to_algebra(alg, matrix)
-    delta = extended - RationalMatrix.identity(alg.dimension)
-    kernel = delta.kernel_vector()
-    if kernel is None:
-        return False, None
-    return True, kernel

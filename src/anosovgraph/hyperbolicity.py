@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CancelToken
-from .exactmat import RationalMatrix
 from .polynomials import (
     IntPolynomial,
     count_real_roots_between,
@@ -41,14 +40,11 @@ def _check(cancel: CancelToken | None) -> None:
 
 
 def _int_rows(m) -> list[list[int]]:
-    if isinstance(m, RationalMatrix):
-        rows = [list(r) for r in m.int_rows()]
-    else:
-        rows = [[int(x) for x in row] for row in m]
-        for row, raw in zip(rows, m):
-            for a, b in zip(row, raw):
-                if a != b:
-                    raise ValueError("matrix entries must be integers")
+    rows = [[int(x) for x in row] for row in m]
+    for row, raw in zip(rows, m):
+        for a, b in zip(row, raw):
+            if a != b:
+                raise ValueError("matrix entries must be integers")
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
@@ -101,7 +97,7 @@ def _charpoly_dense(a: list[list[int]], cancel: CancelToken | None) -> IntPolyno
 
 
 def char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
-    """Monic characteristic polynomial of a square integer matrix, exactly.
+    """Monic characteristic polynomial of a square integer matrix given as rows, exactly.
 
     Splits the matrix along the connected components of its nonzero pattern
     first, so block-diagonal inputs cost only the sum of their blocks.
@@ -180,12 +176,6 @@ def unit_circle_analysis(p: IntPolynomial, cancel: CancelToken | None = None) ->
     else:
         detail = "no real roots of the substituted polynomial in (-2, 2)"
     return UnitCircleAnalysis(count > 0, "sturm", detail, False, False, g.degree, count)
-
-
-def unit_circle_root_exists(p: IntPolynomial, cancel: CancelToken | None = None) -> tuple[bool, str]:
-    """Exact decision whether p has a root of absolute value one, with evidence."""
-    analysis = unit_circle_analysis(p, cancel)
-    return analysis.exists, analysis.detail
 
 
 def exterior_square_poly(p: IntPolynomial, cancel: CancelToken | None = None) -> IntPolynomial:

@@ -3,7 +3,9 @@
 The algebra lives on V + W where V has the vertices as basis and W has one
 wedge per edge; the bracket of two adjacent vertices is their wedge and
 everything else vanishes. Degree-0 maps on V extend to the whole algebra by
-acting on wedges.
+acting on wedges. A `GraphLieAlgebra` holds only its two bases and the wedge
+index of each edge; brackets are never formed as coefficient vectors, the
+kernels below read them off the rows of a map.
 
 The kernels `extend_rows` and `brackets_preserved` work on plain rows (ints,
 or Fractions for rational maps); `extend_to_algebra` and
@@ -16,7 +18,6 @@ block polynomials alone (`extension_char_poly`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CancelToken, PreconditionViolation
 from .exactmat import RationalMatrix, coerce_matrix
@@ -26,10 +27,12 @@ from .polynomials import IntPolynomial
 
 
 class GraphLieAlgebra:
-    """Bases and bracket table of the algebra attached to a graph.
+    """Bases of the algebra attached to a graph, and the wedge index of each edge.
 
     The wedge basis is ordered like the graph's edge list, each wedge oriented
-    with the earlier vertex first; that convention fixes all bracket signs.
+    with the earlier vertex first; that convention fixes all bracket signs:
+    the bracket of vertices u and v is +-(the wedge of the edge uv), or zero
+    for a non-edge (`wedge_index`).
     """
 
     __slots__ = ("graph", "v_basis", "w_basis", "_w_index")
@@ -69,32 +72,6 @@ class GraphLieAlgebra:
         if idx is None:
             return None
         return (1 if iu < iv else -1, idx)
-
-    def bracket_table(self) -> dict[tuple[str, str], tuple[int, int]]:
-        """Map from ordered vertex pairs to (sign, wedge index); zero pairs omitted."""
-        table = {}
-        for idx, (u, v) in enumerate(self.w_basis):
-            table[(u, v)] = (1, idx)
-            table[(v, u)] = (-1, idx)
-        return table
-
-    def bracket(self, x, y) -> tuple[Fraction, ...]:
-        """Bracket of two coefficient vectors over the V+W basis."""
-        n, m = self.dim_v, self.dim_w
-        if len(x) != n + m or len(y) != n + m:
-            raise ValueError("vectors must have full algebra dimension")
-        out = [Fraction(0)] * (n + m)
-        for w_idx, (u, v) in enumerate(self.w_basis):
-            iu, iv = self.graph.index(u), self.graph.index(v)
-            coeff = x[iu] * y[iv] - x[iv] * y[iu]
-            if coeff:
-                out[n + w_idx] = Fraction(coeff)
-        return tuple(out)
-
-    def basis_vector(self, index: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.dimension
-        out[index] = Fraction(1)
-        return tuple(out)
 
     def to_json_dict(self) -> dict:
         return {

@@ -158,7 +158,12 @@ def orbit_verdict(action: HolonomyAction, orbit_index: int) -> OrbitVerdict:
 
 def decide(action: HolonomyAction) -> Decision:
     """Aggregate orbit verdicts: yes when all pass, no when any fails,
-    undecided when something is undecided and nothing fails."""
+    undecided when something is undecided and nothing fails.
+
+    Realizability is `guaranteed` exactly for cyclic holonomy (the all-ones
+    vertex vector is a fixed vector of any graph automorphism's extension),
+    and `unknown` otherwise.
+    """
     verdicts = tuple(orbit_verdict(action, i) for i in range(len(action.orbits)))
     if any(v.passed is False for v in verdicts):
         verdict = "no"

@@ -32,8 +32,8 @@ from .errors import (
     WitnessAssemblyError,
     WitnessRefused,
 )
-from .graphs import VertexPermutation
-from .holonomy import HolonomyAction, index_cycles, restriction_to_component
+from .graphs import VertexPermutation, index_cycles
+from .holonomy import HolonomyAction, restriction_to_component
 from .hyperbolicity import (
     CancelToken,
     HyperbolicityCertificate,
@@ -144,7 +144,7 @@ def commutes_with_perm(rows, perm: tuple[int, ...], signs: tuple[int, ...] | Non
     return True
 
 
-def seed_catalog(dim: int, c: int, stabilizer_perm: tuple[int, ...] | None = None,
+def seed_catalog(dim: int, stabilizer_perm: tuple[int, ...] | None = None,
                  entry_bound: int = DEFAULT_ENTRY_BOUND):
     """Ordered stream of candidate integer seed matrices for one orbit block.
 
@@ -213,7 +213,7 @@ def find_seed(
     raises with the bounds used; it never asserts nonexistence beyond them.
     """
     tried = 0
-    for rows in seed_catalog(dim, c, stabilizer_perm, entry_bound):
+    for rows in seed_catalog(dim, stabilizer_perm, entry_bound):
         if cancel is not None:
             cancel.check()
         tried += 1

@@ -36,19 +36,19 @@ from anosovgraph.graphs import (
     is_graph_automorphism,
     preserves_prec,
 )
-from anosovgraph.holonomy import build_action, permutation_matrix
+from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import (
     char_poly,
     exterior_square_char_poly,
     is_integer_like,
     unit_circle_analysis,
-    unit_circle_root_exists,
 )
 from anosovgraph.liealg import build_algebra, extend_to_algebra, is_algebra_automorphism
 from anosovgraph.polynomials import IntPolynomial, companion_rows, cyclotomic
 from anosovgraph.repdecomp import decide, trivial_holonomy_check
 from anosovgraph.witness import assemble_witness, build_witness
 from anosovgraph.errors import WitnessRefused
+from tests_support_oracles import permutation_matrix
 
 
 @contextmanager
@@ -224,7 +224,7 @@ def test_criterion_5_certification_against_numeric_oracle():
         for _ in range(1000):
             n = rng.randint(1, 5)
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            exact, _ = unit_circle_root_exists(char_poly(m))
+            exact = unit_circle_analysis(char_poly(m)).exists
             moduli = np.abs(np.linalg.eigvals(np.array(m, dtype=float)))
             margin = float(np.min(np.abs(moduli - 1.0)))
             if margin > 1e-6:
@@ -235,12 +235,12 @@ def test_criterion_5_certification_against_numeric_oracle():
                 assert margin < 1e-6
         assert confident > 500
 
-        assert unit_circle_root_exists(IntPolynomial((1, 1, 1)))[0]
-        assert unit_circle_root_exists(IntPolynomial((-1, 0, 1)))[0]
-        assert unit_circle_root_exists(cyclotomic(5))[0]
-        assert not unit_circle_root_exists(IntPolynomial((1, -3, 1)))[0]
+        assert unit_circle_analysis(IntPolynomial((1, 1, 1))).exists
+        assert unit_circle_analysis(IntPolynomial((-1, 0, 1))).exists
+        assert unit_circle_analysis(cyclotomic(5)).exists
+        assert not unit_circle_analysis(IntPolynomial((1, -3, 1))).exists
         cubic = IntPolynomial((1, -2, -1, 1))
-        assert not unit_circle_root_exists(cubic)[0]
+        assert not unit_circle_analysis(cubic).exists
         assert exterior_square_char_poly(companion_rows(cubic)) == IntPolynomial((-1, -1, 2, 1))
 
 

@@ -82,19 +82,12 @@ class TestRationalMatrix:
         # a zero pivot needs a row swap; rows with a zero in the pivot column still get rescaled
         m = [[0, 2, 1, 0], [3, 0, 0, 1], [0, 0, 5, 2], [1, 4, 0, 0]]
         assert RationalMatrix(m).det() == fraction_det([[Fraction(x) for x in r] for r in m]) == -14
-        # row 3 waits out step 0 (zero in column 0), then swaps places with row 1, which did not
+        # row 3 is zero in column 0, then becomes the pivot row of step 1 by a swap with row 1
         m = [[3, 0, 0, 2], [-1, 0, 3, 0], [3, 0, 0, 0], [0, 1, 0, 0]]
         assert RationalMatrix(m).det() == fraction_det([[Fraction(x) for x in r] for r in m]) == -18
         half = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]])
         assert half.det() == Fraction(1, 2) - Fraction(1, 15)
         assert RationalMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]).det() == 0
-
-    def test_kernel_vector(self):
-        m = RationalMatrix([[1, 2], [2, 4]])
-        vec = m.kernel_vector()
-        assert vec is not None
-        assert [sum(a * x for a, x in zip(row, vec)) for row in m.rows] == [0, 0]
-        assert RationalMatrix([[1, 0], [0, 1]]).kernel_vector() is None
 
     def test_int_rows_guard(self):
         with pytest.raises(ValueError):

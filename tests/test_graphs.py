@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -425,3 +426,45 @@ class TestVertexPermutation:
             for _ in range(order):
                 acc = acc * p
             assert acc.is_identity
+
+
+def label_walk_cycles(p):
+    """The walk `VertexPermutation.cycles` used to run: follow labels, rotate each cycle to its earliest."""
+    position = {v: i for i, v in enumerate(p.domain)}
+    seen, out = set(), []
+    for v in p.domain:
+        if v in seen:
+            continue
+        cycle = [v]
+        seen.add(v)
+        w = p(v)
+        while w != v:
+            cycle.append(w)
+            seen.add(w)
+            w = p(w)
+        if len(cycle) > 1:
+            start = min(range(len(cycle)), key=lambda i: position[cycle[i]])
+            out.append(tuple(cycle[start:] + cycle[:start]))
+    return tuple(out)
+
+
+@st.composite
+def vertex_permutations(draw):
+    # labels in an arbitrary domain order, so position order and label order differ
+    domain = draw(st.lists(st.text("abcxyz19", min_size=1, max_size=3), unique=True, max_size=12))
+    images = draw(st.permutations(domain))
+    return VertexPermutation(domain, dict(zip(domain, images)))
+
+
+class TestCycles:
+    @settings(max_examples=300, deadline=None)
+    @given(vertex_permutations())
+    def test_matches_label_walk(self, p):
+        expected = label_walk_cycles(p)
+        assert p.cycles() == expected
+        assert p.order() == lcm(1, *(len(c) for c in expected))
+
+    def test_each_cycle_starts_at_its_earliest_domain_element(self):
+        p = VertexPermutation(["d", "c", "b", "a"], {"d": "a", "a": "c", "c": "d", "b": "b"})
+        assert p.cycles() == (("d", "a", "c"),)
+        assert p.cycle_string() == "(d a c)" and p.order() == 3

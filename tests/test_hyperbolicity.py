@@ -23,7 +23,6 @@ from anosovgraph.hyperbolicity import (
     is_integer_like,
     tensor_poly,
     unit_circle_analysis,
-    unit_circle_root_exists,
 )
 from anosovgraph.polynomials import (
     IntPolynomial,
@@ -109,33 +108,35 @@ class TestIntegerLike:
 
 class TestUnitCircle:
     def test_primitive_cube_roots(self):
-        exists, detail = unit_circle_root_exists(P(1, 1, 1))
+        analysis = unit_circle_analysis(P(1, 1, 1))
+        exists, detail = analysis.exists, analysis.detail
         assert exists
         assert "(-2, 2)" in detail
 
     def test_cat_map_clear(self):
-        exists, _ = unit_circle_root_exists(P(1, -3, 1))
+        exists = unit_circle_analysis(P(1, -3, 1)).exists
         assert not exists
 
     def test_plus_minus_one(self):
-        exists, detail = unit_circle_root_exists(P(-1, 0, 1))
+        analysis = unit_circle_analysis(P(-1, 0, 1))
+        exists, detail = analysis.exists, analysis.detail
         assert exists and "root at" in detail
 
     def test_cyclotomic_five(self):
-        assert unit_circle_root_exists(cyclotomic(5))[0]
+        assert unit_circle_analysis(cyclotomic(5)).exists
 
     def test_cubic_clear(self):
-        assert not unit_circle_root_exists(CUBIC)[0]
+        assert not unit_circle_analysis(CUBIC).exists
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            unit_circle_root_exists(P(0))
+            unit_circle_analysis(P(0))
 
     def test_repeated_circle_roots(self):
-        assert unit_circle_root_exists(P(1, 1, 1) * P(1, 1, 1))[0]
+        assert unit_circle_analysis(P(1, 1, 1) * P(1, 1, 1)).exists
 
     def test_mixed_product(self):
-        assert unit_circle_root_exists(P(1, -3, 1) * cyclotomic(8))[0]
+        assert unit_circle_analysis(P(1, -3, 1) * cyclotomic(8)).exists
 
     def test_agrees_with_numeric_oracle(self):
         # 1000 random integer matrices; disagreement is only allowed inside
@@ -146,7 +147,7 @@ class TestUnitCircle:
             n = rng.randint(1, 5)
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             p = char_poly(m)
-            exact, _ = unit_circle_root_exists(p)
+            exact = unit_circle_analysis(p).exists
             moduli = np.abs(np.linalg.eigvals(np.array(m, dtype=float)))
             margin = float(np.min(np.abs(moduli - 1.0)))
             if margin > 1e-6:
@@ -352,7 +353,7 @@ class TestCHyperbolic:
             is_c_hyperbolic(CAT_MAP, 3)
 
     def test_accepts_rational_matrix(self):
-        cert = is_c_hyperbolic(RationalMatrix(CAT_MAP), 1)
+        cert = is_c_hyperbolic(RationalMatrix(CAT_MAP).int_rows(), 1)
         assert cert.valid
 
     def test_json_serializable(self):

@@ -27,7 +27,7 @@ from anosovgraph.graphs import (
     complete_bipartite,
     path_graph,
 )
-from anosovgraph.holonomy import build_action, permutation_matrix
+from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import char_poly
 from anosovgraph.liealg import (
     brackets_preserved,
@@ -46,6 +46,7 @@ from anosovgraph.witness import (
     plan_blocks,
 )
 from tests_support_guard import make_instances
+from tests_support_oracles import bracket, permutation_matrix
 
 MAX_ORACLE_DIM = 48
 MAX_PRODUCT_DIM = 30  # dense Fraction products are the slow oracle
@@ -63,15 +64,14 @@ def all_pairs_bracket_check(alg, m):
     if m.det() == 0:
         return False
     cols = [tuple(m[i, j] for i in range(dim)) for j in range(dim)]
-    table = alg.bracket_table()
     n = alg.dim_v
     zero = tuple(Fraction(0) for _ in range(dim))
     for x in range(dim):
         for y in range(x + 1, dim):
-            lhs = alg.bracket(cols[x], cols[y])
+            lhs = bracket(alg, cols[x], cols[y])
             rhs = zero
             if x < n and y < n:
-                entry = table.get((alg.v_basis[x], alg.v_basis[y]))
+                entry = alg.wedge_index(alg.v_basis[x], alg.v_basis[y])
                 if entry is not None:
                     sign, idx = entry
                     rhs = tuple(sign * c for c in cols[n + idx])
@@ -113,7 +113,7 @@ def candidate_matrix(rng, alg, kind):
     if kind == "dense":
         return [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(dim)]
     rational = kind == "rational" or (kind == "perturbed" and rng.random() < 0.5)
-    rows = extend_to_algebra(alg, random_block_map(rng, alg.graph, rational)).to_lists()
+    rows = [list(row) for row in extend_to_algebra(alg, random_block_map(rng, alg.graph, rational)).rows]
     if kind == "central-shear":
         # W is central, so adding W-parts to vertex images keeps an automorphism
         for _ in range(rng.randint(1, 3)):
@@ -210,7 +210,7 @@ class TestSignedPermutationCommutation:
         full = RationalMatrix(witness.full_matrix)
         assert commutes_with_perm(full.int_rows(), sigma, signs)
         assert full * ext == ext * full
-        bad = full.to_lists()
+        bad = [list(row) for row in full.rows]
         bad[0][1] += 1
         bad = RationalMatrix(bad)
         assert not commutes_with_perm(bad.int_rows(), sigma, signs)
@@ -373,7 +373,7 @@ class TestStructuralCharPoly:
                 for b, ib in enumerate(idx):
                     g_v[ia][ib] = block[a][b]
             polys.append(char_poly(block))
-        assert extension_char_poly(part, polys) == char_poly(extend_to_algebra(alg, g_v))
+        assert extension_char_poly(part, polys) == char_poly(extend_to_algebra(alg, g_v).int_rows())
 
     @settings(SETTINGS, max_examples=30)
     @given(instances())
