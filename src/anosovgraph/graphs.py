@@ -8,6 +8,7 @@ discrete subgraphs and carry a quotient graph with loops at complete classes.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import re
@@ -206,18 +207,38 @@ def index_cycles(perm: tuple[int, ...]) -> list[list[int]]:
 
 
 class VertexPermutation:
-    """A bijection on a fixed vertex domain, with canonical cycle form."""
+    """A bijection on a fixed vertex domain, with canonical cycle form.
 
-    __slots__ = ("domain", "_map", "_key")
+    Stored on positions: ``_images[i]`` is the domain position of the image of
+    ``domain[i]``, and ``_index`` maps each label to its position. A product or
+    inverse shares its operand's domain and index and is built from positions,
+    so only a mapping that comes from outside is validated. Labels appear only
+    at the edges: `__call__`, `image_of`, `cycles` and the sort order, which
+    compares the image labels in domain order.
+    """
+
+    __slots__ = ("domain", "_index", "_images")
 
     def __init__(self, domain, mapping):
         domain = tuple(domain)
+        index = {v: i for i, v in enumerate(domain)}
+        if len(index) != len(domain):
+            raise PermutationError("domain lists a vertex twice")
         mapping = dict(mapping)
-        if set(mapping) != set(domain) or set(mapping.values()) != set(domain):
+        if mapping.keys() != index.keys() or set(mapping.values()) != index.keys():
             raise PermutationError("mapping is not a bijection on the domain")
+        self._set(domain, index, tuple(index[mapping[v]] for v in domain))
+
+    def _set(self, domain, index, images) -> None:
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_map", mapping)
-        object.__setattr__(self, "_key", tuple(mapping[v] for v in domain))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_images", images)
+
+    def _with_images(self, images: tuple[int, ...]) -> "VertexPermutation":
+        """A permutation on this domain from image positions known to form a bijection."""
+        p = object.__new__(VertexPermutation)
+        p._set(self.domain, self._index, images)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexPermutation is immutable")
@@ -254,7 +275,7 @@ class VertexPermutation:
 
     def __call__(self, v: str) -> str:
         try:
-            return self._map[v]
+            return self.domain[self._images[self._index[v]]]
         except KeyError:
             raise PermutationError(f"{v!r} is not in the permutation domain") from None
 
@@ -262,22 +283,24 @@ class VertexPermutation:
         """Composition: (p * q)(x) = p(q(x))."""
         if self.domain != other.domain:
             raise PermutationError("permutations have different domains")
-        return VertexPermutation(self.domain, {v: self._map[other._map[v]] for v in self.domain})
+        return self._with_images(tuple(map(self._images.__getitem__, other._images)))
 
     def inverse(self) -> "VertexPermutation":
-        return VertexPermutation(self.domain, {w: v for v, w in self._map.items()})
+        inverse = [0] * len(self._images)
+        for i, j in enumerate(self._images):
+            inverse[j] = i
+        return self._with_images(tuple(inverse))
 
     @property
     def is_identity(self) -> bool:
-        return all(v == w for v, w in self._map.items())
+        return all(i == j for i, j in enumerate(self._images))
 
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         """Disjoint cycles, fixed points omitted; each cycle starts at its earliest
         domain element and cycles are ordered by that element."""
-        position = {v: i for i, v in enumerate(self.domain)}
         return tuple(
             tuple(self.domain[i] for i in cycle)
-            for cycle in index_cycles(tuple(position[w] for w in self._key))
+            for cycle in index_cycles(self._images)
             if len(cycle) > 1
         )
 
@@ -288,26 +311,27 @@ class VertexPermutation:
         return "".join("(" + " ".join(c) + ")" for c in cycles)
 
     def order(self) -> int:
-        result = 1
-        for c in self.cycles():
-            result = lcm(result, len(c))
-        return result
+        return lcm(1, *(len(c) for c in index_cycles(self._images)))
+
+    def image_labels(self) -> tuple[str, ...]:
+        """The image of each domain element, in domain order: the canonical sort key."""
+        return tuple(map(self.domain.__getitem__, self._images))
 
     def image_of(self, vertex_set) -> frozenset:
-        return frozenset(self._map[v] for v in vertex_set)
+        return frozenset(map(self, vertex_set))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VertexPermutation)
+            and self._images == other._images
             and self.domain == other.domain
-            and self._key == other._key
         )
 
     def __hash__(self) -> int:
-        return hash((self.domain, self._key))
+        return hash(self._images)
 
     def __lt__(self, other: "VertexPermutation") -> bool:
-        return self._key < other._key
+        return self.image_labels() < other.image_labels()
 
     def __repr__(self) -> str:
         return f"VertexPermutation({self.cycle_string()})"
@@ -347,13 +371,28 @@ class CoherentPartition:
 
     Components are enumerated topologically: if component i precedes component
     j in the induced order, then i <= j. Ties keep first-appearance order.
+    ``_member_positions[i]`` holds the graph positions of component i's
+    vertices and ``_component_of[r]`` the component of the vertex at position
+    r (None if no component lists it); `induced_component_permutation` reads
+    both.
     """
 
-    __slots__ = ("graph", "components", "kinds", "order_pairs", "quotient_edges")
+    __slots__ = (
+        "graph", "components", "kinds", "order_pairs", "quotient_edges",
+        "_member_positions", "_component_of",
+    )
 
     def __init__(self, graph, components, kinds, order_pairs, quotient_edges):
+        components = tuple(tuple(c) for c in components)
+        member_positions = tuple(tuple(graph.index(v) for v in comp) for comp in components)
+        component_of = [None] * graph.num_vertices
+        for i, positions in enumerate(member_positions):
+            for r in positions:
+                component_of[r] = i
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "components", tuple(tuple(c) for c in components))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_member_positions", member_positions)
+        object.__setattr__(self, "_component_of", tuple(component_of))
         object.__setattr__(self, "kinds", tuple(kinds))
         object.__setattr__(self, "order_pairs", frozenset(order_pairs))
         object.__setattr__(self, "quotient_edges", tuple(sorted(tuple(sorted(e)) for e in quotient_edges)))
@@ -393,45 +432,60 @@ class CoherentPartition:
 
 
 def coherent_components(graph: Graph) -> CoherentPartition:
-    """Partition by mutual neighborhood containment, with order and quotient graph."""
+    """Partition by mutual neighborhood containment, with order and quotient graph.
+
+    Mutual precedence of a != b means equal open neighborhoods (non-adjacent
+    twins) or equal closed ones (adjacent twins), so the classes are found by
+    hashing neighborhoods, and only class representatives are compared for
+    the order. The enumeration is topological, ties broken by first
+    appearance; see `CoherentPartition`.
+    """
     verts = graph.vertices
     open_n = {v: graph.open_neighborhood(v) for v in verts}
     closed_n = {v: open_n[v] | {v} for v in verts}
+    open_twins: dict[frozenset, list[str]] = {}
+    closed_twins: dict[frozenset, list[str]] = {}
+    for v in verts:
+        open_twins.setdefault(open_n[v], []).append(v)
+        closed_twins.setdefault(closed_n[v], []).append(v)
 
-    prec_pairs = {
-        (a, b) for a in verts for b in verts if open_n[a] <= closed_n[b]
-    }
-
-    # Equivalence classes in first-appearance order.
+    # Equivalence classes in first-appearance order; a class of two or more
+    # is all open twins or all closed twins, never a mix.
     raw_components: list[list[str]] = []
-    assigned: dict[str, int] = {}
+    assigned: set[str] = set()
     for v in verts:
         if v in assigned:
             continue
-        comp = [v]
-        assigned[v] = len(raw_components)
-        for w in verts:
-            if w not in assigned and (v, w) in prec_pairs and (w, v) in prec_pairs:
-                assigned[w] = len(raw_components)
-                comp.append(w)
+        comp = open_twins[open_n[v]]
+        if len(comp) == 1:
+            comp = closed_twins[closed_n[v]]
+        assigned.update(comp)
         raw_components.append(comp)
 
     # Induced strict order between classes, via representatives.
-    k = len(raw_components)
-    strict = set()
-    for i in range(k):
-        for j in range(k):
-            if i != j and (raw_components[i][0], raw_components[j][0]) in prec_pairs:
-                strict.add((i, j))
+    reps = [comp[0] for comp in raw_components]
+    k = len(reps)
+    strict = {
+        (i, j) for i in range(k) for j in range(k) if i != j and open_n[reps[i]] <= closed_n[reps[j]]
+    }
 
-    # Topological enumeration, ties broken by original index.
-    remaining = set(range(k))
+    # Topological enumeration, ties broken by original index: Kahn's algorithm
+    # with a min-heap, so each step takes the smallest index with no remaining
+    # predecessor.
+    successors: list[list[int]] = [[] for _ in range(k)]
+    indegree = [0] * k
+    for i, j in strict:
+        successors[i].append(j)
+        indegree[j] += 1
+    ready = [i for i in range(k) if indegree[i] == 0]
     order: list[int] = []
-    while remaining:
-        ready = [i for i in remaining if not any((j, i) in strict for j in remaining if j != i)]
-        nxt = min(ready)
-        order.append(nxt)
-        remaining.remove(nxt)
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in successors[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
     relabel = {old: new for new, old in enumerate(order)}
 
     components = [tuple(raw_components[old]) for old in order]
@@ -446,11 +500,13 @@ def coherent_components(graph: Graph) -> CoherentPartition:
         else:
             kinds.append("discrete")
 
-    quotient_edges = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            if graph.has_edge(components[i][0], components[j][0]):
-                quotient_edges.add((i, j))
+    # Two classes are joined by every edge between them or by none.
+    component_of = {v: i for i, comp in enumerate(components) for v in comp}
+    quotient_edges = {
+        tuple(sorted((component_of[u], component_of[v])))
+        for u, v in graph.edges
+        if component_of[u] != component_of[v]
+    }
 
     return CoherentPartition(graph, components, kinds, order_pairs, quotient_edges)
 
@@ -460,7 +516,7 @@ def coherent_components(graph: Graph) -> CoherentPartition:
 
 
 def _check_domain(graph: Graph, p: VertexPermutation) -> None:
-    if set(p.domain) != set(graph.vertices):
+    if p.domain != graph.vertices and set(p.domain) != set(graph.vertices):
         raise PermutationError("permutation domain does not match the graph's vertices")
 
 
@@ -484,15 +540,28 @@ def preserves_prec(graph: Graph, p: VertexPermutation) -> bool:
 
 
 def induced_component_permutation(part: CoherentPartition, p: VertexPermutation) -> tuple[int, ...]:
-    """The permutation of component indices induced by a precedence-preserving p."""
-    _check_domain(part.graph, p)
-    comp_sets = [frozenset(c) for c in part.components]
-    lookup = {s: i for i, s in enumerate(comp_sets)}
+    """The permutation of component indices induced by a precedence-preserving p.
+
+    Works on graph positions: component i goes to the component j of its first
+    vertex's image, and every other member must land in j too, with equal
+    sizes, so that (p being a bijection) p maps component i onto component j.
+    """
+    graph = part.graph
+    if p.domain == graph.vertices:
+        images = p._images
+    else:
+        _check_domain(graph, p)
+        images = tuple(graph.index(p(v)) for v in graph.vertices)
+    component_of = part._component_of
+    members = part._member_positions
     result = []
-    for i, comp in enumerate(comp_sets):
-        image = p.image_of(comp)
-        j = lookup.get(image)
-        if j is None:
+    for i, positions in enumerate(members):
+        j = component_of[images[positions[0]]]
+        if (
+            j is None
+            or len(members[j]) != len(positions)
+            or any(component_of[images[r]] != j for r in positions)
+        ):
             raise PreconditionViolation(
                 f"permutation does not map component {i + 1} onto a component"
             )

@@ -6,6 +6,13 @@ components through the induced index permutations. Each orbit carries a
 representative, its stabilizer (with a cyclic generator when one exists), and
 the constant c recording whether the orbit spans any quotient-graph edge or
 loop.
+
+Everything here runs on vertex positions: products in the closure compose
+position tuples, and each element's component permutation comes from the
+partition's position table. Each element's component permutation and order
+are computed once per `build_action` and shared by the orbit, stabilizer
+and cyclicity scans. Labels enter only the canonical sort order of the
+group and the reported cycle strings.
 """
 
 from __future__ import annotations
@@ -86,7 +93,12 @@ class HolonomyAction:
 def close_group(
     generators, domain, order_bound: int = DEFAULT_GROUP_ORDER_BOUND
 ) -> tuple[VertexPermutation, ...]:
-    """Multiplicative closure of the generators, in canonical sorted order."""
+    """Multiplicative closure of the generators, in canonical sorted order.
+
+    The order compares image labels (`VertexPermutation.image_labels`), not
+    positions: the reported stabilizer generator and the witness's conjugators
+    are the first fitting elements in it.
+    """
     identity = VertexPermutation.identity(domain)
     elements = {identity}
     frontier = [identity]
@@ -105,7 +117,7 @@ def close_group(
                             bound=order_bound,
                         )
         frontier = new_frontier
-    return tuple(sorted(elements))
+    return tuple(sorted(elements, key=VertexPermutation.image_labels))
 
 
 def _orbit_c_value(part: CoherentPartition, members: tuple[int, ...]) -> int:
@@ -118,14 +130,15 @@ def _orbit_c_value(part: CoherentPartition, members: tuple[int, ...]) -> int:
     return 1
 
 
-def _cyclic_generator(elements) -> VertexPermutation | None:
+def _cyclic_generator(elements, orders) -> VertexPermutation | None:
     """The first element whose order is the group's, or None when the group is not cyclic."""
-    return next((h for h in elements if h.order() == len(elements)), None)
+    return next((h for h, n in zip(elements, orders) if n == len(elements)), None)
 
 
-def _stabilizer_info(elements, action, rep: int) -> StabilizerInfo:
-    stab = tuple(h for h in elements if action[h][rep] == rep)
-    generator = _cyclic_generator(stab)
+def _stabilizer_info(elements, component_perms, orders, rep: int) -> StabilizerInfo:
+    kept = [t for t, perm in enumerate(component_perms) if perm[rep] == rep]
+    stab = tuple(elements[t] for t in kept)
+    generator = _cyclic_generator(stab, [orders[t] for t in kept])
     return StabilizerInfo(elements=stab, cyclic=generator is not None, generator=generator)
 
 
@@ -141,14 +154,16 @@ def build_action(
     representative. The stabilizer of the representative is scanned for a
     single generator; when none exists it is flagged non-cyclic and downstream
     verdicts come out undecided instead of guessed. The whole group is
-    scanned once the same way for `is_cyclic`.
+    scanned once the same way for `is_cyclic`. Each element's component
+    permutation and order are computed once and shared by all the scans.
     """
     generators = tuple(generators)
     for g in generators:
         if not is_graph_automorphism(graph, g):
             raise NotAnAutomorphism(f"{g.cycle_string()} is not an automorphism of the graph")
     elements = close_group(generators, graph.vertices, order_bound)
-    action = {h: induced_component_permutation(part, h) for h in elements}
+    component_perms = [induced_component_permutation(part, h) for h in elements]
+    orders = [h.order() for h in elements]
 
     k = part.num_components
     seen = set()
@@ -156,13 +171,13 @@ def build_action(
     for start in range(k):
         if start in seen:
             continue
-        members = sorted({action[h][start] for h in elements})
+        members = sorted({perm[start] for perm in component_perms})
         seen.update(members)
         orbit = OrbitData(
             rep=start,
             members=tuple(members),
             c=_orbit_c_value(part, tuple(members)),
-            stabilizer=_stabilizer_info(elements, action, start),
+            stabilizer=_stabilizer_info(elements, component_perms, orders, start),
         )
         orbits.append(orbit)
 
@@ -171,9 +186,9 @@ def build_action(
         partition=part,
         generators=generators,
         elements=elements,
-        component_action=action,
+        component_action=dict(zip(elements, component_perms)),
         orbits=tuple(orbits),
-        is_cyclic=_cyclic_generator(elements) is not None,
+        is_cyclic=_cyclic_generator(elements, orders) is not None,
     )
     for orbit in action_obj.orbits:
         if orbit.stabilizer.order * len(orbit.members) != action_obj.order:

@@ -20,6 +20,7 @@ are s_k(p) s_k(q).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import CancelToken
@@ -40,6 +41,8 @@ def _check(cancel: CancelToken | None) -> None:
 
 
 def _int_rows(m) -> list[list[int]]:
+    if not isinstance(m, Sequence) or not all(isinstance(row, Sequence) for row in m):
+        raise ValueError("matrix must be a sequence of rows")
     rows = [[int(x) for x in row] for row in m]
     for row, raw in zip(rows, m):
         for a, b in zip(row, raw):
@@ -100,7 +103,8 @@ def char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
     """Monic characteristic polynomial of a square integer matrix given as rows, exactly.
 
     Splits the matrix along the connected components of its nonzero pattern
-    first, so block-diagonal inputs cost only the sum of their blocks.
+    first, so block-diagonal inputs cost only the sum of their blocks. Raises
+    ValueError unless m is a non-empty square sequence of integer rows.
     """
     rows = _int_rows(m)
     if not rows:

@@ -35,6 +35,7 @@ from anosovgraph.fixtures import (
     loop_end_chain,
     pentagon,
 )
+from tests_support_oracles import DictPermutation
 
 
 def random_graph(rng, max_vertices=8):
@@ -51,6 +52,21 @@ def graphs(draw, max_vertices=6):
     pairs = list(itertools.combinations(labels, 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(labels, [p for p, keep in zip(pairs, mask) if keep])
+
+
+@st.composite
+def blowups(draw, max_base=10):
+    """A random base graph with each node blown up to a complete or discrete class of 1-3
+    vertices, listed in shuffled order: many coherent components, related in many ways."""
+    k = draw(st.integers(min_value=1, max_value=max_base))
+    base = [pair for pair in itertools.combinations(range(k), 2) if draw(st.booleans())]
+    classes = [[f"v{i}_{t}" for t in range(draw(st.integers(1, 3)))] for i in range(k)]
+    edges = [(u, v) for i, j in base for u in classes[i] for v in classes[j]]
+    for cls in classes:
+        if draw(st.booleans()):
+            edges.extend(itertools.combinations(cls, 2))
+    vertices = draw(st.permutations([v for cls in classes for v in cls]))
+    return Graph(vertices, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +272,48 @@ class TestCoherentComponents:
         for i, j in part.order_pairs:
             assert i <= j
 
+    @given(st.one_of(graphs(max_vertices=8), blowups()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_smallest_ready_index_loop(self, g):
+        part = coherent_components(g)
+        components, order_pairs, quotient_edges = smallest_ready_index_components(g)
+        assert part.components == components
+        assert part.order_pairs == order_pairs
+        assert part.quotient_edges == quotient_edges
+
+
+def smallest_ready_index_components(graph):
+    """`coherent_components` as it was: classes, then an O(k^3) topological loop that
+    repeatedly takes the smallest index with no remaining predecessor."""
+    verts = graph.vertices
+    open_n = {v: graph.open_neighborhood(v) for v in verts}
+    closed_n = {v: open_n[v] | {v} for v in verts}
+    prec_pairs = {(a, b) for a in verts for b in verts if open_n[a] <= closed_n[b]}
+    raw, assigned = [], set()
+    for v in verts:
+        if v in assigned:
+            continue
+        comp = [v] + [
+            w for w in verts
+            if w not in assigned and w != v and (v, w) in prec_pairs and (w, v) in prec_pairs
+        ]
+        assigned.update(comp)
+        raw.append(comp)
+    k = len(raw)
+    strict = {(i, j) for i in range(k) for j in range(k) if i != j and (raw[i][0], raw[j][0]) in prec_pairs}
+    remaining, order = set(range(k)), []
+    while remaining:
+        ready = [i for i in remaining if not any((j, i) in strict for j in remaining if j != i)]
+        order.append(min(ready))
+        remaining.remove(order[-1])
+    relabel = {old: new for new, old in enumerate(order)}
+    components = tuple(tuple(raw[old]) for old in order)
+    quotient_edges = tuple(
+        (i, j) for i in range(k) for j in range(i + 1, k)
+        if graph.has_edge(components[i][0], components[j][0])
+    )
+    return components, {(relabel[i], relabel[j]) for i, j in strict}, quotient_edges
+
 
 # ---------------------------------------------------------------------------
 # Automorphisms and precedence preservation
@@ -357,6 +415,16 @@ class TestInducedComponentPermutation:
         with pytest.raises((PreconditionViolation, PermutationError)):
             induced_component_permutation(part, VertexPermutation.identity(g.vertices))
 
+    def test_split_component_rejected(self):
+        # (a1 c1) sends component 1 = {a1, a2} to {c1, a2}: the first member
+        # lands in a component of the same size, the second does not
+        g = loop_end_chain()
+        part = coherent_components(g)
+        for domain in (g.vertices, g.vertices[::-1]):
+            p = VertexPermutation.from_cycles("(a1 c1)", domain)
+            with pytest.raises(PreconditionViolation, match="component 1 "):
+                induced_component_permutation(part, p)
+
 
 class TestComponentOrderGroup:
     def test_loop_end_chain_trivial(self):
@@ -454,6 +522,69 @@ def vertex_permutations(draw):
     domain = draw(st.lists(st.text("abcxyz19", min_size=1, max_size=3), unique=True, max_size=12))
     images = draw(st.permutations(domain))
     return VertexPermutation(domain, dict(zip(domain, images)))
+
+
+@st.composite
+def domains(draw):
+    # labels such as v10 listed before v9, so string order, input order and
+    # numeric order all differ; or short arbitrary labels
+    numbered = st.lists(st.integers(1, 20), unique=True, max_size=12).map(lambda ns: [f"v{i}" for i in ns])
+    return draw(st.one_of(numbered, st.lists(st.text("abcxyz19", min_size=1, max_size=3), unique=True, max_size=12)))
+
+
+@st.composite
+def permutation_pairs(draw):
+    domain = draw(domains())
+    p = dict(zip(domain, draw(st.permutations(domain))))
+    q = dict(zip(domain, draw(st.permutations(domain))))
+    subset = draw(st.lists(st.sampled_from(domain), unique=True)) if domain else []
+    return domain, p, q, subset
+
+
+class TestMatchesDictPermutation:
+    """The position-based class against the label-dict one it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(permutation_pairs())
+    def test_operations(self, case):
+        domain, p_map, q_map, subset = case
+        p, q = VertexPermutation(domain, p_map), VertexPermutation(domain, q_map)
+        dp, dq = DictPermutation(domain, p_map), DictPermutation(domain, q_map)
+        pairs = [
+            (p, dp), (q, dq), (p * q, dp * dq), (q * p, dq * dp),
+            (p.inverse(), dp.inverse()), (p * p.inverse(), dp * dp.inverse()),
+        ]
+        for new, old in pairs:
+            assert [new(v) for v in domain] == [old(v) for v in domain]
+            assert new.cycles() == old.cycles()
+            assert new.cycle_string() == old.cycle_string()
+            assert new.order() == old.order()
+            assert new.is_identity == old.is_identity
+            assert new.image_of(subset) == old.image_of(subset)
+        assert (p == q) == (dp == dq)
+        assert (p < q) == (dp < dq) and (q < p) == (dq < dp)
+        ranked_new = [h.cycle_string() for h in sorted(new for new, _ in pairs)]
+        ranked_old = [h.cycle_string() for h in sorted(old for _, old in pairs)]
+        assert ranked_new == ranked_old
+        assert hash(p * p.inverse()) == hash(VertexPermutation.identity(domain))
+        # the same mapping on the domain listed in another order is another permutation
+        other = domain[::-1]
+        assert (VertexPermutation(other, p_map) == p) == (DictPermutation(other, p_map) == dp)
+
+    def test_products_keep_domain_check(self):
+        p = VertexPermutation.identity(["a", "b"])
+        with pytest.raises(PermutationError):
+            p * VertexPermutation.identity(["b", "a"])
+
+    def test_outside_mappings_are_validated(self):
+        with pytest.raises(PermutationError):
+            VertexPermutation(["a", "b"], {"a": "a", "b": "a"})
+        with pytest.raises(PermutationError):
+            VertexPermutation(["a", "b"], {"a": "b", "b": "c"})
+        with pytest.raises(PermutationError):
+            VertexPermutation(["a", "a"], {"a": "a"})
+        with pytest.raises(PermutationError):
+            VertexPermutation.identity(["a"])("z")
 
 
 class TestCycles:

@@ -77,6 +77,10 @@ class TestCharPoly:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             char_poly([[1, 2, 3], [4, 5, 6]])
+        # not a sequence of rows
+        for m in (5, [1, 2], [[1, 2], 3]):
+            with pytest.raises(ValueError, match="matrix"):
+                char_poly(m)
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
-"""Dense oracles for the tests: permutation matrices and the bracket of coefficient vectors."""
+"""Dense and dict-based oracles for the tests: permutation matrices, the bracket of
+coefficient vectors, and the label-dict vertex permutation with its closure and
+component action, as `graphs` and `holonomy` computed them before positions."""
+
+from math import lcm
 
 from anosovgraph.exactmat import RationalMatrix
 
@@ -20,3 +24,132 @@ def bracket(alg, x, y):
         iu, iv = alg.graph.index(u), alg.graph.index(v)
         out[n + k] = x[iu] * y[iv] - x[iv] * y[iu]
     return tuple(out)
+
+
+class DictPermutation:
+    """A vertex permutation kept as a label -> label dict; every product re-validates it."""
+
+    def __init__(self, domain, mapping):
+        domain = tuple(domain)
+        mapping = dict(mapping)
+        if set(mapping) != set(domain) or set(mapping.values()) != set(domain):
+            raise ValueError("mapping is not a bijection on the domain")
+        self.domain = domain
+        self.map = mapping
+        self.key = tuple(mapping[v] for v in domain)
+
+    @classmethod
+    def identity(cls, domain):
+        return cls(domain, {v: v for v in domain})
+
+    def __call__(self, v):
+        return self.map[v]
+
+    def __mul__(self, other):
+        if self.domain != other.domain:
+            raise ValueError("permutations have different domains")
+        return DictPermutation(self.domain, {v: self.map[other.map[v]] for v in self.domain})
+
+    def inverse(self):
+        return DictPermutation(self.domain, {w: v for v, w in self.map.items()})
+
+    @property
+    def is_identity(self):
+        return all(v == w for v, w in self.map.items())
+
+    def cycles(self):
+        """Follow labels; rotate each cycle to its earliest domain element."""
+        position = {v: i for i, v in enumerate(self.domain)}
+        seen, out = set(), []
+        for v in self.domain:
+            if v in seen:
+                continue
+            cycle = [v]
+            seen.add(v)
+            w = self.map[v]
+            while w != v:
+                cycle.append(w)
+                seen.add(w)
+                w = self.map[w]
+            if len(cycle) > 1:
+                start = min(range(len(cycle)), key=lambda i: position[cycle[i]])
+                out.append(tuple(cycle[start:] + cycle[:start]))
+        return tuple(out)
+
+    def cycle_string(self):
+        cycles = self.cycles()
+        return "".join("(" + " ".join(c) + ")" for c in cycles) if cycles else "()"
+
+    def order(self):
+        return lcm(1, *(len(c) for c in self.cycles()))
+
+    def image_of(self, vertex_set):
+        return frozenset(self.map[v] for v in vertex_set)
+
+    def __eq__(self, other):
+        return isinstance(other, DictPermutation) and self.domain == other.domain and self.key == other.key
+
+    def __hash__(self):
+        return hash((self.domain, self.key))
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+
+def dict_close_group(generators, domain):
+    """Breadth-first closure of DictPermutations, sorted by image labels."""
+    identity = DictPermutation.identity(domain)
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        new_frontier = []
+        for g in generators:
+            for h in frontier:
+                prod = g * h
+                if prod not in elements:
+                    elements.add(prod)
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return tuple(sorted(elements))
+
+
+def dict_component_permutation(part, p):
+    """Component i goes to the component equal to p's image of it, found by frozenset lookup."""
+    lookup = {frozenset(c): i for i, c in enumerate(part.components)}
+    return tuple(lookup[p.image_of(c)] for c in part.components)
+
+
+def dict_action_json(part, generators):
+    """`HolonomyAction.to_json_dict()` as the dict-based closure and scans computed it."""
+    elements = dict_close_group(generators, part.graph.vertices)
+    action = {h: dict_component_permutation(part, h) for h in elements}
+
+    def cyclic_generator(group):
+        return next((h for h in group if h.order() == len(group)), None)
+
+    orbits, seen = [], set()
+    for start in range(part.num_components):
+        if start in seen:
+            continue
+        members = sorted({action[h][start] for h in elements})
+        seen.update(members)
+        stab = [h for h in elements if action[h][start] == start]
+        generator = cyclic_generator(stab)
+        spans = any(part.loops[i] for i in members) or any(
+            i in members and j in members for i, j in part.quotient_edges
+        )
+        orbits.append(
+            {
+                "rep": start + 1,
+                "members": [i + 1 for i in members],
+                "c": 2 if spans else 1,
+                "stabilizer_order": len(stab),
+                "stabilizer_cyclic": generator is not None,
+                "stabilizer_generator": generator.cycle_string() if generator else None,
+            }
+        )
+    return {
+        "generators": [g.cycle_string() for g in generators],
+        "order": len(elements),
+        "cyclic": cyclic_generator(elements) is not None,
+        "orbits": orbits,
+    }
