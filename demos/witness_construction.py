@@ -45,7 +45,7 @@ action = build_action(inst.graph, coherent_components(inst.graph), inst.generato
 w = build_witness(action)
 size = len(w.full_matrix)  # integer rows on V+W
 print(f"chain family m=2: witness is {size}x{size}")
-print("block exponents:", [p.exponent for p in w.plan.orbit_plans])
+print("block exponents:", [p.exponent for p in w.plan])
 print("constant term of the full char poly:", w.full_char_poly.constant)
 print()
 

@@ -42,7 +42,6 @@ from .graphs import (
     discrete_graph,
     induced_component_permutation,
     is_graph_automorphism,
-    neighborhoods,
     parse_graph,
     parse_holonomy_generators,
     path_graph,
@@ -58,7 +57,6 @@ from .hyperbolicity import (
     is_integer_like,
 )
 from .liealg import (
-    AlgebraicNumber,
     GraphLieAlgebra,
     build_algebra,
     extend_to_algebra,
@@ -76,7 +74,6 @@ from .repdecomp import (
     trivial_holonomy_check,
 )
 from .witness import (
-    BlockPlan,
     Witness,
     assemble_witness,
     build_witness,
@@ -88,9 +85,7 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicNumber",
     "AnalysisReport",
-    "BlockPlan",
     "BoundExceeded",
     "CancelToken",
     "CoherentPartition",
@@ -144,7 +139,6 @@ __all__ = [
     "is_c_hyperbolic",
     "is_graph_automorphism",
     "is_integer_like",
-    "neighborhoods",
     "orbit_verdict",
     "parse_graph",
     "parse_holonomy_generators",

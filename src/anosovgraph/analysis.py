@@ -24,7 +24,6 @@ from .liealg import build_algebra
 from .repdecomp import Decision, decide
 from .witness import (
     DEFAULT_ENTRY_BOUND,
-    DEFAULT_MAX_RETRIES,
     DEFAULT_SEARCH_CAP,
     Witness,
     build_witness,
@@ -128,7 +127,6 @@ def analyze(
     order_bound: int = DEFAULT_GROUP_ORDER_BOUND,
     entry_bound: int = DEFAULT_ENTRY_BOUND,
     search_cap: int = DEFAULT_SEARCH_CAP,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     cancel: CancelToken | None = None,
 ) -> AnalysisReport:
     """Run the full pipeline: components, holonomy action, decision, witness."""
@@ -162,7 +160,6 @@ def analyze(
                 alg,
                 entry_bound=entry_bound,
                 search_cap=search_cap,
-                max_retries=max_retries,
                 cancel=cancel,
             )
         except (

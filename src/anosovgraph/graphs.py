@@ -145,7 +145,7 @@ def parse_graph(text: str) -> Graph:
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise GraphInputError(f"invalid JSON: {exc}") from None
         return graph_from_json_dict(data)
     lines = [line.strip() for line in text.splitlines()]
@@ -172,6 +172,8 @@ def graph_from_json_dict(data) -> Graph:
     edges = data["edges"]
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise GraphInputError('"vertices" and "edges" must be lists')
+    if not vertices:
+        raise GraphInputError("no vertices listed")
     for v in vertices:
         if not isinstance(v, str):
             raise GraphInputError(f"vertex label must be a string: {v!r}")
@@ -349,11 +351,6 @@ def parse_holonomy_generators(text: str, graph: Graph) -> tuple[VertexPermutatio
 
 # ---------------------------------------------------------------------------
 # The precedence relation and coherent components
-
-
-def neighborhoods(graph: Graph, v: str) -> tuple[frozenset, frozenset]:
-    """(open, closed) neighborhood of a vertex."""
-    return graph.open_neighborhood(v), graph.closed_neighborhood(v)
 
 
 def prec(graph: Graph, a: str, b: str) -> bool:

@@ -3,16 +3,19 @@
 The group is generated by explicit graph automorphisms, closed by
 multiplication up to a configurable order bound, and acts on the coherent
 components through the induced index permutations. Each orbit carries a
-representative, its stabilizer (with a cyclic generator when one exists), and
-the constant c recording whether the orbit spans any quotient-graph edge or
-loop.
+representative, its stabilizer (with a cyclic generator when one exists, and
+that generator's action on the representative component), and the constant c
+recording whether the orbit spans any quotient-graph edge or loop. The
+decision and witness layers read the stabilizer's action from the orbit; it
+is computed once per orbit.
 
 Everything here runs on vertex positions: products in the closure compose
 position tuples, and each element's component permutation comes from the
 partition's position table. Each element's component permutation and order
 are computed once per `build_action` and shared by the orbit, stabilizer
 and cyclicity scans. Labels enter only the canonical sort order of the
-group and the reported cycle strings.
+group, the reported cycle strings, and the once-per-orbit restriction of
+the stabilizer generator to the representative's members.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .graphs import (
     CoherentPartition,
     Graph,
     VertexPermutation,
-    index_cycles,
     induced_component_permutation,
     is_graph_automorphism,
 )
@@ -34,11 +36,17 @@ DEFAULT_GROUP_ORDER_BOUND = 10_000
 
 @dataclass(frozen=True)
 class StabilizerInfo:
-    """Stabilizer of an orbit representative inside the holonomy group."""
+    """Stabilizer of an orbit representative inside the holonomy group.
+
+    ``restriction`` is the generator's permutation of the representative
+    component's members, as positions within that component: the identity
+    for a trivial stabilizer, None when the stabilizer is not cyclic.
+    """
 
     elements: tuple[VertexPermutation, ...]
     cyclic: bool
     generator: VertexPermutation | None
+    restriction: tuple[int, ...] | None
 
     @property
     def order(self) -> int:
@@ -135,11 +143,23 @@ def _cyclic_generator(elements, orders) -> VertexPermutation | None:
     return next((h for h, n in zip(elements, orders) if n == len(elements)), None)
 
 
-def _stabilizer_info(elements, component_perms, orders, rep: int) -> StabilizerInfo:
+def _restriction(part: CoherentPartition, p: VertexPermutation, rep: int) -> tuple[int, ...]:
+    """p on component rep, which it stabilizes, as positions within the component."""
+    comp = part.components[rep]
+    local = {v: i for i, v in enumerate(comp)}
+    return tuple(local[p(v)] for v in comp)
+
+
+def _stabilizer_info(part, elements, component_perms, orders, rep: int) -> StabilizerInfo:
     kept = [t for t, perm in enumerate(component_perms) if perm[rep] == rep]
     stab = tuple(elements[t] for t in kept)
     generator = _cyclic_generator(stab, [orders[t] for t in kept])
-    return StabilizerInfo(elements=stab, cyclic=generator is not None, generator=generator)
+    return StabilizerInfo(
+        elements=stab,
+        cyclic=generator is not None,
+        generator=generator,
+        restriction=None if generator is None else _restriction(part, generator, rep),
+    )
 
 
 def build_action(
@@ -177,7 +197,7 @@ def build_action(
             rep=start,
             members=tuple(members),
             c=_orbit_c_value(part, tuple(members)),
-            stabilizer=_stabilizer_info(elements, component_perms, orders, start),
+            stabilizer=_stabilizer_info(part, elements, component_perms, orders, start),
         )
         orbits.append(orbit)
 
@@ -194,26 +214,3 @@ def build_action(
         if orbit.stabilizer.order * len(orbit.members) != action_obj.order:
             raise AssertionError("orbit-stabilizer identity failed")
     return action_obj
-
-
-def restriction_to_component(
-    part: CoherentPartition, p: VertexPermutation, comp_index: int
-) -> tuple[int, ...]:
-    """p restricted to one component, as a position permutation (must stabilize it)."""
-    comp = part.components[comp_index]
-    pos = {v: i for i, v in enumerate(comp)}
-    out = [0] * len(comp)
-    for v in comp:
-        w = p(v)
-        if w not in pos:
-            raise ValueError(f"{p.cycle_string()} does not stabilize component {comp_index + 1}")
-        out[pos[v]] = pos[w]
-    return tuple(out)
-
-
-def cycle_type_on_component(
-    part: CoherentPartition, p: VertexPermutation, comp_index: int
-) -> tuple[int, ...]:
-    """Multiset (sorted) of cycle lengths of p restricted to the component."""
-    return tuple(sorted(len(c) for c in index_cycles(restriction_to_component(part, p, comp_index))))
-

@@ -17,8 +17,6 @@ block polynomials alone (`extension_char_poly`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CancelToken, PreconditionViolation
 from .exactmat import RationalMatrix, coerce_matrix
 from .graphs import CoherentPartition, Graph
@@ -72,14 +70,6 @@ class GraphLieAlgebra:
         if idx is None:
             return None
         return (1 if iu < iv else -1, idx)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "v_basis": list(self.v_basis),
-            "w_basis": [f"{u}^{v}" for u, v in self.w_basis],
-            "nonzero_brackets": [[u, v, f"{u}^{v}"] for u, v in self.w_basis],
-        }
 
     def __repr__(self) -> str:
         return f"GraphLieAlgebra(dim {self.dim_v}+{self.dim_w})"
@@ -226,32 +216,7 @@ def is_algebra_automorphism(alg: GraphLieAlgebra, m) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue bookkeeping on W
-
-
-@dataclass(frozen=True)
-class AlgebraicNumber:
-    """An algebraic integer: a monic integer annihilator plus a numeric location.
-
-    The annihilator is exact; the approximation is for display and sorting
-    only. Products carry an exact annihilator, the polynomial of all
-    pairwise root products (`tensor_poly`), which may be non-minimal.
-    """
-
-    annihilator: IntPolynomial
-    approx: complex
-
-    def __post_init__(self):
-        if not self.annihilator.is_monic:
-            raise ValueError("annihilator must be monic")
-
-    def __mul__(self, other: "AlgebraicNumber") -> "AlgebraicNumber":
-        return AlgebraicNumber(
-            tensor_poly(self.annihilator, other.annihilator), self.approx * other.approx
-        )
-
-    def __repr__(self) -> str:
-        return f"AlgebraicNumber({self.approx:.6g}, root of {self.annihilator})"
+# Characteristic polynomial on V + W
 
 
 def extension_char_poly(

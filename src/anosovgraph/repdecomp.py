@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import CoherentPartition
-from .holonomy import HolonomyAction, cycle_type_on_component
+from .graphs import CoherentPartition, index_cycles
+from .holonomy import HolonomyAction
 
 
 def euler_phi(n: int) -> int:
@@ -131,7 +131,7 @@ def orbit_verdict(action: HolonomyAction, orbit_index: int) -> OrbitVerdict:
             failing_part=None,
             reason=f"undecided: stabilizer of order {stab.order} is not cyclic",
         )
-    cycles = cycle_type_on_component(action.partition, stab.generator, orbit.rep)
+    cycles = [len(c) for c in index_cycles(stab.restriction)]
     decomposition = decompose_cyclic_perm_rep(stab.order, cycles)
     for part in decomposition.parts:
         if part.multiplicity * part.real_splits <= orbit.c:

@@ -33,7 +33,7 @@ from .errors import (
     WitnessRefused,
 )
 from .graphs import VertexPermutation, index_cycles
-from .holonomy import HolonomyAction, restriction_to_component
+from .holonomy import HolonomyAction
 from .hyperbolicity import (
     CancelToken,
     HyperbolicityCertificate,
@@ -104,10 +104,6 @@ def catalog_polynomials(dim: int) -> tuple[IntPolynomial, ...]:
     return tuple(out)
 
 
-def _identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def commutant_pair_orbits(perm: tuple[int, ...]) -> list[list[tuple[int, int]]]:
     """Orbits of index pairs under (i, j) -> (perm i, perm j); integer basis of the commutant."""
     n = len(perm)
@@ -154,7 +150,7 @@ def seed_catalog(dim: int, stabilizer_perm: tuple[int, ...] | None = None,
     lexicographic coefficient order.
     """
     if stabilizer_perm is None:
-        stabilizer_perm = _identity_perm(dim)
+        stabilizer_perm = tuple(range(dim))
     if len(stabilizer_perm) != dim:
         raise ValueError("stabilizer permutation has the wrong degree")
 
@@ -290,11 +286,6 @@ class OrbitSeedPlan:
 
 
 @dataclass(frozen=True)
-class BlockPlan:
-    orbit_plans: tuple[OrbitSeedPlan, ...]
-
-
-@dataclass(frozen=True)
 class Witness:
     """A certified integer automorphism of the full algebra.
 
@@ -311,7 +302,7 @@ class Witness:
     full_char_poly: IntPolynomial
     certificate: HyperbolicityCertificate
     commutes_with: tuple[str, ...]
-    plan: BlockPlan
+    plan: tuple[OrbitSeedPlan, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -331,13 +322,13 @@ class Witness:
                         [comp + 1, h.cycle_string()] for comp, h in p.conjugators
                     ],
                 }
-                for p in self.plan.orbit_plans
+                for p in self.plan
             ],
         }
 
     def to_text(self) -> str:
         lines = ["Integer witness on the graph algebra", ""]
-        for p in self.plan.orbit_plans:
+        for p in self.plan:
             seed_poly = char_poly(p.seed)
             lines.append(
                 f"orbit of component {p.orbit_rep + 1}: seed char poly "
@@ -386,20 +377,19 @@ def plan_blocks(
     entry_bound: int = DEFAULT_ENTRY_BOUND,
     search_cap: int = DEFAULT_SEARCH_CAP,
     cancel: CancelToken | None = None,
-) -> BlockPlan:
-    """Pick certified seeds, exponents (at margin 2), and conjugators for every orbit."""
-    part = action.partition
+) -> tuple[OrbitSeedPlan, ...]:
+    """Pick certified seeds, exponents (at margin 2), and conjugators for every orbit.
+
+    Each seed commutes with the orbit's stabilizer on its representative.
+    """
     seeds = []
     for orbit in action.orbits:
-        dim = len(part.components[orbit.rep])
-        stab = orbit.stabilizer
-        if stab.order > 1:
-            if not stab.cyclic:
-                raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
-            restriction = restriction_to_component(part, stab.generator, orbit.rep)
-        else:
-            restriction = None
-        seed, cert = find_seed(dim, orbit.c, restriction, entry_bound, search_cap, cancel)
+        restriction = orbit.stabilizer.restriction
+        if restriction is None:
+            raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
+        seed, cert = find_seed(
+            len(restriction), orbit.c, restriction, entry_bound, search_cap, cancel
+        )
         seeds.append((orbit, seed, cert))
     exponents = _exponents(cert for _, _, cert in seeds)
     plans = []
@@ -421,7 +411,7 @@ def plan_blocks(
                 conjugators=tuple(conjugators),
             )
         )
-    return BlockPlan(tuple(plans))
+    return tuple(plans)
 
 
 def _require_yes(action: HolonomyAction) -> None:
@@ -435,7 +425,7 @@ def _require_yes(action: HolonomyAction) -> None:
 
 def assemble_witness(
     action: HolonomyAction,
-    plan: BlockPlan,
+    plan: tuple[OrbitSeedPlan, ...],
     alg: GraphLieAlgebra | None = None,
     cancel: CancelToken | None = None,
 ) -> Witness:
@@ -450,31 +440,32 @@ def assemble_witness(
 
 
 def _assemble(
-    action: HolonomyAction, plan: BlockPlan, alg: GraphLieAlgebra, cancel: CancelToken | None
+    action: HolonomyAction,
+    plan: tuple[OrbitSeedPlan, ...],
+    alg: GraphLieAlgebra,
+    cancel: CancelToken | None,
 ) -> Witness:
     graph = action.graph
     part = action.partition
     n = graph.num_vertices
 
     by_rep = {orbit.rep: orbit for orbit in action.orbits}
-    if sorted(p.orbit_rep for p in plan.orbit_plans) != sorted(by_rep):
+    if sorted(p.orbit_rep for p in plan) != sorted(by_rep):
         raise WitnessAssemblyError("plan", "plan orbits do not match the action's orbits")
 
     v_rows = [[0] * n for _ in range(n)]
     component_polys = [None] * part.num_components
-    for orbit_plan in plan.orbit_plans:
+    for orbit_plan in plan:
         orbit = by_rep[orbit_plan.orbit_rep]
         comp = part.components[orbit.rep]
         dim = len(comp)
         seed = orbit_plan.seed
         if len(seed) != dim or any(len(r) != dim for r in seed):
             raise WitnessAssemblyError("plan", f"seed shape does not match component {orbit.rep + 1}")
-        if orbit.stabilizer.order > 1:
-            restriction = restriction_to_component(part, orbit.stabilizer.generator, orbit.rep)
-            if not commutes_with_perm(seed, restriction):
-                raise WitnessAssemblyError(
-                    "plan", "seed does not commute with the stabilizer on its component"
-                )
+        if not commutes_with_perm(seed, orbit.stabilizer.restriction):
+            raise WitnessAssemblyError(
+                "plan", "seed does not commute with the stabilizer on its component"
+            )
         block = _int_matpow(seed, orbit_plan.exponent)
         block_poly = char_poly(block, cancel)
         placements = [(orbit.rep, VertexPermutation.identity(graph.vertices))]
@@ -571,14 +562,14 @@ def build_witness(
     *,
     entry_bound: int = DEFAULT_ENTRY_BOUND,
     search_cap: int = DEFAULT_SEARCH_CAP,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     cancel: CancelToken | None = None,
 ) -> Witness:
     """End-to-end witness construction with exponent escalation.
 
-    Seeds and conjugators are searched once. Each retry recomputes only the
-    exponents, at double the separation margin; the exact re-certification
-    in the assembly is what finally accepts.
+    Seeds and conjugators are searched once. Each of up to
+    `DEFAULT_MAX_RETRIES` retries recomputes only the exponents, at double
+    the separation margin; the exact re-certification in the assembly is
+    what finally accepts.
     """
     _require_yes(action)
     if alg is None:
@@ -586,12 +577,11 @@ def build_witness(
     plan = plan_blocks(action, entry_bound=entry_bound, search_cap=search_cap, cancel=cancel)
     margin = 2.0
     last_error: WitnessAssemblyError | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(DEFAULT_MAX_RETRIES + 1):
         if attempt:
             margin *= 2
-            orbit_plans = plan.orbit_plans
-            exponents = _exponents((p.certificate for p in orbit_plans), margin)
-            plan = BlockPlan(tuple(replace(p, exponent=k) for p, k in zip(orbit_plans, exponents)))
+            exponents = _exponents((p.certificate for p in plan), margin)
+            plan = tuple(replace(p, exponent=k) for p, k in zip(plan, exponents))
         try:
             return _assemble(action, plan, alg, cancel)
         except WitnessAssemblyError as exc:

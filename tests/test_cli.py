@@ -334,6 +334,17 @@ class TestInputErrors:
                 b'{"vertices": [' + b"1" * 5000 + b'], "edges": []}',
                 id="json-long-number",
             ),
+            pytest.param(["analyze", "--graph", "FILE", "--witness"], b"--\n", id="empty-graph-text"),
+            pytest.param(
+                ["analyze", "--graph", "FILE", "--witness"],
+                b'{"vertices": [], "edges": []}',
+                id="empty-graph-json",
+            ),
+            pytest.param(
+                ["analyze", "--graph", "FILE"],
+                b'{"graph": {"vertices": [], "edges": []}, "holonomy": ""}',
+                id="empty-graph-family-envelope",
+            ),
             pytest.param(["quotient", "--graph", "FILE"], b"\xff\xfe", id="graph-not-utf8"),
             pytest.param(
                 ["analyze", "--graph", "FILE"],

@@ -22,7 +22,6 @@ from anosovgraph import (
     discrete_graph,
     induced_component_permutation,
     is_graph_automorphism,
-    neighborhoods,
     parse_graph,
     parse_holonomy_generators,
     prec,
@@ -113,6 +112,16 @@ class TestParsing:
         with pytest.raises(GraphInputError):
             parse_graph("a b\na b")  # no separator
 
+    def test_json_integer_too_long_rejected(self):
+        # more digits than int() converts: a ValueError that is not a JSONDecodeError
+        with pytest.raises(GraphInputError, match="invalid JSON"):
+            parse_graph('{"vertices": [' + "1" * 5000 + '], "edges": []}')
+
+    @pytest.mark.parametrize("text", ['{"vertices": [], "edges": []}', "--\n"], ids=["json", "text"])
+    def test_no_vertices_rejected(self, text):
+        with pytest.raises(GraphInputError, match="no vertices listed"):
+            parse_graph(text)
+
     def test_json_roundtrip(self):
         g = four_pair_chain()
         again = parse_graph(json.dumps(g.to_json_dict()))
@@ -126,23 +135,25 @@ class TestParsing:
 class TestNeighborhoods:
     def test_pentagon_open(self):
         g = pentagon()
-        open_n, closed_n = neighborhoods(g, "a")
+        open_n, closed_n = g.open_neighborhood("a"), g.closed_neighborhood("a")
         assert open_n == {"b", "e"}
         assert closed_n == {"a", "b", "e"}
 
     def test_isolated_vertex(self):
         g = discrete_graph(3)
-        open_n, closed_n = neighborhoods(g, "v2")
+        open_n, closed_n = g.open_neighborhood("v2"), g.closed_neighborhood("v2")
         assert open_n == frozenset()
         assert closed_n == {"v2"}
 
     def test_k2_closed(self):
         g = complete_graph(2)
-        assert neighborhoods(g, "v1")[1] == {"v1", "v2"}
+        assert g.closed_neighborhood("v1") == {"v1", "v2"}
 
     def test_unknown_vertex(self):
         with pytest.raises(GraphInputError):
-            neighborhoods(pentagon(), "z")
+            pentagon().open_neighborhood("z")
+        with pytest.raises(GraphInputError):
+            pentagon().closed_neighborhood("z")
 
 
 class TestPrec:

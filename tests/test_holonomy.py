@@ -13,15 +13,11 @@ from anosovgraph.graphs import (
     coherent_components,
     cycle_graph,
     discrete_graph,
+    index_cycles,
     induced_component_permutation,
 )
-from anosovgraph.holonomy import (
-    build_action,
-    close_group,
-    cycle_type_on_component,
-    restriction_to_component,
-)
-from anosovgraph.repdecomp import decide
+from anosovgraph.holonomy import build_action, close_group
+from anosovgraph.repdecomp import decide, orbit_verdict
 from tests_support_oracles import (
     DictPermutation,
     dict_action_json,
@@ -85,7 +81,8 @@ class TestBuildAction:
         assert orbit.c == 2  # the quotient edge joins the two members
         assert orbit.stabilizer.order == 2
         assert orbit.stabilizer.cyclic
-        assert cycle_type_on_component(action.partition, orbit.stabilizer.generator, 0) == (2,)
+        assert orbit.stabilizer.restriction == (1, 0)
+        assert orbit_verdict(action, 0).decomposition.cycle_type == (2,)
 
     def test_non_automorphism_rejected(self):
         g = cycle_graph(4)
@@ -156,12 +153,21 @@ class TestBuildAction:
 
     def test_restriction_helpers(self):
         g = cycle_graph(4)
-        part = coherent_components(g)
-        rot2 = VertexPermutation.from_cycles("(v1 v3)(v2 v4)", g.vertices)
-        assert restriction_to_component(part, rot2, 0) == (1, 0)
-        with pytest.raises(ValueError):
-            rot = VertexPermutation.from_cycles("(v1 v2 v3 v4)", g.vertices)
-            restriction_to_component(part, rot, 0)
+        action = action_for(g, "(v1 v3)(v2 v4)")
+        assert [o.stabilizer.restriction for o in action.orbits] == [(1, 0), (1, 0)]
+        # the rotation moves component 1, so the restriction comes from its square
+        rot = VertexPermutation.from_cycles("(v1 v2 v3 v4)", g.vertices)
+        (orbit,) = action_for(g, "(v1 v2 v3 v4)").orbits
+        assert rot not in orbit.stabilizer.elements
+        assert orbit.stabilizer.generator == rot * rot
+        assert orbit.stabilizer.restriction == (1, 0)
+
+    def test_trivial_and_non_cyclic_stabilizers(self):
+        trivial = action_for(pentagon())
+        assert [o.stabilizer.restriction for o in trivial.orbits] == [(0,)] * 5
+        klein = action_for(discrete_graph(4), "(v1 v2)", "(v3 v4)")
+        (orbit,) = klein.orbits
+        assert not orbit.stabilizer.cyclic and orbit.stabilizer.restriction is None
 
 
 @st.composite
@@ -205,6 +211,19 @@ def symmetric_blowups(draw):
     return graph, maps
 
 
+def dict_restriction(part, p, comp_index):
+    """p restricted to one component, through labels: the code the stored field replaced."""
+    comp = part.components[comp_index]
+    pos = {v: i for i, v in enumerate(comp)}
+    out = [0] * len(comp)
+    for v in comp:
+        w = p(v)
+        if w not in pos:
+            raise ValueError(f"{p.cycle_string()} does not stabilize component {comp_index + 1}")
+        out[pos[v]] = pos[w]
+    return tuple(out)
+
+
 class TestMatchesDictClosure:
     """Closure order, component action and orbit data against the label-dict code they replaced."""
 
@@ -229,3 +248,19 @@ class TestMatchesDictClosure:
         ]
         for new, dict_perm in zip(moved, moved_old):
             assert induced_component_permutation(part, new) == dict_component_permutation(part, dict_perm)
+
+    @given(symmetric_blowups())
+    @settings(max_examples=80, deadline=None)
+    def test_stabilizer_restriction(self, case):
+        graph, maps = case
+        gens = [VertexPermutation(graph.vertices, m) for m in maps]
+        action = build_action(graph, coherent_components(graph), gens)
+        for index, orbit in enumerate(action.orbits):
+            stab = orbit.stabilizer
+            if not stab.cyclic:
+                assert stab.restriction is None
+                continue
+            expected = dict_restriction(action.partition, stab.generator, orbit.rep)
+            assert stab.restriction == expected
+            cycle_type = tuple(sorted(len(c) for c in index_cycles(expected)))
+            assert orbit_verdict(action, index).decomposition.cycle_type == cycle_type

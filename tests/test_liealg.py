@@ -1,12 +1,9 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from anosovgraph.errors import PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
@@ -20,32 +17,14 @@ from anosovgraph.graphs import (
 )
 from anosovgraph.fixtures import loop_end_chain, pentagon
 from anosovgraph.liealg import (
-    AlgebraicNumber,
     build_algebra,
     extend_to_algebra,
     extension_char_poly,
     is_algebra_automorphism,
 )
 from anosovgraph.hyperbolicity import char_poly
-from anosovgraph.polynomials import IntPolynomial, companion_rows
+from anosovgraph.polynomials import IntPolynomial
 from tests_support_oracles import bracket
-
-
-def kronecker_annihilator(p, q):
-    """The path `AlgebraicNumber.__mul__` used to take: char poly of kron(companion p, companion q)."""
-    a, b = companion_rows(p), companion_rows(q)
-    size = len(a) * len(b)
-    rows = [[0] * size for _ in range(size)]
-    for i, j, k, l in itertools.product(range(len(a)), range(len(a)), range(len(b)), range(len(b))):
-        rows[i * len(b) + k][j * len(b) + l] = a[i][j] * b[k][l]
-    return char_poly(rows)
-
-
-@st.composite
-def monic_polys(draw):
-    degree = draw(st.integers(1, 5))
-    bound = 2 ** draw(st.sampled_from([2, 10, 40]))
-    return IntPolynomial(draw(st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree)) + [1])
 
 
 def from_roots(roots):
@@ -84,16 +63,6 @@ class TestBuildAlgebra:
             g = random_graph(rng)
             alg = build_algebra(g)
             assert alg.dimension == g.num_vertices + g.num_edges
-
-    def test_json_dump_golden(self):
-        alg = build_algebra(Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]))
-        expected = {
-            "dimension": 5,
-            "v_basis": ["a", "b", "c"],
-            "w_basis": ["a^b", "b^c"],
-            "nonzero_brackets": [["a", "b", "a^b"], ["b", "c", "b^c"]],
-        }
-        assert json.loads(json.dumps(alg.to_json_dict())) == expected
 
 
 class TestExtend:
@@ -241,17 +210,3 @@ class TestEigenvalueProducts:
             extension_char_poly(part, [from_roots([1, 2])])
         with pytest.raises(ValueError):
             extension_char_poly(part, [from_roots([1, 2, 3])] * 2)
-
-    def test_algebraic_number_descriptors(self):
-        golden = AlgebraicNumber(IntPolynomial((1, -3, 1)), complex(2.618033988749895))
-        other = AlgebraicNumber(IntPolynomial((1, -3, 1)), complex(0.3819660112501051))
-        prod = golden * other
-        assert abs(prod.approx - 1.0) < 1e-9
-        assert prod.annihilator(1) == 0  # 1 is a root of the product annihilator
-
-    @settings(max_examples=100, deadline=None)
-    @given(monic_polys(), monic_polys())
-    def test_product_annihilator_matches_kronecker(self, p, q):
-        prod = AlgebraicNumber(p, complex(1)) * AlgebraicNumber(q, complex(2))
-        assert prod.annihilator == kronecker_annihilator(p, q)
-        assert prod.approx == complex(2)

@@ -33,7 +33,6 @@ from anosovgraph.polynomials import IntPolynomial, companion_rows
 from anosovgraph.repdecomp import decide
 from anosovgraph.witness import (
     CAT_MAP_ROWS,
-    BlockPlan,
     OrbitSeedPlan,
     assemble_witness,
     build_witness,
@@ -250,7 +249,7 @@ class TestBuildWitness:
         monkeypatch.setattr(witness_module, "find_seed", find)
         w = build_witness(action)
         assert margins == [2.0, 4.0]
-        assert tuple(p.exponent for p in w.plan.orbit_plans) == (1, 4, 88)
+        assert tuple(p.exponent for p in w.plan) == (1, 4, 88)
         assert w.certificate.valid
         assert is_algebra_automorphism(build_algebra(inst.graph), w.full_matrix)
         assert len(seed_searches) == 3  # one per orbit
@@ -294,7 +293,7 @@ class TestAssembleGuard:
                     ),
                 )
             )
-        return BlockPlan(tuple(plans))
+        return tuple(plans)
 
     def test_guard_refuses_on_random_instances(self):
         # random graphs plus an automorphism drawn from rotations of generated
@@ -335,16 +334,14 @@ class TestAssembleGuard:
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
         plan = plan_blocks(action)
         # break the seed: identity is not hyperbolic
-        broken = BlockPlan(
-            (
-                OrbitSeedPlan(
-                    orbit_rep=plan.orbit_plans[0].orbit_rep,
-                    seed=tuple(tuple(int(i == j) for j in range(3)) for i in range(3)),
-                    exponent=1,
-                    certificate=None,
-                    conjugators=plan.orbit_plans[0].conjugators,
-                ),
-            )
+        broken = (
+            OrbitSeedPlan(
+                orbit_rep=plan[0].orbit_rep,
+                seed=tuple(tuple(int(i == j) for j in range(3)) for i in range(3)),
+                exponent=1,
+                certificate=None,
+                conjugators=plan[0].conjugators,
+            ),
         )
         with pytest.raises(WitnessAssemblyError):
             assemble_witness(action, broken)
@@ -353,13 +350,13 @@ class TestAssembleGuard:
     def test_plan_leaving_v_singular_fails_at_extension(self, defect):
         g = complete_bipartite(3, 3)
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
-        (orbit_plan,) = plan_blocks(action).orbit_plans
+        (orbit_plan,) = plan_blocks(action)
         if defect == "conjugator omitted":  # the other part's component gets no block
             orbit_plan = replace(orbit_plan, conjugators=())
         else:
             orbit_plan = replace(orbit_plan, seed=((1, 1, 0), (1, 1, 0), (0, 0, 1)), exponent=1)
         with pytest.raises(WitnessAssemblyError) as err:
-            assemble_witness(action, BlockPlan((orbit_plan,)))
+            assemble_witness(action, (orbit_plan,))
         assert err.value.stage == "extension"
         assert "not invertible" in str(err.value)
 

@@ -4,7 +4,7 @@ import itertools
 
 from anosovgraph.families import family_I, family_II
 from anosovgraph.graphs import Graph, VertexPermutation, complete_bipartite, cycle_graph
-from anosovgraph.witness import BlockPlan, OrbitSeedPlan
+from anosovgraph.witness import OrbitSeedPlan
 
 
 def _random_graph(rng, max_vertices=7):
@@ -84,4 +84,4 @@ def dummy_plan(action):
                 conjugators=conjugators,
             )
         )
-    return BlockPlan(tuple(plans))
+    return tuple(plans)
