@@ -20,7 +20,6 @@ from .errors import (
 from .graphs import CoherentPartition, Graph, coherent_components
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND, HolonomyAction, build_action
 from .hyperbolicity import CancelToken
-from .liealg import build_algebra
 from .repdecomp import Decision, decide
 from .witness import (
     DEFAULT_ENTRY_BOUND,
@@ -143,13 +142,12 @@ def analyze(
     decision = decide(action)
     timing["decision_s"] = time.monotonic() - t0
 
-    alg = build_algebra(graph)
     report = AnalysisReport(
         graph=graph,
         partition=part,
         action=action,
         decision=decision,
-        algebra_dimension=alg.dimension,
+        algebra_dimension=graph.num_vertices + graph.num_edges,
         timing=timing,
     )
     if want_witness and decision.verdict == "yes":
@@ -157,7 +155,6 @@ def analyze(
         try:
             report.witness = build_witness(
                 action,
-                alg,
                 entry_bound=entry_bound,
                 search_cap=search_cap,
                 cancel=cancel,

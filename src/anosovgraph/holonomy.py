@@ -176,11 +176,16 @@ def build_action(
     verdicts come out undecided instead of guessed. The whole group is
     scanned once the same way for `is_cyclic`. Each element's component
     permutation and order are computed once and shared by all the scans.
+    A generator given on a reordered domain is re-indexed onto `graph.vertices`.
     """
-    generators = tuple(generators)
+    checked = []
     for g in generators:
         if not is_graph_automorphism(graph, g):
             raise NotAnAutomorphism(f"{g.cycle_string()} is not an automorphism of the graph")
+        if g.domain != graph.vertices:
+            g = VertexPermutation(graph.vertices, {v: g(v) for v in graph.vertices})
+        checked.append(g)
+    generators = tuple(checked)
     elements = close_group(generators, graph.vertices, order_bound)
     component_perms = [induced_component_permutation(part, h) for h in elements]
     orders = [h.order() for h in elements]

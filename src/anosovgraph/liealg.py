@@ -12,7 +12,8 @@ or Fractions for rational maps); `extend_to_algebra` and
 `is_algebra_automorphism` wrap them with coercion, shape and determinant
 checks for arbitrary exact input. A map that is block-diagonal over the
 coherent components has its V + W characteristic polynomial given by its
-block polynomials alone (`extension_char_poly`).
+block polynomials alone (`extension_char_poly`). Vertex permutations are not
+extended: the witness checks its commutation with them on V (see `witness`).
 """
 
 from __future__ import annotations
@@ -132,30 +133,6 @@ def extend_to_algebra(alg: GraphLieAlgebra, g_v) -> RationalMatrix:
     if g_v.det() == 0:
         raise PreconditionViolation("map on V is not invertible")
     return RationalMatrix(extend_rows(alg, _exact_rows(g_v)))
-
-
-def extend_permutation(alg: GraphLieAlgebra, p) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The extension of a vertex permutation to V + W as a signed permutation.
-
-    Returns (sigma, signs): basis vector i goes to signs[i] times basis vector
-    sigma[i]. A vertex v goes to p(v); the wedge a^b goes to p(a)^p(b), which
-    is +-1 times an edge wedge. Raises PreconditionViolation when some image
-    is a non-edge, i.e. when p is not a graph automorphism.
-    """
-    graph = alg.graph
-    n = alg.dim_v
-    sigma = [graph.index(p(v)) for v in graph.vertices]
-    signs = [1] * n
-    for a, b in alg.w_basis:
-        signed = alg.wedge_index(p(a), p(b))
-        if signed is None:
-            raise PreconditionViolation(
-                f"{p.cycle_string()} sends the wedge {a}^{b} to the non-edge {p(a)}^{p(b)}"
-            )
-        sign, idx = signed
-        sigma.append(n + idx)
-        signs.append(sign)
-    return tuple(sigma), tuple(signs)
 
 
 def brackets_preserved(alg: GraphLieAlgebra, rows) -> bool:

@@ -6,7 +6,7 @@ copied to the other components of the orbit by conjugating with holonomy
 elements. The assembled matrix is re-certified exactly on integer rows:
 invertibility on V, bracket preservation on V + W, integer-likeness and
 unit-circle freeness of its whole characteristic polynomial, and commutation
-with every generator's extension.
+with every generator.
 
 That polynomial is read off the block structure instead of the dense V + W
 matrix. Each conjugated block is a simultaneous permutation of its orbit's
@@ -15,6 +15,12 @@ that the V-part is block-diagonal over the coherent components, and the
 bracket check proves that the W-part is the map induced on wedges with no
 V-rows in the wedge columns. Under those checked facts the polynomial is
 exactly `extension_char_poly` of the block polynomials.
+
+Commutation with each generator's permutation matrix P is checked on V. Once
+`extend_rows` has succeeded, the map A keeps the span E of the edge wedges,
+and so does every generator (a checked graph automorphism). Both extensions
+are zero between V and W and act on E as Λ²A and Λ²P, with Λ²A·Λ²P = Λ²(AP),
+so they commute on V + W exactly when AP = PA on V.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .liealg import (
     GraphLieAlgebra,
     brackets_preserved,
     build_algebra,
-    extend_permutation,
     extend_rows,
     extension_char_poly,
 )
@@ -124,18 +129,16 @@ def commutant_pair_orbits(perm: tuple[int, ...]) -> list[list[tuple[int, int]]]:
     return orbits
 
 
-def commutes_with_perm(rows, perm: tuple[int, ...], signs: tuple[int, ...] | None = None) -> bool:
-    """Whether rows commutes with the signed permutation e_i -> signs[i] * e_perm[i].
+def commutes_with_perm(rows, perm: tuple[int, ...]) -> bool:
+    """Whether rows commutes with the permutation e_i -> e_perm[i].
 
-    That is rows[perm i][perm j] == signs[i] * signs[j] * rows[i][j] for all
-    i, j: O(dim^2) comparisons, no matrix product. Signs default to +1.
+    That is rows[perm i][perm j] == rows[i][j] for all i, j: O(dim^2)
+    comparisons, no matrix product.
     """
     n = len(perm)
-    if signs is None:
-        signs = (1,) * n
     for i in range(n):
-        row, image, s = rows[i], rows[perm[i]], signs[i]
-        if any(image[perm[j]] != s * signs[j] * row[j] for j in range(n)):
+        row, image = rows[i], rows[perm[i]]
+        if any(image[perm[j]] != row[j] for j in range(n)):
             return False
     return True
 
@@ -477,7 +480,7 @@ def _assemble(
                 )
             idx = [graph.index(h(v)) for v in comp]
             # a simultaneous permutation of the block keeps its char poly
-            if sorted(idx) != sorted(graph.index(v) for v in part.components[member]):
+            if sorted(idx) != sorted(part._member_positions[member]):
                 raise WitnessAssemblyError(
                     "plan", f"conjugator does not carry the representative onto component {member + 1}"
                 )
@@ -513,15 +516,12 @@ def _assemble(
     if not certificate.valid:
         raise WitnessAssemblyError("hyperbolicity", certificate.stages[0].analysis.detail)
 
-    # Each generator extends to a signed permutation of the V+W basis, so
-    # commutation is a reindexing check on the integer rows.
+    # Both extensions keep the edge wedges and act there as induced maps, so
+    # commuting on V is commuting on V + W (see the module docstring).
     commuted = []
     for gen in action.generators:
-        try:
-            sigma, signs = extend_permutation(alg, gen)
-        except PreconditionViolation as exc:
-            raise WitnessAssemblyError("commutation", str(exc)) from exc
-        if not commutes_with_perm(full, sigma, signs):
+        perm = tuple(graph.index(gen(v)) for v in graph.vertices)
+        if not commutes_with_perm(v_rows, perm):
             raise WitnessAssemblyError(
                 "commutation", f"witness does not commute with {gen.cycle_string()}"
             )
@@ -544,12 +544,8 @@ def _require_block_diagonal(action: HolonomyAction, rows) -> None:
     This is the premise under which `extension_char_poly` of the block
     polynomials is the characteristic polynomial of rows.
     """
-    graph = action.graph
-    n = graph.num_vertices
-    component_of = [0] * n
-    for c, comp in enumerate(action.partition.components):
-        for v in comp:
-            component_of[graph.index(v)] = c
+    n = action.graph.num_vertices
+    component_of = action.partition._component_of
     for i in range(n):
         row, ci = rows[i], component_of[i]
         if any(row[j] for j in range(n) if component_of[j] != ci):

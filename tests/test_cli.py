@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import subprocess
@@ -156,6 +157,44 @@ class TestAnalyze:
         monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
         code, out, _ = run("analyze", "--graph", "-")
         assert code == EXIT_NO
+
+
+class TestWitnessReportPins:
+    """sha256 of `analyze --json --witness` reports; any change to their bytes fails here."""
+
+    @pytest.mark.parametrize(
+        "family_args, digest",
+        [
+            (
+                ("--name", "I-modified", "--m", "4"),
+                "952d89691db623bb40a7246f1a1486ff305ccab13de549aeb6a43a54f5adf8fc",
+            ),
+            (
+                ("--name", "II", "--n", "9", "--size", "6"),
+                "f62edcae7b8189d50743b86f9fd9179daa020b9ffdf29edaa98bd9be6c2251b3",
+            ),
+        ],
+        ids=["I-modified-m4", "II-n9-s6"],
+    )
+    def test_family_report(self, run, tmp_path, family_args, digest):
+        code, out, _ = run("family", *family_args)
+        assert code == EXIT_YES
+        path = tmp_path / "family.json"
+        path.write_text(out)
+        code, out, _ = run("analyze", "--graph", str(path), "--json", "--witness")
+        assert code == EXIT_YES
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_discrete_double_swap_report(self, run, tmp_path):
+        path = write_graph(tmp_path, discrete_graph(4))
+        code, out, _ = run(
+            "analyze", "--graph", path, "--holonomy", "(v1 v2)(v3 v4)", "--json", "--witness"
+        )
+        assert code == EXIT_YES
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "6fa41d2dc1c979e304d79a87dad311e9d2707e8fdd89552b0ef559fe40e27535"
+        )
 
 
 class TestQuotient:

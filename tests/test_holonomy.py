@@ -11,10 +11,12 @@ from anosovgraph.graphs import (
     Graph,
     VertexPermutation,
     coherent_components,
+    complete_bipartite,
     cycle_graph,
     discrete_graph,
     index_cycles,
     induced_component_permutation,
+    is_graph_automorphism,
 )
 from anosovgraph.holonomy import build_action, close_group
 from anosovgraph.repdecomp import decide, orbit_verdict
@@ -88,6 +90,17 @@ class TestBuildAction:
         g = cycle_graph(4)
         with pytest.raises(NotAnAutomorphism):
             action_for(g, "(v1 v2)")
+
+    def test_generator_on_reordered_domain_is_reindexed(self):
+        g = complete_bipartite(2, 2)
+        swap = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
+        reordered = VertexPermutation(g.vertices[::-1], swap)
+        assert is_graph_automorphism(g, reordered)
+        part = coherent_components(g)
+        action = build_action(g, part, [reordered])
+        assert all(h.domain == g.vertices for h in action.generators + action.elements)
+        expected = build_action(g, part, [VertexPermutation(g.vertices, swap)])
+        assert action.to_json_dict() == expected.to_json_dict()
 
     def test_order_bound(self):
         g = cycle_graph(4)

@@ -1,12 +1,12 @@
 """Differential tests for the exact re-certification checks of a witness.
 
-The graded bracket check and the signed-permutation commutation check are
-compared against the dense algorithms they replace: the all-pairs bracket
-check (kept here as an oracle) and RationalMatrix products with the dense
-extension of a permutation matrix. The integer-row kernels are compared with
-their RationalMatrix wrappers and with the all-pairs extension loop, and the
-witness polynomial taken from the block structure with the dense
-characteristic polynomial of the V+W matrix.
+The graded bracket check is compared with the all-pairs bracket check (kept
+here as an oracle). The commutation check runs on V only; it is compared with
+the signed-permutation check on V+W that it replaced, and that one with
+RationalMatrix products with the dense extension of a permutation matrix. The
+integer-row kernels are compared with their RationalMatrix wrappers and with
+the all-pairs extension loop, and the witness polynomial taken from the block
+structure with the dense characteristic polynomial of the V+W matrix.
 """
 
 import random
@@ -29,10 +29,10 @@ from anosovgraph.graphs import (
 )
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import char_poly
+from anosovgraph.polynomials import companion_rows
 from anosovgraph.liealg import (
     brackets_preserved,
     build_algebra,
-    extend_permutation,
     extend_rows,
     extend_to_algebra,
     extension_char_poly,
@@ -42,11 +42,17 @@ from anosovgraph.repdecomp import decide
 from anosovgraph.witness import (
     assemble_witness,
     build_witness,
+    catalog_polynomials,
     commutes_with_perm,
     plan_blocks,
 )
 from tests_support_guard import make_instances
-from tests_support_oracles import bracket, permutation_matrix
+from tests_support_oracles import (
+    bracket,
+    commutes_with_signed_perm,
+    extend_permutation,
+    permutation_matrix,
+)
 
 MAX_ORACLE_DIM = 48
 MAX_PRODUCT_DIM = 30  # dense Fraction products are the slow oracle
@@ -185,7 +191,7 @@ class TestSignedPermutationCommutation:
             ext = dense_extension(alg, gen)
             for rows in commuting_candidates(rng, alg, gen):
                 m = RationalMatrix(rows)
-                assert commutes_with_perm(m.int_rows(), sigma, signs) == (m * ext == ext * m)
+                assert commutes_with_signed_perm(m.int_rows(), sigma, signs) == (m * ext == ext * m)
 
     @SETTINGS
     @given(instances())
@@ -208,12 +214,12 @@ class TestSignedPermutationCommutation:
         sigma, signs = extend_permutation(alg, swap)
         ext = dense_extension(alg, swap)
         full = RationalMatrix(witness.full_matrix)
-        assert commutes_with_perm(full.int_rows(), sigma, signs)
+        assert commutes_with_signed_perm(full.int_rows(), sigma, signs)
         assert full * ext == ext * full
         bad = [list(row) for row in full.rows]
         bad[0][1] += 1
         bad = RationalMatrix(bad)
-        assert not commutes_with_perm(bad.int_rows(), sigma, signs)
+        assert not commutes_with_signed_perm(bad.int_rows(), sigma, signs)
         assert bad * ext != ext * bad
 
     def test_negative_signs_matter(self):
@@ -227,22 +233,8 @@ class TestSignedPermutationCommutation:
         ext = dense_extension(alg, swap)
         m = RationalMatrix(shear)
         assert m * ext != ext * m
-        assert not commutes_with_perm(shear, sigma, signs)
+        assert not commutes_with_signed_perm(shear, sigma, signs)
         assert commutes_with_perm(shear, sigma)  # the unsigned reindexing would pass
-
-    def test_non_edge_image_is_a_commutation_failure(self, monkeypatch):
-        g = complete_bipartite(3, 3)
-        swap = VertexPermutation.from_cycles("(a1 b1)(a2 b2)(a3 b3)", g.vertices)
-        action = build_action(g, coherent_components(g), [swap])
-        plan = plan_blocks(action)
-
-        def non_edge(alg, p):
-            raise PreconditionViolation("sends a wedge to a non-edge")
-
-        monkeypatch.setattr(anosovgraph.witness, "extend_permutation", non_edge)
-        with pytest.raises(WitnessAssemblyError) as info:
-            assemble_witness(action, plan)
-        assert info.value.stage == "commutation"
 
     def test_non_automorphism_raises(self):
         g = path_graph(3)  # v2 is the middle vertex
@@ -250,6 +242,111 @@ class TestSignedPermutationCommutation:
         bad = VertexPermutation.from_cycles("(v2 v3)", g.vertices)
         with pytest.raises(PreconditionViolation):
             extend_permutation(alg, bad)
+
+
+def v_maps(rng, graph, perm):
+    """Maps on V labelled with whether they must commute with perm.
+
+    A polynomial in perm's permutation matrix, the average of a block-diagonal
+    map over the powers of perm, that average perturbed by +-1 inside a
+    component in each row in turn, and a block-diagonal unimodular map.
+    `extend_rows` may refuse the polynomial; every other map is block-diagonal
+    over the coherent components, which it always accepts.
+    """
+    n = len(perm)
+    identity = tuple(range(n))
+    powers = [identity]
+    while (following := tuple(perm[i] for i in powers[-1])) != identity:
+        powers.append(following)
+    poly = [[0] * n for _ in range(n)]
+    for power in powers[: rng.randint(1, len(powers))]:
+        c = rng.randint(-2, 2)
+        for i in range(n):
+            poly[power[i]][i] += c
+    block = random_block_map(rng, graph)
+    average = [[0] * n for _ in range(n)]
+    for power in powers:
+        for i in range(n):
+            for j in range(n):
+                average[power[i]][power[j]] += block[i][j]
+    maps = [(poly, True), (average, True)]
+    part = coherent_components(graph)
+    for r in range(n):
+        # prefer a column that perm moves: a change at a fixed row and column commutes
+        members = part._member_positions[part._component_of[r]]
+        c = rng.choice([j for j in members if perm[j] != j] or members)
+        perturbed = [list(row) for row in average]
+        perturbed[r][c] += rng.choice([-1, 1])
+        maps.append((perturbed, None))
+    unimodular = [[0] * n for _ in range(n)]
+    for comp in part.components:
+        idx = [graph.index(v) for v in comp]
+        for a, row in zip(idx, random_unimodular_block(rng, len(idx))):
+            for b, x in zip(idx, row):
+                unimodular[a][b] = x
+    maps.append((unimodular, None))
+    return maps
+
+
+class TestCommutationOnV:
+    """Commutation on V decides commutation of the extensions on V + W."""
+
+    def check(self, rng, alg, gen):
+        graph = alg.graph
+        perm = tuple(graph.index(gen(v)) for v in graph.vertices)  # as the assembly forms it
+        sigma, signs = extend_permutation(alg, gen)
+        for rows, commutes in v_maps(rng, graph, perm):
+            try:
+                full = extend_rows(alg, rows)
+            except PreconditionViolation:
+                assert commutes  # only the polynomial may leave the edge wedges
+                continue
+            on_v = commutes_with_perm(rows, perm)
+            assert on_v == commutes_with_signed_perm(full, sigma, signs)
+            if commutes:
+                assert on_v
+
+    @SETTINGS
+    @given(instances())
+    def test_v_check_matches_signed_check_on_v_plus_w(self, inst):
+        # every power of a generator: a power fixes the vertices whose cycle
+        # length divides it, which gives rows that only a fixed point checks
+        rng, alg, gens = inst
+        assume(gens)
+        for gen in gens:
+            power = gen
+            for _ in range(gen.order()):
+                self.check(rng, alg, power)
+                power = power * gen
+
+    @pytest.mark.parametrize(
+        "graph, cycles",
+        [
+            (Graph(["v1", "v2", "v3"], []), "(v1 v2)"),
+            (complete_bipartite(2, 2), "(a1 b1)(a2 b2)"),
+            (path_graph(5), "(v1 v5)(v2 v4)"),
+        ],
+        ids=["discrete-last-fixed", "K2,2-swap", "P5-reflection"],
+    )
+    def test_fixed_instances(self, graph, cycles):
+        alg = build_algebra(graph)
+        gen = VertexPermutation.from_cycles(cycles, graph.vertices)
+        for seed in range(20):
+            self.check(random.Random(seed), alg, gen)
+
+    def test_assembly_refuses_a_map_that_does_not_commute(self, monkeypatch):
+        # the stabilizer (v1 v2)(v3 v4) fixes the one component; a certified block
+        # that does not commute with it passes every stage before commutation
+        g = Graph(["v1", "v2", "v3", "v4"], [])
+        gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", g.vertices)
+        action = build_action(g, coherent_components(g), [gen])
+        plan = plan_blocks(action)
+        block = companion_rows(catalog_polynomials(4)[0])
+        assert not commutes_with_perm(block, (1, 0, 3, 2))
+        monkeypatch.setattr(anosovgraph.witness, "_int_matpow", lambda rows, k: block)
+        with pytest.raises(WitnessAssemblyError) as info:
+            assemble_witness(action, plan)
+        assert info.value.stage == "commutation"
 
 
 class TestExtendOnIntegers:

@@ -1,9 +1,12 @@
 """Dense and dict-based oracles for the tests: permutation matrices, the bracket of
-coefficient vectors, and the label-dict vertex permutation with its closure and
-component action, as `graphs` and `holonomy` computed them before positions."""
+coefficient vectors, a vertex permutation's extension to V+W as a signed
+permutation with the signed commutation check the witness ran on V+W, and the
+label-dict vertex permutation with its closure and component action, as
+`graphs` and `holonomy` computed them before positions."""
 
 from math import lcm
 
+from anosovgraph.errors import PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
 
 
@@ -24,6 +27,43 @@ def bracket(alg, x, y):
         iu, iv = alg.graph.index(u), alg.graph.index(v)
         out[n + k] = x[iu] * y[iv] - x[iv] * y[iu]
     return tuple(out)
+
+
+def extend_permutation(alg, p):
+    """The extension of a vertex permutation to V + W as a signed permutation.
+
+    Returns (sigma, signs): basis vector i goes to signs[i] times basis vector
+    sigma[i]. A vertex v goes to p(v); the wedge a^b goes to p(a)^p(b), which
+    is +-1 times an edge wedge. Raises PreconditionViolation when some image
+    is a non-edge, i.e. when p is not a graph automorphism.
+    """
+    graph = alg.graph
+    n = alg.dim_v
+    sigma = [graph.index(p(v)) for v in graph.vertices]
+    signs = [1] * n
+    for a, b in alg.w_basis:
+        signed = alg.wedge_index(p(a), p(b))
+        if signed is None:
+            raise PreconditionViolation(
+                f"{p.cycle_string()} sends the wedge {a}^{b} to the non-edge {p(a)}^{p(b)}"
+            )
+        sign, idx = signed
+        sigma.append(n + idx)
+        signs.append(sign)
+    return tuple(sigma), tuple(signs)
+
+
+def commutes_with_signed_perm(rows, perm, signs):
+    """Whether rows commutes with the signed permutation e_i -> signs[i] * e_perm[i].
+
+    That is rows[perm i][perm j] == signs[i] * signs[j] * rows[i][j] for all i, j.
+    """
+    n = len(perm)
+    for i in range(n):
+        row, image, s = rows[i], rows[perm[i]], signs[i]
+        if any(image[perm[j]] != s * signs[j] * row[j] for j in range(n)):
+            return False
+    return True
 
 
 class DictPermutation:
