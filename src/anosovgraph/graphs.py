@@ -368,15 +368,15 @@ class CoherentPartition:
 
     Components are enumerated topologically: if component i precedes component
     j in the induced order, then i <= j. Ties keep first-appearance order.
-    ``_member_positions[i]`` holds the graph positions of component i's
-    vertices and ``_component_of[r]`` the component of the vertex at position
+    ``member_positions[i]`` holds the graph positions of component i's
+    vertices and ``component_of[r]`` the component of the vertex at position
     r (None if no component lists it); `induced_component_permutation` reads
     both.
     """
 
     __slots__ = (
         "graph", "components", "kinds", "order_pairs", "quotient_edges",
-        "_member_positions", "_component_of",
+        "member_positions", "component_of",
     )
 
     def __init__(self, graph, components, kinds, order_pairs, quotient_edges):
@@ -388,8 +388,8 @@ class CoherentPartition:
                 component_of[r] = i
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_member_positions", member_positions)
-        object.__setattr__(self, "_component_of", tuple(component_of))
+        object.__setattr__(self, "member_positions", member_positions)
+        object.__setattr__(self, "component_of", tuple(component_of))
         object.__setattr__(self, "kinds", tuple(kinds))
         object.__setattr__(self, "order_pairs", frozenset(order_pairs))
         object.__setattr__(self, "quotient_edges", tuple(sorted(tuple(sorted(e)) for e in quotient_edges)))
@@ -549,8 +549,8 @@ def induced_component_permutation(part: CoherentPartition, p: VertexPermutation)
     else:
         _check_domain(graph, p)
         images = tuple(graph.index(p(v)) for v in graph.vertices)
-    component_of = part._component_of
-    members = part._member_positions
+    component_of = part.component_of
+    members = part.member_positions
     result = []
     for i, positions in enumerate(members):
         j = component_of[images[positions[0]]]

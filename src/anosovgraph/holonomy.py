@@ -4,18 +4,20 @@ The group is generated by explicit graph automorphisms, closed by
 multiplication up to a configurable order bound, and acts on the coherent
 components through the induced index permutations. Each orbit carries a
 representative, its stabilizer (with a cyclic generator when one exists, and
-that generator's action on the representative component), and the constant c
+that generator's action on the representative component), a conjugator
+carrying the representative to each other member, and the constant c
 recording whether the orbit spans any quotient-graph edge or loop. The
-decision and witness layers read the stabilizer's action from the orbit; it
-is computed once per orbit.
+decision layer reads the stabilizer's action from the orbit, and the witness
+reads it and the conjugators; each is computed once per orbit.
 
 Everything here runs on vertex positions: products in the closure compose
 position tuples, and each element's component permutation comes from the
 partition's position table. Each element's component permutation and order
-are computed once per `build_action` and shared by the orbit, stabilizer
-and cyclicity scans. Labels enter only the canonical sort order of the
-group, the reported cycle strings, and the once-per-orbit restriction of
-the stabilizer generator to the representative's members.
+are computed once per `build_action` and shared by the orbit (members and
+conjugators), stabilizer and cyclicity scans. Labels enter only the
+canonical sort order of the group, the reported cycle strings, and the
+once-per-orbit restriction of the stabilizer generator to the
+representative's members.
 """
 
 from __future__ import annotations
@@ -55,10 +57,17 @@ class StabilizerInfo:
 
 @dataclass(frozen=True)
 class OrbitData:
+    """One orbit of components.
+
+    ``conjugators`` pairs each member other than ``rep`` with the first group
+    element, in canonical order, that carries ``rep`` to it.
+    """
+
     rep: int
     members: tuple[int, ...]
     c: int
     stabilizer: StabilizerInfo
+    conjugators: tuple[tuple[int, VertexPermutation], ...]
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,6 @@ class HolonomyAction:
     partition: CoherentPartition
     generators: tuple[VertexPermutation, ...]
     elements: tuple[VertexPermutation, ...]
-    component_action: dict
     orbits: tuple[OrbitData, ...]
     is_cyclic: bool
 
@@ -104,7 +112,7 @@ def close_group(
     """Multiplicative closure of the generators, in canonical sorted order.
 
     The order compares image labels (`VertexPermutation.image_labels`), not
-    positions: the reported stabilizer generator and the witness's conjugators
+    positions: the reported stabilizer generator and the orbits' conjugators
     are the first fitting elements in it.
     """
     identity = VertexPermutation.identity(domain)
@@ -171,7 +179,8 @@ def build_action(
     """Close the generators, act on components, and collect orbit data.
 
     Orbits are listed by smallest member index, which is also the chosen
-    representative. The stabilizer of the representative is scanned for a
+    representative; one scan of the group gives the members and each one's
+    conjugator. The stabilizer of the representative is scanned for a
     single generator; when none exists it is flagged non-cyclic and downstream
     verdicts come out undecided instead of guessed. The whole group is
     scanned once the same way for `is_cyclic`. Each element's component
@@ -196,13 +205,17 @@ def build_action(
     for start in range(k):
         if start in seen:
             continue
-        members = sorted({perm[start] for perm in component_perms})
+        first = {}
+        for h, perm in zip(elements, component_perms):
+            first.setdefault(perm[start], h)
+        members = tuple(sorted(first))
         seen.update(members)
         orbit = OrbitData(
             rep=start,
-            members=tuple(members),
-            c=_orbit_c_value(part, tuple(members)),
+            members=members,
+            c=_orbit_c_value(part, members),
             stabilizer=_stabilizer_info(part, elements, component_perms, orders, start),
+            conjugators=tuple((m, first[m]) for m in members if m != start),
         )
         orbits.append(orbit)
 
@@ -211,7 +224,6 @@ def build_action(
         partition=part,
         generators=generators,
         elements=elements,
-        component_action=dict(zip(elements, component_perms)),
         orbits=tuple(orbits),
         is_cyclic=_cyclic_generator(elements, orders) is not None,
     )

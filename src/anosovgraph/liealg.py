@@ -31,7 +31,7 @@ class GraphLieAlgebra:
     The wedge basis is ordered like the graph's edge list, each wedge oriented
     with the earlier vertex first; that convention fixes all bracket signs:
     the bracket of vertices u and v is +-(the wedge of the edge uv), or zero
-    for a non-edge (`wedge_index`).
+    for a non-edge.
     """
 
     __slots__ = ("graph", "v_basis", "w_basis", "_w_index")
@@ -61,16 +61,6 @@ class GraphLieAlgebra:
     @property
     def dimension(self) -> int:
         return self.dim_v + self.dim_w
-
-    def wedge_index(self, u: str, v: str) -> tuple[int, int] | None:
-        """(sign, index) of the wedge u^v in the W basis, or None for non-edges."""
-        iu, iv = self.graph.index(u), self.graph.index(v)
-        if iu == iv:
-            return None
-        idx = self._w_index.get((iu, iv) if iu < iv else (iv, iu))
-        if idx is None:
-            return None
-        return (1 if iu < iv else -1, idx)
 
     def __repr__(self) -> str:
         return f"GraphLieAlgebra(dim {self.dim_v}+{self.dim_w})"

@@ -2,11 +2,11 @@
 
 The witness is assembled block-per-component: a certified seed on each orbit
 representative, powered to separate eigenvalue magnitudes across orbits, and
-copied to the other components of the orbit by conjugating with holonomy
-elements. The assembled matrix is re-certified exactly on integer rows:
-invertibility on V, bracket preservation on V + W, integer-likeness and
-unit-circle freeness of its whole characteristic polynomial, and commutation
-with every generator.
+copied to the other components of the orbit by conjugating with the orbit's
+conjugators, which `holonomy.build_action` records. The assembled matrix is
+re-certified exactly on integer rows: invertibility on V, bracket
+preservation on V + W, integer-likeness and unit-circle freeness of its whole
+characteristic polynomial, and commutation with every generator.
 
 That polynomial is read off the block structure instead of the dense V + W
 matrix. Each conjugated block is a simultaneous permutation of its orbit's
@@ -143,41 +143,29 @@ def commutes_with_perm(rows, perm: tuple[int, ...]) -> bool:
     return True
 
 
-def seed_catalog(dim: int, stabilizer_perm: tuple[int, ...] | None = None,
-                 entry_bound: int = DEFAULT_ENTRY_BOUND):
+def seed_catalog(stabilizer_perm: tuple[int, ...], entry_bound: int = DEFAULT_ENTRY_BOUND):
     """Ordered stream of candidate integer seed matrices for one orbit block.
 
-    Catalog companions come first (filtered to commute with the stabilizer's
-    permutation on the component), then a bounded exhaustive search over the
-    integer commutant with entries in [-entry_bound, entry_bound], in
-    lexicographic coefficient order.
+    stabilizer_perm is the stabilizer's permutation of the component; its
+    length is the dimension. When all its cycles have one length, catalog
+    seeds lifted along the cycles come first (a trivial stabilizer gets the
+    catalog itself). Then comes a bounded exhaustive search over the integer
+    commutant with entries in [-entry_bound, entry_bound], in lexicographic
+    coefficient order.
     """
-    if stabilizer_perm is None:
-        stabilizer_perm = tuple(range(dim))
-    if len(stabilizer_perm) != dim:
-        raise ValueError("stabilizer permutation has the wrong degree")
-
-    if dim == 2:
-        if commutes_with_perm(CAT_MAP_ROWS, stabilizer_perm):
-            yield CAT_MAP_ROWS
-    for p in catalog_polynomials(dim):
-        rows = companion_rows(p)
-        if commutes_with_perm(rows, stabilizer_perm):
-            yield rows
-
-    # When the stabilizer acts with uniform cycle length d > 1, a seed B on
-    # the space of cycles lifts to B (x) identity along each cycle; the lift
-    # commutes with the stabilizer and inherits B's certificates.
+    dim = len(stabilizer_perm)
+    # When all cycles have one length d, a seed B on the space of cycles lifts
+    # to B (x) identity along each cycle; the lift commutes with the
+    # stabilizer and inherits B's certificates (with d = 1 it is B). Catalog
+    # seeds have irreducible char polys, so a permutation matrix commuting
+    # with one lies in the field Q[B]; having eigenvalue 1, it is the identity.
     cycles = index_cycles(stabilizer_perm)
     lengths = {len(c) for c in cycles}
-    if len(lengths) == 1 and lengths != {1} and len(cycles) >= 1:
+    if len(lengths) == 1:
         d = lengths.pop()
         r = len(cycles)
-        small = []
-        if r == 2:
-            small.append(CAT_MAP_ROWS)
-        small.extend(companion_rows(p) for p in catalog_polynomials(r))
-        for b in small:
+        cat_map = [CAT_MAP_ROWS] if r == 2 else []
+        for b in itertools.chain(cat_map, map(companion_rows, catalog_polynomials(r))):
             rows = [[0] * dim for _ in range(dim)]
             for a_idx in range(r):
                 for b_idx in range(r):
@@ -198,21 +186,21 @@ def seed_catalog(dim: int, stabilizer_perm: tuple[int, ...] | None = None,
 
 
 def find_seed(
-    dim: int,
+    stabilizer_perm: tuple[int, ...],
     c: int,
-    stabilizer_perm: tuple[int, ...] | None = None,
     entry_bound: int = DEFAULT_ENTRY_BOUND,
     search_cap: int = DEFAULT_SEARCH_CAP,
     cancel: CancelToken | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], HyperbolicityCertificate]:
-    """First certified seed in canonical candidate order.
+    """First certified seed commuting with stabilizer_perm, in canonical candidate order.
 
     Candidates are filtered by integer-likeness first, then by the exact
     c-hyperbolicity certificate. Exhaustion (or hitting the candidate cap)
     raises with the bounds used; it never asserts nonexistence beyond them.
     """
+    dim = len(stabilizer_perm)
     tried = 0
-    for rows in seed_catalog(dim, stabilizer_perm, entry_bound):
+    for rows in seed_catalog(stabilizer_perm, entry_bound):
         if cancel is not None:
             cancel.check()
         tried += 1
@@ -390,31 +378,19 @@ def plan_blocks(
         restriction = orbit.stabilizer.restriction
         if restriction is None:
             raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
-        seed, cert = find_seed(
-            len(restriction), orbit.c, restriction, entry_bound, search_cap, cancel
-        )
+        seed, cert = find_seed(restriction, orbit.c, entry_bound, search_cap, cancel)
         seeds.append((orbit, seed, cert))
     exponents = _exponents(cert for _, _, cert in seeds)
-    plans = []
-    for (orbit, seed, cert), k in zip(seeds, exponents):
-        conjugators = []
-        for member in orbit.members:
-            if member == orbit.rep:
-                continue
-            h = next(
-                h for h in action.elements if action.component_action[h][orbit.rep] == member
-            )
-            conjugators.append((member, h))
-        plans.append(
-            OrbitSeedPlan(
-                orbit_rep=orbit.rep,
-                seed=seed,
-                exponent=k,
-                certificate=cert,
-                conjugators=tuple(conjugators),
-            )
+    return tuple(
+        OrbitSeedPlan(
+            orbit_rep=orbit.rep,
+            seed=seed,
+            exponent=k,
+            certificate=cert,
+            conjugators=orbit.conjugators,
         )
-    return tuple(plans)
+        for (orbit, seed, cert), k in zip(seeds, exponents)
+    )
 
 
 def _require_yes(action: HolonomyAction) -> None:
@@ -474,13 +450,9 @@ def _assemble(
         placements = [(orbit.rep, VertexPermutation.identity(graph.vertices))]
         placements += list(orbit_plan.conjugators)
         for member, h in placements:
-            if action.component_action[h][orbit.rep] != member:
-                raise WitnessAssemblyError(
-                    "plan", f"conjugator does not carry the representative to component {member + 1}"
-                )
             idx = [graph.index(h(v)) for v in comp]
             # a simultaneous permutation of the block keeps its char poly
-            if sorted(idx) != sorted(part._member_positions[member]):
+            if sorted(idx) != sorted(part.member_positions[member]):
                 raise WitnessAssemblyError(
                     "plan", f"conjugator does not carry the representative onto component {member + 1}"
                 )
@@ -545,7 +517,7 @@ def _require_block_diagonal(action: HolonomyAction, rows) -> None:
     polynomials is the characteristic polynomial of rows.
     """
     n = action.graph.num_vertices
-    component_of = action.partition._component_of
+    component_of = action.partition.component_of
     for i in range(n):
         row, ci = rows[i], component_of[i]
         if any(row[j] for j in range(n) if component_of[j] != ci):

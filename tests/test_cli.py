@@ -196,6 +196,21 @@ class TestWitnessReportPins:
             == "6fa41d2dc1c979e304d79a87dad311e9d2707e8fdd89552b0ef559fe40e27535"
         )
 
+    def test_bipartite_lifted_seed_report(self, run, tmp_path):
+        # the stabilizer's double swaps give a lifted seed, and two group
+        # elements carry part A to part B: the report names the first
+        path = write_graph(tmp_path, complete_bipartite(6, 6))
+        holonomy = (
+            "(a1 b1)(a2 b2)(a3 b3)(a4 b4)(a5 b5)(a6 b6);"
+            "(a1 a2)(a3 a4)(a5 a6)(b1 b2)(b3 b4)(b5 b6)"
+        )
+        code, out, _ = run("analyze", "--graph", path, "--holonomy", holonomy, "--json", "--witness")
+        assert code == EXIT_YES
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "aa8f7ad0d09d819c7c5534ee5f31c4c18cfc58e1dabc52f0dfe9f621f134337d"
+        )
+
 
 class TestQuotient:
     def test_loop_end_chain_dot(self, run, tmp_path):

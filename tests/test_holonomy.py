@@ -264,6 +264,24 @@ class TestMatchesDictClosure:
 
     @given(symmetric_blowups())
     @settings(max_examples=80, deadline=None)
+    def test_conjugators_match_group_scan(self, case):
+        graph, maps = case
+        gens = [VertexPermutation(graph.vertices, m) for m in maps]
+        action = build_action(graph, coherent_components(graph), gens)
+        part = action.partition
+        for orbit in action.orbits:
+            expected = tuple(
+                (member, next(
+                    h for h in action.elements
+                    if induced_component_permutation(part, h)[orbit.rep] == member
+                ))
+                for member in orbit.members
+                if member != orbit.rep
+            )
+            assert orbit.conjugators == expected
+
+    @given(symmetric_blowups())
+    @settings(max_examples=80, deadline=None)
     def test_stabilizer_restriction(self, case):
         graph, maps = case
         gens = [VertexPermutation(graph.vertices, m) for m in maps]

@@ -2,8 +2,9 @@
 
 The decision layers (graphs, holonomy, repdecomp) depend only on each other
 and on errors, not on the algebra, certification or matrix modules; Fraction
-arithmetic lives in exactmat alone; and the polynomial and certification
-layers, like holonomy, work without exactmat.
+arithmetic lives in exactmat alone; the polynomial and certification
+layers, like holonomy, work without exactmat; and the underscore slots of
+the graphs classes are read only inside graphs.
 """
 
 import ast
@@ -45,9 +46,23 @@ def imports(module):
     return package, other
 
 
+def parse(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def names_used(module):
-    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {node.id for node in ast.walk(parse(module)) if isinstance(node, ast.Name)}
+
+
+def private_slots(module):
+    """Underscore names in the `__slots__` of the module's classes."""
+    names = set()
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names.update(e.value for e in node.value.elts if e.value.startswith("_"))
+    return names
 
 
 def test_sources_found():
@@ -71,3 +86,11 @@ def test_only_exactmat_uses_fractions(module):
 def test_no_exactmat_below_the_algebra(module):
     package, _ = imports(module)
     assert "exactmat" not in package
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "graphs"])
+def test_graphs_private_slots_read_only_in_graphs(module):
+    private = private_slots("graphs")
+    assert {"_images", "_index"} <= private
+    read = {node.attr for node in ast.walk(parse(module)) if isinstance(node, ast.Attribute)}
+    assert not read & private, read & private

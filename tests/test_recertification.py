@@ -52,6 +52,7 @@ from tests_support_oracles import (
     commutes_with_signed_perm,
     extend_permutation,
     permutation_matrix,
+    wedge_index,
 )
 
 MAX_ORACLE_DIM = 48
@@ -77,7 +78,7 @@ def all_pairs_bracket_check(alg, m):
             lhs = bracket(alg, cols[x], cols[y])
             rhs = zero
             if x < n and y < n:
-                entry = alg.wedge_index(alg.v_basis[x], alg.v_basis[y])
+                entry = wedge_index(alg, alg.v_basis[x], alg.v_basis[y])
                 if entry is not None:
                     sign, idx = entry
                     rhs = tuple(sign * c for c in cols[n + idx])
@@ -273,7 +274,7 @@ def v_maps(rng, graph, perm):
     part = coherent_components(graph)
     for r in range(n):
         # prefer a column that perm moves: a change at a fixed row and column commutes
-        members = part._member_positions[part._component_of[r]]
+        members = part.member_positions[part.component_of[r]]
         c = rng.choice([j for j in members if perm[j] != j] or members)
         perturbed = [list(row) for row in average]
         perturbed[r][c] += rng.choice([-1, 1])
@@ -384,7 +385,7 @@ def all_pairs_extension(alg, rows):
                 if coeff == 0:
                     continue
                 lu, lv = graph.vertices[u], graph.vertices[v]
-                signed = alg.wedge_index(lu, lv)
+                signed = wedge_index(alg, lu, lv)
                 if signed is None:
                     raise PreconditionViolation(
                         f"image of wedge {a}^{b} meets the non-edge wedge {lu}^{lv}; "

@@ -25,6 +25,7 @@ from anosovgraph.graphs import (
     complete_graph,
     cycle_graph,
     discrete_graph,
+    index_cycles,
 )
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import CancelToken, char_poly, is_c_hyperbolic, is_integer_like
@@ -36,14 +37,17 @@ from anosovgraph.witness import (
     OrbitSeedPlan,
     assemble_witness,
     build_witness,
+    catalog_polynomials,
     choose_exponents,
     commutant_pair_orbits,
+    commutes_with_perm,
     find_seed,
     log_modulus_bounds,
     plan_blocks,
     seed_catalog,
 )
 
+from tests_support_guard import dummy_plan
 from tests_support_oracles import permutation_matrix
 
 CUBIC = IntPolynomial((1, -2, -1, 1))
@@ -54,14 +58,46 @@ def action_for(graph, *cycle_strings):
     return build_action(graph, coherent_components(graph), gens)
 
 
+def catalog_then_lift(dim, stabilizer_perm):
+    """The candidate stream as it was built with a separate catalog branch:
+    catalog seeds filtered by commutation, then lifts for a uniform cycle
+    length d > 1, then the bounded search."""
+    if dim == 2 and commutes_with_perm(CAT_MAP_ROWS, stabilizer_perm):
+        yield CAT_MAP_ROWS
+    for p in catalog_polynomials(dim):
+        rows = companion_rows(p)
+        if commutes_with_perm(rows, stabilizer_perm):
+            yield rows
+    cycles = index_cycles(stabilizer_perm)
+    lengths = {len(c) for c in cycles}
+    if len(lengths) == 1 and lengths != {1}:
+        d = lengths.pop()
+        r = len(cycles)
+        small = ([CAT_MAP_ROWS] if r == 2 else []) + [companion_rows(p) for p in catalog_polynomials(r)]
+        for b in small:
+            rows = [[0] * dim for _ in range(dim)]
+            for a_idx in range(r):
+                for b_idx in range(r):
+                    for t in range(d):
+                        rows[cycles[a_idx][t]][cycles[b_idx][t]] = b[a_idx][b_idx]
+            yield tuple(tuple(row) for row in rows)
+    basis = commutant_pair_orbits(stabilizer_perm)
+    for coeffs in itertools.product(range(-3, 4), repeat=len(basis)):
+        rows = [[0] * dim for _ in range(dim)]
+        for value, orbit in zip(coeffs, basis):
+            for i, j in orbit:
+                rows[i][j] = value
+        yield tuple(tuple(r) for r in rows)
+
+
 class TestSeedSearch:
     def test_dim2_c1_cat_map_first(self):
-        seed, cert = find_seed(2, 1)
+        seed, cert = find_seed((0, 1), 1)
         assert seed == CAT_MAP_ROWS
         assert cert.valid and cert.char_poly == IntPolynomial((1, -3, 1))
 
     def test_dim3_c2_cubic_companion(self):
-        seed, cert = find_seed(3, 2)
+        seed, cert = find_seed((0, 1, 2), 2)
         assert seed == companion_rows(CUBIC)
         assert cert.valid
         assert cert.compound_char_poly == IntPolynomial((-1, -1, 2, 1))
@@ -70,21 +106,21 @@ class TestSeedSearch:
         # any 2x2 integer-like matrix has |det| = 1, so the pair product is
         # always on the unit circle; the full bounded search must come up empty
         with pytest.raises(SeedSearchExhausted) as exc_info:
-            find_seed(2, 2)
+            find_seed((0, 1), 2)
         err = exc_info.value
         assert err.entry_bound == 3
         assert err.candidates_tried > 2000  # full (2*3+1)^4 space was scanned
 
     def test_dims_four_and_five(self):
         for dim in (4, 5):
-            seed, cert = find_seed(dim, 2)
+            seed, cert = find_seed(tuple(range(dim)), 2)
             assert cert.valid
             assert is_integer_like(char_poly(seed))
 
     def test_seed_commutes_with_uniform_stabilizer(self):
         # order-2 action with two 2-cycles on four points
         perm = (1, 0, 3, 2)
-        seed, cert = find_seed(4, 1, perm)
+        seed, cert = find_seed(perm, 1)
         assert cert.valid
         assert all(seed[perm[i]][perm[j]] == seed[i][j] for i in range(4) for j in range(4))
 
@@ -92,9 +128,17 @@ class TestSeedSearch:
         orbits = commutant_pair_orbits((1, 0))
         assert orbits == [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
 
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_stream_matches_catalog_then_lift(self, dim):
+        # the catalog branch was the lift with d = 1: no catalog seed commutes
+        # with a nontrivial permutation, so the streams agree on every perm
+        for perm in itertools.permutations(range(dim)):
+            new = list(itertools.islice(seed_catalog(perm), 60))
+            assert new == list(itertools.islice(catalog_then_lift(dim, perm), 60)), perm
+
     def test_catalog_stream_deterministic(self):
-        first = list(itertools.islice(seed_catalog(3), 12))
-        second = list(itertools.islice(seed_catalog(3), 12))
+        first = list(itertools.islice(seed_catalog((0, 1, 2)), 12))
+        second = list(itertools.islice(seed_catalog((0, 1, 2)), 12))
         assert first == second
 
     @pytest.mark.parametrize("dim, c", [(2, 1), (3, 2), (4, 2)])
@@ -114,14 +158,14 @@ class TestSeedSearch:
         monkeypatch.setattr(witness_module, "seed_catalog", counting_catalog)
         monkeypatch.setattr(witness_module, "char_poly", counting_char_poly)
         monkeypatch.setattr(hyperbolicity_module, "char_poly", counting_char_poly)
-        _, cert = find_seed(dim, c)
+        _, cert = find_seed(tuple(range(dim)), c)
         assert cert.valid and len(calls) == len(candidates)
 
     def test_cancel(self):
         token = CancelToken()
         token.cancel()
         with pytest.raises(OperationCancelled):
-            find_seed(3, 2, cancel=token)
+            find_seed((0, 1, 2), 2, cancel=token)
 
 
 class TestChooseExponents:
@@ -268,33 +312,6 @@ class TestBuildWitness:
 
 
 class TestAssembleGuard:
-    def make_dummy_plan(self, action):
-        plans = []
-        for orbit in action.orbits:
-            dim = len(action.partition.components[orbit.rep])
-            seed = tuple(tuple(int(i == j) * 2 - int(j == (i + 1) % dim) for j in range(dim)) for i in range(dim))
-            plans.append(
-                OrbitSeedPlan(
-                    orbit_rep=orbit.rep,
-                    seed=seed,
-                    exponent=1,
-                    certificate=None,
-                    conjugators=tuple(
-                        (
-                            member,
-                            next(
-                                h
-                                for h in action.elements
-                                if action.component_action[h][orbit.rep] == member
-                            ),
-                        )
-                        for member in orbit.members
-                        if member != orbit.rep
-                    ),
-                )
-            )
-        return tuple(plans)
-
     def test_guard_refuses_on_random_instances(self):
         # random graphs plus an automorphism drawn from rotations of generated
         # component structures; whenever decide != yes, assemble must refuse
@@ -311,7 +328,7 @@ class TestAssembleGuard:
             attempted += 1
             if verdict != "yes":
                 with pytest.raises(WitnessRefused):
-                    assemble_witness(action, self.make_dummy_plan(action))
+                    assemble_witness(action, dummy_plan(action))
                 refused += 1
         assert attempted == 200
         assert refused > 50  # random sparse graphs mostly fail the criterion
@@ -325,7 +342,7 @@ class TestAssembleGuard:
             action = build_action(g, coherent_components(g), [rot])
             if decide(action).verdict != "yes":
                 with pytest.raises(WitnessRefused):
-                    assemble_witness(action, self.make_dummy_plan(action))
+                    assemble_witness(action, dummy_plan(action))
                 cases += 1
         assert cases >= 4
 
@@ -345,6 +362,22 @@ class TestAssembleGuard:
         )
         with pytest.raises(WitnessAssemblyError):
             assemble_witness(action, broken)
+
+    def test_conjugator_outside_the_group_fails_commutation(self):
+        # the first conjugator followed by a swap inside its member component
+        # still carries the representative onto that member, but it is not a
+        # group element, so the copied block breaks commutation
+        inst = family_I(2, (2, 3))
+        action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
+        plan = plan_blocks(action)
+        member, h = plan[0].conjugators[0]
+        u, v = action.partition.components[member][:2]
+        swap = VertexPermutation.from_cycles(f"({u} {v})", inst.graph.vertices)
+        assert swap * h not in action.elements
+        broken = replace(plan[0], conjugators=((member, swap * h),) + plan[0].conjugators[1:])
+        with pytest.raises(WitnessAssemblyError) as err:
+            assemble_witness(action, (broken,) + plan[1:])
+        assert err.value.stage == "commutation"
 
     @pytest.mark.parametrize("defect", ["conjugator omitted", "singular seed"])
     def test_plan_leaving_v_singular_fails_at_extension(self, defect):

@@ -67,21 +67,13 @@ def dummy_plan(action):
             tuple(2 * int(i == j) - int(j == (i + 1) % dim) for j in range(dim))
             for i in range(dim)
         )
-        conjugators = tuple(
-            (
-                member,
-                next(h for h in action.elements if action.component_action[h][orbit.rep] == member),
-            )
-            for member in orbit.members
-            if member != orbit.rep
-        )
         plans.append(
             OrbitSeedPlan(
                 orbit_rep=orbit.rep,
                 seed=seed,
                 exponent=1,
                 certificate=None,
-                conjugators=conjugators,
+                conjugators=orbit.conjugators,
             )
         )
     return tuple(plans)

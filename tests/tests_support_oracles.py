@@ -1,8 +1,9 @@
 """Dense and dict-based oracles for the tests: permutation matrices, the bracket of
-coefficient vectors, a vertex permutation's extension to V+W as a signed
-permutation with the signed commutation check the witness ran on V+W, and the
-label-dict vertex permutation with its closure and component action, as
-`graphs` and `holonomy` computed them before positions."""
+coefficient vectors, the signed wedge index of a vertex pair, a vertex
+permutation's extension to V+W as a signed permutation with the signed
+commutation check the witness ran on V+W, and the label-dict vertex
+permutation with its closure and component action, as `graphs` and
+`holonomy` computed them before positions."""
 
 from math import lcm
 
@@ -29,6 +30,17 @@ def bracket(alg, x, y):
     return tuple(out)
 
 
+def wedge_index(alg, u, v):
+    """(sign, index) of the wedge u^v in the W basis, or None for non-edges."""
+    iu, iv = alg.graph.index(u), alg.graph.index(v)
+    if iu == iv:
+        return None
+    idx = alg._w_index.get((iu, iv) if iu < iv else (iv, iu))
+    if idx is None:
+        return None
+    return (1 if iu < iv else -1, idx)
+
+
 def extend_permutation(alg, p):
     """The extension of a vertex permutation to V + W as a signed permutation.
 
@@ -42,7 +54,7 @@ def extend_permutation(alg, p):
     sigma = [graph.index(p(v)) for v in graph.vertices]
     signs = [1] * n
     for a, b in alg.w_basis:
-        signed = alg.wedge_index(p(a), p(b))
+        signed = wedge_index(alg, p(a), p(b))
         if signed is None:
             raise PreconditionViolation(
                 f"{p.cycle_string()} sends the wedge {a}^{b} to the non-edge {p(a)}^{p(b)}"
