@@ -21,12 +21,7 @@ from .graphs import CoherentPartition, Graph, coherent_components
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND, HolonomyAction, build_action
 from .hyperbolicity import CancelToken
 from .repdecomp import Decision, decide
-from .witness import (
-    DEFAULT_ENTRY_BOUND,
-    DEFAULT_SEARCH_CAP,
-    Witness,
-    build_witness,
-)
+from .witness import Witness, build_witness
 
 
 def _json_text(payload) -> str:
@@ -124,8 +119,6 @@ def analyze(
     *,
     want_witness: bool = False,
     order_bound: int = DEFAULT_GROUP_ORDER_BOUND,
-    entry_bound: int = DEFAULT_ENTRY_BOUND,
-    search_cap: int = DEFAULT_SEARCH_CAP,
     cancel: CancelToken | None = None,
 ) -> AnalysisReport:
     """Run the full pipeline: components, holonomy action, decision, witness."""
@@ -153,12 +146,7 @@ def analyze(
     if want_witness and decision.verdict == "yes":
         t0 = time.monotonic()
         try:
-            report.witness = build_witness(
-                action,
-                entry_bound=entry_bound,
-                search_cap=search_cap,
-                cancel=cancel,
-            )
+            report.witness = build_witness(action, cancel=cancel)
         except (
             SeedSearchExhausted,
             WitnessRefused,

@@ -92,8 +92,6 @@ def _analyze_arguments(args, want_witness: bool):
         generators,
         want_witness=want_witness,
         order_bound=args.max_group_order,
-        entry_bound=args.search_bound,
-        search_cap=args.search_cap,
     )
 
 
@@ -217,8 +215,6 @@ def build_parser() -> _Parser:
         p.add_argument("--graph", required=True, help="graph file (JSON or text), or - for stdin")
         p.add_argument("--holonomy", default=None, help='generators, e.g. "(a b)(c d);(e f)"')
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
-        p.add_argument("--search-bound", type=int, default=3, help="seed entry bound")
-        p.add_argument("--search-cap", type=int, default=200_000, help="max seed candidates")
         p.add_argument("--max-group-order", type=int, default=10_000)
         if witness_flag:
             p.add_argument("--witness", action="store_true", help="also construct a witness")

@@ -27,13 +27,17 @@ class BoundExceeded(RuntimeError):
 
 
 class SeedSearchExhausted(RuntimeError):
-    """No certified seed matrix was found within the catalog and search bounds."""
+    """No candidate of `witness.seed_catalog` passed the exact certificate.
 
-    def __init__(self, message, *, dim, c, entry_bound, candidates_tried):
+    The candidates commute with the stabilizer by construction and the
+    certificate alone accepts a seed; the tests find one for every yes cycle
+    type on at most 12 points. This is not a proof that no seed exists.
+    """
+
+    def __init__(self, message, *, dim, c, candidates_tried):
         super().__init__(message)
         self.dim = dim
         self.c = c
-        self.entry_bound = entry_bound
         self.candidates_tried = candidates_tried
 
 

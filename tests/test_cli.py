@@ -281,25 +281,26 @@ class TestWitnessCommand:
         )
         assert code == EXIT_NO
 
-    def test_seed_exhaustion_reports_bounds(self, run, tmp_path):
-        # a yes-instance whose 5-point component has a mixed-cycle-type
-        # stabilizer: no structured seed applies and the capped search runs dry
+    def test_mixed_cycle_stabilizer_gets_witness(self, run, tmp_path):
+        # a yes-instance whose 5-point component has the mixed cycle type
+        # (2, 2, 1) under its stabilizer: no lifted catalog seed applies and
+        # the structured candidate certifies
         from anosovgraph.graphs import Graph
-        from anosovgraph.cli import EXIT_WITNESS
+        from anosovgraph.cli import EXIT_USAGE
 
         g = Graph(
             ["a", "b", "c", "d", "e", "f", "g2", "h"],
             [("a", "b"), ("a", "c"), ("b", "c")],
         )
         path = write_graph(tmp_path, g)
-        code, out, err = run(
-            "analyze", "--graph", path, "--holonomy", "(d e)(f g2)",
-            "--witness", "--json", "--search-cap", "500",
-        )
-        assert code == EXIT_WITNESS
+        args = ["analyze", "--graph", path, "--holonomy", "(d e)(f g2)", "--witness", "--json"]
+        code, out, _ = run(*args)
+        assert code == EXIT_YES
         report = json.loads(out)
         assert report["decision"]["verdict"] == "yes"
-        assert "500 candidates" in report["witness_error"]
+        assert report["witness"]["certificate"]["valid"] is True
+        code, _, _ = run(*args, "--search-cap", "500")
+        assert code == EXIT_USAGE
 
 
 class TestCertify:

@@ -4,9 +4,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anosovgraph.hyperbolicity as hyperbolicity_module
 import anosovgraph.witness as witness_module
+from anosovgraph.analysis import analyze
 from anosovgraph.errors import (
     OperationCancelled,
     PreconditionViolation,
@@ -39,12 +42,12 @@ from anosovgraph.witness import (
     build_witness,
     catalog_polynomials,
     choose_exponents,
-    commutant_pair_orbits,
     commutes_with_perm,
     find_seed,
     log_modulus_bounds,
     plan_blocks,
     seed_catalog,
+    structured_seed,
 )
 
 from tests_support_guard import dummy_plan
@@ -59,9 +62,9 @@ def action_for(graph, *cycle_strings):
 
 
 def catalog_then_lift(dim, stabilizer_perm):
-    """The candidate stream as it was built with a separate catalog branch:
-    catalog seeds filtered by commutation, then lifts for a uniform cycle
-    length d > 1, then the bounded search."""
+    """The lifted catalog seeds as they were built with a separate catalog
+    branch: catalog seeds filtered by commutation, then lifts for a uniform
+    cycle length d > 1."""
     if dim == 2 and commutes_with_perm(CAT_MAP_ROWS, stabilizer_perm):
         yield CAT_MAP_ROWS
     for p in catalog_polynomials(dim):
@@ -81,13 +84,26 @@ def catalog_then_lift(dim, stabilizer_perm):
                     for t in range(d):
                         rows[cycles[a_idx][t]][cycles[b_idx][t]] = b[a_idx][b_idx]
             yield tuple(tuple(row) for row in rows)
-    basis = commutant_pair_orbits(stabilizer_perm)
-    for coeffs in itertools.product(range(-3, 4), repeat=len(basis)):
-        rows = [[0] * dim for _ in range(dim)]
-        for value, orbit in zip(coeffs, basis):
-            for i, j in orbit:
-                rows[i][j] = value
-        yield tuple(tuple(r) for r in rows)
+
+
+def cycle_types(n, largest=None):
+    """The partitions of n, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in cycle_types(n - first, first):
+            yield (first,) + rest
+
+
+def cyclic_generator(graph, lengths):
+    """A permutation of the graph's vertices, in order, with cycles of the given lengths."""
+    labels, cycles = list(graph.vertices), []
+    for length in lengths:
+        block, labels = labels[:length], labels[length:]
+        if length > 1:
+            cycles.append("(" + " ".join(block) + ")")
+    return VertexPermutation.from_cycles("".join(cycles), graph.vertices)
 
 
 class TestSeedSearch:
@@ -104,12 +120,10 @@ class TestSeedSearch:
 
     def test_dim2_c2_exhausts(self):
         # any 2x2 integer-like matrix has |det| = 1, so the pair product is
-        # always on the unit circle; the full bounded search must come up empty
+        # always on the unit circle; every candidate of the stream must fail
         with pytest.raises(SeedSearchExhausted) as exc_info:
             find_seed((0, 1), 2)
-        err = exc_info.value
-        assert err.entry_bound == 3
-        assert err.candidates_tried > 2000  # full (2*3+1)^4 space was scanned
+        assert exc_info.value.candidates_tried == len(list(seed_catalog((0, 1))))
 
     def test_dims_four_and_five(self):
         for dim in (4, 5):
@@ -124,17 +138,15 @@ class TestSeedSearch:
         assert cert.valid
         assert all(seed[perm[i]][perm[j]] == seed[i][j] for i in range(4) for j in range(4))
 
-    def test_commutant_orbits(self):
-        orbits = commutant_pair_orbits((1, 0))
-        assert orbits == [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
-
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_stream_matches_catalog_then_lift(self, dim):
         # the catalog branch was the lift with d = 1: no catalog seed commutes
-        # with a nontrivial permutation, so the streams agree on every perm
+        # with a nontrivial permutation, so the streams agree on every perm;
+        # the structured candidate comes last
         for perm in itertools.permutations(range(dim)):
-            new = list(itertools.islice(seed_catalog(perm), 60))
-            assert new == list(itertools.islice(catalog_then_lift(dim, perm), 60)), perm
+            *lifted, last = seed_catalog(perm)
+            assert lifted == list(catalog_then_lift(dim, perm)), perm
+            assert last == structured_seed(perm)
 
     def test_catalog_stream_deterministic(self):
         first = list(itertools.islice(seed_catalog((0, 1, 2)), 12))
@@ -166,6 +178,51 @@ class TestSeedSearch:
         token.cancel()
         with pytest.raises(OperationCancelled):
             find_seed((0, 1, 2), 2, cancel=token)
+
+
+class TestCycleTypeEnumeration:
+    """One cyclic generator of every cycle type on a discrete component (c = 1)
+    and on a complete one (c = 2)."""
+
+    def test_every_yes_instance_on_at_most_8_points_gets_a_witness(self):
+        verdicts = {"yes": 0, "other": 0}
+        for n in range(2, 9):
+            for lengths in cycle_types(n):
+                if max(lengths) == 1:
+                    continue
+                for graph in (discrete_graph(n), complete_graph(n)):
+                    report = analyze(graph, [cyclic_generator(graph, lengths)], want_witness=True)
+                    if report.decision.verdict == "yes":
+                        verdicts["yes"] += 1
+                        assert report.witness is not None, (lengths, report.witness_error)
+                        assert report.witness.certificate.valid
+                    else:
+                        verdicts["other"] += 1
+                        assert report.witness is None and report.witness_error is None
+        assert verdicts == {"yes": 21, "other": 95}
+
+    def test_find_seed_certifies_every_yes_cycle_type_on_at_most_12_points(self):
+        certified = 0
+        for n in range(2, 13):
+            for lengths in cycle_types(n):
+                for graph in (discrete_graph(n), complete_graph(n)):
+                    gen = cyclic_generator(graph, lengths)
+                    action = build_action(graph, coherent_components(graph), [gen])
+                    if decide(action).verdict != "yes":
+                        continue
+                    (orbit,) = action.orbits
+                    _, cert = find_seed(orbit.stabilizer.restriction, orbit.c)
+                    assert cert.valid and cert.level == orbit.c
+                    certified += 1
+        assert certified == 131
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10).flatmap(lambda n: st.permutations(range(n))))
+    def test_structured_seed_commutes_and_is_unimodular(self, perm):
+        perm = tuple(perm)
+        rows = structured_seed(perm)
+        assert commutes_with_perm(rows, perm)
+        assert char_poly(rows).constant in (1, -1)
 
 
 class TestChooseExponents:
