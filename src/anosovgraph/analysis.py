@@ -7,9 +7,9 @@ timings live in a separate field that callers print to stderr.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     PreconditionViolation,
@@ -27,10 +27,77 @@ from .witness import Witness, build_witness
 def _json_text(payload) -> str:
     """Canonical JSON text: sorted keys, two-space indent, one trailing newline.
 
-    Every JSON document the package writes goes through here. It is private,
-    so a per-layer trace charges the encoding to the function that renders.
+    Every JSON document the package writes goes through here. Its bytes are
+    exactly those of the standard ``json`` module's ``dumps`` with
+    ``sort_keys=True, indent=2`` plus a newline, for payloads of dicts with str
+    keys, lists, tuples, str, int, bool and None. Any other key or value type
+    raises TypeError instead of being converted. The library call is not used
+    because an ``indent`` sends it to the pure-Python encoder, which makes a
+    generator per container and a closure cycle per call; here strings go
+    through the C ``encode_basestring_ascii`` and a list of plain ints or of
+    strings is joined in one call. The helpers stay private: a per-layer trace
+    wraps public functions, so a public recursive helper would record a span
+    per JSON node instead of charging the encoding to the renderer.
     """
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the JSON text of value, whose closing bracket sits after newline."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, newline, out)
+    elif isinstance(value, dict):
+        _write_dict(value, newline, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_list(items, newline: str, out: list) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    types = set(map(type, items))
+    if types == {int}:  # str is int.__repr__ on plain ints, and calls faster
+        out.append("[" + inner + separator.join(map(str, items)) + newline + "]")
+    elif types == {str}:
+        out.append("[" + inner + separator.join(map(_quote, items)) + newline + "]")
+    else:
+        lead = "[" + inner
+        for item in items:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = separator
+        out.append(newline + "]")
+
+
+def _write_dict(mapping, newline: str, out: list) -> None:
+    if not mapping:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    lead = "{" + inner
+    for key in sorted(mapping):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        out.append(lead + _quote(key) + ": ")
+        _write(mapping[key], inner, out)
+        lead = "," + inner
+    out.append(newline + "}")
 
 
 def component_label(i: int) -> str:

@@ -275,6 +275,37 @@ class VertexPermutation:
                 mapping[name] = names[(i + 1) % len(names)]
         return cls(domain, mapping)
 
+    @classmethod
+    def generated_group(cls, generators, domain, order_bound: int) -> list["VertexPermutation"]:
+        """Every element of the group the generators generate on domain, unordered.
+
+        The closure composes bare position tuples and wraps only the distinct
+        elements. Raises BoundExceeded as soon as more than order_bound are found.
+        """
+        identity = cls.identity(domain)
+        gens = []
+        for g in generators:
+            if g.domain != identity.domain:
+                raise PermutationError("permutations have different domains")
+            gens.append(g._images.__getitem__)
+        elements = {identity._images}
+        frontier = [identity._images]
+        while frontier:
+            new_frontier = []
+            for g in gens:
+                for h in frontier:
+                    prod = tuple(map(g, h))
+                    if prod not in elements:
+                        elements.add(prod)
+                        new_frontier.append(prod)
+                        if len(elements) > order_bound:
+                            raise BoundExceeded(
+                                f"holonomy group order exceeds the bound {order_bound}",
+                                bound=order_bound,
+                            )
+            frontier = new_frontier
+        return [identity._with_images(images) for images in elements]
+
     def __call__(self, v: str) -> str:
         try:
             return self.domain[self._images[self._index[v]]]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundExceeded, NotAnAutomorphism
+from .errors import NotAnAutomorphism
 from .graphs import (
     CoherentPartition,
     Graph,
@@ -115,24 +115,7 @@ def close_group(
     positions: the reported stabilizer generator and the orbits' conjugators
     are the first fitting elements in it.
     """
-    identity = VertexPermutation.identity(domain)
-    elements = {identity}
-    frontier = [identity]
-    gens = list(generators)
-    while frontier:
-        new_frontier = []
-        for g in gens:
-            for h in frontier:
-                prod = g * h
-                if prod not in elements:
-                    elements.add(prod)
-                    new_frontier.append(prod)
-                    if len(elements) > order_bound:
-                        raise BoundExceeded(
-                            f"holonomy group order exceeds the bound {order_bound}",
-                            bound=order_bound,
-                        )
-        frontier = new_frontier
+    elements = VertexPermutation.generated_group(generators, domain, order_bound)
     return tuple(sorted(elements, key=VertexPermutation.image_labels))
 
 

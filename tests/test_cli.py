@@ -20,7 +20,7 @@ from anosovgraph.cli import (
     main,
 )
 from anosovgraph.fixtures import all_loops_chain, four_pair_chain, loop_end_chain, pentagon
-from anosovgraph.graphs import VertexPermutation, complete_bipartite, discrete_graph
+from anosovgraph.graphs import Graph, VertexPermutation, complete_bipartite, discrete_graph
 from anosovgraph.hyperbolicity import char_poly
 from anosovgraph.polynomials import IntPolynomial, companion_rows, format_polynomial
 
@@ -210,6 +210,34 @@ class TestWitnessReportPins:
             hashlib.sha256(out.encode()).hexdigest()
             == "aa8f7ad0d09d819c7c5534ee5f31c4c18cfc58e1dabc52f0dfe9f621f134337d"
         )
+
+
+class TestCanonicalOutput:
+    """Every JSON-emitting command prints the library encoder's canonical bytes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--graph", "{bipartite}", "--holonomy", "(a1 b1)(a2 b2)(a3 b3)", "--json"),
+            ("analyze", "--graph", "{bipartite}", "--holonomy", "(a1 b1)(a2 b2)(a3 b3)",
+             "--json", "--witness"),
+            ("analyze", "--graph", "{accented}", "--holonomy", "(é1 é2)", "--json", "--witness"),
+            ("witness", "--graph", "{bipartite}", "--holonomy", "(a1 b1)(a2 b2)(a3 b3)", "--json"),
+            ("certify", "--poly", "x^3 - x^2 - 2x + 1", "--c", "2", "--json"),
+            ("certify", "--matrix", "[[2,1],[1,1]]", "--c", "2", "--json"),
+            ("quotient", "--graph", "{bipartite}"),
+            ("family", "--name", "I", "--m", "3", "--sizes", "2,2,3"),
+        ],
+        ids=["analyze", "analyze-witness", "analyze-non-ascii", "witness", "certify-poly",
+             "certify-matrix", "quotient", "family"],
+    )
+    def test_output_is_the_encoder_canonical_form(self, run, tmp_path, argv):
+        paths = {
+            "bipartite": write_graph(tmp_path, complete_bipartite(3, 3), "bipartite.json"),
+            "accented": write_graph(tmp_path, Graph(["é1", "é2", "z"], []), "accented.json"),
+        }
+        _, out, _ = run(*(arg.format(**paths) for arg in argv))
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestQuotient:

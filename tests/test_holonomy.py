@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovgraph.errors import BoundExceeded, NotAnAutomorphism
+from anosovgraph.errors import BoundExceeded, NotAnAutomorphism, PermutationError
 from anosovgraph.fixtures import four_pair_chain, four_pair_chain_swap, pentagon
 from anosovgraph.graphs import (
     Graph,
@@ -52,6 +52,12 @@ class TestCloseGroup:
         b = VertexPermutation.from_cycles("(v1 v2 v3 v4 v5)", g.vertices)
         with pytest.raises(BoundExceeded):
             close_group([a, b], g.vertices, order_bound=50)
+
+    def test_generator_on_another_domain(self):
+        g = discrete_graph(3)
+        a = VertexPermutation.from_cycles("(v1 v2)", g.vertices[::-1])
+        with pytest.raises(PermutationError, match="different domains"):
+            close_group([a], g.vertices)
 
 
 class TestBuildAction:
