@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
+    CancelToken,
     PreconditionViolation,
     SeedSearchExhausted,
     WitnessAssemblyError,
@@ -19,7 +20,6 @@ from .errors import (
 )
 from .graphs import CoherentPartition, Graph, coherent_components
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND, HolonomyAction, build_action
-from .hyperbolicity import CancelToken
 from .repdecomp import Decision, decide
 from .witness import Witness, build_witness
 
@@ -142,8 +142,8 @@ class AnalysisReport:
         g, part = self.graph, self.partition
         lines = [f"graph: {g.num_vertices} vertices, {g.num_edges} edges"]
         lines.append(f"algebra dimension: {self.algebra_dimension}")
-        for i, comp in enumerate(part.components):
-            loop = ", loop" if part.loops[i] else ""
+        for i, (comp, has_loop) in enumerate(zip(part.components, part.loops)):
+            loop = ", loop" if has_loop else ""
             lines.append(
                 f"  {component_label(i)} = {{{', '.join(comp)}}} ({part.kinds[i]}{loop})"
             )

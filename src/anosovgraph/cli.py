@@ -19,12 +19,10 @@ from .errors import (
     GraphInputError,
     NotAnAutomorphism,
     PermutationError,
-    SeedSearchExhausted,
-    WitnessAssemblyError,
-    WitnessRefused,
 )
 from .families import FamilySpec, generate
 from .graphs import Graph, coherent_components, graph_from_json_dict, parse_graph, parse_holonomy_generators
+from .holonomy import DEFAULT_GROUP_ORDER_BOUND
 from .hyperbolicity import certify_polynomial, exterior_square_poly, is_c_hyperbolic, is_integer_like
 from .polynomials import format_polynomial, parse_polynomial
 
@@ -215,7 +213,7 @@ def build_parser() -> _Parser:
         p.add_argument("--graph", required=True, help="graph file (JSON or text), or - for stdin")
         p.add_argument("--holonomy", default=None, help='generators, e.g. "(a b)(c d);(e f)"')
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
-        p.add_argument("--max-group-order", type=int, default=10_000)
+        p.add_argument("--max-group-order", type=int, default=DEFAULT_GROUP_ORDER_BOUND)
         if witness_flag:
             p.add_argument("--witness", action="store_true", help="also construct a witness")
 
@@ -273,9 +271,6 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUNDS
-    except (SeedSearchExhausted, WitnessRefused, WitnessAssemblyError) as exc:
-        print(f"witness error: {exc}", file=sys.stderr)
-        return EXIT_WITNESS
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -446,10 +446,10 @@ class CoherentPartition:
                 {
                     "label": f"lambda_{i + 1}",
                     "vertices": list(comp),
-                    "kind": self.kinds[i],
-                    "loop": self.loops[i],
+                    "kind": kind,
+                    "loop": loop,
                 }
-                for i, comp in enumerate(self.components)
+                for i, (comp, kind, loop) in enumerate(zip(self.components, self.kinds, self.loops))
             ],
             "order": sorted([i + 1, j + 1] for i, j in self.order_pairs),
             "quotient_edges": [[i + 1, j + 1] for i, j in self.quotient_edges],

@@ -121,7 +121,8 @@ def close_group(
 
 def _orbit_c_value(part: CoherentPartition, members: tuple[int, ...]) -> int:
     member_set = set(members)
-    if any(part.loops[i] for i in member_set):
+    loops = part.loops
+    if any(loops[i] for i in member_set):
         return 2
     for i, j in part.quotient_edges:
         if i in member_set and j in member_set:

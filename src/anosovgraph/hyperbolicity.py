@@ -2,20 +2,23 @@
 
 The unit-circle test is fully exact: evaluate at +-1, take the gcd with the
 reversed polynomial, rewrite the (palindromic) gcd through the x + 1/x
-substitution and count real roots in (-2, 2) with a Sturm chain. Level-2
-certificates additionally run the same test on the characteristic polynomial
-of the second exterior power, whose roots are the pairwise eigenvalue
-products. Repeated-index products are covered by the level-1 stage since
-|mu^2| = 1 exactly when |mu| = 1.
+substitution and count real roots in (-2, 2) with a Sturm chain. Once
+p(+-1) != 0, the gcd g divides p, so g(+-1) != 0 too, and g is palindromic
+of even degree, as the substitution needs. Level-2 certificates additionally
+run the same test on the characteristic polynomial of the second exterior
+power, whose roots are the pairwise eigenvalue products. Repeated-index
+products are covered by the level-1 stage since |mu^2| = 1 exactly when
+|mu| = 1.
 
-That exterior-square polynomial comes from the characteristic polynomial p
-alone, by Newton's identities: with s_k the power sums of the roots of p, the
-pair products have power sums S_k = (s_k^2 - s_2k) / 2. Each s_k, S_k and
-coefficient is a symmetric polynomial with integer coefficients in the roots
-of the monic integer polynomial p, hence an integer, so the divisions by 2
-and by k are exact; each one is checked. The same identities give the
-products of the roots of two polynomials (`tensor_poly`), whose power sums
-are s_k(p) s_k(q).
+Every characteristic polynomial here comes from power sums of its roots by
+Newton's identities (`polynomials.from_power_sums`). For a matrix A the k-th
+power sum of the eigenvalues is tr(A^k). For the exterior square of monic p,
+with s_k the power sums of the roots of p, the pair products have power sums
+S_k = (s_k^2 - s_2k) / 2. Each s_k, S_k and coefficient is a symmetric
+polynomial with integer coefficients in the roots of a monic integer
+polynomial, hence an integer, so the divisions by 2 and by k are exact; each
+one is checked. The same identities give the products of the roots of two
+polynomials (`tensor_poly`), whose power sums are s_k(p) s_k(q).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .polynomials import (
     palindromic_to_interval_poly,
     poly_gcd,
     power_sums,
-    strip_unit_linear_factors,
 )
 
 
@@ -81,30 +83,27 @@ def _pattern_blocks(a: list[list[int]]) -> list[list[int]]:
 
 
 def _charpoly_dense(a: list[list[int]], cancel: CancelToken | None) -> IntPolynomial:
-    # Faddeev-LeVerrier; all divisions are exact over the integers.
+    # tr(A^k) is the k-th power sum of the eigenvalues; Newton's identities do the rest.
     n = len(a)
-    m = [[0] * n for _ in range(n)]
-    coeffs_desc = [1]
-    for k in range(1, n + 1):
+    traces = [n, sum(a[i][i] for i in range(n))]
+    power = a
+    for _ in range(n - 1):
         _check(cancel)
-        m = _matmul(a, m)
-        prev = coeffs_desc[-1]
-        for i in range(n):
-            m[i][i] += prev
-        tr = sum(a[i][j] * m[j][i] for i in range(n) for j in range(n))
-        q, r = divmod(-tr, k)
-        if r != 0:
-            raise AssertionError("inexact division in characteristic polynomial")
-        coeffs_desc.append(q)
-    return IntPolynomial(list(reversed(coeffs_desc)))
+        power = _matmul(power, a)
+        traces.append(sum(power[i][i] for i in range(n)))
+    return from_power_sums(traces, cancel)
 
 
 def char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
     """Monic characteristic polynomial of a square integer matrix given as rows, exactly.
 
     Splits the matrix along the connected components of its nonzero pattern
-    first, so block-diagonal inputs cost only the sum of their blocks. Raises
-    ValueError unless m is a non-empty square sequence of integer rows.
+    first, so block-diagonal inputs cost only the sum of their blocks. An n x n
+    block takes the traces of A, A^2, ..., A^n (n - 1 integer products) as
+    the power sums of its eigenvalues, and Newton's identities turn them into
+    coefficients, each division by k checked. Polls ``cancel`` once per
+    product and once per coefficient. Raises ValueError unless m is a
+    non-empty square sequence of integer rows.
     """
     rows = _int_rows(m)
     if not rows:
@@ -170,10 +169,7 @@ def unit_circle_analysis(p: IntPolynomial, cancel: CancelToken | None = None) ->
             None,
         )
     _check(cancel)
-    core, plus, minus = strip_unit_linear_factors(g)
-    if plus or minus:
-        raise AssertionError("unit roots survived the endpoint stage")
-    q = palindromic_to_interval_poly(core)
+    q = palindromic_to_interval_poly(g)
     count = count_real_roots_between(q, -2, 2, cancel)
     if count > 0:
         detail = f"substituted polynomial has {count} real root(s) in (-2, 2)"

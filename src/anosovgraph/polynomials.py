@@ -384,19 +384,6 @@ def count_real_roots_between(p: IntPolynomial, a, b, cancel=None) -> int:
 # Palindromic polynomials and the x + 1/x substitution
 
 
-def strip_unit_linear_factors(p: IntPolynomial) -> tuple[IntPolynomial, int, int]:
-    """Divide out all (x - 1) and (x + 1) factors; returns (reduced, mult_plus1, mult_minus1)."""
-    reduced = p
-    plus = minus = 0
-    while not reduced.is_zero and reduced(1) == 0:
-        reduced = divide_exact(reduced, IntPolynomial([-1, 1]))
-        plus += 1
-    while not reduced.is_zero and reduced(-1) == 0:
-        reduced = divide_exact(reduced, IntPolynomial([1, 1]))
-        minus += 1
-    return reduced, plus, minus
-
-
 def palindromic_to_interval_poly(g: IntPolynomial) -> IntPolynomial:
     """For palindromic g of even degree 2s, the polynomial q with g(x) = x^s q(x + 1/x).
 
@@ -405,7 +392,7 @@ def palindromic_to_interval_poly(g: IntPolynomial) -> IntPolynomial:
     if g.is_zero or not g.is_palindromic():
         raise ValueError("polynomial is not palindromic")
     if g.degree % 2 != 0:
-        raise ValueError("palindromic polynomial of odd degree has root -1; strip it first")
+        raise ValueError("palindromic polynomial of odd degree has root -1")
     s = g.degree // 2
     coeffs = g.coefficients
     # t_k(y) represents x^k + x^(-k); recurrence t_k = y*t_{k-1} - t_{k-2}

@@ -39,6 +39,7 @@ from math import ceil, gcd, prod
 import numpy as np
 
 from .errors import (
+    CancelToken,
     PreconditionViolation,
     SeedSearchExhausted,
     WitnessAssemblyError,
@@ -47,8 +48,8 @@ from .errors import (
 from .graphs import VertexPermutation, index_cycles
 from .holonomy import HolonomyAction
 from .hyperbolicity import (
-    CancelToken,
     HyperbolicityCertificate,
+    _matmul,
     certify_polynomial,
     char_poly,
     is_integer_like,
@@ -82,16 +83,13 @@ CAT_MAP_ROWS = ((2, 1), (1, 1))
 def catalog_polynomials(dim: int) -> tuple[IntPolynomial, ...]:
     """Deterministic list of monic integer-like polynomials of the given degree.
 
-    Head entries are the classical torus/reciprocal-unit seeds; the rest come
-    from cyclotomic polynomials rewritten through the x + 1/x substitution
-    (totally real algebraic units), their sign flips, and the trinomials
-    x^d - x - 1 and its reversal.
+    Degree 3 starts with the classical cubic unit x^3 - x^2 - 2x + 1; degree
+    2 needs no head entry, since `seed_catalog` tries the cat map (char poly
+    x^2 - 3x + 1) first. The rest come from cyclotomic polynomials rewritten
+    through the x + 1/x substitution (totally real algebraic units), their
+    sign flips, and the trinomials x^d - x - 1 and its reversal.
     """
-    explicit = {
-        2: [IntPolynomial((1, -3, 1))],
-        3: [IntPolynomial((1, -2, -1, 1))],
-    }
-    out: list[IntPolynomial] = list(explicit.get(dim, []))
+    out: list[IntPolynomial] = [IntPolynomial((1, -2, -1, 1))] if dim == 3 else []
 
     def add(p: IntPolynomial) -> None:
         if p.degree == dim and p.is_monic and p.constant in (1, -1) and p not in out:
@@ -359,15 +357,13 @@ class Witness:
 def _int_matpow(rows, k: int):
     n = len(rows)
     result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [list(r) for r in rows]
+    base = rows
     while k:
         if k & 1:
-            result = [
-                [sum(a * b for a, b in zip(row, col)) for col in zip(*base)] for row in result
-            ]
+            result = _matmul(result, base)
         k >>= 1
         if k:
-            base = [[sum(a * b for a, b in zip(row, col)) for col in zip(*base)] for row in base]
+            base = _matmul(base, base)
     return tuple(tuple(r) for r in result)
 
 

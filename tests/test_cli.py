@@ -16,9 +16,11 @@ from anosovgraph.cli import (
     EXIT_PARSE,
     EXIT_UNDECIDED,
     EXIT_USAGE,
+    EXIT_WITNESS,
     EXIT_YES,
     main,
 )
+from anosovgraph.errors import SeedSearchExhausted, WitnessAssemblyError, WitnessRefused
 from anosovgraph.fixtures import all_loops_chain, four_pair_chain, loop_end_chain, pentagon
 from anosovgraph.graphs import Graph, VertexPermutation, complete_bipartite, discrete_graph
 from anosovgraph.hyperbolicity import char_poly
@@ -121,6 +123,33 @@ class TestAnalyze:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert "internal error: inconsistent block shape" in err
+
+    WITNESS_FAILURES = [
+        SeedSearchExhausted("no seed candidate certified", dim=2, c=2, candidates_tried=3),
+        WitnessRefused("decision is 'no'"),
+        WitnessAssemblyError("hyperbolicity", "root on the unit circle"),
+    ]
+
+    @pytest.mark.parametrize("failure", WITNESS_FAILURES, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("command", ["analyze", "witness"])
+    def test_witness_failure_exits_6(self, run, tmp_path, monkeypatch, failure, command):
+        # analyze() reports these three as witness_error; main() never sees them
+        def broken(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(anosovgraph.analysis, "build_witness", broken)
+        path = write_graph(tmp_path, complete_bipartite(3, 3))
+        argv = [command, "--graph", path, "--holonomy", "(a1 b1)(a2 b2)(a3 b3)", "--json"]
+        code, out, err = run(*argv, *(["--witness"] if command == "analyze" else []))
+        assert code == EXIT_WITNESS
+        assert f"witness construction failed: {failure}" in err
+        if command == "analyze":
+            report = json.loads(out)
+            assert report["decision"]["verdict"] == "yes"
+            assert report["witness_error"] == str(failure)
+            assert "witness" not in report
+        else:
+            assert out == ""
 
     def test_invalid_holonomy_exit(self, run, tmp_path):
         path = write_graph(tmp_path, pentagon())
@@ -357,7 +386,7 @@ class TestCertify:
         for coeffs in cubics:
             poly = poly * IntPolynomial(coeffs)
             blocks.append(companion_rows(IntPolynomial(coeffs)))
-        # oracle: Faddeev-LeVerrier on the dense 66x66 compound of the block-diagonal
+        # oracle: char_poly of the dense 66x66 compound of the block-diagonal
         # companion matrix, whose char poly is poly
         n = 12
         rows = [[0] * n for _ in range(n)]

@@ -41,6 +41,55 @@ def P(*ascending):
     return IntPolynomial(ascending)
 
 
+def faddeev_leverrier(rows):
+    """The recursion `char_poly` used before Newton's identities, on the whole matrix."""
+    n = len(rows)
+    m = [[0] * n for _ in range(n)]
+    coeffs_desc = [1]
+    for k in range(1, n + 1):
+        m = [[sum(rows[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            m[i][i] += coeffs_desc[-1]
+        tr = sum(rows[i][j] * m[j][i] for i in range(n) for j in range(n))
+        q, r = divmod(-tr, k)
+        assert r == 0, "inexact division in characteristic polynomial"
+        coeffs_desc.append(q)
+    return IntPolynomial(list(reversed(coeffs_desc)))
+
+
+def sympy_char_poly(rows):
+    coeffs = sympy.Matrix(rows).charpoly().all_coeffs()  # descending
+    return IntPolynomial([int(c) for c in reversed(coeffs)])
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(kind, matrix): a square integer matrix of size 1-8 of the given kind.
+
+    The kinds are dense, sparse, block-diagonal, nilpotent and singular.
+    Entries have up to 40 bits of either sign. The rows and columns are then
+    permuted together, so a block-diagonal pattern is scattered over the matrix.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "sparse", "block", "nilpotent", "singular"]))
+    bits = draw(st.sampled_from([1, 3, 12, 40]))
+    entry = st.integers(-(2**bits), 2**bits)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        m = [[x if draw(st.integers(0, 9)) < 2 else 0 for x in row] for row in m]
+    elif kind == "block":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        label = [sum(i >= c for c in cuts) for i in range(n)]
+        m = [[x if label[i] == label[j] else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+    elif kind == "nilpotent":
+        m = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+    elif kind == "singular":  # the last row is a combination of the others
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[(n - 1) // 2])] if n > 1 else [0]
+    perm = draw(st.permutations(range(n)))
+    return kind, [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
 class TestCharPoly:
     def test_cat_map(self):
         assert char_poly(CAT_MAP) == P(1, -3, 1)
@@ -73,6 +122,21 @@ class TestCharPoly:
             [0, 0, 1, 3],
         ]
         assert char_poly(m) == P(1, -3, 1) * P(1, -3, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_matrices())
+    def test_matches_faddeev_leverrier_and_sympy(self, shaped):
+        kind, m = shaped
+        p = char_poly(m)
+        assert p == faddeev_leverrier(m) == sympy_char_poly(m)
+        if kind == "nilpotent":
+            assert p == IntPolynomial([0] * len(m) + [1])
+        elif kind == "singular":
+            assert p.constant == 0
+
+    def test_one_by_one(self):
+        for a in (0, 1, -1, 2**40, -(2**40) + 1):
+            assert char_poly([[a]]) == P(-a, 1)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -174,13 +238,8 @@ def dense_compound(rows):
 
 
 def dense_compound_char_poly(rows):
-    """The dense path `exterior_square_char_poly` used to take: Faddeev-LeVerrier on the compound."""
+    """The dense path `exterior_square_char_poly` used to take: `char_poly` of the compound."""
     return char_poly(dense_compound(rows))
-
-
-def sympy_char_poly(rows):
-    coeffs = sympy.Matrix(rows).charpoly().all_coeffs()  # descending
-    return IntPolynomial([int(c) for c in reversed(coeffs)])
 
 
 @st.composite
@@ -436,6 +495,16 @@ class TestCancellation:
         for at in range(1, token.checks + 1):
             with pytest.raises(OperationCancelled):
                 count_real_roots_between(p, -2, 2, cancel=CancelOnCheck(at))
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_char_poly_stops_at_every_poll(self, n):
+        m = [[(3 * i + 5 * j) % 7 + 1 for j in range(n)] for i in range(n)]  # no zero entry: one block
+        token = CancelOnCheck()
+        assert char_poly(m, cancel=token) == sympy_char_poly(m)
+        assert token.checks == (n - 1) + n  # once per product, once per coefficient
+        for at in range(1, token.checks + 1):
+            with pytest.raises(OperationCancelled):
+                char_poly(m, cancel=CancelOnCheck(at))
 
     def test_exterior_square_stops_at_every_poll(self):
         p = P(1, 0, -3, 1) * P(-1, -4, 0, 1)  # degree 6: 15 pair products

@@ -17,7 +17,6 @@ from anosovgraph.polynomials import (
     parse_polynomial,
     poly_gcd,
     squarefree_part,
-    strip_unit_linear_factors,
     sturm_chain,
 )
 
@@ -96,12 +95,8 @@ class TestSubstitution:
     def test_rejects_non_palindromic(self):
         with pytest.raises(ValueError):
             palindromic_to_interval_poly(P(2, 1))
-
-    def test_strip_unit_factors(self):
-        p = P(-1, 1) * P(1, 1) * P(1, 1) * P(1, 0, 1)
-        core, plus, minus = strip_unit_linear_factors(p)
-        assert (plus, minus) == (1, 2)
-        assert core.coefficients == (1, 0, 1)
+        with pytest.raises(ValueError, match="odd degree has root -1"):
+            palindromic_to_interval_poly(P(1, 1))
 
 
 class TestSturm:
@@ -226,9 +221,9 @@ class TestIntegerSturm:
 
         inst = family_I(5, (2, 2, 2, 2, 3))
         p = build_witness(build_action(inst.graph, coherent_components(inst.graph), inst.generators)).full_char_poly
-        core, plus, minus = strip_unit_linear_factors(poly_gcd(p, p.reverse()))
-        q = palindromic_to_interval_poly(core)
-        assert (q.degree, max(abs(c).bit_length() for c in q.coefficients), plus, minus) == (26, 1324, 0, 0)
+        assert p(1) != 0 and p(-1) != 0  # so the gcd below has no root at +-1 either
+        q = palindromic_to_interval_poly(poly_gcd(p, p.reverse()))
+        assert (q.degree, max(abs(c).bit_length() for c in q.coefficients)) == (26, 1324)
         assert count_real_roots_between(q, -2, 2) == fraction_sturm_count(q, -2, 2) == sympy_count(q, -2, 2) == 0
 
 

@@ -124,6 +124,9 @@ class TestSeedSearch:
         with pytest.raises(SeedSearchExhausted) as exc_info:
             find_seed((0, 1), 2)
         assert exc_info.value.candidates_tried == len(list(seed_catalog((0, 1))))
+        *lifted, _ = seed_catalog((0, 1))  # the structured seed is the cat map here
+        polys = [char_poly(rows) for rows in lifted]
+        assert len(set(polys)) == len(polys)  # the catalog tries x^2 - 3x + 1 once
 
     def test_dims_four_and_five(self):
         for dim in (4, 5):
