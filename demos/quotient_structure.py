@@ -6,7 +6,7 @@ subgraphs, cross-class adjacency is all-or-nothing, and the class graph
 (loops at complete classes) is the quotient graph everything else runs on.
 """
 
-from anosovgraph import coherent_components, cycle_graph, parse_graph, prec, quotient_dot
+from anosovgraph import coherent_components, cycle_graph, parse_graph, quotient_dot
 from anosovgraph.fixtures import all_loops_chain, loop_end_chain, pentagon
 
 
@@ -28,7 +28,8 @@ def describe(name, graph):
 # triangle's closed ones.
 describe("chain with looped end", loop_end_chain())
 g = loop_end_chain()
-print("prec(a1, b1):", prec(g, "a1", "b1"), "   prec(b1, a1):", prec(g, "b1", "a1"))
+for a, b in (("a1", "b1"), ("b1", "a1")):
+    print(f"N({a}) <= N[{b}]:", g.open_neighborhood(a) <= g.closed_neighborhood(b))
 print()
 
 # Making every class complete adds loops everywhere and changes the order.

@@ -37,16 +37,12 @@ from .graphs import (
     coherent_components,
     complete_bipartite,
     complete_graph,
-    component_order_group,
     cycle_graph,
     discrete_graph,
     induced_component_permutation,
     is_graph_automorphism,
     parse_graph,
     parse_holonomy_generators,
-    path_graph,
-    prec,
-    preserves_prec,
 )
 from .holonomy import HolonomyAction, build_action
 from .hyperbolicity import (
@@ -120,7 +116,6 @@ __all__ = [
     "coherent_components",
     "complete_bipartite",
     "complete_graph",
-    "component_order_group",
     "cycle_graph",
     "decide",
     "decompose_cyclic_perm_rep",
@@ -143,9 +138,6 @@ __all__ = [
     "parse_graph",
     "parse_holonomy_generators",
     "parse_polynomial",
-    "path_graph",
-    "prec",
-    "preserves_prec",
     "quotient_dot",
     "seed_catalog",
     "trivial_holonomy_check",

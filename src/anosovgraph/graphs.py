@@ -119,11 +119,6 @@ def cycle_graph(n: int, prefix: str = "v") -> Graph:
     return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
 
 
-def path_graph(n: int, prefix: str = "v") -> Graph:
-    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
-    return Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
-
-
 def complete_bipartite(a: int, b: int) -> Graph:
     left = [f"a{i}" for i in range(1, a + 1)]
     right = [f"b{i}" for i in range(1, b + 1)]
@@ -384,16 +379,6 @@ def parse_holonomy_generators(text: str, graph: Graph) -> tuple[VertexPermutatio
 # The precedence relation and coherent components
 
 
-def prec(graph: Graph, a: str, b: str) -> bool:
-    """True when the open neighborhood of a is contained in the closed one of b.
-
-    Reflexive and transitive on every graph.
-    """
-    graph.index(a)
-    graph.index(b)
-    return graph.open_neighborhood(a) <= graph.closed_neighborhood(b)
-
-
 class CoherentPartition:
     """Coherent components of a graph with their induced order and quotient graph.
 
@@ -554,19 +539,6 @@ def is_graph_automorphism(graph: Graph, p: VertexPermutation) -> bool:
     return all(graph.has_edge(p(u), p(v)) for u, v in graph.edges)
 
 
-def preserves_prec(graph: Graph, p: VertexPermutation) -> bool:
-    """True when a prec b implies p(a) prec p(b) for all vertex pairs."""
-    _check_domain(graph, p)
-    verts = graph.vertices
-    open_n = {v: graph.open_neighborhood(v) for v in verts}
-    closed_n = {v: open_n[v] | {v} for v in verts}
-    for a in verts:
-        for b in verts:
-            if open_n[a] <= closed_n[b] and not open_n[p(a)] <= closed_n[p(b)]:
-                return False
-    return True
-
-
 def induced_component_permutation(part: CoherentPartition, p: VertexPermutation) -> tuple[int, ...]:
     """The permutation of component indices induced by a precedence-preserving p.
 
@@ -595,17 +567,3 @@ def induced_component_permutation(part: CoherentPartition, p: VertexPermutation)
             )
         result.append(j)
     return tuple(result)
-
-
-def component_order_group(part: CoherentPartition, max_components: int = 8) -> list[tuple[int, ...]]:
-    """All permutations of the components preserving the induced order (brute force)."""
-    k = part.num_components
-    if k > max_components:
-        raise BoundExceeded(
-            f"{k} components exceed the brute-force bound {max_components}", bound=max_components
-        )
-    out = []
-    for perm in itertools.permutations(range(k)):
-        if all((perm[i], perm[j]) in part.order_pairs for i, j in part.order_pairs):
-            out.append(perm)
-    return out

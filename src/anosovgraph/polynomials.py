@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import GraphInputError
@@ -406,6 +407,7 @@ def palindromic_to_interval_poly(g: IntPolynomial) -> IntPolynomial:
     return q
 
 
+@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
     if n < 1:

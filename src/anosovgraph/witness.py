@@ -31,12 +31,11 @@ so they commute on V + W exactly when AP = PA on V.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import ceil, gcd, prod
-
-import numpy as np
+from math import ceil, gcd, log, pi, prod
 
 from .errors import (
     CancelToken,
@@ -67,6 +66,7 @@ from .polynomials import (
     cyclotomic,
     format_polynomial,
     palindromic_to_interval_poly,
+    squarefree_part,
 )
 from .repdecomp import decide, euler_phi
 
@@ -245,11 +245,52 @@ def find_seed(
 # Exponent selection
 
 
+ABERTH_MAX_SWEEPS = 200
+
+
+def _aberth_roots(p: IntPolynomial) -> list[complex]:
+    """The roots of p, which must be simple and nonzero, in complex floats.
+
+    Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973), Gauss-Seidel
+    style. It starts on the circle of twice the roots' geometric mean modulus:
+    a reciprocal polynomial's iteration would leave the unit circle only
+    through rounding. It stops once the largest relative step is a few ulps,
+    or below 2^-26 and no smaller than the last one (rounding noise).
+    """
+    coeffs = [float(c) for c in reversed(p.coefficients)]  # leading first
+    n = len(coeffs) - 1
+    radius = 2 * abs(coeffs[-1] / coeffs[0]) ** (1 / n)
+    roots = [cmath.rect(radius, 2 * pi * k / n + 0.4) for k in range(n)]
+    previous = float("inf")
+    for _ in range(ABERTH_MAX_SWEEPS):
+        largest = 0.0
+        for i, z in enumerate(roots):
+            value, slope = coeffs[0], 0.0
+            for c in coeffs[1:]:
+                slope = slope * z + value
+                value = value * z + c
+            newton = value / slope
+            pull = sum(1 / (z - other) for j, other in enumerate(roots) if j != i)
+            step = newton / (1 - newton * pull)
+            roots[i] = z - step
+            largest = max(largest, abs(step) / abs(roots[i]))
+        if largest <= 4 * 2.0**-52 or previous <= largest < 2.0**-26:
+            return roots
+        previous = largest
+    raise AssertionError(f"Aberth iteration did not converge in {ABERTH_MAX_SWEEPS} sweeps on {p}")
+
+
 def log_modulus_bounds(p: IntPolynomial) -> tuple[float, float]:
-    """(min, max) of |log|root|| over the roots of p, numerically."""
-    roots = np.roots(list(reversed(p.coefficients)))
-    logs = np.abs(np.log(np.abs(roots)))
-    return float(np.min(logs)), float(np.max(logs))
+    """(min, max) of |log|root|| over the roots of p (with p(0) != 0), numerically.
+
+    The roots are taken on the exact squarefree part of p: the same roots,
+    each simple. A lifted seed's char poly is a power, and a float solver
+    spreads a root of multiplicity m by about eps^(1/m); on (x^2 - 3x + 1)^3
+    the spread is about 1e-5, while the simple roots of x^2 - 3x + 1 come out
+    to a few ulps.
+    """
+    logs = [abs(log(abs(z))) for z in _aberth_roots(squarefree_part(p))]
+    return min(logs), max(logs)
 
 
 def choose_exponents(bounds, margin: float = 2.0) -> tuple[int, ...]:

@@ -29,12 +29,10 @@ from anosovgraph.graphs import (
     coherent_components,
     complete_bipartite,
     complete_graph,
-    component_order_group,
     cycle_graph,
     discrete_graph,
     induced_component_permutation,
     is_graph_automorphism,
-    preserves_prec,
 )
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import (
@@ -48,7 +46,7 @@ from anosovgraph.polynomials import IntPolynomial, companion_rows, cyclotomic
 from anosovgraph.repdecomp import decide, trivial_holonomy_check
 from anosovgraph.witness import assemble_witness, build_witness
 from anosovgraph.errors import WitnessRefused
-from tests_support_oracles import permutation_matrix
+from tests_support_oracles import component_order_group, permutation_matrix, preserves_prec
 
 
 @contextmanager

@@ -12,10 +12,11 @@ from anosovgraph.families import (
     family_II_z4,
     generate,
 )
-from anosovgraph.graphs import coherent_components, is_graph_automorphism, prec
+from anosovgraph.graphs import coherent_components, is_graph_automorphism
 from anosovgraph.holonomy import build_action
 from anosovgraph.liealg import build_algebra
 from anosovgraph.repdecomp import decide
+from tests_support_oracles import prec
 
 
 def brute_order_pairs(g, part):

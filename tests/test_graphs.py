@@ -17,15 +17,12 @@ from anosovgraph import (
     coherent_components,
     complete_bipartite,
     complete_graph,
-    component_order_group,
     cycle_graph,
     discrete_graph,
     induced_component_permutation,
     is_graph_automorphism,
     parse_graph,
     parse_holonomy_generators,
-    prec,
-    preserves_prec,
 )
 from anosovgraph.fixtures import (
     all_loops_chain,
@@ -34,7 +31,7 @@ from anosovgraph.fixtures import (
     loop_end_chain,
     pentagon,
 )
-from tests_support_oracles import DictPermutation
+from tests_support_oracles import DictPermutation, component_order_group, prec, preserves_prec
 
 
 def random_graph(rng, max_vertices=8):

@@ -1,13 +1,15 @@
 """Import layering of the package, read from the sources with `ast`.
 
-The decision layers (graphs, holonomy, repdecomp) depend only on each other
-and on errors, not on the algebra, certification or matrix modules; Fraction
+The package imports nothing outside the standard library. The decision
+layers (graphs, holonomy, repdecomp) depend only on each other and on
+errors, not on the algebra, certification or matrix modules; Fraction
 arithmetic lives in exactmat alone; the polynomial and certification
 layers, like holonomy, work without exactmat; and the underscore slots of
 the graphs classes are read only inside graphs.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,12 @@ def private_slots(module):
 
 def test_sources_found():
     assert {"exactmat", "graphs", "holonomy", "repdecomp", "hyperbolicity"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_standard_library_imports(module):
+    _, other = imports(module)
+    assert other <= sys.stdlib_module_names, other - sys.stdlib_module_names
 
 
 @pytest.mark.parametrize("module", DECISION_LAYERS)

@@ -13,7 +13,6 @@ from anosovgraph.graphs import (
     complete_bipartite,
     complete_graph,
     discrete_graph,
-    path_graph,
 )
 from anosovgraph.fixtures import loop_end_chain, pentagon
 from anosovgraph.liealg import (
@@ -24,7 +23,7 @@ from anosovgraph.liealg import (
 )
 from anosovgraph.hyperbolicity import char_poly
 from anosovgraph.polynomials import IntPolynomial
-from tests_support_oracles import bracket
+from tests_support_oracles import bracket, path_graph
 
 
 def from_roots(roots):

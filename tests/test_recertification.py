@@ -25,7 +25,6 @@ from anosovgraph.graphs import (
     VertexPermutation,
     coherent_components,
     complete_bipartite,
-    path_graph,
 )
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import char_poly
@@ -51,6 +50,7 @@ from tests_support_oracles import (
     bracket,
     commutes_with_signed_perm,
     extend_permutation,
+    path_graph,
     permutation_matrix,
     wedge_index,
 )

@@ -2,7 +2,9 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from math import log
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +35,7 @@ from anosovgraph.graphs import (
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import CancelToken, char_poly, is_c_hyperbolic, is_integer_like
 from anosovgraph.liealg import build_algebra, extend_to_algebra, is_algebra_automorphism
-from anosovgraph.polynomials import IntPolynomial, companion_rows
+from anosovgraph.polynomials import IntPolynomial, companion_rows, squarefree_part
 from anosovgraph.repdecomp import decide
 from anosovgraph.witness import (
     CAT_MAP_ROWS,
@@ -104,6 +106,20 @@ def cyclic_generator(graph, lengths):
         if length > 1:
             cycles.append("(" + " ".join(block) + ")")
     return VertexPermutation.from_cycles("".join(cycles), graph.vertices)
+
+
+def yes_orbits(max_points):
+    """The orbit of one cyclic generator of every cycle type on at most max_points
+    points, on a discrete component (c = 1) and on a complete one (c = 2), where
+    the criterion says yes."""
+    for n in range(2, max_points + 1):
+        for lengths in cycle_types(n):
+            for graph in (discrete_graph(n), complete_graph(n)):
+                gen = cyclic_generator(graph, lengths)
+                action = build_action(graph, coherent_components(graph), [gen])
+                if decide(action).verdict == "yes":
+                    (orbit,) = action.orbits
+                    yield orbit
 
 
 class TestSeedSearch:
@@ -206,17 +222,10 @@ class TestCycleTypeEnumeration:
 
     def test_find_seed_certifies_every_yes_cycle_type_on_at_most_12_points(self):
         certified = 0
-        for n in range(2, 13):
-            for lengths in cycle_types(n):
-                for graph in (discrete_graph(n), complete_graph(n)):
-                    gen = cyclic_generator(graph, lengths)
-                    action = build_action(graph, coherent_components(graph), [gen])
-                    if decide(action).verdict != "yes":
-                        continue
-                    (orbit,) = action.orbits
-                    _, cert = find_seed(orbit.stabilizer.restriction, orbit.c)
-                    assert cert.valid and cert.level == orbit.c
-                    certified += 1
+        for orbit in yes_orbits(12):
+            _, cert = find_seed(orbit.stabilizer.restriction, orbit.c)
+            assert cert.valid and cert.level == orbit.c
+            certified += 1
         assert certified == 131
 
     @settings(max_examples=200, deadline=None)
@@ -268,6 +277,47 @@ class TestLogBounds:
         lo, hi = log_modulus_bounds(CUBIC)
         assert lo == pytest.approx(0.2206, abs=1e-3)
         assert hi == pytest.approx(0.8097, abs=1e-3)
+
+    def test_repeated_roots_do_not_spread(self):
+        cat = IntPolynomial((1, -3, 1))
+        cube = log_modulus_bounds(cat * cat * cat)
+        assert cube == pytest.approx(log_modulus_bounds(cat), rel=0, abs=1e-12)
+
+    def test_unconverged_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(witness_module, "ABERTH_MAX_SWEEPS", 1)
+        with pytest.raises(AssertionError):
+            log_modulus_bounds(CUBIC)
+
+    def test_matches_numpy_on_every_yes_seed_and_its_powers(self):
+        """Oracle: numpy's roots of the squarefree part, on the char polys of the
+        seeds for every yes cycle type on at most 12 points, and on their squares
+        and cubes. The bounds agree to 1e-9. The exponents agree on every ordered
+        pair of seeds at every retry margin, except where margin * max_i / min_j
+        is an integer: there choose_exponents' slack of 1e-9 is below the error of
+        either solver, and each lands on its own side."""
+        seeds = sorted(
+            {find_seed(o.stabilizer.restriction, o.c)[1].char_poly for o in yes_orbits(12)},
+            key=lambda p: p.coefficients,
+        )
+        assert len(seeds) == 93
+        pure, oracle = [], []
+        for p in seeds:
+            logs = [abs(log(abs(z))) for z in np.roots(squarefree_part(p).coefficients[::-1])]
+            oracle.append((min(logs), max(logs)))
+            pure.append(log_modulus_bounds(p))
+            for power in (p, p * p, p * p * p):
+                assert log_modulus_bounds(power) == pytest.approx(oracle[-1], rel=1e-9, abs=0), power
+        on_integers = 0
+        for margin in (2 * 2**k for k in range(9)):
+            for i, j in itertools.product(range(len(seeds)), repeat=2):
+                ratio = margin * oracle[i][1] / oracle[j][0]
+                if abs(ratio - round(ratio)) < 1e-6 * ratio:
+                    on_integers += 1
+                    continue
+                assert choose_exponents([pure[i], pure[j]], margin) == choose_exponents(
+                    [oracle[i], oracle[j]], margin
+                ), (seeds[i], seeds[j], margin)
+        assert on_integers == 2375
 
 
 class TestBuildWitness:

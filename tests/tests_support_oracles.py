@@ -3,12 +3,49 @@ coefficient vectors, the signed wedge index of a vertex pair, a vertex
 permutation's extension to V+W as a signed permutation with the signed
 commutation check the witness ran on V+W, and the label-dict vertex
 permutation with its closure and component action, as `graphs` and
-`holonomy` computed them before positions."""
+`holonomy` computed them before positions. Also the graph helpers that only
+tests use: the precedence relation, its preservation, the brute-force group
+of order-preserving component permutations, and path graphs."""
 
+import itertools
 from math import lcm
 
-from anosovgraph.errors import PreconditionViolation
+from anosovgraph.errors import BoundExceeded, PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
+from anosovgraph.graphs import Graph
+
+
+def path_graph(n, prefix="v"):
+    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
+    return Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+
+
+def prec(graph, a, b):
+    """True when the open neighborhood of a is contained in the closed one of b.
+
+    Reflexive and transitive on every graph.
+    """
+    return graph.open_neighborhood(a) <= graph.closed_neighborhood(b)
+
+
+def preserves_prec(graph, p):
+    """True when a prec b implies p(a) prec p(b) for all vertex pairs."""
+    verts = graph.vertices
+    return all(prec(graph, p(a), p(b)) for a in verts for b in verts if prec(graph, a, b))
+
+
+def component_order_group(part, max_components=8):
+    """All permutations of the components preserving the induced order (brute force)."""
+    k = part.num_components
+    if k > max_components:
+        raise BoundExceeded(
+            f"{k} components exceed the brute-force bound {max_components}", bound=max_components
+        )
+    return [
+        perm
+        for perm in itertools.permutations(range(k))
+        if all((perm[i], perm[j]) in part.order_pairs for i, j in part.order_pairs)
+    ]
 
 
 def permutation_matrix(graph, p):
