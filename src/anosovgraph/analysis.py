@@ -195,7 +195,7 @@ def analyze(
     timing["components_s"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    action = build_action(graph, part, generators, order_bound)
+    action = build_action(part, generators, order_bound)
     timing["holonomy_s"] = time.monotonic() - t0
 
     t0 = time.monotonic()

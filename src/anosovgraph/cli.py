@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 from .analysis import _json_text, analyze, quotient_dot
@@ -163,6 +164,8 @@ def _parse_matrix_argument(text: str):
 
 
 def cmd_certify(args) -> int:
+    """Certify --poly or --matrix at level --c. At --c 2 a failing --poly still reports
+    its exterior square, which the certificate builds only when p passes; --matrix reports null."""
     c = args.c
     if args.poly is not None:
         p = parse_polynomial(args.poly)
@@ -170,8 +173,9 @@ def cmd_certify(args) -> int:
             raise GraphInputError("certification expects a monic polynomial")
         if c == 2 and p.degree < 2:
             raise GraphInputError("--c 2 needs a polynomial of degree at least 2")
-        compound = exterior_square_poly(p) if c == 2 else None
-        cert = certify_polynomial(p, c, compound)
+        cert = certify_polynomial(p, c)
+        if c == 2 and cert.compound_char_poly is None:
+            cert = replace(cert, compound_char_poly=exterior_square_poly(p))
         integer_like = is_integer_like(p)
     else:
         rows = _parse_matrix_argument(args.matrix)

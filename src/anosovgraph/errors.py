@@ -21,10 +21,6 @@ class PreconditionViolation(ValueError):
 class BoundExceeded(RuntimeError):
     """A configured combinatorial bound (group order, component count) was exceeded."""
 
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
 
 class SeedSearchExhausted(RuntimeError):
     """No candidate of `witness.seed_catalog` passed the exact certificate.
@@ -34,10 +30,8 @@ class SeedSearchExhausted(RuntimeError):
     type on at most 12 points. This is not a proof that no seed exists.
     """
 
-    def __init__(self, message, *, dim, c, candidates_tried):
+    def __init__(self, message, *, candidates_tried):
         super().__init__(message)
-        self.dim = dim
-        self.c = c
         self.candidates_tried = candidates_tried
 
 

@@ -294,10 +294,7 @@ class VertexPermutation:
                         elements.add(prod)
                         new_frontier.append(prod)
                         if len(elements) > order_bound:
-                            raise BoundExceeded(
-                                f"holonomy group order exceeds the bound {order_bound}",
-                                bound=order_bound,
-                            )
+                            raise BoundExceeded(f"holonomy group order exceeds the bound {order_bound}")
             frontier = new_frontier
         return [identity._with_images(images) for images in elements]
 

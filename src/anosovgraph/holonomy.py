@@ -74,12 +74,15 @@ class OrbitData:
 class HolonomyAction:
     """A finite permutation holonomy group together with its component action."""
 
-    graph: Graph
     partition: CoherentPartition
     generators: tuple[VertexPermutation, ...]
     elements: tuple[VertexPermutation, ...]
     orbits: tuple[OrbitData, ...]
     is_cyclic: bool
+
+    @property
+    def graph(self) -> Graph:
+        return self.partition.graph
 
     @property
     def order(self) -> int:
@@ -155,14 +158,14 @@ def _stabilizer_info(part, elements, component_perms, orders, rep: int) -> Stabi
 
 
 def build_action(
-    graph: Graph,
     part: CoherentPartition,
     generators,
     order_bound: int = DEFAULT_GROUP_ORDER_BOUND,
 ) -> HolonomyAction:
     """Close the generators, act on components, and collect orbit data.
 
-    Orbits are listed by smallest member index, which is also the chosen
+    The graph is `part.graph`, the one the partition belongs to. Orbits are
+    listed by smallest member index, which is also the chosen
     representative; one scan of the group gives the members and each one's
     conjugator. The stabilizer of the representative is scanned for a
     single generator; when none exists it is flagged non-cyclic and downstream
@@ -171,6 +174,7 @@ def build_action(
     permutation and order are computed once and shared by all the scans.
     A generator given on a reordered domain is re-indexed onto `graph.vertices`.
     """
+    graph = part.graph
     checked = []
     for g in generators:
         if not is_graph_automorphism(graph, g):
@@ -204,7 +208,6 @@ def build_action(
         orbits.append(orbit)
 
     action_obj = HolonomyAction(
-        graph=graph,
         partition=part,
         generators=generators,
         elements=elements,

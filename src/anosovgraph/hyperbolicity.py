@@ -275,24 +275,23 @@ class HyperbolicityCertificate:
         }
 
 
-def certify_polynomial(p: IntPolynomial, level: int, compound: IntPolynomial | None = None,
+def certify_polynomial(p: IntPolynomial, level: int,
                        cancel: CancelToken | None = None) -> HyperbolicityCertificate:
     """Exact certificate that no root of p, and at level 2 no product of two roots, has modulus one.
 
-    Level 2 also tests ``compound``, the exterior-square polynomial of p; when
-    it is not given, it is built from p, and only if p passes. A given
-    compound is reported even when p fails.
+    Level 2 also builds and tests `exterior_square_poly` of p, only if p
+    passes; when p fails, ``compound_char_poly`` is None.
     """
     if level not in (1, 2):
         raise ValueError("only levels 1 and 2 are supported")
     first = unit_circle_analysis(p, cancel)
     stages = [CertificateStage("char_poly", p, first)]
     failure = None
+    compound = None
     if first.exists:
         failure = "eigenvalue on unit circle"
     if level == 2 and failure is None:
-        if compound is None:
-            compound = exterior_square_poly(p, cancel)
+        compound = exterior_square_poly(p, cancel)
         stages.append(CertificateStage("exterior_square", compound, unit_circle_analysis(compound, cancel)))
         if stages[1].analysis.exists:
             failure = "pair product on unit circle"
@@ -301,7 +300,7 @@ def certify_polynomial(p: IntPolynomial, level: int, compound: IntPolynomial | N
         char_poly=p,
         reciprocal_gcd_degree=first.reciprocal_gcd_degree,
         sturm_root_count=first.sturm_root_count,
-        compound_char_poly=compound if level == 2 else None,
+        compound_char_poly=compound,
         stages=tuple(stages),
         valid=failure is None,
         failure=failure,
@@ -316,4 +315,4 @@ def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> Hyperbolici
     on the characteristic polynomial; the exterior-square polynomial is only
     built, and tested, when that test passes.
     """
-    return certify_polynomial(char_poly(m, cancel), c, cancel=cancel)
+    return certify_polynomial(char_poly(m, cancel), c, cancel)

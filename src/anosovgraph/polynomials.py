@@ -168,11 +168,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _prime_below(n: int) -> int | None:
+    """The largest prime in (61, n) for odd n, or None; each is searched for once per process."""
+    return next((m for m in range(n - 2, 61, -2) if _is_prime(m)), None)
+
+
 def _word_primes():
     """The primes below 2^31, largest first."""
-    for n in range(2**31 - 1, 61, -2):
-        if _is_prime(n):
-            yield n
+    p = 2**31 + 1
+    while (p := _prime_below(p)) is not None:
+        yield p
 
 
 def _monic_gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:

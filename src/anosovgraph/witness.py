@@ -92,19 +92,16 @@ def catalog_polynomials(dim: int) -> tuple[IntPolynomial, ...]:
     out: list[IntPolynomial] = [IntPolynomial((1, -2, -1, 1))] if dim == 3 else []
 
     def add(p: IntPolynomial) -> None:
-        if p.degree == dim and p.is_monic and p.constant in (1, -1) and p not in out:
+        if p.constant in (1, -1) and p not in out:
             out.append(p)
 
     for n in range(3, 64):
-        phi_poly = cyclotomic(n)
-        if phi_poly.degree != 2 * dim:
+        if euler_phi(n) != 2 * dim:
             continue
-        q = palindromic_to_interval_poly(phi_poly)
+        q = palindromic_to_interval_poly(cyclotomic(n))
         add(q)
-        flipped = IntPolynomial(
-            [c if (q.degree - i) % 2 == 0 else -c for i, c in enumerate(q.coefficients)]
-        )
-        add(flipped if flipped.is_monic else -flipped)
+        # q(-x) up to sign: monic, as the leading coefficient keeps its sign
+        add(IntPolynomial([c if (q.degree - i) % 2 == 0 else -c for i, c in enumerate(q.coefficients)]))
     if dim >= 2:
         add(IntPolynomial([-1, -1] + [0] * (dim - 2) + [1]))  # x^d - x - 1
         add(IntPolynomial([-1] + [0] * (dim - 2) + [1, 1]))  # its reversal, x^d + x^(d-1) - 1
@@ -235,8 +232,6 @@ def find_seed(
             return rows, cert
     raise SeedSearchExhausted(
         f"no seed candidate certified (dim {dim}, c={c}, {tried} candidates)",
-        dim=dim,
-        c=c,
         candidates_tried=tried,
     )
 
@@ -454,17 +449,17 @@ def _require_yes(action: HolonomyAction) -> None:
 def assemble_witness(
     action: HolonomyAction,
     plan: tuple[OrbitSeedPlan, ...],
-    alg: GraphLieAlgebra | None = None,
     cancel: CancelToken | None = None,
 ) -> Witness:
     """Assemble the block matrix from a plan and certify it exactly.
 
-    Refuses outright when the decision criterion does not say yes. Any failing
-    certificate raises a structured error naming the stage, so callers can
-    escalate exponents and retry.
+    The algebra is built from `action.graph`. Refuses outright when the
+    decision criterion does not say yes. Any failing certificate raises a
+    structured error naming the stage, so callers can escalate exponents and
+    retry.
     """
     _require_yes(action)
-    return _assemble(action, plan, build_algebra(action.graph) if alg is None else alg, cancel)
+    return _assemble(action, plan, build_algebra(action.graph), cancel)
 
 
 def _assemble(
@@ -573,22 +568,16 @@ def _require_block_diagonal(action: HolonomyAction, rows) -> None:
             raise AssertionError("the map on V is not block-diagonal over the coherent components")
 
 
-def build_witness(
-    action: HolonomyAction,
-    alg: GraphLieAlgebra | None = None,
-    *,
-    cancel: CancelToken | None = None,
-) -> Witness:
+def build_witness(action: HolonomyAction, *, cancel: CancelToken | None = None) -> Witness:
     """End-to-end witness construction with exponent escalation.
 
-    Seeds and conjugators are searched once. Each of up to
-    `DEFAULT_MAX_RETRIES` retries recomputes only the exponents, at double
-    the separation margin; the exact re-certification in the assembly is
-    what finally accepts.
+    The algebra is built once from `action.graph`, and seeds and conjugators
+    are searched once. Each of up to `DEFAULT_MAX_RETRIES` retries recomputes
+    only the exponents, at double the separation margin; the exact
+    re-certification in the assembly is what finally accepts.
     """
     _require_yes(action)
-    if alg is None:
-        alg = build_algebra(action.graph)
+    alg = build_algebra(action.graph)
     plan = plan_blocks(action, cancel=cancel)
     margin = 2.0
     last_error: WitnessAssemblyError | None = None

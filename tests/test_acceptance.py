@@ -63,7 +63,7 @@ def criterion(number, description):
 
 def action_for(graph, *cycle_strings):
     gens = [VertexPermutation.from_cycles(s, graph.vertices) for s in cycle_strings]
-    return build_action(graph, coherent_components(graph), gens)
+    return build_action(coherent_components(graph), gens)
 
 
 def test_criterion_1_reference_fixtures():
@@ -139,9 +139,7 @@ def test_criterion_2_family_dimensions():
 
         for inst in instances:
             assert build_algebra(inst.graph).dimension == inst.expected_dimension
-            action = build_action(
-                inst.graph, coherent_components(inst.graph), inst.generators
-            )
+            action = build_action(coherent_components(inst.graph), inst.generators)
             decision = decide(action)
             assert decision.verdict == "yes"
             assert decision.realizability == "guaranteed"
@@ -178,7 +176,7 @@ def test_criterion_4_oracle_equivalence():
         def check(g):
             part = coherent_components(g)
             assert (
-                decide(build_action(g, part, [])).verdict
+                decide(build_action(part, [])).verdict
                 == trivial_holonomy_check(part).verdict
             )
 
@@ -245,7 +243,7 @@ def test_criterion_5_certification_against_numeric_oracle():
 def _verify_witness(graph, cycle_string):
     action = action_for(graph, cycle_string) if cycle_string else action_for(graph)
     alg = build_algebra(graph)
-    w = build_witness(action, alg)
+    w = build_witness(action)
     # (a) certified algebra automorphism: bracket preservation on all basis pairs
     assert is_algebra_automorphism(alg, w.full_matrix)
     # (b) exact commutation with every extended generator
@@ -270,9 +268,9 @@ def test_criterion_6_end_to_end_witnesses():
 
         t0 = time.monotonic()
         inst = family_I(2, (2, 3))
-        action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
+        action = build_action(coherent_components(inst.graph), inst.generators)
         alg = build_algebra(inst.graph)
-        w2 = build_witness(action, alg)
+        w2 = build_witness(action)
         full2 = RationalMatrix(w2.full_matrix)
         assert full2.shape == (31, 31)
         assert is_algebra_automorphism(alg, w2.full_matrix)
@@ -293,7 +291,7 @@ def test_criterion_7_witness_guard():
         assert len(instances) == 200
         non_yes = 0
         for graph, gens in instances:
-            action = build_action(graph, coherent_components(graph), gens)
+            action = build_action(coherent_components(graph), gens)
             if decide(action).verdict != "yes":
                 non_yes += 1
                 with pytest.raises(WitnessRefused):

@@ -125,7 +125,7 @@ class TestAnalyze:
         assert "internal error: inconsistent block shape" in err
 
     WITNESS_FAILURES = [
-        SeedSearchExhausted("no seed candidate certified", dim=2, c=2, candidates_tried=3),
+        SeedSearchExhausted("no seed candidate certified", candidates_tried=3),
         WitnessRefused("decision is 'no'"),
         WitnessAssemblyError("hyperbolicity", "root on the unit circle"),
     ]
@@ -223,6 +223,18 @@ class TestWitnessReportPins:
         assert (
             hashlib.sha256(out.encode()).hexdigest()
             == "6fa41d2dc1c979e304d79a87dad311e9d2707e8fdd89552b0ef559fe40e27535"
+        )
+
+    def test_discrete_mixed_cycles_structured_seed_report(self, run, tmp_path):
+        # cycle lengths 2, 1, 2: no lifted seed, so the block is `structured_seed`
+        path = write_graph(tmp_path, discrete_graph(5))
+        code, out, _ = run(
+            "analyze", "--graph", path, "--holonomy", "(v1 v2)(v4 v5)", "--json", "--witness"
+        )
+        assert code == EXIT_YES
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "f3a64c2fd8d0f10bae4716ce4204a8978b72971323109a570dc72209573c5028"
         )
 
     def test_bipartite_lifted_seed_report(self, run, tmp_path):

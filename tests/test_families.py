@@ -34,7 +34,7 @@ def check_instance(inst):
     assert build_algebra(g).dimension == inst.expected_dimension
     for gen in inst.generators:
         assert is_graph_automorphism(g, gen)
-    action = build_action(g, part, inst.generators)
+    action = build_action(part, inst.generators)
     decision = decide(action)
     assert decision.verdict == "yes"
     assert decision.realizability == "guaranteed"
@@ -109,7 +109,7 @@ class TestFamilyI:
 
         sigma = VertexPermutation(g.vertices, twisted)
         assert is_graph_automorphism(g, sigma)
-        action = build_action(g, part, [sigma])
+        action = build_action(part, [sigma])
         assert decide(action).verdict == "yes"
 
 

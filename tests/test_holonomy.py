@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -30,7 +31,7 @@ from tests_support_oracles import (
 
 def action_for(graph, *cycle_strings, order_bound=10_000):
     gens = [VertexPermutation.from_cycles(s, graph.vertices) for s in cycle_strings]
-    return build_action(graph, coherent_components(graph), gens, order_bound)
+    return build_action(coherent_components(graph), gens, order_bound)
 
 
 class TestCloseGroup:
@@ -92,6 +93,16 @@ class TestBuildAction:
         assert orbit.stabilizer.restriction == (1, 0)
         assert orbit_verdict(action, 0).decomposition.cycle_type == (2,)
 
+    def test_graph_comes_from_the_partition(self):
+        # the part swap of K2,2 fixes no component; with the components of the
+        # discrete graph on the same vertices it would decide yes
+        g = complete_bipartite(2, 2)
+        part = coherent_components(g)
+        action = build_action(part, [VertexPermutation.from_cycles("(a1 b1)(a2 b2)", g.vertices)])
+        assert action.graph is g and action.partition is part
+        assert decide(action).verdict == "no"
+        assert list(inspect.signature(build_action).parameters) == ["part", "generators", "order_bound"]
+
     def test_non_automorphism_rejected(self):
         g = cycle_graph(4)
         with pytest.raises(NotAnAutomorphism):
@@ -103,9 +114,9 @@ class TestBuildAction:
         reordered = VertexPermutation(g.vertices[::-1], swap)
         assert is_graph_automorphism(g, reordered)
         part = coherent_components(g)
-        action = build_action(g, part, [reordered])
+        action = build_action(part, [reordered])
         assert all(h.domain == g.vertices for h in action.generators + action.elements)
-        expected = build_action(g, part, [VertexPermutation(g.vertices, swap)])
+        expected = build_action(part, [VertexPermutation(g.vertices, swap)])
         assert action.to_json_dict() == expected.to_json_dict()
 
     def test_order_bound(self):
@@ -118,7 +129,7 @@ class TestBuildAction:
         for n in (5, 6, 7):
             g = cycle_graph(n)
             rot = VertexPermutation.from_cycles("(" + " ".join(g.vertices) + ")", g.vertices)
-            action = build_action(g, coherent_components(g), [rot])
+            action = build_action(coherent_components(g), [rot])
             for orbit in action.orbits:
                 assert orbit.stabilizer.order * len(orbit.members) == action.order
 
@@ -136,7 +147,7 @@ class TestBuildAction:
         # order-n rotation acting on k components: stabilizer = powers of rot^orbit_size
         g = cycle_graph(6)
         rot = VertexPermutation.from_cycles("(v1 v2 v3 v4 v5 v6)", g.vertices)
-        action = build_action(g, coherent_components(g), [rot])
+        action = build_action(coherent_components(g), [rot])
         for orbit in action.orbits:
             o = len(orbit.members)
             expected = set()
@@ -257,7 +268,7 @@ class TestMatchesDictClosure:
             h.cycle_string() for h in dict_close_group(old, graph.vertices)
         ]
         part = coherent_components(graph)
-        assert build_action(graph, part, gens).to_json_dict() == dict_action_json(part, old)
+        assert build_action(part, gens).to_json_dict() == dict_action_json(part, old)
         # the same vertex set listed in another order: not the graph's vertex tuple
         other = graph.vertices[::-1]
         moved = [VertexPermutation(other, m) for m in maps]
@@ -273,7 +284,7 @@ class TestMatchesDictClosure:
     def test_conjugators_match_group_scan(self, case):
         graph, maps = case
         gens = [VertexPermutation(graph.vertices, m) for m in maps]
-        action = build_action(graph, coherent_components(graph), gens)
+        action = build_action(coherent_components(graph), gens)
         part = action.partition
         for orbit in action.orbits:
             expected = tuple(
@@ -291,7 +302,7 @@ class TestMatchesDictClosure:
     def test_stabilizer_restriction(self, case):
         graph, maps = case
         gens = [VertexPermutation(graph.vertices, m) for m in maps]
-        action = build_action(graph, coherent_components(graph), gens)
+        action = build_action(coherent_components(graph), gens)
         for index, orbit in enumerate(action.orbits):
             stab = orbit.stabilizer
             if not stab.cyclic:

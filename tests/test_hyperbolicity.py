@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import threading
@@ -338,7 +339,11 @@ class TestTensorPoly:
 
 
 def two_pass_c2_certificate(m):
-    """The path `is_c_hyperbolic(m, 2)` used to take: the unit-circle test of p ran twice."""
+    """The path `is_c_hyperbolic(m, 2)` used to take: the unit-circle test of p ran twice.
+
+    Both stages are formed here from `unit_circle_analysis`, so the oracle
+    never calls the certificate it checks.
+    """
     p = char_poly(m)
     first = unit_circle_analysis(p)
     if first.exists:
@@ -352,7 +357,22 @@ def two_pass_c2_certificate(m):
             valid=False,
             failure="eigenvalue on unit circle",
         )
-    return certify_polynomial(p, 2, exterior_square_poly(p))
+    again = unit_circle_analysis(p)
+    compound = exterior_square_poly(p)
+    second = unit_circle_analysis(compound)
+    return HyperbolicityCertificate(
+        level=2,
+        char_poly=p,
+        reciprocal_gcd_degree=again.reciprocal_gcd_degree,
+        sturm_root_count=again.sturm_root_count,
+        compound_char_poly=compound,
+        stages=(
+            CertificateStage("char_poly", p, again),
+            CertificateStage("exterior_square", compound, second),
+        ),
+        valid=not second.exists,
+        failure="pair product on unit circle" if second.exists else None,
+    )
 
 
 class TestCHyperbolic:
@@ -400,6 +420,14 @@ class TestCHyperbolic:
         cert = is_c_hyperbolic(CAT_MAP, 2)
         assert not cert.valid
         assert cert.failure == "pair product on unit circle"
+
+    def test_level_two_builds_its_own_compound(self):
+        # the exterior square of x^2 - 3x + 1 is x - 1: the roots' product is 1
+        cert = certify_polynomial(P(1, -3, 1), 2)
+        assert cert.failure == "pair product on unit circle"
+        assert cert.compound_char_poly == P(-1, 1)
+        assert certify_polynomial(P(1, -2, 1), 2).compound_char_poly is None
+        assert list(inspect.signature(certify_polynomial).parameters) == ["p", "level", "cancel"]
 
     def test_cubic_level_two(self):
         cert = is_c_hyperbolic(companion_rows(CUBIC), 2)

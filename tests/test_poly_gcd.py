@@ -13,7 +13,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anosovgraph.polynomials import IntPolynomial, _word_primes, divide_exact, poly_gcd
+from anosovgraph.polynomials import IntPolynomial, _prime_below, _word_primes, divide_exact, poly_gcd
 
 SETTINGS = settings(max_examples=100, deadline=None)
 FIRST_PRIMES = list(itertools.islice(_word_primes(), 4))
@@ -180,3 +180,43 @@ class TestUnluckyPrimes:
         assert_matches_oracles(f * g, f * P(shift + c, 1))
         assert_matches_oracles(f * g * P(0, FIRST_PRIMES[0]), f * P(shift + c, 1))
 
+
+
+def _scan_primes(count):
+    """The first count primes below 2^31, largest first, by Miller-Rabin.
+
+    The bases 2, 3, 5 and 7 decide every odd n < 3,215,031,751.
+    """
+    def is_prime(n):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    odd = range(2**31 - 1, 1, -2)
+    return list(itertools.islice((n for n in odd if is_prime(n)), count))
+
+
+class TestWordPrimes:
+    def test_interleaved_and_fresh_generators_agree_with_a_scan(self):
+        expected = _scan_primes(40)
+        _prime_below.cache_clear()
+        first, second = _word_primes(), _word_primes()
+        a, b = [], []
+        for _ in range(20):  # first runs ahead and searches; second reads what first found
+            a += [next(first), next(first)]
+            b.append(next(second))
+        b += [next(second) for _ in range(20)]
+        assert a == b == expected
+        assert list(itertools.islice(_word_primes(), 40)) == expected
+        assert _prime_below.cache_info().misses == 40  # each prime was searched for once

@@ -220,7 +220,7 @@ class TestIntegerSturm:
         from anosovgraph.witness import build_witness
 
         inst = family_I(5, (2, 2, 2, 2, 3))
-        p = build_witness(build_action(inst.graph, coherent_components(inst.graph), inst.generators)).full_char_poly
+        p = build_witness(build_action(coherent_components(inst.graph), inst.generators)).full_char_poly
         assert p(1) != 0 and p(-1) != 0  # so the gcd below has no root at +-1 either
         q = palindromic_to_interval_poly(poly_gcd(p, p.reverse()))
         assert (q.degree, max(abs(c).bit_length() for c in q.coefficients)) == (26, 1324)

@@ -209,9 +209,9 @@ class TestSignedPermutationCommutation:
     def test_witness_commutes_and_a_perturbation_does_not(self):
         g = complete_bipartite(3, 3)
         swap = VertexPermutation.from_cycles("(a1 b1)(a2 b2)(a3 b3)", g.vertices)
-        action = build_action(g, coherent_components(g), [swap])
+        action = build_action(coherent_components(g), [swap])
         alg = build_algebra(g)
-        witness = build_witness(action, alg)
+        witness = build_witness(action)
         sigma, signs = extend_permutation(alg, swap)
         ext = dense_extension(alg, swap)
         full = RationalMatrix(witness.full_matrix)
@@ -340,7 +340,7 @@ class TestCommutationOnV:
         # that does not commute with it passes every stage before commutation
         g = Graph(["v1", "v2", "v3", "v4"], [])
         gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", g.vertices)
-        action = build_action(g, coherent_components(g), [gen])
+        action = build_action(coherent_components(g), [gen])
         plan = plan_blocks(action)
         block = companion_rows(catalog_polynomials(4)[0])
         assert not commutes_with_perm(block, (1, 0, 3, 2))
@@ -477,9 +477,9 @@ class TestStructuralCharPoly:
     @given(instances())
     def test_witness_polys_match_dense_char_poly(self, inst):
         _, alg, gens = inst
-        action = build_action(alg.graph, coherent_components(alg.graph), gens)
+        action = build_action(coherent_components(alg.graph), gens)
         assume(decide(action).verdict == "yes")
-        witness = build_witness(action, alg)
+        witness = build_witness(action)
         assert witness.full_char_poly == char_poly(witness.full_matrix)
         assert witness.v_char_poly == char_poly(witness.v_matrix)
         assert is_algebra_automorphism(alg, witness.full_matrix)
@@ -491,15 +491,14 @@ class TestStructuralCharPoly:
         # the random yes-instances above have no complete component; these have two and four
         part = coherent_components(inst.graph)
         assert any(part.loops) and part.quotient_edges
-        witness = build_witness(build_action(inst.graph, part, inst.generators))
+        witness = build_witness(build_action(part, inst.generators))
         assert witness.full_char_poly == char_poly(witness.full_matrix)
         assert witness.v_char_poly == char_poly(witness.v_matrix)
 
     def test_witness_path_builds_no_full_size_rational_matrix(self, monkeypatch):
         # no RationalMatrix of any size: det(V) is read off the block polynomials
         inst = family_II(5, 3)
-        action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
-        alg = build_algebra(inst.graph)
+        action = build_action(coherent_components(inst.graph), inst.generators)
 
         def no_rational_matrix(self, rows):
             raise AssertionError("RationalMatrix built on the witness path")
@@ -509,7 +508,7 @@ class TestStructuralCharPoly:
 
         monkeypatch.setattr(RationalMatrix, "__init__", no_rational_matrix)
         monkeypatch.setattr(RationalMatrix, "int_rows", no_conversion)
-        witness = build_witness(action, alg)
+        witness = build_witness(action)
         assert witness.certificate.valid
 
     def test_v_part_mixing_components_is_refused(self, monkeypatch):
@@ -518,10 +517,10 @@ class TestStructuralCharPoly:
         # so the block polynomials no longer give its characteristic polynomial
         g = complete_bipartite(3, 3)
         swap = VertexPermutation.from_cycles("(a1 b1)(a2 b2)(a3 b3)", g.vertices)
-        action = build_action(g, coherent_components(g), [swap])
+        action = build_action(coherent_components(g), [swap])
         alg = build_algebra(g)
         plan = plan_blocks(action)
-        witness = assemble_witness(action, plan, alg)
+        witness = assemble_witness(action, plan)
         p = permutation_matrix(g, swap).int_rows()
         n = alg.dim_v
 
@@ -534,4 +533,4 @@ class TestStructuralCharPoly:
         assert char_poly(full) != witness.full_char_poly
         monkeypatch.setattr(anosovgraph.witness, "extend_rows", mixed)
         with pytest.raises(AssertionError, match="block-diagonal"):
-            assemble_witness(action, plan, alg)
+            assemble_witness(action, plan)

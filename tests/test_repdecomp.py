@@ -28,7 +28,7 @@ from anosovgraph.repdecomp import (
 
 def action_for(graph, *cycle_strings):
     gens = [VertexPermutation.from_cycles(s, graph.vertices) for s in cycle_strings]
-    return build_action(graph, coherent_components(graph), gens)
+    return build_action(coherent_components(graph), gens)
 
 
 def character_multiplicities(n, cycles):
@@ -229,7 +229,7 @@ class TestTrivialHolonomyCheck:
             edges = [e for e in itertools.combinations(labels, 2) if rng.random() < 0.4]
             g = Graph(labels, edges)
             part = coherent_components(g)
-            action = build_action(g, part, [])
+            action = build_action(part, [])
             assert decide(action).verdict == trivial_holonomy_check(part).verdict
 
 
@@ -238,7 +238,7 @@ class TestInvariance:
         rng = random.Random(55)
         g = four_pair_chain()
         sigma = four_pair_chain_swap()
-        base = decide(build_action(g, coherent_components(g), [sigma])).verdict
+        base = decide(build_action(coherent_components(g), [sigma])).verdict
         labels = list(g.vertices)
         for _ in range(10):
             shuffled = labels[:]
@@ -249,7 +249,7 @@ class TestInvariance:
             sigma2 = VertexPermutation(
                 g2.vertices, {rename[v]: rename[sigma(v)] for v in labels}
             )
-            got = decide(build_action(g2, coherent_components(g2), [sigma2])).verdict
+            got = decide(build_action(coherent_components(g2), [sigma2])).verdict
             assert got == base
 
     def test_monotone_in_component_growth(self):

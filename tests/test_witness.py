@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import random
@@ -35,7 +36,13 @@ from anosovgraph.graphs import (
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import CancelToken, char_poly, is_c_hyperbolic, is_integer_like
 from anosovgraph.liealg import build_algebra, extend_to_algebra, is_algebra_automorphism
-from anosovgraph.polynomials import IntPolynomial, companion_rows, squarefree_part
+from anosovgraph.polynomials import (
+    IntPolynomial,
+    companion_rows,
+    cyclotomic,
+    palindromic_to_interval_poly,
+    squarefree_part,
+)
 from anosovgraph.repdecomp import decide
 from anosovgraph.witness import (
     CAT_MAP_ROWS,
@@ -60,7 +67,7 @@ CUBIC = IntPolynomial((1, -2, -1, 1))
 
 def action_for(graph, *cycle_strings):
     gens = [VertexPermutation.from_cycles(s, graph.vertices) for s in cycle_strings]
-    return build_action(graph, coherent_components(graph), gens)
+    return build_action(coherent_components(graph), gens)
 
 
 def catalog_then_lift(dim, stabilizer_perm):
@@ -86,6 +93,32 @@ def catalog_then_lift(dim, stabilizer_perm):
                     for t in range(d):
                         rows[cycles[a_idx][t]][cycles[b_idx][t]] = b[a_idx][b_idx]
             yield tuple(tuple(row) for row in rows)
+
+
+def catalog_with_every_filter(dim):
+    """`catalog_polynomials` as it was built before its loop was trimmed:
+    cyclotomic(n) for every n, a degree and a monic check on each candidate,
+    and a sign fix on each flipped one."""
+    out = [IntPolynomial((1, -2, -1, 1))] if dim == 3 else []
+
+    def add(p):
+        if p.degree == dim and p.is_monic and p.constant in (1, -1) and p not in out:
+            out.append(p)
+
+    for n in range(3, 64):
+        phi_poly = cyclotomic(n)
+        if phi_poly.degree != 2 * dim:
+            continue
+        q = palindromic_to_interval_poly(phi_poly)
+        add(q)
+        flipped = IntPolynomial(
+            [c if (q.degree - i) % 2 == 0 else -c for i, c in enumerate(q.coefficients)]
+        )
+        add(flipped if flipped.is_monic else -flipped)
+    if dim >= 2:
+        add(IntPolynomial([-1, -1] + [0] * (dim - 2) + [1]))
+        add(IntPolynomial([-1] + [0] * (dim - 2) + [1, 1]))
+    return tuple(out)
 
 
 def cycle_types(n, largest=None):
@@ -116,7 +149,7 @@ def yes_orbits(max_points):
         for lengths in cycle_types(n):
             for graph in (discrete_graph(n), complete_graph(n)):
                 gen = cyclic_generator(graph, lengths)
-                action = build_action(graph, coherent_components(graph), [gen])
+                action = build_action(coherent_components(graph), [gen])
                 if decide(action).verdict == "yes":
                     (orbit,) = action.orbits
                     yield orbit
@@ -166,6 +199,10 @@ class TestSeedSearch:
             *lifted, last = seed_catalog(perm)
             assert lifted == list(catalog_then_lift(dim, perm)), perm
             assert last == structured_seed(perm)
+
+    def test_catalog_matches_the_untrimmed_loop(self):
+        for dim in range(1, 60):
+            assert catalog_polynomials(dim) == catalog_with_every_filter(dim), dim
 
     def test_catalog_stream_deterministic(self):
         first = list(itertools.islice(seed_catalog((0, 1, 2)), 12))
@@ -325,7 +362,7 @@ class TestBuildWitness:
         g = complete_bipartite(3, 3)
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
         alg = build_algebra(g)
-        w = build_witness(action, alg)
+        w = build_witness(action)
         full = RationalMatrix(w.full_matrix)
         assert full.shape == (15, 15)
         # (a) certified algebra automorphism
@@ -369,6 +406,18 @@ class TestBuildWitness:
         alg = build_algebra(g)
         assert is_algebra_automorphism(alg, w.full_matrix)
 
+    @pytest.mark.parametrize("graph", [discrete_graph(3), complete_graph(3), complete_bipartite(2, 2)])
+    def test_algebra_comes_from_the_action(self, graph):
+        # the witness and its certificate have the dimension of this graph's algebra
+        action = action_for(graph)
+        dim = build_algebra(graph).dimension
+        w = build_witness(action)
+        assert len(w.full_matrix) == dim and w.full_char_poly.degree == dim
+        w = assemble_witness(action, plan_blocks(action))
+        assert len(w.full_matrix) == dim and w.certificate.char_poly.degree == dim
+        assert list(inspect.signature(build_witness).parameters) == ["action", "cancel"]
+        assert list(inspect.signature(assemble_witness).parameters) == ["action", "plan", "cancel"]
+
     def test_refuses_failing_instance(self):
         action = action_for(four_pair_chain(), "(a1 b1)(a2 b2)(c1 d1)(c2 d2)")
         assert decide(action).verdict == "no"
@@ -386,7 +435,7 @@ class TestBuildWitness:
         # all-ones exponents at the first margin fail the hyperbolicity stage;
         # the retry must recompute only the exponents, not search seeds again
         inst = family_I(3, (2, 2, 3))
-        action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
+        action = build_action(coherent_components(inst.graph), inst.generators)
         margins, seed_searches = [], []
         real_choose, real_find = witness_module.choose_exponents, witness_module.find_seed
 
@@ -433,7 +482,7 @@ class TestAssembleGuard:
             labels = [f"v{i}" for i in range(1, n + 1)]
             edges = [e for e in itertools.combinations(labels, 2) if rng.random() < 0.4]
             g = Graph(labels, edges)
-            action = build_action(g, coherent_components(g), [])
+            action = build_action(coherent_components(g), [])
             verdict = decide(action).verdict
             attempted += 1
             if verdict != "yes":
@@ -449,7 +498,7 @@ class TestAssembleGuard:
         for n in (4, 5, 6, 7, 8):
             g = cycle_graph(n)
             rot = VertexPermutation.from_cycles("(" + " ".join(g.vertices) + ")", g.vertices)
-            action = build_action(g, coherent_components(g), [rot])
+            action = build_action(coherent_components(g), [rot])
             if decide(action).verdict != "yes":
                 with pytest.raises(WitnessRefused):
                     assemble_witness(action, dummy_plan(action))
@@ -478,7 +527,7 @@ class TestAssembleGuard:
         # still carries the representative onto that member, but it is not a
         # group element, so the copied block breaks commutation
         inst = family_I(2, (2, 3))
-        action = build_action(inst.graph, coherent_components(inst.graph), inst.generators)
+        action = build_action(coherent_components(inst.graph), inst.generators)
         plan = plan_blocks(action)
         member, h = plan[0].conjugators[0]
         u, v = action.partition.components[member][:2]
@@ -516,9 +565,7 @@ class TestFamilyRegression:
             family_II_z4(3),
         ]
         for inst in instances:
-            action = build_action(
-                inst.graph, coherent_components(inst.graph), inst.generators
-            )
+            action = build_action(coherent_components(inst.graph), inst.generators)
             assert decide(action).verdict == "yes"
             w = build_witness(action)
             assert w.certificate.valid

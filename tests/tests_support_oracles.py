@@ -38,9 +38,7 @@ def component_order_group(part, max_components=8):
     """All permutations of the components preserving the induced order (brute force)."""
     k = part.num_components
     if k > max_components:
-        raise BoundExceeded(
-            f"{k} components exceed the brute-force bound {max_components}", bound=max_components
-        )
+        raise BoundExceeded(f"{k} components exceed the brute-force bound {max_components}")
     return [
         perm
         for perm in itertools.permutations(range(k))
