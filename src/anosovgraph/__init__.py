@@ -56,7 +56,6 @@ from .liealg import (
     GraphLieAlgebra,
     build_algebra,
     extend_to_algebra,
-    extension_char_poly,
     is_algebra_automorphism,
 )
 from .polynomials import IntPolynomial, parse_polynomial
@@ -121,7 +120,6 @@ __all__ = [
     "decompose_cyclic_perm_rep",
     "discrete_graph",
     "extend_to_algebra",
-    "extension_char_poly",
     "exterior_square_char_poly",
     "family_I",
     "family_II",

@@ -19,17 +19,23 @@ polynomial with integer coefficients in the roots of a monic integer
 polynomial, hence an integer, so the divisions by 2 and by k are exact; each
 one is checked. The same identities give the products of the roots of two
 polynomials (`tensor_poly`), whose power sums are s_k(p) s_k(q).
+
+A polynomial known as a product of factors, like the witness's on V + W, is
+certified through them (`certify_factors`), with the certificate that the
+whole polynomial would get.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import prod
 
 from .errors import CancelToken
 from .polynomials import (
     IntPolynomial,
     count_real_roots_between,
+    divide_exact,
     from_power_sums,
     palindromic_to_interval_poly,
     poly_gcd,
@@ -152,7 +158,37 @@ def unit_circle_analysis(p: IntPolynomial, cancel: CancelToken | None = None) ->
     at_one = p(1) == 0
     at_minus_one = p(-1) == 0
     _check(cancel)
-    g = poly_gcd(p, p.reverse(), cancel)
+    return _unit_circle_stages(at_one, at_minus_one, poly_gcd(p, p.reverse(), cancel), cancel)
+
+
+def _unit_circle_stages(
+    at_one: bool, at_minus_one: bool, g: IntPolynomial, cancel: CancelToken | None
+) -> UnitCircleAnalysis:
+    """The staged unit-circle test of P, given P(1) == 0, P(-1) == 0 and g = poly_gcd(P, P~).
+
+    P~ is the reversal of P. A root of P on the unit circle is the inverse
+    of its own conjugate, so it is a root of g; the endpoints are tested
+    first, then a constant g clears P, and otherwise a Sturm chain counts
+    the roots of g on the circle.
+
+    `certify_factors` takes g from the factors of P = prod f^e instead of
+    from P itself. Call a factor reciprocal when it equals its reversal up
+    to sign: its roots, with their multiplicities, are closed under
+    inversion. Let N be the product of the distinct other factors and
+    D = gcd(N, N~). For each other factor f, strip gcd(r, D) from r = f
+    until r is coprime to D, and let P_D be the product of the reciprocal
+    f^e and of the stripped parts (f / r)^e. For a root alpha != 0, let c be
+    its multiplicity in the product of the reciprocal f^e (that of 1/alpha
+    too), and a and b those of alpha and 1/alpha in the product of the other
+    f^e. Then alpha has multiplicity c + min(a, b) in gcd(P, P~). P_D keeps
+    c for alpha and for 1/alpha, and it keeps a and b exactly when alpha is
+    a root of D, that is when a > 0 and b > 0; otherwise min(a, b) = 0. So
+    alpha has the same multiplicity in gcd(P_D, P_D~), the two gcds agree up
+    to a unit, and `poly_gcd`, which returns the primitive gcd with positive
+    leading coefficient, returns the same g for both. With no reciprocal
+    factor and D = 1, P_D = 1 and g = 1; when P_D is reciprocal, g is the
+    primitive part of P_D.
+    """
     if at_one or at_minus_one:
         which = [s for s, hit in (("x=1", at_one), ("x=-1", at_minus_one)) if hit]
         return UnitCircleAnalysis(
@@ -284,7 +320,11 @@ def certify_polynomial(p: IntPolynomial, level: int,
     """
     if level not in (1, 2):
         raise ValueError("only levels 1 and 2 are supported")
-    first = unit_circle_analysis(p, cancel)
+    return _certificate(p, unit_circle_analysis(p, cancel), level, cancel)
+
+
+def _certificate(p: IntPolynomial, first: UnitCircleAnalysis, level: int,
+                 cancel: CancelToken | None) -> HyperbolicityCertificate:
     stages = [CertificateStage("char_poly", p, first)]
     failure = None
     compound = None
@@ -305,6 +345,57 @@ def certify_polynomial(p: IntPolynomial, level: int,
         valid=failure is None,
         failure=failure,
     )
+
+
+def certify_factors(factors, cancel: CancelToken | None = None) -> HyperbolicityCertificate:
+    """The level-1 certificate of P = prod f^e over the (factor f, multiplicity e) pairs.
+
+    It equals `certify_polynomial(P, 1)` field by field, but the gcd of P
+    with its reversal comes from the factors (see `_unit_circle_stages`):
+    a factor equal to its reversal up to sign is kept whole, and the others
+    are reduced through gcd(N, N~) of their product N, which is 1 in the
+    common case, before any gcd at the degree of P is taken. P itself is
+    built for the certificate's record. Raises ValueError on a zero factor
+    or a multiplicity below 1.
+    """
+    factors = list(factors)
+    if any(f.is_zero or e < 1 for f, e in factors):
+        raise ValueError("factors must be nonzero with multiplicity at least 1")
+    p = _power_product(factors)
+    at_one = any(f(1) == 0 for f, _ in factors)
+    at_minus_one = any(f(-1) == 0 for f, _ in factors)
+    _check(cancel)
+    g = _factor_reciprocal_gcd(factors, cancel)
+    return _certificate(p, _unit_circle_stages(at_one, at_minus_one, g, cancel), 1, cancel)
+
+
+def _power_product(factors) -> IntPolynomial:
+    return prod((f for f, e in factors for _ in range(e)), start=IntPolynomial([1]))
+
+
+def _is_reciprocal(f: IntPolynomial) -> bool:
+    reverse = f.reverse()
+    return reverse == f or reverse == -f
+
+
+def _factor_reciprocal_gcd(factors, cancel: CancelToken | None) -> IntPolynomial:
+    """poly_gcd(P, P~) for P = prod f^e, through D and P_D (see `_unit_circle_stages`)."""
+    reciprocal, others = [], []
+    for f, e in factors:
+        (reciprocal if _is_reciprocal(f) else others).append((f, e))
+    n = _power_product((f, 1) for f, _ in others)
+    d = poly_gcd(n, n.reverse(), cancel)
+    parts = reciprocal
+    if d.degree > 0:
+        for f, e in others:
+            part, rest = IntPolynomial([1]), f
+            while (h := poly_gcd(rest, d, cancel)).degree > 0:
+                part, rest = part * h, divide_exact(rest, h)
+            parts.append((part, e))
+    p_d = _power_product(parts)
+    if _is_reciprocal(p_d):
+        return p_d.primitive()
+    return poly_gcd(p_d, p_d.reverse(), cancel)
 
 
 def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> HyperbolicityCertificate:

@@ -12,11 +12,14 @@ or Fractions for rational maps); `extend_to_algebra` and
 `is_algebra_automorphism` wrap them with coercion, shape and determinant
 checks for arbitrary exact input. A map that is block-diagonal over the
 coherent components has its V + W characteristic polynomial given by its
-block polynomials alone (`extension_char_poly`). Vertex permutations are not
+block polynomials alone (`extension_factors`). Vertex permutations are not
 extended: the witness checks its commutation with them on V (see `witness`).
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import cache
 
 from .errors import CancelToken, PreconditionViolation
 from .exactmat import RationalMatrix, coerce_matrix
@@ -186,21 +189,25 @@ def is_algebra_automorphism(alg: GraphLieAlgebra, m) -> bool:
 # Characteristic polynomial on V + W
 
 
-def extension_char_poly(
+def extension_factors(
     part: CoherentPartition, component_polys, cancel: CancelToken | None = None
-) -> IntPolynomial:
-    """Characteristic polynomial on V + W of a map that is block-diagonal over the components.
+) -> tuple[tuple[IntPolynomial, int], ...]:
+    """Distinct factors, with multiplicities, of the V + W characteristic polynomial of a block map.
 
-    component_polys[i] is the characteristic polynomial of the map's block on
-    component i. W = [V, V] is characteristic, so the extension is block
-    triangular on V + W and its polynomial is the product of the V part and
-    the map induced on W. Adjacent components are joined by all their vertex
-    pairs, and a complete component has all its internal pairs as edges, so
-    W splits into A_i (x) A_j for each quotient edge (i, j) and the exterior
-    square of A_i for each complete component. The result is the product of
-    the component polynomials, `tensor_poly(p_i, p_j)` over the quotient
-    edges and `exterior_square_poly(p_i)` over the complete components; each
-    factor is exact.
+    The map is block-diagonal over the components, and component_polys[i]
+    is the characteristic polynomial of its block on component i. W = [V, V]
+    is characteristic, so the extension is block triangular on V + W and its
+    polynomial is the product of the V part and the map induced on W.
+    Adjacent components are joined by all their vertex pairs, and a complete
+    component has all its internal pairs as edges, so W splits into
+    A_i (x) A_j for each quotient edge (i, j) and the exterior square of A_i
+    for each complete component. The polynomial is the product of the
+    component polynomials, `tensor_poly(p_i, p_j)` over the quotient edges
+    and `exterior_square_poly(p_i)` over the complete components; each
+    factor is exact. Equal inputs give equal factors, so `tensor_poly` runs
+    once per distinct pair {p_i, p_j} and `exterior_square_poly` once per
+    distinct p_i. Equal factors are returned once, in first-seen order, and
+    the polynomial is the product of f^e over the returned (f, e).
     """
     polys = list(component_polys)
     if len(polys) != part.num_components:
@@ -208,12 +215,12 @@ def extension_char_poly(
     for comp, p in zip(part.components, polys):
         if p.degree != len(comp):
             raise ValueError(f"component of size {len(comp)} got a polynomial of degree {p.degree}")
-    result = IntPolynomial([1])
-    for p in polys:
-        result = result * p
+    tensor = cache(lambda p, q: tensor_poly(p, q, cancel))
+    square = cache(lambda p: exterior_square_poly(p, cancel))
+    counts = Counter(polys)
     for i, j in part.quotient_edges:
-        result = result * tensor_poly(polys[i], polys[j], cancel)
+        counts[tensor(*sorted((polys[i], polys[j]), key=lambda p: p.coefficients))] += 1
     for p, loop in zip(polys, part.loops):
         if loop:
-            result = result * exterior_square_poly(p, cancel)
-    return result
+            counts[square(p)] += 1
+    return tuple(counts.items())

@@ -5,8 +5,8 @@ representative, powered to separate eigenvalue magnitudes across orbits, and
 copied to the other components of the orbit by conjugating with the orbit's
 conjugators, which `holonomy.build_action` records. The assembled matrix is
 re-certified exactly on integer rows: invertibility on V, bracket
-preservation on V + W, integer-likeness and unit-circle freeness of its whole
-characteristic polynomial, and commutation with every generator.
+preservation on V + W, integer-likeness and unit-circle freeness of its
+characteristic polynomial on V + W, and commutation with every generator.
 
 That polynomial is read off the block structure instead of the dense V + W
 matrix. Each conjugated block is a simultaneous permutation of its orbit's
@@ -14,7 +14,9 @@ block, so it has the same characteristic polynomial. The assembly asserts
 that the V-part is block-diagonal over the coherent components, and the
 bracket check proves that the W-part is the map induced on wedges with no
 V-rows in the wedge columns. Under those checked facts the polynomial is
-exactly `extension_char_poly` of the block polynomials.
+exactly the product of `extension_factors` of the block polynomials, and
+`certify_factors` certifies it through those few distinct factors; its
+certificate is the one the whole polynomial would get.
 
 A seed is the first candidate of `seed_catalog` that the exact certificate
 accepts at the orbit's level c. The candidates are integral and commute with
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, gcd, log, pi, prod
 
@@ -49,6 +51,7 @@ from .holonomy import HolonomyAction
 from .hyperbolicity import (
     HyperbolicityCertificate,
     _matmul,
+    certify_factors,
     certify_polynomial,
     char_poly,
     is_integer_like,
@@ -58,7 +61,7 @@ from .liealg import (
     brackets_preserved,
     build_algebra,
     extend_rows,
-    extension_char_poly,
+    extension_factors,
 )
 from .polynomials import (
     IntPolynomial,
@@ -294,7 +297,9 @@ def choose_exponents(bounds, margin: float = 2.0) -> tuple[int, ...]:
     Guarantees (up to the quality of the numeric bounds) that eigenvalue
     products across different orbits stay off the unit circle; the assembled
     matrix is re-certified exactly afterwards, so the bounds only steer the
-    search.
+    search. Each k_i is the ceiling of x = margin * sum / min_i less a
+    relative slack of 1e-9, below the bounds' own relative error: where x is
+    an integer, the exponent does not depend on how the root solver rounds.
     """
     ks = []
     acc = 0.0
@@ -303,7 +308,7 @@ def choose_exponents(bounds, margin: float = 2.0) -> tuple[int, ...]:
             raise PreconditionViolation(
                 "seed has an eigenvalue too close to the unit circle; it cannot be certified"
             )
-        k = max(1, ceil(margin * acc / lo - 1e-9))
+        k = max(1, ceil(margin * acc / lo * (1 - 1e-9)))
         ks.append(k)
         acc += k * hi
     return tuple(ks)
@@ -330,9 +335,10 @@ class Witness:
 
     The matrices are integer rows, V first and then the edge wedges.
     full_char_poly is the characteristic polynomial of full_matrix, taken
-    from its blocks (see the module docstring) and certified as a whole:
-    its constant term is +-1, so the matrix is invertible over the integers,
-    and it has no root on the unit circle.
+    from its blocks (see the module docstring); the certificate is that of
+    the whole polynomial, taken through its distinct factors. Its constant
+    term is +-1, so the matrix is invertible over the integers, and it has
+    no root on the unit circle.
     """
 
     v_matrix: tuple[tuple[int, ...], ...]
@@ -403,9 +409,29 @@ def _int_matpow(rows, k: int):
     return tuple(tuple(r) for r in result)
 
 
-def _exponents(certificates, margin: float = 2.0) -> tuple[int, ...]:
-    """Exponents separating the orbits' seeds, from their certified char polys."""
-    return choose_exponents([log_modulus_bounds(cert.char_poly) for cert in certificates], margin)
+def _seed_orbits(action: HolonomyAction, cancel: CancelToken | None):
+    """A certified seed for every orbit, and the log-modulus bounds of its char poly."""
+    seeds = []
+    for orbit in action.orbits:
+        restriction = orbit.stabilizer.restriction
+        if restriction is None:
+            raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
+        seed, cert = find_seed(restriction, orbit.c, cancel)
+        seeds.append((orbit, seed, cert))
+    return seeds, [log_modulus_bounds(cert.char_poly) for _, _, cert in seeds]
+
+
+def _plan(seeds, exponents) -> tuple[OrbitSeedPlan, ...]:
+    return tuple(
+        OrbitSeedPlan(
+            orbit_rep=orbit.rep,
+            seed=seed,
+            exponent=k,
+            certificate=cert,
+            conjugators=orbit.conjugators,
+        )
+        for (orbit, seed, cert), k in zip(seeds, exponents)
+    )
 
 
 def plan_blocks(
@@ -417,24 +443,8 @@ def plan_blocks(
 
     Each seed commutes with the orbit's stabilizer on its representative.
     """
-    seeds = []
-    for orbit in action.orbits:
-        restriction = orbit.stabilizer.restriction
-        if restriction is None:
-            raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
-        seed, cert = find_seed(restriction, orbit.c, cancel)
-        seeds.append((orbit, seed, cert))
-    exponents = _exponents(cert for _, _, cert in seeds)
-    return tuple(
-        OrbitSeedPlan(
-            orbit_rep=orbit.rep,
-            seed=seed,
-            exponent=k,
-            certificate=cert,
-            conjugators=orbit.conjugators,
-        )
-        for (orbit, seed, cert), k in zip(seeds, exponents)
-    )
+    seeds, bounds = _seed_orbits(action, cancel)
+    return _plan(seeds, choose_exponents(bounds))
 
 
 def _require_yes(action: HolonomyAction) -> None:
@@ -520,15 +530,14 @@ def _assemble(
         raise WitnessAssemblyError("automorphism", "bracket preservation failed")
 
     _require_block_diagonal(action, full)
-    full_poly = extension_char_poly(part, component_polys, cancel)
+    certificate = certify_factors(extension_factors(part, component_polys, cancel), cancel)
+    full_poly = certificate.char_poly
     # The constant term is +-det of the V+W matrix, so integer-likeness also
     # proves it invertible; no separate determinant is taken.
     if not is_integer_like(full_poly):
         raise WitnessAssemblyError(
             "integer-like", f"constant term {full_poly.constant} is not a unit"
         )
-
-    certificate = certify_polynomial(full_poly, 1, cancel=cancel)
     if not certificate.valid:
         raise WitnessAssemblyError("hyperbolicity", certificate.stages[0].analysis.detail)
 
@@ -557,8 +566,8 @@ def _assemble(
 def _require_block_diagonal(action: HolonomyAction, rows) -> None:
     """Raise AssertionError unless the V-part of rows is block-diagonal over the components.
 
-    This is the premise under which `extension_char_poly` of the block
-    polynomials is the characteristic polynomial of rows.
+    This is the premise under which the product of `extension_factors` of
+    the block polynomials is the characteristic polynomial of rows.
     """
     n = action.graph.num_vertices
     component_of = action.partition.component_of
@@ -571,25 +580,24 @@ def _require_block_diagonal(action: HolonomyAction, rows) -> None:
 def build_witness(action: HolonomyAction, *, cancel: CancelToken | None = None) -> Witness:
     """End-to-end witness construction with exponent escalation.
 
-    The algebra is built once from `action.graph`, and seeds and conjugators
-    are searched once. Each of up to `DEFAULT_MAX_RETRIES` retries recomputes
-    only the exponents, at double the separation margin; the exact
-    re-certification in the assembly is what finally accepts.
+    The algebra is built once from `action.graph`, and seeds, conjugators and
+    the seeds' log-modulus bounds are found once. Each of up to
+    `DEFAULT_MAX_RETRIES` retries recomputes only the exponents from those
+    bounds, at double the separation margin; the exact re-certification in
+    the assembly is what finally accepts.
     """
     _require_yes(action)
     alg = build_algebra(action.graph)
-    plan = plan_blocks(action, cancel=cancel)
+    seeds, bounds = _seed_orbits(action, cancel)
     margin = 2.0
     last_error: WitnessAssemblyError | None = None
-    for attempt in range(DEFAULT_MAX_RETRIES + 1):
-        if attempt:
-            margin *= 2
-            exponents = _exponents((p.certificate for p in plan), margin)
-            plan = tuple(replace(p, exponent=k) for p, k in zip(plan, exponents))
+    for _ in range(DEFAULT_MAX_RETRIES + 1):
+        plan = _plan(seeds, choose_exponents(bounds, margin))
         try:
             return _assemble(action, plan, alg, cancel)
         except WitnessAssemblyError as exc:
             if exc.stage != "hyperbolicity":
                 raise
             last_error = exc
+        margin *= 2
     raise last_error

@@ -202,8 +202,13 @@ class TestWitnessReportPins:
                 ("--name", "II", "--n", "9", "--size", "6"),
                 "f62edcae7b8189d50743b86f9fd9179daa020b9ffdf29edaa98bd9be6c2251b3",
             ),
+            (
+                # degree 67 with a reciprocal gcd of degree 52: the certificate reaches the Sturm stage
+                ("--name", "I", "--m", "5", "--sizes", "2,2,2,2,3"),
+                "32aac6221e8248fa11b097934dc49c8a980e229024cfce00fc218ece94ff769d",
+            ),
         ],
-        ids=["I-modified-m4", "II-n9-s6"],
+        ids=["I-modified-m4", "II-n9-s6", "I-m5"],
     )
     def test_family_report(self, run, tmp_path, family_args, digest):
         code, out, _ = run("family", *family_args)

@@ -16,6 +16,7 @@ from anosovgraph.hyperbolicity import (
     CancelToken,
     CertificateStage,
     HyperbolicityCertificate,
+    certify_factors,
     certify_polynomial,
     char_poly,
     exterior_square_char_poly,
@@ -33,6 +34,7 @@ from anosovgraph.polynomials import (
     poly_gcd,
     sturm_chain,
 )
+from tests_support_oracles import factor_product
 
 CAT_MAP = ((2, 1), (1, 1))
 CUBIC = IntPolynomial((1, -2, -1, 1))  # x^3 - x^2 - 2x + 1
@@ -453,6 +455,108 @@ class TestCHyperbolic:
         cert = is_c_hyperbolic(companion_rows(CUBIC), 2)
         blob = json.dumps(cert.to_json_dict(), sort_keys=True)
         assert "exterior_square" in blob
+
+
+# Irreducibles for factor lists: roots at 0 and at +-1, roots on the circle
+# away from +-1, palindromic and non-palindromic units with and without their
+# reversals, and a non-monic pair 2x - 1, x - 2 of inverse roots.
+IRREDUCIBLES = (
+    P(0, 1),
+    cyclotomic(1),
+    cyclotomic(2),
+    cyclotomic(3),
+    cyclotomic(5),
+    cyclotomic(8),
+    P(1, -3, 1),
+    CUBIC,
+    CUBIC.reverse(),
+    P(-1, -1, 1),
+    P(-1, 1, 1),
+    P(-1, -1, 0, 1),
+    P(-1, 2),
+    P(2, -1),
+)
+
+
+def product(polys):
+    return factor_product((f, 1) for f in polys)
+
+
+@st.composite
+def factor_lists(draw):
+    """(factor, multiplicity) lists whose factors share irreducibles, may repeat,
+    and may come with their reversals or with their products by their reversals."""
+    irreducible = st.sampled_from(IRREDUCIBLES)
+    small = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(IntPolynomial)
+    factor = st.lists(st.one_of(irreducible, small), min_size=1, max_size=2).map(product)
+    factors = draw(st.lists(factor.filter(lambda f: not f.is_zero), min_size=1, max_size=3))
+    for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
+        factors.append(f.reverse())
+    for f in draw(st.lists(st.sampled_from(factors), max_size=1)):
+        factors.append(f * f.reverse())
+    return [(f, draw(st.integers(1, 3))) for f in factors]
+
+
+class TestCertifyFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(factor_lists())
+    def test_equals_the_whole_polynomial_certificate(self, factors):
+        assert certify_factors(factors) == certify_polynomial(factor_product(factors), 1)
+
+    @pytest.mark.parametrize(
+        "factors, stage, valid",
+        [
+            ([(CUBIC, 3), (P(-1, -1, 0, 1), 1)], "reciprocal-gcd", True),
+            ([(P(1, -3, 1), 2), (CUBIC * P(-1, -1, 1), 1)], "sturm", True),
+            ([(CUBIC, 2), (CUBIC.reverse(), 1), (P(-1, -1, 1), 2)], "sturm", True),
+            ([(CUBIC * P(-1, 1, 1), 1), (CUBIC.reverse() * P(-1, -1, 1), 2)], "sturm", True),
+            ([(CUBIC * CUBIC.reverse(), 1), (CUBIC, 2)], "sturm", True),
+            ([(CUBIC, 1), (cyclotomic(5) * P(-1, -1, 0, 1), 2)], "sturm", False),
+            ([(P(1, -3, 1), 1), (cyclotomic(2), 2)], "endpoints", False),
+            ([(P(-1, 2), 1), (P(2, -1), 3)], "sturm", True),
+        ],
+        ids=[
+            "coprime-to-reversal",
+            "palindromic-factor",
+            "factor-and-its-reversal",
+            "shared-irreducibles",
+            "shared-with-a-reciprocal-factor",
+            "circle-roots",
+            "root-at-minus-one",
+            "non-monic-inverse-pair",
+        ],
+    )
+    def test_each_stage(self, factors, stage, valid):
+        cert = certify_factors(factors)
+        assert cert.stages[0].analysis.stage == stage and cert.valid == valid
+        assert cert == certify_polynomial(factor_product(factors), 1)
+
+    def test_product_is_built_from_the_factors(self):
+        cert = certify_factors([(P(1, -3, 1), 2), (CUBIC, 1)])
+        assert cert.char_poly == P(1, -3, 1) * P(1, -3, 1) * CUBIC
+        assert cert.level == 1 and cert.compound_char_poly is None
+        assert list(inspect.signature(certify_factors).parameters) == ["factors", "cancel"]
+
+    def test_rejects_zero_factor_and_multiplicity(self):
+        with pytest.raises(ValueError):
+            certify_factors([(P(0), 1)])
+        with pytest.raises(ValueError):
+            certify_factors([(CUBIC, 0)])
+
+    def test_reciprocal_gcd_skips_the_whole_polynomial(self, monkeypatch):
+        # (cubic * reversal)^3 * cubic^2: no gcd of the degree-24 product is taken
+        factors = [(CUBIC, 2), (CUBIC.reverse(), 3), (P(-1, -1, 1), 1)]
+        degrees = []
+        real = hyperbolicity_module.poly_gcd
+
+        def spy(p, q, cancel=None):
+            degrees.append(max(p.degree, q.degree))
+            return real(p, q, cancel)
+
+        monkeypatch.setattr(hyperbolicity_module, "poly_gcd", spy)
+        cert = certify_factors(factors)
+        assert cert.reciprocal_gcd_degree == 12
+        assert max(degrees) < factor_product(factors).degree
 
 
 class CancelOnCheck(CancelToken):

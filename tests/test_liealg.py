@@ -15,15 +15,17 @@ from anosovgraph.graphs import (
     discrete_graph,
 )
 from anosovgraph.fixtures import loop_end_chain, pentagon
+import anosovgraph.liealg as liealg_module
+from anosovgraph.families import family_II, family_II_z4
 from anosovgraph.liealg import (
     build_algebra,
     extend_to_algebra,
-    extension_char_poly,
+    extension_factors,
     is_algebra_automorphism,
 )
-from anosovgraph.hyperbolicity import char_poly
+from anosovgraph.hyperbolicity import char_poly, exterior_square_poly, tensor_poly
 from anosovgraph.polynomials import IntPolynomial
-from tests_support_oracles import bracket, path_graph
+from tests_support_oracles import bracket, extension_product, path_graph
 
 
 def from_roots(roots):
@@ -151,7 +153,7 @@ class TestExtend:
             for comp in part.components:
                 idx = [g.index(v) for v in comp]
                 polys.append(char_poly([[g_v[i][j] for j in idx] for i in idx]))
-            assert extension_char_poly(part, polys) == char_poly(ext.int_rows())
+            assert extension_product(part, polys) == char_poly(ext.int_rows())
 
 
 class TestIsAlgebraAutomorphism:
@@ -186,7 +188,7 @@ class TestEigenvalueProducts:
         part = coherent_components(complete_graph(2))
         # x^2 - 3x + 1 has the reciprocal roots phi^2, phi^-2; their product is 1
         p = IntPolynomial((1, -3, 1))
-        assert extension_char_poly(part, [p]) == p * IntPolynomial((-1, 1))
+        assert extension_product(part, [p]) == p * IntPolynomial((-1, 1))
 
     def test_chain_discrete_components_cross_only(self):
         part = coherent_components(loop_end_chain())
@@ -197,15 +199,43 @@ class TestEigenvalueProducts:
         cross_bc = [b * c for b in (5, 7, 11) for c in (13, 17)]
         intra_b = [5 * 7, 5 * 11, 7 * 11]
         expected = from_roots([mu for spec in spectra for mu in spec] + cross_ac + cross_bc + intra_b)
-        assert extension_char_poly(part, polys) == expected
+        assert extension_product(part, polys) == expected
 
     def test_triangle_pairwise(self):
         part = coherent_components(complete_graph(3))
-        assert extension_char_poly(part, [from_roots([2, 3, 5])]) == from_roots([2, 3, 5, 6, 10, 15])
+        assert extension_product(part, [from_roots([2, 3, 5])]) == from_roots([2, 3, 5, 6, 10, 15])
+
+    @pytest.mark.parametrize("inst", [family_II(5, 3), family_II_z4(3)], ids=["II-5-3", "II-Z4-3"])
+    def test_each_distinct_input_is_expanded_once(self, monkeypatch, inst):
+        part = coherent_components(inst.graph)
+        a, b = from_roots([2, 3, 5]), from_roots([-1, 7, 11])
+        polys = [a, a, b] + [b] * (part.num_components - 3)
+        calls = []
+        for name, real in (("tensor_poly", tensor_poly), ("exterior_square_poly", exterior_square_poly)):
+            monkeypatch.setattr(
+                liealg_module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+            )
+        factors = extension_factors(part, polys)
+        pairs = {frozenset((polys[i], polys[j])) for i, j in part.quotient_edges}
+        squares = {p for p, loop in zip(polys, part.loops) if loop}
+        assert calls.count("tensor_poly") == len(pairs) < len(part.quotient_edges)
+        assert calls.count("exterior_square_poly") == len(squares)
+        # each distinct factor once, with the multiplicities of the per-edge product
+        assert len({f for f, _ in factors}) == len(factors)
+        expected = IntPolynomial([1])
+        for p in polys:
+            expected = expected * p
+        for i, j in part.quotient_edges:
+            expected = expected * tensor_poly(polys[i], polys[j])
+        for p, loop in zip(polys, part.loops):
+            if loop:
+                expected = expected * exterior_square_poly(p)
+        assert extension_product(part, polys) == expected
+        assert sum(e for _, e in factors) == part.num_components + len(part.quotient_edges) + sum(part.loops)
 
     def test_size_mismatch(self):
         part = coherent_components(complete_graph(3))
         with pytest.raises(ValueError):
-            extension_char_poly(part, [from_roots([1, 2])])
+            extension_product(part, [from_roots([1, 2])])
         with pytest.raises(ValueError):
-            extension_char_poly(part, [from_roots([1, 2, 3])] * 2)
+            extension_product(part, [from_roots([1, 2, 3])] * 2)

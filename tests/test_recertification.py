@@ -34,7 +34,6 @@ from anosovgraph.liealg import (
     build_algebra,
     extend_rows,
     extend_to_algebra,
-    extension_char_poly,
     is_algebra_automorphism,
 )
 from anosovgraph.repdecomp import decide
@@ -50,6 +49,7 @@ from tests_support_oracles import (
     bracket,
     commutes_with_signed_perm,
     extend_permutation,
+    extension_product,
     path_graph,
     permutation_matrix,
     wedge_index,
@@ -471,7 +471,7 @@ class TestStructuralCharPoly:
                 for b, ib in enumerate(idx):
                     g_v[ia][ib] = block[a][b]
             polys.append(char_poly(block))
-        assert extension_char_poly(part, polys) == char_poly(extend_to_algebra(alg, g_v).int_rows())
+        assert extension_product(part, polys) == char_poly(extend_to_algebra(alg, g_v).int_rows())
 
     @settings(SETTINGS, max_examples=30)
     @given(instances())

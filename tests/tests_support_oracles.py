@@ -5,7 +5,9 @@ commutation check the witness ran on V+W, and the label-dict vertex
 permutation with its closure and component action, as `graphs` and
 `holonomy` computed them before positions. Also the graph helpers that only
 tests use: the precedence relation, its preservation, the brute-force group
-of order-preserving component permutations, and path graphs."""
+of order-preserving component permutations, and path graphs. And the
+product of f^e over (factor, multiplicity) pairs, which gives the V+W
+characteristic polynomial from `liealg.extension_factors`."""
 
 import itertools
 from math import lcm
@@ -13,6 +15,22 @@ from math import lcm
 from anosovgraph.errors import BoundExceeded, PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
 from anosovgraph.graphs import Graph
+from anosovgraph.liealg import extension_factors
+from anosovgraph.polynomials import IntPolynomial
+
+
+def factor_product(factors):
+    """The product of f^e over the (f, e) pairs."""
+    out = IntPolynomial([1])
+    for f, e in factors:
+        for _ in range(e):
+            out = out * f
+    return out
+
+
+def extension_product(part, component_polys):
+    """The V+W characteristic polynomial of a block map: the product of its extension factors."""
+    return factor_product(extension_factors(part, component_polys))
 
 
 def path_graph(n, prefix="v"):
