@@ -52,12 +52,7 @@ from .hyperbolicity import (
     is_c_hyperbolic,
     is_integer_like,
 )
-from .liealg import (
-    GraphLieAlgebra,
-    build_algebra,
-    extend_to_algebra,
-    is_algebra_automorphism,
-)
+from .liealg import extend_to_algebra, is_algebra_automorphism
 from .polynomials import IntPolynomial, parse_polynomial
 from .repdecomp import (
     CyclicRepDecomposition,
@@ -90,7 +85,6 @@ __all__ = [
     "FamilySpec",
     "Graph",
     "GraphInputError",
-    "GraphLieAlgebra",
     "HolonomyAction",
     "HyperbolicityCertificate",
     "IntPolynomial",
@@ -108,7 +102,6 @@ __all__ = [
     "analyze",
     "assemble_witness",
     "build_action",
-    "build_algebra",
     "build_witness",
     "char_poly",
     "choose_exponents",

@@ -230,6 +230,7 @@ def quotient_dot(part: CoherentPartition) -> str:
     lines = ["graph quotient {"]
     for i, comp in enumerate(part.components):
         label = f"{component_label(i)} [{', '.join(comp)}]"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  "{component_label(i)}" [label="{label}"];')
     for i, j in part.quotient_edges:
         lines.append(f'  "{component_label(i)}" -- "{component_label(j)}";')

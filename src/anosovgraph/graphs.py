@@ -275,7 +275,8 @@ class VertexPermutation:
         """Every element of the group the generators generate on domain, unordered.
 
         The closure composes bare position tuples and wraps only the distinct
-        elements. Raises BoundExceeded as soon as more than order_bound are found.
+        elements. Raises BoundExceeded as soon as more than order_bound are found,
+        the identity included, so an order_bound below 1 admits no group.
         """
         identity = cls.identity(domain)
         gens = []
@@ -283,6 +284,8 @@ class VertexPermutation:
             if g.domain != identity.domain:
                 raise PermutationError("permutations have different domains")
             gens.append(g._images.__getitem__)
+        if order_bound < 1:
+            raise BoundExceeded(f"holonomy group order exceeds the bound {order_bound}")
         elements = {identity._images}
         frontier = [identity._images]
         while frontier:

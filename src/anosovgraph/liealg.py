@@ -1,11 +1,14 @@
 """2-step nilpotent Lie algebras built from graphs, over the rationals.
 
-The algebra lives on V + W where V has the vertices as basis and W has one
-wedge per edge; the bracket of two adjacent vertices is their wedge and
-everything else vanishes. Degree-0 maps on V extend to the whole algebra by
-acting on wedges. A `GraphLieAlgebra` holds only its two bases and the wedge
-index of each edge; brackets are never formed as coefficient vectors, the
-kernels below read them off the rows of a map.
+The algebra of a graph is fixed by the graph alone: it lives on V + W, where
+V has the vertices as basis and W has one wedge per edge, and the bracket of
+two adjacent vertices is their wedge; everything else vanishes. The wedge
+basis is ordered like the graph's edge list, each wedge oriented with the
+earlier vertex first, so the bracket of vertices u and v is +-(the wedge of
+the edge uv), or zero for a non-edge. The kernels below take the `Graph`
+itself and never form brackets as coefficient vectors; they read them off
+the rows of a map. Degree-0 maps on V extend to the whole algebra by acting
+on wedges.
 
 The kernels `extend_rows` and `brackets_preserved` work on plain rows (ints,
 or Fractions for rational maps); `extend_to_algebra` and
@@ -28,53 +31,12 @@ from .hyperbolicity import exterior_square_poly, tensor_poly
 from .polynomials import IntPolynomial
 
 
-class GraphLieAlgebra:
-    """Bases of the algebra attached to a graph, and the wedge index of each edge.
-
-    The wedge basis is ordered like the graph's edge list, each wedge oriented
-    with the earlier vertex first; that convention fixes all bracket signs:
-    the bracket of vertices u and v is +-(the wedge of the edge uv), or zero
-    for a non-edge.
-    """
-
-    __slots__ = ("graph", "v_basis", "w_basis", "_w_index")
-
-    def __init__(self, graph: Graph):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "v_basis", graph.vertices)
-        object.__setattr__(self, "w_basis", graph.edges)
-        # (index of a, index of b) -> wedge index; edges come with index(a) < index(b)
-        object.__setattr__(
-            self,
-            "_w_index",
-            {(graph.index(a), graph.index(b)): i for i, (a, b) in enumerate(graph.edges)},
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphLieAlgebra is immutable")
-
-    @property
-    def dim_v(self) -> int:
-        return len(self.v_basis)
-
-    @property
-    def dim_w(self) -> int:
-        return len(self.w_basis)
-
-    @property
-    def dimension(self) -> int:
-        return self.dim_v + self.dim_w
-
-    def __repr__(self) -> str:
-        return f"GraphLieAlgebra(dim {self.dim_v}+{self.dim_w})"
+def _wedge_index(graph: Graph) -> dict[tuple[int, int], int]:
+    """(position of a, position of b) -> wedge index, for each edge (a, b); a comes first."""
+    return {(graph.index(a), graph.index(b)): i for i, (a, b) in enumerate(graph.edges)}
 
 
-def build_algebra(graph: Graph) -> GraphLieAlgebra:
-    """The 2-step algebra of a graph; dimension = vertices + edges."""
-    return GraphLieAlgebra(graph)
-
-
-def extend_rows(alg: GraphLieAlgebra, rows) -> tuple[tuple, ...]:
+def extend_rows(graph: Graph, rows) -> tuple[tuple, ...]:
     """Rows on V + W of the degree-0 extension of the map on V with the given rows.
 
     Column n + k is the image of the k-th wedge a^b, that is g(a) ^ g(b); its
@@ -84,8 +46,8 @@ def extend_rows(alg: GraphLieAlgebra, rows) -> tuple[tuple, ...]:
     the map admits no degree-0 extension, and raises PreconditionViolation.
     Exact on int or Fraction entries; invertibility is not checked here.
     """
-    n, m = alg.dim_v, alg.dim_w
-    wedge = alg._w_index
+    n, m = graph.num_vertices, graph.num_edges
+    wedge = _wedge_index(graph)
     support = [{u for u in range(n) if rows[u][x]} for x in range(n)]
     full = [list(row) + [0] * m for row in rows] + [[0] * (n + m) for _ in range(m)]
     for (ia, ib), col in wedge.items():
@@ -98,8 +60,8 @@ def extend_rows(alg: GraphLieAlgebra, rows) -> tuple[tuple, ...]:
                     continue
                 idx = wedge.get((u, v))
                 if idx is None:
-                    a, b = alg.w_basis[col]
-                    lu, lv = alg.v_basis[u], alg.v_basis[v]
+                    a, b = graph.edges[col]
+                    lu, lv = graph.vertices[u], graph.vertices[v]
                     raise PreconditionViolation(
                         f"image of wedge {a}^{b} meets the non-edge wedge {lu}^{lv}; "
                         "the map does not respect the coherent components"
@@ -113,22 +75,22 @@ def _exact_rows(m: RationalMatrix):
     return m.int_rows() if m.is_integer else m.rows
 
 
-def extend_to_algebra(alg: GraphLieAlgebra, g_v) -> RationalMatrix:
+def extend_to_algebra(graph: Graph, g_v) -> RationalMatrix:
     """Extend an invertible map on V to V + W by acting on wedges.
 
     The image of each edge wedge must again be a combination of edge wedges;
     otherwise the map admits no degree-0 extension and this raises.
     """
     g_v = coerce_matrix(g_v)
-    n = alg.dim_v
+    n = graph.num_vertices
     if g_v.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix on V, got {g_v.shape}")
     if g_v.det() == 0:
         raise PreconditionViolation("map on V is not invertible")
-    return RationalMatrix(extend_rows(alg, _exact_rows(g_v)))
+    return RationalMatrix(extend_rows(graph, _exact_rows(g_v)))
 
 
-def brackets_preserved(alg: GraphLieAlgebra, rows) -> bool:
+def brackets_preserved(graph: Graph, rows) -> bool:
     """Whether the square matrix with these rows on V + W preserves the bracket on all basis pairs.
 
     Brackets land in W and depend only on the V-parts of their arguments, so
@@ -141,10 +103,10 @@ def brackets_preserved(alg: GraphLieAlgebra, rows) -> bool:
     pair, the brackets of the edge pairs make up the whole expected W-block.
     Exact on int or Fraction entries; invertibility is not checked here.
     """
-    n, m = alg.dim_v, alg.dim_w
+    n, m = graph.num_vertices, graph.num_edges
     if any(any(row[n:]) for row in rows[:n]):
         return False
-    wedge = alg._w_index
+    wedge = _wedge_index(graph)
     support = [[(a, rows[a][x]) for a in range(n) if rows[a][x]] for x in range(n)]
     expected = [[0] * m for _ in range(m)]  # expected[e][k]: row n + e, column n + k
     for x in range(n):
@@ -170,19 +132,19 @@ def brackets_preserved(alg: GraphLieAlgebra, rows) -> bool:
     return all(list(rows[n + e][n:]) == expected[e] for e in range(m))
 
 
-def is_algebra_automorphism(alg: GraphLieAlgebra, m) -> bool:
+def is_algebra_automorphism(graph: Graph, m) -> bool:
     """Exact check: m is invertible and preserves the bracket on all basis pairs.
 
     Integral inputs are checked on ints, others on their Fractions; the
     bracket condition is `brackets_preserved`.
     """
     m = coerce_matrix(m)
-    dim = alg.dimension
+    dim = graph.num_vertices + graph.num_edges
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
     if m.det() == 0:
         return False
-    return brackets_preserved(alg, _exact_rows(m))
+    return brackets_preserved(graph, _exact_rows(m))
 
 
 # ---------------------------------------------------------------------------

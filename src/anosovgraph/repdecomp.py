@@ -48,13 +48,6 @@ class CyclicRepDecomposition:
     cycle_type: tuple[int, ...]
     parts: tuple[RepPart, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "stabilizer_order": self.stabilizer_order,
-            "cycle_type": list(self.cycle_type),
-            "parts": [p.to_json_dict() for p in self.parts],
-        }
-
 
 def decompose_cyclic_perm_rep(n: int, cycles) -> CyclicRepDecomposition:
     """Decompose the permutation representation of a cyclic group of order n

@@ -3,7 +3,9 @@
 The witness is assembled block-per-component: a certified seed on each orbit
 representative, powered to separate eigenvalue magnitudes across orbits, and
 copied to the other components of the orbit by conjugating with the orbit's
-conjugators, which `holonomy.build_action` records. The assembled matrix is
+conjugators, which `holonomy.build_action` records. The algebra is that of
+`action.graph`, whose vertices and edges are the bases of V and W (see
+`liealg`), so no algebra object is built. The assembled matrix is
 re-certified exactly on integer rows: invertibility on V, bracket
 preservation on V + W, integer-likeness and unit-circle freeness of its
 characteristic polynomial on V + W, and commutation with every generator.
@@ -56,13 +58,7 @@ from .hyperbolicity import (
     char_poly,
     is_integer_like,
 )
-from .liealg import (
-    GraphLieAlgebra,
-    brackets_preserved,
-    build_algebra,
-    extend_rows,
-    extension_factors,
-)
+from .liealg import brackets_preserved, extend_rows, extension_factors
 from .polynomials import (
     IntPolynomial,
     companion_rows,
@@ -325,7 +321,6 @@ class OrbitSeedPlan:
     orbit_rep: int
     seed: tuple[tuple[int, ...], ...]
     exponent: int
-    certificate: HyperbolicityCertificate
     conjugators: tuple[tuple[int, VertexPermutation], ...]
 
 
@@ -427,10 +422,9 @@ def _plan(seeds, exponents) -> tuple[OrbitSeedPlan, ...]:
             orbit_rep=orbit.rep,
             seed=seed,
             exponent=k,
-            certificate=cert,
             conjugators=orbit.conjugators,
         )
-        for (orbit, seed, cert), k in zip(seeds, exponents)
+        for (orbit, seed, _), k in zip(seeds, exponents)
     )
 
 
@@ -463,19 +457,18 @@ def assemble_witness(
 ) -> Witness:
     """Assemble the block matrix from a plan and certify it exactly.
 
-    The algebra is built from `action.graph`. Refuses outright when the
+    The algebra is that of `action.graph`. Refuses outright when the
     decision criterion does not say yes. Any failing certificate raises a
     structured error naming the stage, so callers can escalate exponents and
     retry.
     """
     _require_yes(action)
-    return _assemble(action, plan, build_algebra(action.graph), cancel)
+    return _assemble(action, plan, cancel)
 
 
 def _assemble(
     action: HolonomyAction,
     plan: tuple[OrbitSeedPlan, ...],
-    alg: GraphLieAlgebra,
     cancel: CancelToken | None,
 ) -> Witness:
     graph = action.graph
@@ -522,11 +515,11 @@ def _assemble(
     if v_char_poly.constant == 0:
         raise WitnessAssemblyError("extension", "map on V is not invertible")
     try:
-        full = extend_rows(alg, v_rows)
+        full = extend_rows(graph, v_rows)
     except PreconditionViolation as exc:
         raise WitnessAssemblyError("extension", str(exc)) from exc
 
-    if not brackets_preserved(alg, full):
+    if not brackets_preserved(graph, full):
         raise WitnessAssemblyError("automorphism", "bracket preservation failed")
 
     _require_block_diagonal(action, full)
@@ -580,21 +573,19 @@ def _require_block_diagonal(action: HolonomyAction, rows) -> None:
 def build_witness(action: HolonomyAction, *, cancel: CancelToken | None = None) -> Witness:
     """End-to-end witness construction with exponent escalation.
 
-    The algebra is built once from `action.graph`, and seeds, conjugators and
-    the seeds' log-modulus bounds are found once. Each of up to
-    `DEFAULT_MAX_RETRIES` retries recomputes only the exponents from those
-    bounds, at double the separation margin; the exact re-certification in
-    the assembly is what finally accepts.
+    Seeds, conjugators and the seeds' log-modulus bounds are found once.
+    Each of up to `DEFAULT_MAX_RETRIES` retries recomputes only the
+    exponents from those bounds, at double the separation margin; the exact
+    re-certification in the assembly is what finally accepts.
     """
     _require_yes(action)
-    alg = build_algebra(action.graph)
     seeds, bounds = _seed_orbits(action, cancel)
     margin = 2.0
     last_error: WitnessAssemblyError | None = None
     for _ in range(DEFAULT_MAX_RETRIES + 1):
         plan = _plan(seeds, choose_exponents(bounds, margin))
         try:
-            return _assemble(action, plan, alg, cancel)
+            return _assemble(action, plan, cancel)
         except WitnessAssemblyError as exc:
             if exc.stage != "hyperbolicity":
                 raise

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import subprocess
 import sys
 
@@ -165,6 +166,14 @@ class TestAnalyze:
         )
         assert code == EXIT_BOUNDS
 
+    @pytest.mark.parametrize("bound", ["0", "-2"])
+    def test_group_bound_below_one_exits_on_trivial_holonomy(self, run, tmp_path, bound):
+        path = write_graph(tmp_path, pentagon())
+        code, out, err = run("analyze", "--graph", path, "--max-group-order", bound)
+        assert code == EXIT_BOUNDS
+        assert out == ""
+        assert f"exceeds the bound {bound}" in err
+
     def test_deterministic_json(self, run, tmp_path):
         path = write_graph(tmp_path, complete_bipartite(3, 3))
         args = ("analyze", "--graph", path, "--holonomy", "(a1 b1)(a2 b2)(a3 b3)", "--json")
@@ -300,6 +309,17 @@ class TestQuotient:
         loops = [line for line in out.splitlines() if line.count("lambda_") == 2 and "--" in line]
         self_loops = [l for l in loops if l.split("--")[0].strip() == l.split("--")[1].strip().rstrip(";")]
         assert len(self_loops) == 3
+
+    def test_dot_escapes_quotes_and_backslashes_in_labels(self, run, tmp_path):
+        g = Graph(['a"x', "b\\y", "c"], [('a"x', "b\\y")])
+        path = write_graph(tmp_path, g)
+        code, out, _ = run("quotient", "--graph", path, "--dot")
+        assert code == EXIT_YES
+        assert '  "lambda_1" [label="lambda_1 [c]"];' in out.splitlines()
+        assert '  "lambda_2" [label="lambda_2 [a\\"x, b\\\\y]"];' in out.splitlines()
+        # every line is a sequence of well-formed DOT strings and unquoted text
+        quoted = r'"(?:[^"\\]|\\.)*"'
+        assert all(re.fullmatch(rf'(?:{quoted}|[^"\\])*', line) for line in out.splitlines())
 
     def test_discrete_graph_isolated_nodes(self, run, tmp_path):
         path = write_graph(tmp_path, discrete_graph(3))

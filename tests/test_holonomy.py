@@ -123,6 +123,17 @@ class TestBuildAction:
         g = cycle_graph(4)
         with pytest.raises(BoundExceeded):
             action_for(g, "(v1 v2 v3 v4)", order_bound=3)
+        assert action_for(g, "(v1 v2 v3 v4)", order_bound=4).order == 4
+
+    @pytest.mark.parametrize("order_bound", [0, -1])
+    def test_order_bound_counts_the_identity(self, order_bound):
+        # the trivial group has order 1, so a bound below 1 admits no group at all
+        g = cycle_graph(4)
+        with pytest.raises(BoundExceeded, match=f"exceeds the bound {order_bound}"):
+            action_for(g, order_bound=order_bound)
+        with pytest.raises(BoundExceeded):
+            VertexPermutation.generated_group([], g.vertices, order_bound)
+        assert action_for(g, order_bound=1).order == 1
 
     def test_orbit_stabilizer_identity_random(self):
         rng = random.Random(17)

@@ -17,12 +17,7 @@ from anosovgraph.graphs import (
 from anosovgraph.fixtures import loop_end_chain, pentagon
 import anosovgraph.liealg as liealg_module
 from anosovgraph.families import family_II, family_II_z4
-from anosovgraph.liealg import (
-    build_algebra,
-    extend_to_algebra,
-    extension_factors,
-    is_algebra_automorphism,
-)
+from anosovgraph.liealg import extend_to_algebra, extension_factors, is_algebra_automorphism
 from anosovgraph.hyperbolicity import char_poly, exterior_square_poly, tensor_poly
 from anosovgraph.polynomials import IntPolynomial
 from tests_support_oracles import bracket, extension_product, path_graph
@@ -43,45 +38,47 @@ def random_graph(rng, max_vertices=5):
 
 
 class TestBuildAlgebra:
+    """The algebra of a graph: V has the vertices as basis and W the edges."""
+
     def test_bipartite_dimension(self):
-        alg = build_algebra(complete_bipartite(3, 3))
-        assert alg.dimension == 15
-        assert (alg.dim_v, alg.dim_w) == (6, 9)
+        g = complete_bipartite(3, 3)
+        assert (g.num_vertices, g.num_edges) == (6, 9)
 
     def test_discrete_is_abelian(self):
-        alg = build_algebra(discrete_graph(4))
-        assert alg.dimension == 4
-        assert alg.dim_w == 0
+        g = discrete_graph(4)
+        assert (g.num_vertices, g.num_edges) == (4, 0)
         x, y = (1, 0, 0, 0), (0, 1, 0, 0)
-        assert all(c == 0 for c in bracket(alg, x, y))
+        assert all(c == 0 for c in bracket(g, x, y))
 
     def test_pentagon_dimension(self):
-        assert build_algebra(pentagon()).dimension == 10
+        g = pentagon()
+        assert g.num_vertices + g.num_edges == 10
 
     def test_dimension_formula_random(self):
+        # the kernels act on V + W: the identity on V extends to the identity there
         rng = random.Random(5)
         for _ in range(30):
             g = random_graph(rng)
-            alg = build_algebra(g)
-            assert alg.dimension == g.num_vertices + g.num_edges
+            dim = g.num_vertices + g.num_edges
+            ext = extend_to_algebra(g, RationalMatrix.identity(g.num_vertices))
+            assert ext == RationalMatrix.identity(dim)
 
 
 class TestExtend:
     def test_identity_extends_to_identity(self):
-        alg = build_algebra(loop_end_chain())
-        ext = extend_to_algebra(alg, RationalMatrix.identity(alg.dim_v))
-        assert ext == RationalMatrix.identity(alg.dimension)
+        g = loop_end_chain()
+        ext = extend_to_algebra(g, RationalMatrix.identity(g.num_vertices))
+        assert ext == RationalMatrix.identity(g.num_vertices + g.num_edges)
 
     def test_k2_wedge_is_determinant(self):
-        alg = build_algebra(complete_graph(2))
-        ext = extend_to_algebra(alg, [[2, 1], [1, 1]])
+        g = complete_graph(2)
+        ext = extend_to_algebra(g, [[2, 1], [1, 1]])
         assert ext[2, 2] == 1  # det of the cat map
-        ext2 = extend_to_algebra(alg, [[3, 1], [1, 1]])
+        ext2 = extend_to_algebra(g, [[3, 1], [1, 1]])
         assert ext2[2, 2] == 2
 
     def test_bipartite_block_is_kron(self):
         g = complete_bipartite(3, 3)
-        alg = build_algebra(g)
         rng = random.Random(3)
         b = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         while round(float(np.linalg.det(np.array(b, dtype=float)))) == 0:
@@ -91,21 +88,21 @@ class TestExtend:
             for j in range(3):
                 g_v[i][j] = b[i][j]
                 g_v[3 + i][3 + j] = b[i][j]
-        ext = extend_to_algebra(alg, g_v)
+        ext = extend_to_algebra(g, g_v)
         w_block = np.array(
             [[float(ext[6 + r, 6 + c]) for c in range(9)] for r in range(9)]
         )
         assert np.array_equal(w_block, np.kron(np.array(b), np.array(b)))
 
     def test_functorial(self):
-        alg = build_algebra(loop_end_chain())
+        g = loop_end_chain()
         rng = random.Random(8)
-        part = coherent_components(alg.graph)
+        part = coherent_components(g)
 
         def random_block_diag():
-            g_v = [[Fraction(0)] * alg.dim_v for _ in range(alg.dim_v)]
+            g_v = [[Fraction(0)] * g.num_vertices for _ in range(g.num_vertices)]
             for comp in part.components:
-                idx = [alg.graph.index(v) for v in comp]
+                idx = [g.index(v) for v in comp]
                 while True:
                     block = [[rng.randint(-2, 2) for _ in idx] for _ in idx]
                     if RationalMatrix(block).det() != 0:
@@ -117,28 +114,26 @@ class TestExtend:
 
         for _ in range(5):
             g1, g2 = random_block_diag(), random_block_diag()
-            assert extend_to_algebra(alg, g1 * g2) == extend_to_algebra(alg, g1) * extend_to_algebra(alg, g2)
+            assert extend_to_algebra(g, g1 * g2) == extend_to_algebra(g, g1) * extend_to_algebra(g, g2)
 
     def test_rejects_singular(self):
-        alg = build_algebra(complete_graph(2))
+        g = complete_graph(2)
         with pytest.raises(PreconditionViolation):
-            extend_to_algebra(alg, [[1, 1], [1, 1]])
+            extend_to_algebra(g, [[1, 1], [1, 1]])
 
     def test_rejects_component_mixing(self):
         g = path_graph(3)  # components {v1, v3} and {v2}
-        alg = build_algebra(g)
         # v2 -> v3, v3 -> v2 sends the wedge v1^v2 to the non-edge wedge v1^v3
         swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
         with pytest.raises(PreconditionViolation):
-            extend_to_algebra(alg, swap)
+            extend_to_algebra(g, swap)
 
     def test_spectrum_equals_v_spectrum_plus_products(self):
         rng = random.Random(31)
         for _ in range(25):
             g = random_graph(rng)
             part = coherent_components(g)
-            alg = build_algebra(g)
-            g_v = [[0] * alg.dim_v for _ in range(alg.dim_v)]
+            g_v = [[0] * g.num_vertices for _ in range(g.num_vertices)]
             for comp in part.components:
                 idx = [g.index(v) for v in comp]
                 while True:
@@ -148,7 +143,7 @@ class TestExtend:
                 for a, ia in enumerate(idx):
                     for b, ib in enumerate(idx):
                         g_v[ia][ib] = block[a][b]
-            ext = extend_to_algebra(alg, g_v)
+            ext = extend_to_algebra(g, g_v)
             polys = []
             for comp in part.components:
                 idx = [g.index(v) for v in comp]
@@ -158,29 +153,29 @@ class TestExtend:
 
 class TestIsAlgebraAutomorphism:
     def test_extension_is_automorphism(self):
-        alg = build_algebra(complete_bipartite(2, 2))
+        g = complete_bipartite(2, 2)
         g_v = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]]
-        assert is_algebra_automorphism(alg, extend_to_algebra(alg, g_v))
+        assert is_algebra_automorphism(g, extend_to_algebra(g, g_v))
 
     def test_unipotent_shear(self):
-        alg = build_algebra(complete_graph(2))
+        g = complete_graph(2)
         # identity plus: first vertex basis vector gains the wedge
         shear = [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
-        assert is_algebra_automorphism(alg, shear)
+        assert is_algebra_automorphism(g, shear)
 
     def test_wedge_scaling_fails(self):
-        alg = build_algebra(complete_graph(2))
+        g = complete_graph(2)
         bad = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
-        assert not is_algebra_automorphism(alg, bad)
+        assert not is_algebra_automorphism(g, bad)
 
     def test_singular_fails(self):
-        alg = build_algebra(complete_graph(2))
-        assert not is_algebra_automorphism(alg, [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+        g = complete_graph(2)
+        assert not is_algebra_automorphism(g, [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_wrong_shape(self):
-        alg = build_algebra(complete_graph(2))
+        g = complete_graph(2)
         with pytest.raises(ValueError):
-            is_algebra_automorphism(alg, [[1, 0], [0, 1]])
+            is_algebra_automorphism(g, [[1, 0], [0, 1]])
 
 
 class TestEigenvalueProducts:

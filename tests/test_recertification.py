@@ -31,7 +31,6 @@ from anosovgraph.hyperbolicity import char_poly
 from anosovgraph.polynomials import companion_rows
 from anosovgraph.liealg import (
     brackets_preserved,
-    build_algebra,
     extend_rows,
     extend_to_algebra,
     is_algebra_automorphism,
@@ -64,21 +63,21 @@ SETTINGS = settings(
 )
 
 
-def all_pairs_bracket_check(alg, m):
+def all_pairs_bracket_check(graph, m):
     """The dense check: bracket preservation on every pair of basis images."""
     m = coerce_matrix(m)
-    dim = alg.dimension
+    dim = graph.num_vertices + graph.num_edges
     if m.det() == 0:
         return False
     cols = [tuple(m[i, j] for i in range(dim)) for j in range(dim)]
-    n = alg.dim_v
+    n = graph.num_vertices
     zero = tuple(Fraction(0) for _ in range(dim))
     for x in range(dim):
         for y in range(x + 1, dim):
-            lhs = bracket(alg, cols[x], cols[y])
+            lhs = bracket(graph, cols[x], cols[y])
             rhs = zero
             if x < n and y < n:
-                entry = wedge_index(alg, alg.v_basis[x], alg.v_basis[y])
+                entry = wedge_index(graph, graph.vertices[x], graph.vertices[y])
                 if entry is not None:
                     sign, idx = entry
                     rhs = tuple(sign * c for c in cols[n + idx])
@@ -109,27 +108,26 @@ def random_block_map(rng, graph, rational=False):
 def instances(draw, max_dim=MAX_ORACLE_DIM):
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     graph, gens = make_instances(rng, 1)[0]
-    alg = build_algebra(graph)
-    assume(alg.dimension <= max_dim)
-    return rng, alg, gens
+    assume(graph.num_vertices + graph.num_edges <= max_dim)
+    return rng, graph, gens
 
 
-def candidate_matrix(rng, alg, kind):
+def candidate_matrix(rng, graph, kind):
     """Matrices on V+W, from extended automorphisms to arbitrary ones."""
-    n, dim = alg.dim_v, alg.dimension
+    n, dim = graph.num_vertices, graph.num_vertices + graph.num_edges
     if kind == "dense":
         return [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(dim)]
     rational = kind == "rational" or (kind == "perturbed" and rng.random() < 0.5)
-    rows = [list(row) for row in extend_to_algebra(alg, random_block_map(rng, alg.graph, rational)).rows]
+    rows = [list(row) for row in extend_to_algebra(graph, random_block_map(rng, graph, rational)).rows]
     if kind == "central-shear":
         # W is central, so adding W-parts to vertex images keeps an automorphism
         for _ in range(rng.randint(1, 3)):
-            if alg.dim_w:
+            if graph.num_edges:
                 rows[rng.randrange(n, dim)][rng.randrange(n)] += rng.randint(-2, 2)
     elif kind == "perturbed":
         rows[rng.randrange(dim)][rng.randrange(dim)] += rng.choice([-1, 1])
     elif kind == "wedge-v-rows":
-        if alg.dim_w:
+        if graph.num_edges:
             rows[rng.randrange(n)][rng.randrange(n, dim)] += rng.choice([-1, 1])
     return rows
 
@@ -141,32 +139,32 @@ class TestGradedBracketCheck:
     @SETTINGS
     @given(instances(), st.sampled_from(KINDS))
     def test_matches_all_pairs_oracle(self, inst, kind):
-        rng, alg, _ = inst
-        m = candidate_matrix(rng, alg, kind)
-        assert is_algebra_automorphism(alg, m) == all_pairs_bracket_check(alg, m)
+        rng, graph, _ = inst
+        m = candidate_matrix(rng, graph, kind)
+        assert is_algebra_automorphism(graph, m) == all_pairs_bracket_check(graph, m)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_kind_on_a_fixed_instance(self, kind):
-        alg = build_algebra(complete_bipartite(2, 2))
+        graph = complete_bipartite(2, 2)
         rng = random.Random(11)
         for _ in range(10):
-            m = candidate_matrix(rng, alg, kind)
-            expected = all_pairs_bracket_check(alg, m)
-            assert is_algebra_automorphism(alg, m) == expected
+            m = candidate_matrix(rng, graph, kind)
+            expected = all_pairs_bracket_check(graph, m)
+            assert is_algebra_automorphism(graph, m) == expected
             if kind in ("extended", "rational", "central-shear"):
                 assert expected
             if kind == "wedge-v-rows":
                 assert not expected
 
 
-def dense_extension(alg, gen):
-    return extend_to_algebra(alg, permutation_matrix(alg.graph, gen))
+def dense_extension(graph, gen):
+    return extend_to_algebra(graph, permutation_matrix(graph, gen))
 
 
-def commuting_candidates(rng, alg, gen):
+def commuting_candidates(rng, graph, gen):
     """A polynomial in the generator's extension (commutes), a perturbation of it, a dense matrix."""
-    sigma, signs = extend_permutation(alg, gen)
-    dim = alg.dimension
+    sigma, signs = extend_permutation(graph, gen)
+    dim = graph.num_vertices + graph.num_edges
     rows = [[0] * dim for _ in range(dim)]
     image = list(range(dim))  # basis i goes to sign[i] * e_image[i] under the current power
     sign = [1] * dim
@@ -185,35 +183,34 @@ class TestSignedPermutationCommutation:
     @settings(SETTINGS, max_examples=30)
     @given(instances(MAX_PRODUCT_DIM))
     def test_matches_dense_product(self, inst):
-        rng, alg, gens = inst
+        rng, graph, gens = inst
         assume(gens)
         for gen in gens:
-            sigma, signs = extend_permutation(alg, gen)
-            ext = dense_extension(alg, gen)
-            for rows in commuting_candidates(rng, alg, gen):
+            sigma, signs = extend_permutation(graph, gen)
+            ext = dense_extension(graph, gen)
+            for rows in commuting_candidates(rng, graph, gen):
                 m = RationalMatrix(rows)
                 assert commutes_with_signed_perm(m.int_rows(), sigma, signs) == (m * ext == ext * m)
 
     @SETTINGS
     @given(instances())
     def test_signed_permutation_is_the_dense_extension(self, inst):
-        _, alg, gens = inst
+        _, graph, gens = inst
         for gen in gens:
-            sigma, signs = extend_permutation(alg, gen)
-            dim = alg.dimension
+            sigma, signs = extend_permutation(graph, gen)
+            dim = graph.num_vertices + graph.num_edges
             rows = [[0] * dim for _ in range(dim)]
             for i in range(dim):
                 rows[sigma[i]][i] = signs[i]
-            assert RationalMatrix(rows) == dense_extension(alg, gen)
+            assert RationalMatrix(rows) == dense_extension(graph, gen)
 
     def test_witness_commutes_and_a_perturbation_does_not(self):
         g = complete_bipartite(3, 3)
         swap = VertexPermutation.from_cycles("(a1 b1)(a2 b2)(a3 b3)", g.vertices)
         action = build_action(coherent_components(g), [swap])
-        alg = build_algebra(g)
         witness = build_witness(action)
-        sigma, signs = extend_permutation(alg, swap)
-        ext = dense_extension(alg, swap)
+        sigma, signs = extend_permutation(g, swap)
+        ext = dense_extension(g, swap)
         full = RationalMatrix(witness.full_matrix)
         assert commutes_with_signed_perm(full.int_rows(), sigma, signs)
         assert full * ext == ext * full
@@ -226,12 +223,11 @@ class TestSignedPermutationCommutation:
     def test_negative_signs_matter(self):
         # on K2 the swap sends the wedge a^b to b^a = -(a^b)
         g = Graph(["a", "b"], [("a", "b")])
-        alg = build_algebra(g)
         swap = VertexPermutation.from_cycles("(a b)", g.vertices)
-        sigma, signs = extend_permutation(alg, swap)
+        sigma, signs = extend_permutation(g, swap)
         assert sigma == (1, 0, 2) and signs == (1, 1, -1)
         shear = [[1, 0, 0], [0, 1, 0], [1, 1, 1]]  # v_a, v_b both gain the wedge
-        ext = dense_extension(alg, swap)
+        ext = dense_extension(g, swap)
         m = RationalMatrix(shear)
         assert m * ext != ext * m
         assert not commutes_with_signed_perm(shear, sigma, signs)
@@ -239,10 +235,9 @@ class TestSignedPermutationCommutation:
 
     def test_non_automorphism_raises(self):
         g = path_graph(3)  # v2 is the middle vertex
-        alg = build_algebra(g)
         bad = VertexPermutation.from_cycles("(v2 v3)", g.vertices)
         with pytest.raises(PreconditionViolation):
-            extend_permutation(alg, bad)
+            extend_permutation(g, bad)
 
 
 def v_maps(rng, graph, perm):
@@ -292,13 +287,12 @@ def v_maps(rng, graph, perm):
 class TestCommutationOnV:
     """Commutation on V decides commutation of the extensions on V + W."""
 
-    def check(self, rng, alg, gen):
-        graph = alg.graph
+    def check(self, rng, graph, gen):
         perm = tuple(graph.index(gen(v)) for v in graph.vertices)  # as the assembly forms it
-        sigma, signs = extend_permutation(alg, gen)
+        sigma, signs = extend_permutation(graph, gen)
         for rows, commutes in v_maps(rng, graph, perm):
             try:
-                full = extend_rows(alg, rows)
+                full = extend_rows(graph, rows)
             except PreconditionViolation:
                 assert commutes  # only the polynomial may leave the edge wedges
                 continue
@@ -312,12 +306,12 @@ class TestCommutationOnV:
     def test_v_check_matches_signed_check_on_v_plus_w(self, inst):
         # every power of a generator: a power fixes the vertices whose cycle
         # length divides it, which gives rows that only a fixed point checks
-        rng, alg, gens = inst
+        rng, graph, gens = inst
         assume(gens)
         for gen in gens:
             power = gen
             for _ in range(gen.order()):
-                self.check(rng, alg, power)
+                self.check(rng, graph, power)
                 power = power * gen
 
     @pytest.mark.parametrize(
@@ -330,10 +324,9 @@ class TestCommutationOnV:
         ids=["discrete-last-fixed", "K2,2-swap", "P5-reflection"],
     )
     def test_fixed_instances(self, graph, cycles):
-        alg = build_algebra(graph)
         gen = VertexPermutation.from_cycles(cycles, graph.vertices)
         for seed in range(20):
-            self.check(random.Random(seed), alg, gen)
+            self.check(random.Random(seed), graph, gen)
 
     def test_assembly_refuses_a_map_that_does_not_commute(self, monkeypatch):
         # the stabilizer (v1 v2)(v3 v4) fixes the one component; a certified block
@@ -354,17 +347,17 @@ class TestExtendOnIntegers:
     @SETTINGS
     @given(instances(), st.booleans())
     def test_int_and_fraction_inputs_agree(self, inst, block_diagonal):
-        rng, alg, _ = inst
-        n = alg.dim_v
+        rng, graph, _ = inst
+        n = graph.num_vertices
         if block_diagonal:
-            g_v = random_block_map(rng, alg.graph)
+            g_v = random_block_map(rng, graph)
         else:
             g_v = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
         as_fractions = [[Fraction(x) for x in row] for row in g_v]
         outcomes = []
         for m in (g_v, as_fractions):
             try:
-                outcomes.append(extend_to_algebra(alg, m))
+                outcomes.append(extend_to_algebra(graph, m))
             except PreconditionViolation as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -372,12 +365,11 @@ class TestExtendOnIntegers:
             assert all(isinstance(x, Fraction) for row in outcomes[0].rows for x in row)
 
 
-def all_pairs_extension(alg, rows):
+def all_pairs_extension(graph, rows):
     """The loop `extend_to_algebra` used to run: every vertex pair for every wedge column."""
-    graph = alg.graph
-    n, m = alg.dim_v, alg.dim_w
+    n, m = graph.num_vertices, graph.num_edges
     full = [list(row) + [0] * m for row in rows] + [[0] * (n + m) for _ in range(m)]
-    for col, (a, b) in enumerate(alg.w_basis):
+    for col, (a, b) in enumerate(graph.edges):
         ia, ib = graph.index(a), graph.index(b)
         for u in range(n):
             for v in range(u + 1, n):
@@ -385,7 +377,7 @@ def all_pairs_extension(alg, rows):
                 if coeff == 0:
                     continue
                 lu, lv = graph.vertices[u], graph.vertices[v]
-                signed = wedge_index(alg, lu, lv)
+                signed = wedge_index(graph, lu, lv)
                 if signed is None:
                     raise PreconditionViolation(
                         f"image of wedge {a}^{b} meets the non-edge wedge {lu}^{lv}; "
@@ -411,32 +403,32 @@ class TestIntegerRowKernels:
     @SETTINGS
     @given(instances(), st.sampled_from(["block", "rational", "arbitrary"]))
     def test_extend_rows_matches_wrapper_and_all_pairs_loop(self, inst, kind):
-        rng, alg, _ = inst
-        n = alg.dim_v
+        rng, graph, _ = inst
+        n = graph.num_vertices
         if kind == "arbitrary":
             g_v = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
         else:
-            g_v = random_block_map(rng, alg.graph, rational=kind == "rational")
+            g_v = random_block_map(rng, graph, rational=kind == "rational")
         invertible = RationalMatrix(g_v).det() != 0
         for rows in (g_v, as_fractions(g_v)):
-            got = outcome(extend_rows, alg, rows)
-            assert got == outcome(all_pairs_extension, alg, rows)
+            got = outcome(extend_rows, graph, rows)
+            assert got == outcome(all_pairs_extension, graph, rows)
             if invertible:
-                assert got == outcome(extend_to_algebra, alg, rows)
+                assert got == outcome(extend_to_algebra, graph, rows)
         if kind == "block":
-            assert all(type(x) is int for row in extend_rows(alg, g_v) for x in row)
+            assert all(type(x) is int for row in extend_rows(graph, g_v) for x in row)
 
     @SETTINGS
     @given(instances(), st.sampled_from(KINDS))
     def test_brackets_preserved_matches_wrapper(self, inst, kind):
-        rng, alg, _ = inst
-        m = candidate_matrix(rng, alg, kind)
+        rng, graph, _ = inst
+        m = candidate_matrix(rng, graph, kind)
         invertible = RationalMatrix(m).det() != 0
-        expected = all_pairs_bracket_check(alg, m)
+        expected = all_pairs_bracket_check(graph, m)
         for rows in (m, as_fractions(m)):
-            kernel = brackets_preserved(alg, rows)
-            assert is_algebra_automorphism(alg, rows) == (invertible and kernel) == expected
-            assert brackets_preserved(alg, tuple(tuple(row) for row in rows)) == kernel
+            kernel = brackets_preserved(graph, rows)
+            assert is_algebra_automorphism(graph, rows) == (invertible and kernel) == expected
+            assert brackets_preserved(graph, tuple(tuple(row) for row in rows)) == kernel
 
 
 def random_unimodular_block(rng, size):
@@ -457,10 +449,9 @@ class TestStructuralCharPoly:
     @SETTINGS
     @given(instances())
     def test_matches_dense_char_poly_of_unimodular_block_maps(self, inst):
-        rng, alg, _ = inst
-        graph = alg.graph
+        rng, graph, _ = inst
         part = coherent_components(graph)
-        n = alg.dim_v
+        n = graph.num_vertices
         g_v = [[0] * n for _ in range(n)]
         polys = []
         for comp in part.components:
@@ -471,18 +462,18 @@ class TestStructuralCharPoly:
                 for b, ib in enumerate(idx):
                     g_v[ia][ib] = block[a][b]
             polys.append(char_poly(block))
-        assert extension_product(part, polys) == char_poly(extend_to_algebra(alg, g_v).int_rows())
+        assert extension_product(part, polys) == char_poly(extend_to_algebra(graph, g_v).int_rows())
 
     @settings(SETTINGS, max_examples=30)
     @given(instances())
     def test_witness_polys_match_dense_char_poly(self, inst):
-        _, alg, gens = inst
-        action = build_action(coherent_components(alg.graph), gens)
+        _, graph, gens = inst
+        action = build_action(coherent_components(graph), gens)
         assume(decide(action).verdict == "yes")
         witness = build_witness(action)
         assert witness.full_char_poly == char_poly(witness.full_matrix)
         assert witness.v_char_poly == char_poly(witness.v_matrix)
-        assert is_algebra_automorphism(alg, witness.full_matrix)
+        assert is_algebra_automorphism(graph, witness.full_matrix)
 
     @pytest.mark.parametrize(
         "inst", [family_I_modified(3), family_II_z4(3)], ids=["I-modified-3", "II-Z4-3"]
@@ -518,18 +509,17 @@ class TestStructuralCharPoly:
         g = complete_bipartite(3, 3)
         swap = VertexPermutation.from_cycles("(a1 b1)(a2 b2)(a3 b3)", g.vertices)
         action = build_action(coherent_components(g), [swap])
-        alg = build_algebra(g)
         plan = plan_blocks(action)
         witness = assemble_witness(action, plan)
         p = permutation_matrix(g, swap).int_rows()
-        n = alg.dim_v
+        n = g.num_vertices
 
-        def mixed(alg, v_rows):
+        def mixed(graph, v_rows):
             swapped = [[sum(p[i][k] * v_rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-            return extend_rows(alg, swapped)
+            return extend_rows(graph, swapped)
 
-        full = mixed(alg, witness.v_matrix)
-        assert brackets_preserved(alg, full)
+        full = mixed(g, witness.v_matrix)
+        assert brackets_preserved(g, full)
         assert char_poly(full) != witness.full_char_poly
         monkeypatch.setattr(anosovgraph.witness, "extend_rows", mixed)
         with pytest.raises(AssertionError, match="block-diagonal"):

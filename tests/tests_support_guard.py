@@ -72,7 +72,6 @@ def dummy_plan(action):
                 orbit_rep=orbit.rep,
                 seed=seed,
                 exponent=1,
-                certificate=None,
                 conjugators=orbit.conjugators,
             )
         )

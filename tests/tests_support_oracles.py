@@ -73,28 +73,26 @@ def permutation_matrix(graph, p):
     return RationalMatrix(rows)
 
 
-def bracket(alg, x, y):
+def bracket(graph, x, y):
     """Bracket of two coefficient vectors over the V+W basis: x_u y_v - x_v y_u on each wedge u^v."""
-    n = alg.dim_v
-    out = [0] * alg.dimension
-    for k, (u, v) in enumerate(alg.w_basis):
-        iu, iv = alg.graph.index(u), alg.graph.index(v)
+    n = graph.num_vertices
+    out = [0] * (n + graph.num_edges)
+    for k, (u, v) in enumerate(graph.edges):
+        iu, iv = graph.index(u), graph.index(v)
         out[n + k] = x[iu] * y[iv] - x[iv] * y[iu]
     return tuple(out)
 
 
-def wedge_index(alg, u, v):
+def wedge_index(graph, u, v):
     """(sign, index) of the wedge u^v in the W basis, or None for non-edges."""
-    iu, iv = alg.graph.index(u), alg.graph.index(v)
-    if iu == iv:
+    iu, iv = graph.index(u), graph.index(v)
+    if not graph.has_edge(u, v):
         return None
-    idx = alg._w_index.get((iu, iv) if iu < iv else (iv, iu))
-    if idx is None:
-        return None
-    return (1 if iu < iv else -1, idx)
+    edge = (u, v) if iu < iv else (v, u)
+    return (1 if iu < iv else -1, graph.edges.index(edge))
 
 
-def extend_permutation(alg, p):
+def extend_permutation(graph, p):
     """The extension of a vertex permutation to V + W as a signed permutation.
 
     Returns (sigma, signs): basis vector i goes to signs[i] times basis vector
@@ -102,12 +100,11 @@ def extend_permutation(alg, p):
     is +-1 times an edge wedge. Raises PreconditionViolation when some image
     is a non-edge, i.e. when p is not a graph automorphism.
     """
-    graph = alg.graph
-    n = alg.dim_v
+    n = graph.num_vertices
     sigma = [graph.index(p(v)) for v in graph.vertices]
     signs = [1] * n
-    for a, b in alg.w_basis:
-        signed = wedge_index(alg, p(a), p(b))
+    for a, b in graph.edges:
+        signed = wedge_index(graph, p(a), p(b))
         if signed is None:
             raise PreconditionViolation(
                 f"{p.cycle_string()} sends the wedge {a}^{b} to the non-edge {p(a)}^{p(b)}"
