@@ -106,16 +106,25 @@ def component_label(i: int) -> str:
 
 @dataclass
 class AnalysisReport:
-    """Everything the pipeline produced for one input."""
+    """Everything the pipeline produced for one input; the graph and partition are the action's."""
 
-    graph: Graph
-    partition: CoherentPartition
     action: HolonomyAction
     decision: Decision
-    algebra_dimension: int
     witness: Witness | None = None
     witness_error: str | None = None
     timing: dict = field(default_factory=dict)
+
+    @property
+    def graph(self) -> Graph:
+        return self.action.graph
+
+    @property
+    def partition(self) -> CoherentPartition:
+        return self.action.partition
+
+    @property
+    def algebra_dimension(self) -> int:
+        return self.graph.num_vertices + self.graph.num_edges
 
     @property
     def exit_code(self) -> int:
@@ -202,14 +211,7 @@ def analyze(
     decision = decide(action)
     timing["decision_s"] = time.monotonic() - t0
 
-    report = AnalysisReport(
-        graph=graph,
-        partition=part,
-        action=action,
-        decision=decision,
-        algebra_dimension=graph.num_vertices + graph.num_edges,
-        timing=timing,
-    )
+    report = AnalysisReport(action=action, decision=decision, timing=timing)
     if want_witness and decision.verdict == "yes":
         t0 = time.monotonic()
         try:

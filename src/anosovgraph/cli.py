@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 from .analysis import _json_text, analyze, quotient_dot
@@ -49,9 +48,9 @@ def _read_graph_argument(path: str) -> tuple[Graph, tuple]:
     """Read a graph file (or '-' for stdin); returns (graph, embedded holonomy)."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read().removeprefix("\ufeff")
         else:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
     except OSError as exc:
         reason = exc.strerror or exc
@@ -164,30 +163,33 @@ def _parse_matrix_argument(text: str):
 
 
 def cmd_certify(args) -> int:
-    """Certify --poly or --matrix at level --c. At --c 2 a failing --poly still reports
-    its exterior square, which the certificate builds only when p passes; --matrix reports null."""
+    """Certify --poly (degree at least 1) or --matrix at level --c. At --c 2 the certificate
+    tests the exterior square only when p passes; a failing --poly still reports it, as the
+    payload's compound_char_poly with no stage of its own, and --matrix reports null."""
     c = args.c
     if args.poly is not None:
         p = parse_polynomial(args.poly)
         if not p.is_monic:
             raise GraphInputError("certification expects a monic polynomial")
-        if c == 2 and p.degree < 2:
-            raise GraphInputError("--c 2 needs a polynomial of degree at least 2")
+        if p.degree < c:
+            raise GraphInputError(f"--c {c} needs a polynomial of degree at least {c}")
         cert = certify_polynomial(p, c)
+        record = cert.to_json_dict()
         if c == 2 and cert.compound_char_poly is None:
-            cert = replace(cert, compound_char_poly=exterior_square_poly(p))
+            record["compound_char_poly"] = list(exterior_square_poly(p).coefficients)
         integer_like = is_integer_like(p)
     else:
         rows = _parse_matrix_argument(args.matrix)
         if c == 2 and len(rows) < 2:
             raise GraphInputError("--c 2 needs a matrix of size at least 2")
         cert = is_c_hyperbolic(rows, c)
+        record = cert.to_json_dict()
         integer_like = is_integer_like(cert.char_poly)
     payload = {
         "c": c,
         "char_poly": format_polynomial(cert.char_poly),
         "integer_like": integer_like,
-        "certificate": cert.to_json_dict(),
+        "certificate": record,
         "valid": cert.valid and integer_like,
         "reason": cert.failure if not cert.valid else (None if integer_like else "constant term is not a unit"),
     }

@@ -44,7 +44,6 @@ class FamilyInstance(NamedTuple):
     graph: Graph
     generators: tuple[VertexPermutation, ...]
     expected_dimension: int
-    spec: FamilySpec
 
 
 def _component_labels(index: int, size: int) -> list[str]:
@@ -94,8 +93,7 @@ def family_I(m: int, sizes) -> FamilyInstance:
     dim = sum(2 * s for s in sizes) + (
         2 * sum(sizes[i] * sizes[i + 1] for i in range(m - 1)) + sizes[-1] ** 2
     )
-    spec = FamilySpec(family="I", m=m, sizes=sizes)
-    return FamilyInstance(graph, (swap,), dim, spec)
+    return FamilyInstance(graph, (swap,), dim)
 
 
 def family_I_modified(m: int) -> FamilyInstance:
@@ -109,8 +107,7 @@ def family_I_modified(m: int) -> FamilyInstance:
     graph, comps = _component_graph(comp_sizes, [0, 1], quotient_edges)
     swap = _pair_swap(graph, comps, [(2 * t, 2 * t + 1) for t in range(m)])
     dim = 12 * m + 19
-    spec = FamilySpec(family="I-modified", m=m, sizes=sizes)
-    return FamilyInstance(graph, (swap,), dim, spec)
+    return FamilyInstance(graph, (swap,), dim)
 
 
 def _rotation(graph: Graph, comps) -> VertexPermutation:
@@ -133,8 +130,7 @@ def family_II(n: int, size: int = 3) -> FamilyInstance:
     graph, comps = _component_graph([size] * n, [], quotient_edges)
     rot = _rotation(graph, comps)
     dim = size * n + size * size * n
-    spec = FamilySpec(family="II", n=n, size=size)
-    return FamilyInstance(graph, (rot,), dim, spec)
+    return FamilyInstance(graph, (rot,), dim)
 
 
 def family_II_z4(size: int = 3) -> FamilyInstance:
@@ -146,8 +142,7 @@ def family_II_z4(size: int = 3) -> FamilyInstance:
     graph, comps = _component_graph([size] * 4, [0, 1, 2, 3], quotient_edges)
     rot = _rotation(graph, comps)
     dim = 4 * size + 2 * size * (size - 1) + 4 * size * size
-    spec = FamilySpec(family="II-Z4", size=size)
-    return FamilyInstance(graph, (rot,), dim, spec)
+    return FamilyInstance(graph, (rot,), dim)
 
 
 def generate(spec: FamilySpec) -> FamilyInstance:

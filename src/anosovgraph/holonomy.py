@@ -46,13 +46,16 @@ class StabilizerInfo:
     """
 
     elements: tuple[VertexPermutation, ...]
-    cyclic: bool
     generator: VertexPermutation | None
     restriction: tuple[int, ...] | None
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def cyclic(self) -> bool:
+        return self.generator is not None
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,6 @@ def _stabilizer_info(part, elements, component_perms, orders, rep: int) -> Stabi
     generator = _cyclic_generator(stab, [orders[t] for t in kept])
     return StabilizerInfo(
         elements=stab,
-        cyclic=generator is not None,
         generator=generator,
         restriction=None if generator is None else _restriction(part, generator, rep),
     )

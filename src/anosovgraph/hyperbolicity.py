@@ -279,32 +279,49 @@ class CertificateStage:
         }
 
 
+_FAILURES = {"char_poly": "eigenvalue on unit circle", "exterior_square": "pair product on unit circle"}
+
+
 @dataclass(frozen=True)
 class HyperbolicityCertificate:
     """Exact record of a level-1 or level-2 hyperbolicity check.
 
-    Valid exactly when every stage found zero unit-circle roots (Sturm count 0
-    and no roots at +-1 anywhere).
+    The stages are the record: the unit-circle test of the characteristic
+    polynomial, then at level 2, only when that passes, the test of its
+    exterior square. Everything else is read from them. Valid exactly when
+    no stage found a unit-circle root (Sturm count 0 and no root at +-1);
+    the failure names the first stage that found one.
     """
 
     level: int
-    char_poly: IntPolynomial
-    reciprocal_gcd_degree: int
-    sturm_root_count: int | None
-    compound_char_poly: IntPolynomial | None
     stages: tuple[CertificateStage, ...]
-    valid: bool
-    failure: str | None
+
+    @property
+    def char_poly(self) -> IntPolynomial:
+        return self.stages[0].poly
+
+    @property
+    def compound_char_poly(self) -> IntPolynomial | None:
+        """The exterior-square polynomial, or None when no stage tested it."""
+        return self.stages[1].poly if len(self.stages) > 1 else None
+
+    @property
+    def failure(self) -> str | None:
+        return next((_FAILURES[s.label] for s in self.stages if s.analysis.exists), None)
+
+    @property
+    def valid(self) -> bool:
+        return self.failure is None
 
     def to_json_dict(self) -> dict:
+        first = self.stages[0].analysis
+        compound = self.compound_char_poly
         return {
             "level": self.level,
             "char_poly": list(self.char_poly.coefficients),
-            "reciprocal_gcd_degree": self.reciprocal_gcd_degree,
-            "sturm_root_count": self.sturm_root_count,
-            "compound_char_poly": (
-                list(self.compound_char_poly.coefficients) if self.compound_char_poly else None
-            ),
+            "reciprocal_gcd_degree": first.reciprocal_gcd_degree,
+            "sturm_root_count": first.sturm_root_count,
+            "compound_char_poly": list(compound.coefficients) if compound is not None else None,
             "stages": [s.to_json_dict() for s in self.stages],
             "valid": self.valid,
             "failure": self.failure,
@@ -326,25 +343,10 @@ def certify_polynomial(p: IntPolynomial, level: int,
 def _certificate(p: IntPolynomial, first: UnitCircleAnalysis, level: int,
                  cancel: CancelToken | None) -> HyperbolicityCertificate:
     stages = [CertificateStage("char_poly", p, first)]
-    failure = None
-    compound = None
-    if first.exists:
-        failure = "eigenvalue on unit circle"
-    if level == 2 and failure is None:
+    if level == 2 and not first.exists:
         compound = exterior_square_poly(p, cancel)
         stages.append(CertificateStage("exterior_square", compound, unit_circle_analysis(compound, cancel)))
-        if stages[1].analysis.exists:
-            failure = "pair product on unit circle"
-    return HyperbolicityCertificate(
-        level=level,
-        char_poly=p,
-        reciprocal_gcd_degree=first.reciprocal_gcd_degree,
-        sturm_root_count=first.sturm_root_count,
-        compound_char_poly=compound,
-        stages=tuple(stages),
-        valid=failure is None,
-        failure=failure,
-    )
+    return HyperbolicityCertificate(level, tuple(stages))
 
 
 def certify_factors(factors, cancel: CancelToken | None = None) -> HyperbolicityCertificate:

@@ -49,7 +49,7 @@ from .errors import (
     WitnessRefused,
 )
 from .graphs import VertexPermutation, index_cycles
-from .holonomy import HolonomyAction
+from .holonomy import HolonomyAction, OrbitData
 from .hyperbolicity import (
     HyperbolicityCertificate,
     _matmul,
@@ -316,22 +316,22 @@ def choose_exponents(bounds, margin: float = 2.0) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OrbitSeedPlan:
-    """Seed, exponent, and conjugators realizing one orbit of components."""
+    """Seed and exponent for ``orbit``, which is the action's own `OrbitData`: its representative
+    carries the block seed^exponent, and its conjugators copy that block to the other members."""
 
-    orbit_rep: int
+    orbit: OrbitData
     seed: tuple[tuple[int, ...], ...]
     exponent: int
-    conjugators: tuple[tuple[int, VertexPermutation], ...]
 
 
 @dataclass(frozen=True)
 class Witness:
     """A certified integer automorphism of the full algebra.
 
-    The matrices are integer rows, V first and then the edge wedges.
-    full_char_poly is the characteristic polynomial of full_matrix, taken
-    from its blocks (see the module docstring); the certificate is that of
-    the whole polynomial, taken through its distinct factors. Its constant
+    The matrices are integer rows, V first and then the edge wedges. The
+    certificate is that of the characteristic polynomial of full_matrix,
+    taken from its blocks (see the module docstring) and certified through
+    its distinct factors; `full_char_poly` reads it from there. Its constant
     term is +-1, so the matrix is invertible over the integers, and it has
     no root on the unit circle.
     """
@@ -339,10 +339,13 @@ class Witness:
     v_matrix: tuple[tuple[int, ...], ...]
     full_matrix: tuple[tuple[int, ...], ...]
     v_char_poly: IntPolynomial
-    full_char_poly: IntPolynomial
     certificate: HyperbolicityCertificate
     commutes_with: tuple[str, ...]
     plan: tuple[OrbitSeedPlan, ...]
+
+    @property
+    def full_char_poly(self) -> IntPolynomial:
+        return self.certificate.char_poly
 
     def to_json_dict(self) -> dict:
         return {
@@ -354,12 +357,12 @@ class Witness:
             "commutes_with": list(self.commutes_with),
             "blocks": [
                 {
-                    "orbit_rep": p.orbit_rep + 1,
+                    "orbit_rep": p.orbit.rep + 1,
                     "seed": [list(r) for r in p.seed],
                     "exponent": p.exponent,
                     "seed_char_poly": list(char_poly(p.seed).coefficients),
                     "conjugators": [
-                        [comp + 1, h.cycle_string()] for comp, h in p.conjugators
+                        [comp + 1, h.cycle_string()] for comp, h in p.orbit.conjugators
                     ],
                 }
                 for p in self.plan
@@ -371,10 +374,10 @@ class Witness:
         for p in self.plan:
             seed_poly = char_poly(p.seed)
             lines.append(
-                f"orbit of component {p.orbit_rep + 1}: seed char poly "
+                f"orbit of component {p.orbit.rep + 1}: seed char poly "
                 f"{format_polynomial(seed_poly)}, exponent {p.exponent}"
             )
-            for comp, h in p.conjugators:
+            for comp, h in p.orbit.conjugators:
                 lines.append(f"  component {comp + 1} = conjugate by {h.cycle_string()}")
         lines.append("")
         lines.append(f"characteristic polynomial on V+W: {format_polynomial(self.full_char_poly)}")
@@ -417,15 +420,7 @@ def _seed_orbits(action: HolonomyAction, cancel: CancelToken | None):
 
 
 def _plan(seeds, exponents) -> tuple[OrbitSeedPlan, ...]:
-    return tuple(
-        OrbitSeedPlan(
-            orbit_rep=orbit.rep,
-            seed=seed,
-            exponent=k,
-            conjugators=orbit.conjugators,
-        )
-        for (orbit, seed, _), k in zip(seeds, exponents)
-    )
+    return tuple(OrbitSeedPlan(orbit, seed, k) for (orbit, seed, _), k in zip(seeds, exponents))
 
 
 def plan_blocks(
@@ -433,7 +428,7 @@ def plan_blocks(
     *,
     cancel: CancelToken | None = None,
 ) -> tuple[OrbitSeedPlan, ...]:
-    """Pick certified seeds, exponents (at margin 2), and conjugators for every orbit.
+    """Pick a certified seed and an exponent (at margin 2) for every orbit.
 
     Each seed commutes with the orbit's stabilizer on its representative.
     """
@@ -475,14 +470,13 @@ def _assemble(
     part = action.partition
     n = graph.num_vertices
 
-    by_rep = {orbit.rep: orbit for orbit in action.orbits}
-    if sorted(p.orbit_rep for p in plan) != sorted(by_rep):
+    if tuple(p.orbit for p in plan) != action.orbits:
         raise WitnessAssemblyError("plan", "plan orbits do not match the action's orbits")
 
     v_rows = [[0] * n for _ in range(n)]
     component_polys = [None] * part.num_components
     for orbit_plan in plan:
-        orbit = by_rep[orbit_plan.orbit_rep]
+        orbit = orbit_plan.orbit
         comp = part.components[orbit.rep]
         dim = len(comp)
         seed = orbit_plan.seed
@@ -495,7 +489,7 @@ def _assemble(
         block = _int_matpow(seed, orbit_plan.exponent)
         block_poly = char_poly(block, cancel)
         placements = [(orbit.rep, VertexPermutation.identity(graph.vertices))]
-        placements += list(orbit_plan.conjugators)
+        placements += list(orbit.conjugators)
         for member, h in placements:
             idx = [graph.index(h(v)) for v in comp]
             # a simultaneous permutation of the block keeps its char poly
@@ -524,12 +518,11 @@ def _assemble(
 
     _require_block_diagonal(action, full)
     certificate = certify_factors(extension_factors(part, component_polys, cancel), cancel)
-    full_poly = certificate.char_poly
     # The constant term is +-det of the V+W matrix, so integer-likeness also
     # proves it invertible; no separate determinant is taken.
-    if not is_integer_like(full_poly):
+    if not is_integer_like(certificate.char_poly):
         raise WitnessAssemblyError(
-            "integer-like", f"constant term {full_poly.constant} is not a unit"
+            "integer-like", f"constant term {certificate.char_poly.constant} is not a unit"
         )
     if not certificate.valid:
         raise WitnessAssemblyError("hyperbolicity", certificate.stages[0].analysis.detail)
@@ -549,7 +542,6 @@ def _assemble(
         v_matrix=tuple(tuple(row) for row in v_rows),
         full_matrix=full,
         v_char_poly=v_char_poly,
-        full_char_poly=full_poly,
         certificate=certificate,
         commutes_with=tuple(commuted),
         plan=plan,

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import re
@@ -321,6 +322,23 @@ class TestQuotient:
         quoted = r'"(?:[^"\\]|\\.)*"'
         assert all(re.fullmatch(rf'(?:{quoted}|[^"\\])*', line) for line in out.splitlines())
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "text", ['{"vertices": ["a", "b"], "edges": [["a", "b"]]}', "a b\n--\na b\n"], ids=["json", "text"]
+    )
+    def test_byte_order_mark_is_dropped(self, run, tmp_path, monkeypatch, source, text):
+        def quotient(content):
+            if source == "stdin":
+                monkeypatch.setattr(sys, "stdin", io.StringIO(content))
+                return run("quotient", "--graph", "-")
+            path = tmp_path / "graph"
+            path.write_bytes(content.encode("utf-8"))
+            return run("quotient", "--graph", str(path))
+
+        plain = quotient(text)
+        assert plain[0] == EXIT_YES and '"a"' in plain[1]
+        assert quotient("\ufeff" + text) == plain
+
     def test_discrete_graph_isolated_nodes(self, run, tmp_path):
         path = write_graph(tmp_path, discrete_graph(3))
         code, out, _ = run("quotient", "--graph", path, "--dot")
@@ -451,6 +469,15 @@ class TestCertify:
         assert [s["label"] for s in payload["certificate"]["stages"]] == ["char_poly"]
         assert payload["certificate"]["compound_char_poly"] == [-1, 1]
 
+    def test_matrix_c2_failing_first_stage_reports_null_compound(self, run):
+        # unlike --poly, --matrix reports only what the certificate tested
+        code, out, _ = run("certify", "--matrix", "[[1,0],[0,1]]", "--c", "2", "--json")
+        assert code == EXIT_NO
+        payload = json.loads(out)
+        assert payload["certificate"]["failure"] == "eigenvalue on unit circle"
+        assert [s["label"] for s in payload["certificate"]["stages"]] == ["char_poly"]
+        assert payload["certificate"]["compound_char_poly"] is None
+
     def test_non_unit_constant_invalid(self, run):
         code, out, _ = run("certify", "--poly", "x^2 - 2", "--c", "1")
         assert code == EXIT_NO
@@ -471,6 +498,7 @@ class TestInputErrors:
             pytest.param(["certify", "--matrix", "[[true]]"], None, id="matrix-bool"),
             pytest.param(["certify", "--matrix", "[[2]]", "--c", "2"], None, id="matrix-1x1-c2"),
             pytest.param(["certify", "--poly", "x", "--c", "2"], None, id="poly-degree-1-c2"),
+            pytest.param(["certify", "--poly", "1"], None, id="poly-degree-0"),
             pytest.param(["certify", "--poly", "x + " + "1" * 5000], None, id="poly-long-number"),
             pytest.param(["family", "--name", "I", "--m", "2", "--sizes", "2,x"], None, id="sizes"),
             pytest.param(

@@ -14,8 +14,6 @@ from anosovgraph.exactmat import RationalMatrix
 import anosovgraph.hyperbolicity as hyperbolicity_module
 from anosovgraph.hyperbolicity import (
     CancelToken,
-    CertificateStage,
-    HyperbolicityCertificate,
     certify_factors,
     certify_polynomial,
     char_poly,
@@ -341,40 +339,39 @@ class TestTensorPoly:
 
 
 def two_pass_c2_certificate(m):
-    """The path `is_c_hyperbolic(m, 2)` used to take: the unit-circle test of p ran twice.
+    """The certificate JSON of the path `is_c_hyperbolic(m, 2)` used to take: the unit-circle
+    test of p ran twice.
 
-    Both stages are formed here from `unit_circle_analysis`, so the oracle
-    never calls the certificate it checks.
+    The dict, validity and failure included, is written out here from
+    `unit_circle_analysis` and `exterior_square_poly`, so the oracle neither
+    calls the certificate it checks nor builds the class that derives them.
     """
     p = char_poly(m)
     first = unit_circle_analysis(p)
+    stages = [{"label": "char_poly", "poly": list(p.coefficients), "analysis": first.to_json_dict()}]
+    compound, failure = None, None
     if first.exists:
-        return HyperbolicityCertificate(
-            level=2,
-            char_poly=p,
-            reciprocal_gcd_degree=first.reciprocal_gcd_degree,
-            sturm_root_count=first.sturm_root_count,
-            compound_char_poly=None,
-            stages=(CertificateStage("char_poly", p, first),),
-            valid=False,
-            failure="eigenvalue on unit circle",
+        failure = "eigenvalue on unit circle"
+    else:
+        first = unit_circle_analysis(p)
+        stages[0]["analysis"] = first.to_json_dict()
+        compound = exterior_square_poly(p)
+        second = unit_circle_analysis(compound)
+        stages.append(
+            {"label": "exterior_square", "poly": list(compound.coefficients), "analysis": second.to_json_dict()}
         )
-    again = unit_circle_analysis(p)
-    compound = exterior_square_poly(p)
-    second = unit_circle_analysis(compound)
-    return HyperbolicityCertificate(
-        level=2,
-        char_poly=p,
-        reciprocal_gcd_degree=again.reciprocal_gcd_degree,
-        sturm_root_count=again.sturm_root_count,
-        compound_char_poly=compound,
-        stages=(
-            CertificateStage("char_poly", p, again),
-            CertificateStage("exterior_square", compound, second),
-        ),
-        valid=not second.exists,
-        failure="pair product on unit circle" if second.exists else None,
-    )
+        if second.exists:
+            failure = "pair product on unit circle"
+    return {
+        "level": 2,
+        "char_poly": list(p.coefficients),
+        "reciprocal_gcd_degree": first.reciprocal_gcd_degree,
+        "sturm_root_count": first.sturm_root_count,
+        "compound_char_poly": None if compound is None else list(compound.coefficients),
+        "stages": stages,
+        "valid": failure is None,
+        "failure": failure,
+    }
 
 
 class TestCHyperbolic:
@@ -405,18 +402,18 @@ class TestCHyperbolic:
     @settings(max_examples=60, deadline=None)
     @given(int_matrices(max_n=5))
     def test_level_two_matches_the_two_pass_path(self, m):
-        assert is_c_hyperbolic(m, 2).to_json_dict() == two_pass_c2_certificate(m).to_json_dict()
+        assert is_c_hyperbolic(m, 2).to_json_dict() == two_pass_c2_certificate(m)
 
     @pytest.mark.parametrize(
         "rows", [companion_rows(CUBIC), CAT_MAP, [[1, 0], [0, 1]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]]]
     )
     def test_level_two_matches_the_two_pass_path_on_each_outcome(self, rows):
-        assert is_c_hyperbolic(rows, 2).to_json_dict() == two_pass_c2_certificate(rows).to_json_dict()
+        assert is_c_hyperbolic(rows, 2).to_json_dict() == two_pass_c2_certificate(rows)
 
     def test_cat_map_level_one(self):
         cert = is_c_hyperbolic(CAT_MAP, 1)
         assert cert.valid and cert.level == 1
-        assert cert.sturm_root_count == 0
+        assert cert.stages[0].analysis.sturm_root_count == 0
 
     def test_cat_map_level_two_fails(self):
         cert = is_c_hyperbolic(CAT_MAP, 2)
@@ -555,7 +552,7 @@ class TestCertifyFactors:
 
         monkeypatch.setattr(hyperbolicity_module, "poly_gcd", spy)
         cert = certify_factors(factors)
-        assert cert.reciprocal_gcd_degree == 12
+        assert cert.stages[0].analysis.reciprocal_gcd_degree == 12
         assert max(degrees) < factor_product(factors).degree
 
 

@@ -78,6 +78,12 @@ def action_for(graph, *cycle_strings):
     return build_action(coherent_components(graph), gens)
 
 
+def with_first_orbit(action, **changes):
+    """The action with fields of its first orbit replaced; a plan made for it carries them."""
+    orbit = replace(action.orbits[0], **changes)
+    return replace(action, orbits=(orbit,) + action.orbits[1:])
+
+
 def catalog_then_lift(dim, stabilizer_perm):
     """The lifted catalog seeds as they were built with a separate catalog
     branch: catalog seeds filtered by commutation, then lifts for a uniform
@@ -597,10 +603,9 @@ class TestAssembleGuard:
         # break the seed: identity is not hyperbolic
         broken = (
             OrbitSeedPlan(
-                orbit_rep=plan[0].orbit_rep,
+                orbit=plan[0].orbit,
                 seed=tuple(tuple(int(i == j) for j in range(3)) for i in range(3)),
                 exponent=1,
-                conjugators=plan[0].conjugators,
             ),
         )
         with pytest.raises(WitnessAssemblyError):
@@ -612,24 +617,36 @@ class TestAssembleGuard:
         # group element, so the copied block breaks commutation
         inst = family_I(2, (2, 3))
         action = build_action(coherent_components(inst.graph), inst.generators)
-        plan = plan_blocks(action)
-        member, h = plan[0].conjugators[0]
+        orbit = action.orbits[0]
+        member, h = orbit.conjugators[0]
         u, v = action.partition.components[member][:2]
         swap = VertexPermutation.from_cycles(f"({u} {v})", inst.graph.vertices)
         assert swap * h not in action.elements
-        broken = replace(plan[0], conjugators=((member, swap * h),) + plan[0].conjugators[1:])
+        action = with_first_orbit(action, conjugators=((member, swap * h),) + orbit.conjugators[1:])
         with pytest.raises(WitnessAssemblyError) as err:
-            assemble_witness(action, (broken,) + plan[1:])
+            assemble_witness(action, plan_blocks(action))
         assert err.value.stage == "commutation"
+
+    def test_plan_for_other_orbits_is_rejected(self):
+        # a plan must carry the action's own orbits, all of them, in the action's order
+        inst = family_I(2, (2, 3))
+        action = build_action(coherent_components(inst.graph), inst.generators)
+        plan = plan_blocks(action)
+        assert len(plan) == 2
+        altered = plan_blocks(with_first_orbit(action, conjugators=()))
+        for candidate in (plan[1:], plan[::-1], altered):
+            with pytest.raises(WitnessAssemblyError) as err:
+                assemble_witness(action, candidate)
+            assert err.value.stage == "plan"
 
     @pytest.mark.parametrize("defect", ["conjugator omitted", "singular seed"])
     def test_plan_leaving_v_singular_fails_at_extension(self, defect):
         g = complete_bipartite(3, 3)
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
-        (orbit_plan,) = plan_blocks(action)
         if defect == "conjugator omitted":  # the other part's component gets no block
-            orbit_plan = replace(orbit_plan, conjugators=())
-        else:
+            action = with_first_orbit(action, conjugators=())
+        (orbit_plan,) = plan_blocks(action)
+        if defect == "singular seed":
             orbit_plan = replace(orbit_plan, seed=((1, 1, 0), (1, 1, 0), (0, 0, 1)), exponent=1)
         with pytest.raises(WitnessAssemblyError) as err:
             assemble_witness(action, (orbit_plan,))

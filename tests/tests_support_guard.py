@@ -67,12 +67,5 @@ def dummy_plan(action):
             tuple(2 * int(i == j) - int(j == (i + 1) % dim) for j in range(dim))
             for i in range(dim)
         )
-        plans.append(
-            OrbitSeedPlan(
-                orbit_rep=orbit.rep,
-                seed=seed,
-                exponent=1,
-                conjugators=orbit.conjugators,
-            )
-        )
+        plans.append(OrbitSeedPlan(orbit=orbit, seed=seed, exponent=1))
     return tuple(plans)
