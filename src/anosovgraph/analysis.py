@@ -174,7 +174,7 @@ class AnalysisReport:
         for verdict in self.decision.orbits:
             status = {True: "pass", False: "FAIL", None: "undecided"}[verdict.passed]
             lines.append(
-                f"orbit of {component_label(verdict.orbit_rep)} (c={verdict.c}): "
+                f"orbit of {component_label(verdict.orbit.rep)} (c={verdict.orbit.c}): "
                 f"{status}; {verdict.reason}"
             )
         lines.append(

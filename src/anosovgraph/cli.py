@@ -74,9 +74,14 @@ def _read_graph_argument(path: str) -> tuple[Graph, tuple]:
     return parse_graph(text), ()
 
 
-def _print_timing(timing: dict) -> None:
-    for key in sorted(timing):
-        print(f"# {key}: {timing[key]:.4f}", file=sys.stderr)
+def _finish(report) -> int:
+    """Print the report's timings to stderr and return its exit code, 6 when the witness failed."""
+    for key in sorted(report.timing):
+        print(f"# {key}: {report.timing[key]:.4f}", file=sys.stderr)
+    if report.witness_error is not None:
+        print(f"witness construction failed: {report.witness_error}", file=sys.stderr)
+        return EXIT_WITNESS
+    return report.exit_code
 
 
 def _analyze_arguments(args, want_witness: bool):
@@ -96,11 +101,7 @@ def _analyze_arguments(args, want_witness: bool):
 def cmd_analyze(args) -> int:
     report = _analyze_arguments(args, args.witness)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
-    _print_timing(report.timing)
-    if args.witness and report.decision.verdict == "yes" and report.witness is None:
-        print(f"witness construction failed: {report.witness_error}", file=sys.stderr)
-        return EXIT_WITNESS
-    return report.exit_code
+    return _finish(report)
 
 
 def cmd_quotient(args) -> int:
@@ -135,16 +136,9 @@ def cmd_witness(args) -> int:
     report = _analyze_arguments(args, want_witness=True)
     if report.decision.verdict != "yes":
         sys.stdout.write(report.to_json() if args.json else report.to_text())
-        return report.exit_code
-    if report.witness is None:
-        print(f"witness construction failed: {report.witness_error}", file=sys.stderr)
-        return EXIT_WITNESS
-    if args.json:
-        sys.stdout.write(_json_text(report.witness.to_json_dict()))
-    else:
-        sys.stdout.write(report.witness.to_text() + "\n")
-    _print_timing(report.timing)
-    return EXIT_YES
+    elif (witness := report.witness) is not None:
+        sys.stdout.write(_json_text(witness.to_json_dict()) if args.json else witness.to_text() + "\n")
+    return _finish(report)
 
 
 def _parse_matrix_argument(text: str):

@@ -130,15 +130,41 @@ def is_integer_like(p: IntPolynomial) -> bool:
 
 @dataclass(frozen=True)
 class UnitCircleAnalysis:
-    """Trace of the staged exact unit-circle test."""
+    """Trace of the staged exact unit-circle test.
 
-    exists: bool
-    stage: str
-    detail: str
+    The two endpoint flags, the degree of the reciprocal gcd and the Sturm
+    count are the record; the rest is read from them. The stage is
+    ``endpoints`` when a flag is set, else ``reciprocal-gcd`` when there is
+    no Sturm count (the gcd was constant), else ``sturm``. A unit-circle
+    root exists exactly when a flag is set or the Sturm count is positive.
+    """
+
     root_at_one: bool
     root_at_minus_one: bool
     reciprocal_gcd_degree: int
     sturm_root_count: int | None
+
+    @property
+    def stage(self) -> str:
+        if self.root_at_one or self.root_at_minus_one:
+            return "endpoints"
+        return "reciprocal-gcd" if self.sturm_root_count is None else "sturm"
+
+    @property
+    def exists(self) -> bool:
+        return self.root_at_one or self.root_at_minus_one or bool(self.sturm_root_count)
+
+    @property
+    def detail(self) -> str:
+        stage, count = self.stage, self.sturm_root_count
+        if stage == "endpoints":
+            ends = (("x=1", self.root_at_one), ("x=-1", self.root_at_minus_one))
+            return "root at " + ", ".join(s for s, hit in ends if hit)
+        if stage == "reciprocal-gcd":
+            return "gcd with the reversed polynomial is constant"
+        if count > 0:
+            return f"substituted polynomial has {count} real root(s) in (-2, 2)"
+        return "no real roots of the substituted polynomial in (-2, 2)"
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,29 +215,11 @@ def _unit_circle_stages(
     factor and D = 1, P_D = 1 and g = 1; when P_D is reciprocal, g is the
     primitive part of P_D.
     """
-    if at_one or at_minus_one:
-        which = [s for s, hit in (("x=1", at_one), ("x=-1", at_minus_one)) if hit]
-        return UnitCircleAnalysis(
-            True, "endpoints", f"root at {', '.join(which)}", at_one, at_minus_one, g.degree, None
-        )
-    if g.degree == 0:
-        return UnitCircleAnalysis(
-            False,
-            "reciprocal-gcd",
-            "gcd with the reversed polynomial is constant",
-            False,
-            False,
-            0,
-            None,
-        )
+    if at_one or at_minus_one or g.degree == 0:
+        return UnitCircleAnalysis(at_one, at_minus_one, g.degree, None)
     _check(cancel)
-    q = palindromic_to_interval_poly(g)
-    count = count_real_roots_between(q, -2, 2, cancel)
-    if count > 0:
-        detail = f"substituted polynomial has {count} real root(s) in (-2, 2)"
-    else:
-        detail = "no real roots of the substituted polynomial in (-2, 2)"
-    return UnitCircleAnalysis(count > 0, "sturm", detail, False, False, g.degree, count)
+    count = count_real_roots_between(palindromic_to_interval_poly(g), -2, 2, cancel)
+    return UnitCircleAnalysis(False, False, g.degree, count)
 
 
 def exterior_square_poly(p: IntPolynomial, cancel: CancelToken | None = None) -> IntPolynomial:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .graphs import CoherentPartition, index_cycles
-from .holonomy import HolonomyAction
+from .holonomy import HolonomyAction, OrbitData
 
 
 def euler_phi(n: int) -> int:
@@ -44,7 +45,6 @@ class RepPart:
 
 @dataclass(frozen=True)
 class CyclicRepDecomposition:
-    stabilizer_order: int
     cycle_type: tuple[int, ...]
     parts: tuple[RepPart, ...]
 
@@ -68,7 +68,7 @@ def decompose_cyclic_perm_rep(n: int, cycles) -> CyclicRepDecomposition:
         phi = euler_phi(e)
         splits = 1 if e <= 2 else phi // 2
         parts.append(RepPart(e, multiplicity, phi, splits))
-    decomposition = CyclicRepDecomposition(n, cycles, tuple(parts))
+    decomposition = CyclicRepDecomposition(cycles, tuple(parts))
     if sum(p.multiplicity * p.q_dimension for p in parts) != sum(cycles):
         raise AssertionError("rational dimensions do not sum to the point count")
     return decomposition
@@ -76,19 +76,44 @@ def decompose_cyclic_perm_rep(n: int, cycles) -> CyclicRepDecomposition:
 
 @dataclass(frozen=True)
 class OrbitVerdict:
-    """Outcome of the criterion on one orbit; ``passed`` is None when undecided."""
+    """Outcome of the criterion on one orbit, read from the orbit and the decomposition.
 
-    orbit_rep: int
-    c: int
+    The decomposition is that of the stabilizer's permutation representation
+    on the representative, None when the stabilizer is not cyclic. The
+    failing part is the first with m*r <= c; ``passed`` is None (undecided)
+    without a decomposition, and otherwise True exactly when no part fails.
+    """
+
+    orbit: OrbitData
     decomposition: CyclicRepDecomposition | None
-    passed: bool | None
-    failing_part: RepPart | None
-    reason: str
+
+    @property
+    def failing_part(self) -> RepPart | None:
+        if self.decomposition is None:
+            return None
+        c = self.orbit.c
+        return next((p for p in self.decomposition.parts if p.multiplicity * p.real_splits <= c), None)
+
+    @property
+    def passed(self) -> bool | None:
+        return None if self.decomposition is None else self.failing_part is None
+
+    @property
+    def reason(self) -> str:
+        if self.decomposition is None:
+            return f"undecided: stabilizer of order {self.orbit.stabilizer.order} is not cyclic"
+        part = self.failing_part
+        if part is None:
+            return "all parts satisfy m*r > c"
+        return (
+            f"part e={part.divisor} has m*r = "
+            f"{part.multiplicity}*{part.real_splits} <= c = {self.orbit.c}"
+        )
 
     def to_json_dict(self) -> dict:
         return {
-            "rep": self.orbit_rep + 1,
-            "c": self.c,
+            "rep": self.orbit.rep + 1,
+            "c": self.orbit.c,
             "parts": [p.to_json_dict() for p in self.decomposition.parts]
             if self.decomposition
             else None,
@@ -99,9 +124,21 @@ class OrbitVerdict:
 
 @dataclass(frozen=True)
 class Decision:
-    verdict: str  # "yes" | "no" | "undecided"
+    """The criterion on every orbit, and whether a yes is known to be realizable.
+
+    The verdict is read from the orbits: ``no`` when any orbit fails, else
+    ``undecided`` when any orbit is undecided, else ``yes``.
+    """
+
     orbits: tuple[OrbitVerdict, ...]
     realizability: str  # "guaranteed" | "unknown"
+
+    @property
+    def verdict(self) -> str:
+        passed = [v.passed for v in self.orbits]
+        if any(p is False for p in passed):
+            return "no"
+        return "undecided" if None in passed else "yes"
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,80 +153,35 @@ def orbit_verdict(action: HolonomyAction, orbit_index: int) -> OrbitVerdict:
     orbit = action.orbits[orbit_index]
     stab = orbit.stabilizer
     if not stab.cyclic:
-        return OrbitVerdict(
-            orbit_rep=orbit.rep,
-            c=orbit.c,
-            decomposition=None,
-            passed=None,
-            failing_part=None,
-            reason=f"undecided: stabilizer of order {stab.order} is not cyclic",
-        )
+        return OrbitVerdict(orbit, None)
     cycles = [len(c) for c in index_cycles(stab.restriction)]
-    decomposition = decompose_cyclic_perm_rep(stab.order, cycles)
-    for part in decomposition.parts:
-        if part.multiplicity * part.real_splits <= orbit.c:
-            return OrbitVerdict(
-                orbit_rep=orbit.rep,
-                c=orbit.c,
-                decomposition=decomposition,
-                passed=False,
-                failing_part=part,
-                reason=(
-                    f"part e={part.divisor} has m*r = "
-                    f"{part.multiplicity}*{part.real_splits} <= c = {orbit.c}"
-                ),
-            )
-    return OrbitVerdict(
-        orbit_rep=orbit.rep,
-        c=orbit.c,
-        decomposition=decomposition,
-        passed=True,
-        failing_part=None,
-        reason="all parts satisfy m*r > c",
-    )
+    return OrbitVerdict(orbit, decompose_cyclic_perm_rep(stab.order, cycles))
 
 
 def decide(action: HolonomyAction) -> Decision:
-    """Aggregate orbit verdicts: yes when all pass, no when any fails,
-    undecided when something is undecided and nothing fails.
+    """The verdict of every orbit of the action (see `Decision` for how they aggregate).
 
     Realizability is `guaranteed` exactly for cyclic holonomy (the all-ones
     vertex vector is a fixed vector of any graph automorphism's extension),
     and `unknown` otherwise.
     """
     verdicts = tuple(orbit_verdict(action, i) for i in range(len(action.orbits)))
-    if any(v.passed is False for v in verdicts):
-        verdict = "no"
-    elif any(v.passed is None for v in verdicts):
-        verdict = "undecided"
-    else:
-        verdict = "yes"
-    realizability = "guaranteed" if action.is_cyclic else "unknown"
-    return Decision(verdict=verdict, orbits=verdicts, realizability=realizability)
+    return Decision(verdicts, "guaranteed" if action.is_cyclic else "unknown")
 
 
-def trivial_holonomy_check(part: CoherentPartition) -> Decision:
+class TrivialHolonomyCheck(NamedTuple):
+    verdict: str  # "yes" | "no"
+    passed: tuple[bool, ...]
+
+
+def trivial_holonomy_check(part: CoherentPartition) -> TrivialHolonomyCheck:
     """Direct component-size criterion for trivial holonomy.
 
-    Independent of the decomposition path: a component passes when its size
-    is at least 2, or at least 3 if it carries a loop. Serves as the oracle
-    for `decide` with no generators.
+    Independent of the decomposition and of the verdict records: a component
+    passes when its size is at least 2, or at least 3 if it carries a loop.
+    The oracle for `decide` with no generators, whose orbits are then the
+    components in order. Returns the verdict, ``yes`` when all pass, and
+    ``passed``, one flag per component.
     """
-    verdicts = []
-    for i, comp in enumerate(part.components):
-        c = 2 if part.loops[i] else 1
-        size = len(comp)
-        needed = 3 if c == 2 else 2
-        passed = size >= needed
-        verdicts.append(
-            OrbitVerdict(
-                orbit_rep=i,
-                c=c,
-                decomposition=decompose_cyclic_perm_rep(1, [1] * size),
-                passed=passed,
-                failing_part=None if passed else RepPart(1, size, 1, 1),
-                reason=f"component size {size} {'>=' if passed else '<'} {needed}",
-            )
-        )
-    verdict = "yes" if all(v.passed for v in verdicts) else "no"
-    return Decision(verdict=verdict, orbits=tuple(verdicts), realizability="guaranteed")
+    passed = tuple(len(comp) >= (3 if loop else 2) for comp, loop in zip(part.components, part.loops))
+    return TrivialHolonomyCheck("yes" if all(passed) else "no", passed)

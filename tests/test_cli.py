@@ -24,7 +24,13 @@ from anosovgraph.cli import (
 )
 from anosovgraph.errors import SeedSearchExhausted, WitnessAssemblyError, WitnessRefused
 from anosovgraph.fixtures import all_loops_chain, four_pair_chain, loop_end_chain, pentagon
-from anosovgraph.graphs import Graph, VertexPermutation, complete_bipartite, discrete_graph
+from anosovgraph.graphs import (
+    Graph,
+    VertexPermutation,
+    complete_bipartite,
+    complete_graph,
+    discrete_graph,
+)
 from anosovgraph.hyperbolicity import char_poly
 from anosovgraph.polynomials import IntPolynomial, companion_rows, format_polynomial
 
@@ -189,6 +195,35 @@ class TestAnalyze:
         assert "components_s" not in out
         assert "components_s" in err
 
+    @pytest.mark.parametrize(
+        "graph, holonomy, exit_code",
+        [
+            (complete_bipartite(3, 3), "(a1 b1)(a2 b2)(a3 b3)", EXIT_YES),
+            (pentagon(), None, EXIT_NO),
+            (discrete_graph(4), "(v1 v2);(v3 v4)", EXIT_UNDECIDED),
+            (complete_bipartite(3, 3), "(a1 b1)(a2 b2)(a3 b3)", EXIT_WITNESS),
+        ],
+        ids=["yes", "no", "undecided", "construction-failed"],
+    )
+    def test_witness_timing_on_stderr_on_every_path(
+        self, run, tmp_path, monkeypatch, graph, holonomy, exit_code
+    ):
+        if exit_code == EXIT_WITNESS:
+            def broken(*args, **kwargs):
+                raise SeedSearchExhausted("no seed candidate certified", candidates_tried=1)
+
+            monkeypatch.setattr(anosovgraph.analysis, "build_witness", broken)
+        path = write_graph(tmp_path, graph)
+        argv = ["witness", "--graph", path, *(["--holonomy", holonomy] if holonomy else [])]
+        code, out, err = run(*argv, "--json")
+        assert code == exit_code
+        assert "components_s" not in out
+        assert "# components_s: " in err and "# decision_s: " in err
+        assert ("# witness_s: " in err) == (exit_code in (EXIT_YES, EXIT_WITNESS))
+        if exit_code == EXIT_WITNESS:
+            assert out == ""
+            assert err.endswith("witness construction failed: no seed candidate certified\n")
+
     def test_stdin_input(self, run, tmp_path, monkeypatch):
         import io
 
@@ -266,6 +301,81 @@ class TestWitnessReportPins:
             hashlib.sha256(out.encode()).hexdigest()
             == "aa8f7ad0d09d819c7c5534ee5f31c4c18cfc58e1dabc52f0dfe9f621f134337d"
         )
+
+
+class TestDecisionReportPins:
+    """sha256 of the text and JSON reports that render orbit verdicts and unit-circle analyses."""
+
+    @pytest.mark.parametrize(
+        "graph, holonomy, exit_code, text_digest, json_digest",
+        [
+            (
+                complete_graph(2),
+                None,
+                EXIT_NO,
+                "bf1d913eda6f7b5373442f9b6cd3bedc5fa9d5d8be92e04565c0fc2062c58211",
+                "f701c8646f86c246b52e11ce33480beb8a9ffec1d93204704ec3c88ac76d363b",
+            ),
+            (
+                four_pair_chain(),
+                "(a1 b1)(a2 b2)(c1 d1)(c2 d2)",
+                EXIT_NO,
+                "c275d2141f1e9a8291dd41f00c3e8821e8613349a9d24e7365fa1767ebfc9eb4",
+                "324486e96f9379f4e7084fee88943fd6f97f479e2f2dbddcf11af5cd8683e6a3",
+            ),
+            (
+                discrete_graph(4),
+                "(v1 v2);(v3 v4)",
+                EXIT_UNDECIDED,
+                "1a6248266b6b674a116c34f1eba7b393625e1487a859d56724cc70a77c444ba3",
+                "3c671b8a568109844f7d4c7ff8f148ca2af54d4bbe6c648c1c767f59aa68a9e7",
+            ),
+        ],
+        ids=["K2-trivial-fails", "four-pair-chain-swap-no", "discrete-v4-undecided"],
+    )
+    def test_analyze_report(self, run, tmp_path, graph, holonomy, exit_code, text_digest, json_digest):
+        path = write_graph(tmp_path, graph)
+        argv = ["analyze", "--graph", path, *(["--holonomy", holonomy] if holonomy else [])]
+        for extra, digest in (((), text_digest), (("--json",), json_digest)):
+            code, out, _ = run(*argv, *extra)
+            assert code == exit_code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "poly, exit_code, text_digest, json_digest",
+        [
+            (
+                "x^2 + 2x + 1",
+                EXIT_NO,
+                "fac5b92d5fb047e4a28862d14c5b5686ba80a4e38eb7563836782fe09cd90362",
+                "059691ee2694b2b01582b43bac3abb54d6d187626437c593834dbaae7661226a",
+            ),
+            (
+                "x^3 - x^2 - 2x + 1",
+                EXIT_YES,
+                "67a4d214e7c75a8d90963a596d6844e15461905ba00eeceaedd8c07cef78720c",
+                "b4fe07974347817ce8d17069568f0c5cb1dc751ac7006a3bb02af7931ff6b5b1",
+            ),
+            (
+                "x^2 - 3x + 1",
+                EXIT_YES,
+                "78afd79d35641e91922dd51a073a3cedc8393f8ad9f787eb08b334837e5991f1",
+                "33a207aab6aa8aa5ab8fe15b0162b44f2566a48f68d10f9079370b4b1dafb02b",
+            ),
+            (
+                "x^4 + x^3 + x^2 + x + 1",
+                EXIT_NO,
+                "610f818d049915f62af0f0d2183668ee673eca52dfcf373c98cdae0af557f1a2",
+                "5120ef1323233ebd9aea142b6918eaa891d3e10b5e413ea43dcc8d475784ccd6",
+            ),
+        ],
+        ids=["endpoints", "reciprocal-gcd", "sturm-no-root", "sturm-two-roots"],
+    )
+    def test_certify_report(self, run, poly, exit_code, text_digest, json_digest):
+        for extra, digest in (((), text_digest), (("--json",), json_digest)):
+            code, out, _ = run("certify", "--poly", poly, *extra)
+            assert code == exit_code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCanonicalOutput:

@@ -188,8 +188,8 @@ class TestUnitCircle:
 
     def test_plus_minus_one(self):
         analysis = unit_circle_analysis(P(-1, 0, 1))
-        exists, detail = analysis.exists, analysis.detail
-        assert exists and "root at" in detail
+        assert analysis.exists and analysis.stage == "endpoints"
+        assert analysis.detail == "root at x=1, x=-1"
 
     def test_cyclotomic_five(self):
         assert unit_circle_analysis(cyclotomic(5)).exists

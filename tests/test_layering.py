@@ -5,10 +5,13 @@ layers (graphs, holonomy, repdecomp) depend only on each other and on
 errors, not on the algebra, certification or matrix modules; Fraction
 arithmetic lives in exactmat alone; the polynomial and certification
 layers, like holonomy, work without exactmat; and the underscore slots of
-the graphs classes are read only inside graphs.
+the graphs classes are read only inside graphs. It also pins the stored
+fields of the result records, which keep no copy of a derivable value.
 """
 
 import ast
+import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
@@ -102,3 +105,36 @@ def test_graphs_private_slots_read_only_in_graphs(module):
     assert {"_images", "_index"} <= private
     read = {node.attr for node in ast.walk(parse(module)) if isinstance(node, ast.Attribute)}
     assert not read & private, read & private
+
+
+# A value the other fields give is a read-only property of the record, not a
+# stored copy that nothing checks against them.
+STORED_FIELDS = {
+    ("analysis", "AnalysisReport"): ("action", "decision", "witness", "witness_error", "timing"),
+    ("holonomy", "StabilizerInfo"): ("elements", "generator", "restriction"),
+    ("hyperbolicity", "HyperbolicityCertificate"): ("level", "stages"),
+    ("hyperbolicity", "UnitCircleAnalysis"): (
+        "root_at_one",
+        "root_at_minus_one",
+        "reciprocal_gcd_degree",
+        "sturm_root_count",
+    ),
+    ("repdecomp", "CyclicRepDecomposition"): ("cycle_type", "parts"),
+    ("repdecomp", "Decision"): ("orbits", "realizability"),
+    ("repdecomp", "OrbitVerdict"): ("orbit", "decomposition"),
+    ("witness", "OrbitSeedPlan"): ("orbit", "seed", "exponent"),
+    ("witness", "Witness"): (
+        "v_matrix",
+        "full_matrix",
+        "v_char_poly",
+        "certificate",
+        "commutes_with",
+        "plan",
+    ),
+}
+
+
+@pytest.mark.parametrize("module, record", sorted(STORED_FIELDS))
+def test_result_records_store_only_underived_fields(module, record):
+    cls = getattr(importlib.import_module(f"anosovgraph.{module}"), record)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == STORED_FIELDS[module, record]

@@ -17,7 +17,6 @@ from anosovgraph.graphs import (
 )
 from anosovgraph.holonomy import build_action
 from anosovgraph.repdecomp import (
-    Decision,
     decide,
     decompose_cyclic_perm_rep,
     euler_phi,
@@ -139,7 +138,7 @@ class TestOrbitVerdict:
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
         v = orbit_verdict(action, 0)
         assert v.passed is True
-        assert v.c == 2
+        assert v.orbit.c == 2
         assert [(p.divisor, p.multiplicity) for p in v.decomposition.parts] == [(1, 3)]
 
     def test_heisenberg_fails(self):
@@ -147,7 +146,7 @@ class TestOrbitVerdict:
         action = action_for(g)
         v = orbit_verdict(action, 0)
         assert v.passed is False
-        assert v.c == 2
+        assert v.orbit.c == 2
         assert (v.failing_part.divisor, v.failing_part.multiplicity) == (1, 2)
 
     def test_four_cycle_rotation_fails(self):
@@ -155,7 +154,7 @@ class TestOrbitVerdict:
         action = action_for(g, "(v1 v2 v3 v4)")
         v = orbit_verdict(action, 0)
         assert v.passed is False
-        assert v.c == 2
+        assert v.orbit.c == 2
         assert (v.failing_part.divisor, v.failing_part.multiplicity, v.failing_part.real_splits) == (1, 1, 1)
 
     def test_non_cyclic_stabilizer_undecided(self):
@@ -189,7 +188,7 @@ class TestDecide:
         assert decision.verdict == "no"
         failing = [v for v in decision.orbits if v.passed is False]
         assert len(failing) == 1
-        assert failing[0].c == 2  # the inner c/d orbit
+        assert failing[0].orbit.c == 2  # the inner c/d orbit
 
     def test_undecided_aggregation(self):
         g = discrete_graph(4)
@@ -229,8 +228,10 @@ class TestTrivialHolonomyCheck:
             edges = [e for e in itertools.combinations(labels, 2) if rng.random() < 0.4]
             g = Graph(labels, edges)
             part = coherent_components(g)
-            action = build_action(part, [])
-            assert decide(action).verdict == trivial_holonomy_check(part).verdict
+            decision = decide(build_action(part, []))
+            oracle = trivial_holonomy_check(part)
+            assert [v.passed for v in decision.orbits] == list(oracle.passed)
+            assert decision.verdict == oracle.verdict
 
 
 class TestInvariance:
