@@ -29,7 +29,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
+from operator import mul
 
 from .errors import CancelToken
 from .polynomials import (
@@ -90,13 +92,18 @@ def _pattern_blocks(a: list[list[int]]) -> list[list[int]]:
 
 def _charpoly_dense(a: list[list[int]], cancel: CancelToken | None) -> IntPolynomial:
     # tr(A^k) is the k-th power sum of the eigenvalues; Newton's identities do the rest.
+    # Only A..A^m are formed, m = ceil(n/2); tr(A^(j+m)) = sum over r, c of A^j[r][c] A^m[c][r].
     n = len(a)
-    traces = [n, sum(a[i][i] for i in range(n))]
-    power = a
-    for _ in range(n - 1):
+    m = (n + 1) // 2
+    powers = [a]
+    for _ in range(m - 1):
         _check(cancel)
-        power = _matmul(power, a)
-        traces.append(sum(power[i][i] for i in range(n)))
+        powers.append(_matmul(powers[-1], a))
+    traces = [n] + [sum(p[i][i] for i in range(n)) for p in powers]
+    top = [x for col in zip(*powers[-1]) for x in col]  # A^m transposed, flattened
+    for p in powers[: n - m]:
+        _check(cancel)
+        traces.append(sum(map(mul, chain.from_iterable(p), top)))
     return from_power_sums(traces, cancel)
 
 
@@ -105,11 +112,14 @@ def char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
 
     Splits the matrix along the connected components of its nonzero pattern
     first, so block-diagonal inputs cost only the sum of their blocks. An n x n
-    block takes the traces of A, A^2, ..., A^n (n - 1 integer products) as
-    the power sums of its eigenvalues, and Newton's identities turn them into
-    coefficients, each division by k checked. Polls ``cancel`` once per
-    product and once per coefficient. Raises ValueError unless m is a
-    non-empty square sequence of integer rows.
+    block takes the traces of A, A^2, ..., A^n as the power sums of its
+    eigenvalues, and Newton's identities turn them into coefficients, each
+    division by k checked. Only A, ..., A^m with m = ceil(n/2) are formed
+    (m - 1 matrix products); each later trace tr(A^(j+m)) is the sum of the
+    entrywise products of A^j and the transpose of A^m (n - m trace
+    products). Polls ``cancel`` once per product of either kind and once per
+    coefficient. Raises ValueError unless m is a non-empty square sequence
+    of integer rows.
     """
     rows = _int_rows(m)
     if not rows:

@@ -5,7 +5,7 @@ whose terms are positive integer multiples of the canonical ones. Floating
 point never enters. Coefficients are stored in ascending degree order.
 
 The gcd in Z[x] is a small-prime modular gcd (Brown 1971): Euclid on the
-images mod word-size primes, CRT on the images of least degree, then exact
+images mod primes below 2^30, CRT on the images of least degree, then exact
 trial division. An image of degree 0 proves the gcd is 1, since no image mod
 a prime that divides neither leading coefficient has a lower degree than the
 true gcd. Any other result is returned only after it divides both inputs
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import GraphInputError
+from .errors import BoundExceeded, GraphInputError
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,12 @@ def _prime_below(n: int) -> int | None:
 
 
 def _word_primes():
-    """The primes below 2^31, largest first."""
-    p = 2**31 + 1
+    """The primes below 2^30, largest first.
+
+    CPython stores ints in 30-bit digits, so each residue is one digit and
+    every reduction in `_monic_gcd_mod` divides by a single digit.
+    """
+    p = 2**30 + 1
     while (p := _prime_below(p)) is not None:
         yield p
 
@@ -211,7 +215,7 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
     """Primitive gcd in Z[x] with a positive leading coefficient, by a small-prime modular gcd.
 
     Let A, B be the primitive parts of p and q, and G their gcd. Each prime
-    below 2^31 that divides neither leading coefficient gives the monic gcd
+    below 2^30 that divides neither leading coefficient gives the monic gcd
     of A and B modulo it, by Euclid. That image has degree at least deg G,
     because G keeps its degree modulo the prime and divides both images; so
     an image of degree 0 proves G = 1. Otherwise only the images of least
@@ -253,7 +257,7 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
         candidate = candidate.primitive()
         if _divides(candidate, a) and _divides(candidate, b):
             return candidate
-    raise AssertionError("ran out of word-size primes")
+    raise AssertionError("ran out of primes below 2^30")
 
 
 def squarefree_part(p: IntPolynomial, cancel=None) -> IntPolynomial:
@@ -451,8 +455,16 @@ def _parse_int(digits: str) -> int:
         raise GraphInputError(f"number with {len(digits)} digits is too long") from None
 
 
+MAX_PARSED_EXPONENT = 10_000
+
+
 def parse_polynomial(text: str) -> IntPolynomial:
-    """Parse integer polynomials in human syntax: "x^2-3x+1", "2*x + 5", "-x^3"."""
+    """Parse integer polynomials in human syntax: "x^2-3x+1", "2*x + 5", "-x^3".
+
+    Raises BoundExceeded on an exponent above `MAX_PARSED_EXPONENT`, before
+    the dense coefficient list is built; at that degree one modular Euclid
+    in `poly_gcd` already takes about 10^8 operations per prime.
+    """
     pos = 0
     tokens = []
     while pos < len(text):
@@ -492,6 +504,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
                 if exp is None:
                     raise GraphInputError("missing exponent after '^'")
                 power = _parse_int(exp)
+                if power > MAX_PARSED_EXPONENT:
+                    raise BoundExceeded(f"exponent {power} exceeds the bound {MAX_PARSED_EXPONENT}")
             else:
                 power = 1
         else:

@@ -45,7 +45,6 @@ class RepPart:
 
 @dataclass(frozen=True)
 class CyclicRepDecomposition:
-    cycle_type: tuple[int, ...]
     parts: tuple[RepPart, ...]
 
 
@@ -68,10 +67,9 @@ def decompose_cyclic_perm_rep(n: int, cycles) -> CyclicRepDecomposition:
         phi = euler_phi(e)
         splits = 1 if e <= 2 else phi // 2
         parts.append(RepPart(e, multiplicity, phi, splits))
-    decomposition = CyclicRepDecomposition(cycles, tuple(parts))
     if sum(p.multiplicity * p.q_dimension for p in parts) != sum(cycles):
         raise AssertionError("rational dimensions do not sum to the point count")
-    return decomposition
+    return CyclicRepDecomposition(tuple(parts))
 
 
 @dataclass(frozen=True)

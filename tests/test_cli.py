@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -596,6 +597,14 @@ class TestCertify:
     def test_malformed_poly(self, run):
         code, _, err = run("certify", "--poly", "x^^2")
         assert code == EXIT_PARSE
+
+    def test_huge_exponent_exits_bounds(self, run):
+        start = time.perf_counter()
+        code, out, err = run("certify", "--poly", "x^1000000000000 + 1")
+        assert time.perf_counter() - start < 1  # refused before a dense list is built
+        assert code == EXIT_BOUNDS
+        assert out == ""
+        assert err == "bound exceeded: exponent 1000000000000 exceeds the bound 10000\n"
 
 
 class TestInputErrors:

@@ -65,13 +65,13 @@ def sympy_char_poly(rows):
 
 @st.composite
 def shaped_matrices(draw):
-    """(kind, matrix): a square integer matrix of size 1-8 of the given kind.
+    """(kind, matrix): a square integer matrix of size 1-12 of the given kind.
 
     The kinds are dense, sparse, block-diagonal, nilpotent and singular.
     Entries have up to 40 bits of either sign. The rows and columns are then
     permuted together, so a block-diagonal pattern is scattered over the matrix.
     """
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["dense", "sparse", "block", "nilpotent", "singular"]))
     bits = draw(st.sampled_from([1, 3, 12, 40]))
     entry = st.integers(-(2**bits), 2**bits)

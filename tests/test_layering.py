@@ -119,7 +119,7 @@ STORED_FIELDS = {
         "reciprocal_gcd_degree",
         "sturm_root_count",
     ),
-    ("repdecomp", "CyclicRepDecomposition"): ("cycle_type", "parts"),
+    ("repdecomp", "CyclicRepDecomposition"): ("parts",),
     ("repdecomp", "Decision"): ("orbits", "realizability"),
     ("repdecomp", "OrbitVerdict"): ("orbit", "decomposition"),
     ("witness", "OrbitSeedPlan"): ("orbit", "seed", "exponent"),

@@ -183,7 +183,7 @@ class TestUnluckyPrimes:
 
 
 def _scan_primes(count):
-    """The first count primes below 2^31, largest first, by Miller-Rabin.
+    """The first count primes below 2^30, largest first, by Miller-Rabin.
 
     The bases 2, 3, 5 and 7 decide every odd n < 3,215,031,751.
     """
@@ -203,7 +203,7 @@ def _scan_primes(count):
                 return False
         return True
 
-    odd = range(2**31 - 1, 1, -2)
+    odd = range(2**30 - 1, 1, -2)
     return list(itertools.islice((n for n in odd if is_prime(n)), count))
 
 

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anosovgraph.errors import GraphInputError
+from anosovgraph.errors import BoundExceeded, GraphInputError
 from anosovgraph.polynomials import (
     IntPolynomial,
     companion_rows,
@@ -278,6 +278,11 @@ class TestParseFormat:
     def test_parse_errors(self, bad):
         with pytest.raises(GraphInputError):
             parse_polynomial(bad)
+
+    def test_exponent_bound(self):
+        assert parse_polynomial("x^10000 + 1") == IntPolynomial([1] + [0] * 9999 + [1])
+        with pytest.raises(BoundExceeded, match="exponent 10001 exceeds the bound 10000"):
+            parse_polynomial("x^10001 + 1")
 
     def test_format_roundtrip(self):
         for coeffs in [(1, -3, 1), (1, -2, -1, 1), (-1, 0, 0, 1), (5,), (0, 1)]:
