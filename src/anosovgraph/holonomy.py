@@ -62,15 +62,19 @@ class StabilizerInfo:
 class OrbitData:
     """One orbit of components.
 
-    ``conjugators`` pairs each member other than ``rep`` with the first group
-    element, in canonical order, that carries ``rep`` to it.
+    ``rep`` is the smallest member. ``conjugators`` pairs each other member,
+    in increasing order, with the first group element, in canonical order,
+    that carries ``rep`` to it; ``members`` is read off them.
     """
 
     rep: int
-    members: tuple[int, ...]
     c: int
     stabilizer: StabilizerInfo
     conjugators: tuple[tuple[int, VertexPermutation], ...]
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return (self.rep,) + tuple(m for m, _ in self.conjugators)
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,6 @@ def build_action(
         seen.update(members)
         orbit = OrbitData(
             rep=start,
-            members=members,
             c=_orbit_c_value(part, members),
             stabilizer=_stabilizer_info(part, elements, component_perms, orders, start),
             conjugators=tuple((m, first[m]) for m in members if m != start),

@@ -12,7 +12,9 @@ characteristic polynomial on V + W, and commutation with every generator.
 
 That polynomial is read off the block structure instead of the dense V + W
 matrix. Each conjugated block is a simultaneous permutation of its orbit's
-block, so it has the same characteristic polynomial. The assembly asserts
+block, so it has the same characteristic polynomial, and that of the block
+seed^e comes from the seed's through power sums, s_k(seed^e) = s_ke(seed):
+the seed's dense polynomial is taken once per plan. The assembly asserts
 that the V-part is block-diagonal over the coherent components, and the
 bracket check proves that the W-part is the map induced on wedges with no
 V-rows in the wedge columns. Under those checked facts the polynomial is
@@ -38,7 +40,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, gcd, log, pi, prod
 
 from .errors import (
@@ -64,7 +66,9 @@ from .polynomials import (
     companion_rows,
     cyclotomic,
     format_polynomial,
+    from_power_sums,
     palindromic_to_interval_poly,
+    power_sums,
     squarefree_part,
 )
 from .repdecomp import decide, euler_phi
@@ -323,25 +327,51 @@ class OrbitSeedPlan:
     seed: tuple[tuple[int, ...], ...]
     exponent: int
 
+    @cached_property
+    def seed_char_poly(self) -> IntPolynomial:
+        """The characteristic polynomial of the seed, taken once per plan."""
+        return char_poly(self.seed)
+
+    @cached_property
+    def block_char_poly(self) -> IntPolynomial:
+        """The characteristic polynomial of seed^exponent, read off the seed's.
+
+        Its roots are the exponent-th powers of the seed's, so its k-th power
+        sum is the seed's (k * exponent)-th; `from_power_sums` checks every
+        division.
+        """
+        p, e = self.seed_char_poly, self.exponent
+        return from_power_sums(power_sums(p, p.degree * e)[::e])
+
 
 @dataclass(frozen=True)
 class Witness:
     """A certified integer automorphism of the full algebra.
 
-    The matrices are integer rows, V first and then the edge wedges. The
-    certificate is that of the characteristic polynomial of full_matrix,
-    taken from its blocks (see the module docstring) and certified through
-    its distinct factors; `full_char_poly` reads it from there. Its constant
-    term is +-1, so the matrix is invertible over the integers, and it has
-    no root on the unit circle.
+    The matrix is integer rows, V first and then the edge wedges; `v_matrix`
+    is its leading V block. The certificate is that of the characteristic
+    polynomial of full_matrix, taken from its blocks (see the module
+    docstring) and certified through its distinct factors; `full_char_poly`
+    reads it from there. Its constant term is +-1, so the matrix is
+    invertible over the integers, and it has no root on the unit circle.
+    `v_char_poly` is the product of each plan's block polynomial over its
+    orbit's members.
     """
 
-    v_matrix: tuple[tuple[int, ...], ...]
     full_matrix: tuple[tuple[int, ...], ...]
-    v_char_poly: IntPolynomial
     certificate: HyperbolicityCertificate
     commutes_with: tuple[str, ...]
     plan: tuple[OrbitSeedPlan, ...]
+
+    @property
+    def v_matrix(self) -> tuple[tuple[int, ...], ...]:
+        n = sum(len(p.seed) * len(p.orbit.members) for p in self.plan)
+        return tuple(row[:n] for row in self.full_matrix[:n])
+
+    @property
+    def v_char_poly(self) -> IntPolynomial:
+        blocks = (p.block_char_poly for p in self.plan for _ in p.orbit.members)
+        return prod(blocks, start=IntPolynomial([1]))
 
     @property
     def full_char_poly(self) -> IntPolynomial:
@@ -360,7 +390,7 @@ class Witness:
                     "orbit_rep": p.orbit.rep + 1,
                     "seed": [list(r) for r in p.seed],
                     "exponent": p.exponent,
-                    "seed_char_poly": list(char_poly(p.seed).coefficients),
+                    "seed_char_poly": list(p.seed_char_poly.coefficients),
                     "conjugators": [
                         [comp + 1, h.cycle_string()] for comp, h in p.orbit.conjugators
                     ],
@@ -372,10 +402,9 @@ class Witness:
     def to_text(self) -> str:
         lines = ["Integer witness on the graph algebra", ""]
         for p in self.plan:
-            seed_poly = char_poly(p.seed)
             lines.append(
                 f"orbit of component {p.orbit.rep + 1}: seed char poly "
-                f"{format_polynomial(seed_poly)}, exponent {p.exponent}"
+                f"{format_polynomial(p.seed_char_poly)}, exponent {p.exponent}"
             )
             for comp, h in p.orbit.conjugators:
                 lines.append(f"  component {comp + 1} = conjugate by {h.cycle_string()}")
@@ -472,6 +501,8 @@ def _assemble(
 
     if tuple(p.orbit for p in plan) != action.orbits:
         raise WitnessAssemblyError("plan", "plan orbits do not match the action's orbits")
+    if any(not isinstance(p.exponent, int) or p.exponent < 1 for p in plan):
+        raise WitnessAssemblyError("plan", "every exponent must be an integer of at least 1")
 
     v_rows = [[0] * n for _ in range(n)]
     component_polys = [None] * part.num_components
@@ -487,7 +518,7 @@ def _assemble(
                 "plan", "seed does not commute with the stabilizer on its component"
             )
         block = _int_matpow(seed, orbit_plan.exponent)
-        block_poly = char_poly(block, cancel)
+        block_poly = orbit_plan.block_char_poly
         placements = [(orbit.rep, VertexPermutation.identity(graph.vertices))]
         placements += list(orbit.conjugators)
         for member, h in placements:
@@ -502,11 +533,8 @@ def _assemble(
                     v_rows[idx[a]][idx[b]] = block[a][b]
             component_polys[member] = block_poly
 
-    # V is block-diagonal over the components, so det V = +-(constant term of v_char_poly).
-    if None in component_polys:
-        raise WitnessAssemblyError("extension", "map on V is not invertible")
-    v_char_poly = prod(component_polys, start=IntPolynomial([1]))
-    if v_char_poly.constant == 0:
+    # V is block-diagonal over the components, so det V = +-(product of the blocks' constant terms).
+    if None in component_polys or any(p.constant == 0 for p in component_polys):
         raise WitnessAssemblyError("extension", "map on V is not invertible")
     try:
         full = extend_rows(graph, v_rows)
@@ -539,9 +567,7 @@ def _assemble(
         commuted.append(gen.cycle_string())
 
     return Witness(
-        v_matrix=tuple(tuple(row) for row in v_rows),
         full_matrix=full,
-        v_char_poly=v_char_poly,
         certificate=certificate,
         commutes_with=tuple(commuted),
         plan=plan,

@@ -235,7 +235,7 @@ class TestAnalyze:
 
 
 class TestWitnessReportPins:
-    """sha256 of `analyze --json --witness` reports; any change to their bytes fails here."""
+    """sha256 of witness reports, JSON and text; any change to their bytes fails here."""
 
     @pytest.mark.parametrize(
         "family_args, digest",
@@ -262,6 +262,24 @@ class TestWitnessReportPins:
         path = tmp_path / "family.json"
         path.write_text(out)
         code, out, _ = run("analyze", "--graph", str(path), "--json", "--witness")
+        assert code == EXIT_YES
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            (("witness",), "f0d0efeb1856f98c27de2f9875f71d77a13d9c659065d78ee4385ae739d16b4c"),
+            (("analyze", "--witness"), "62bb6ab282af1cc360c27fe90a8b147a90b860e97783e0c65808b029be66f217"),
+        ],
+        ids=["witness", "analyze-witness"],
+    )
+    def test_family_text_report(self, run, tmp_path, command, digest):
+        # the text renderer of the witness, on I-modified m=3
+        code, out, _ = run("family", "--name", "I-modified", "--m", "3")
+        assert code == EXIT_YES
+        path = tmp_path / "family.json"
+        path.write_text(out)
+        code, out, _ = run(*command, "--graph", str(path))
         assert code == EXIT_YES
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -111,6 +111,7 @@ def test_graphs_private_slots_read_only_in_graphs(module):
 # stored copy that nothing checks against them.
 STORED_FIELDS = {
     ("analysis", "AnalysisReport"): ("action", "decision", "witness", "witness_error", "timing"),
+    ("holonomy", "OrbitData"): ("rep", "c", "stabilizer", "conjugators"),
     ("holonomy", "StabilizerInfo"): ("elements", "generator", "restriction"),
     ("hyperbolicity", "HyperbolicityCertificate"): ("level", "stages"),
     ("hyperbolicity", "UnitCircleAnalysis"): (
@@ -123,14 +124,7 @@ STORED_FIELDS = {
     ("repdecomp", "Decision"): ("orbits", "realizability"),
     ("repdecomp", "OrbitVerdict"): ("orbit", "decomposition"),
     ("witness", "OrbitSeedPlan"): ("orbit", "seed", "exponent"),
-    ("witness", "Witness"): (
-        "v_matrix",
-        "full_matrix",
-        "v_char_poly",
-        "certificate",
-        "commutes_with",
-        "plan",
-    ),
+    ("witness", "Witness"): ("full_matrix", "certificate", "commutes_with", "plan"),
 }
 
 

@@ -8,7 +8,7 @@ from math import log
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anosovgraph.hyperbolicity as hyperbolicity_module
@@ -223,8 +223,9 @@ class TestSeedSearch:
         second = list(itertools.islice(seed_catalog((0, 1, 2)), 12))
         assert first == second
 
-    @pytest.mark.parametrize("dim, c", [(2, 1), (3, 2), (4, 2)])
-    def test_one_char_poly_per_candidate(self, monkeypatch, dim, c):
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """(candidates, calls): the seed candidates streamed, and the matrices `char_poly` was called on."""
         candidates, calls = [], []
         real_catalog, real_char_poly = witness_module.seed_catalog, hyperbolicity_module.char_poly
 
@@ -240,8 +241,29 @@ class TestSeedSearch:
         monkeypatch.setattr(witness_module, "seed_catalog", counting_catalog)
         monkeypatch.setattr(witness_module, "char_poly", counting_char_poly)
         monkeypatch.setattr(hyperbolicity_module, "char_poly", counting_char_poly)
+        return candidates, calls
+
+    @pytest.mark.parametrize("dim, c", [(2, 1), (3, 2), (4, 2)])
+    def test_one_char_poly_per_candidate(self, counted, dim, c):
+        candidates, calls = counted
         _, cert = find_seed(tuple(range(dim)), c)
         assert cert.valid and len(calls) == len(candidates)
+
+    @pytest.mark.parametrize("case", ["I-modified m=3", "discrete 8"])
+    def test_one_char_poly_per_candidate_and_orbit_in_a_witness_run(self, counted, case):
+        # find_seed takes one per candidate; the plan takes its seed's once,
+        # and the assembly and both renderers read that one
+        if case == "discrete 8":
+            graph, gens = discrete_graph(8), []
+        else:
+            inst = family_I_modified(3)
+            graph, gens = inst.graph, inst.generators
+        candidates, calls = counted
+        report = analyze(graph, gens, want_witness=True)
+        report.to_json()
+        report.to_text()
+        assert report.witness is not None
+        assert len(calls) == len(candidates) + len(report.action.orbits)
 
     def test_cancel(self):
         token = CancelToken()
@@ -561,6 +583,39 @@ class TestFactorCertificate:
         assert w.full_char_poly == char_poly(w.full_matrix)
 
 
+def dense_block_char_poly(seed, exponent):
+    """The dense oracle: `char_poly` of seed^exponent formed by matrix products."""
+    return char_poly(witness_module._int_matpow(seed, exponent))
+
+
+class TestBlockCharPoly:
+    """`OrbitSeedPlan.block_char_poly` reads the polynomial of seed^e off the seed's power sums."""
+
+    def test_matches_dense_power_on_guard_yes_seeds(self):
+        seeds = {
+            p.seed for seed in range(4) for action in guard_yes_actions(seed) for p in plan_blocks(action)
+        }
+        assert len(seeds) > 1
+        for seed in seeds:
+            for e in (1, 2, 3, 25):
+                plan = OrbitSeedPlan(orbit=None, seed=seed, exponent=e)
+                assert plan.block_char_poly == dense_block_char_poly(seed, e), (seed, e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+        ),
+        st.integers(1, 6),
+    )
+    @example([[0, 0], [0, 0]], 3)
+    @example([[1, 2, 3], [2, 4, 6], [0, 1, -1]], 4)  # rank 2
+    def test_matches_dense_power_on_integer_matrices(self, rows, exponent):
+        seed = tuple(map(tuple, rows))
+        plan = OrbitSeedPlan(orbit=None, seed=seed, exponent=exponent)  # the orbit is not read
+        assert plan.block_char_poly == dense_block_char_poly(seed, exponent)
+
+
 class TestAssembleGuard:
     def test_guard_refuses_on_random_instances(self):
         # random graphs plus an automorphism drawn from rotations of generated
@@ -638,6 +693,16 @@ class TestAssembleGuard:
             with pytest.raises(WitnessAssemblyError) as err:
                 assemble_witness(action, candidate)
             assert err.value.stage == "plan"
+
+    @pytest.mark.parametrize("exponent", [-1, 0])
+    def test_exponent_below_one_is_rejected_at_plan(self, exponent):
+        # _int_matpow never ends on a negative exponent, so this is refused before any matrix work
+        inst = family_II(3, 3)
+        action = build_action(coherent_components(inst.graph), inst.generators)
+        plan = tuple(replace(p, exponent=exponent) for p in plan_blocks(action))
+        with pytest.raises(WitnessAssemblyError) as err:
+            assemble_witness(action, plan)
+        assert err.value.stage == "plan"
 
     @pytest.mark.parametrize("defect", ["conjugator omitted", "singular seed"])
     def test_plan_leaving_v_singular_fails_at_extension(self, defect):
