@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
-    CancelToken,
     PreconditionViolation,
     SeedSearchExhausted,
     WitnessAssemblyError,
@@ -195,7 +194,6 @@ def analyze(
     *,
     want_witness: bool = False,
     order_bound: int = DEFAULT_GROUP_ORDER_BOUND,
-    cancel: CancelToken | None = None,
 ) -> AnalysisReport:
     """Run the full pipeline: components, holonomy action, decision, witness."""
     timing = {}
@@ -215,7 +213,7 @@ def analyze(
     if want_witness and decision.verdict == "yes":
         t0 = time.monotonic()
         try:
-            report.witness = build_witness(action, cancel=cancel)
+            report.witness = build_witness(action)
         except (
             SeedSearchExhausted,
             WitnessRefused,

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .families import FamilySpec, generate
 from .graphs import Graph, coherent_components, graph_from_json_dict, parse_graph, parse_holonomy_generators
+from .graphs import _json_object
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND
 from .hyperbolicity import certify_polynomial, exterior_square_poly, is_c_hyperbolic, is_integer_like
 from .polynomials import format_polynomial, parse_polynomial
@@ -57,21 +58,17 @@ def _read_graph_argument(path: str) -> tuple[Graph, tuple]:
         raise GraphInputError(f"cannot read graph file {path!r}: {reason}") from None
     except UnicodeDecodeError as exc:
         raise GraphInputError(f"graph file {path!r} is not UTF-8 text: {exc}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-            raise GraphInputError(f"invalid JSON: {exc}") from None
-        if isinstance(data, dict) and "graph" in data:
-            graph = graph_from_json_dict(data["graph"])
-            holonomy = data.get("holonomy", "")
-            if not isinstance(holonomy, str):
-                raise GraphInputError('"holonomy" must be a string of cycles, e.g. "(a b);(c d)"')
-            gens = parse_holonomy_generators(holonomy, graph) if holonomy else ()
-            return graph, gens
+    data = _json_object(text)
+    if data is None:
+        return parse_graph(text), ()
+    if not (isinstance(data, dict) and "graph" in data):
         return graph_from_json_dict(data), ()
-    return parse_graph(text), ()
+    graph = graph_from_json_dict(data["graph"])
+    holonomy = data.get("holonomy", "")
+    if not isinstance(holonomy, str):
+        raise GraphInputError('"holonomy" must be a string of cycles, e.g. "(a b);(c d)"')
+    gens = parse_holonomy_generators(holonomy, graph) if holonomy else ()
+    return graph, gens
 
 
 def _finish(report) -> int:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its cooperative cancellation."""
+
+from contextvars import ContextVar
 
 
 class GraphInputError(ValueError):
@@ -48,14 +50,16 @@ class WitnessAssemblyError(RuntimeError):
 
 
 class OperationCancelled(RuntimeError):
-    """Raised by long-running operations when their cancellation token fires."""
+    """Raised by `checkpoint()` when the active cancellation token has fired."""
 
 
 class CancelToken:
     """Cooperative cancellation for long-running exact computations.
 
-    Callers hand the token to an operation and may cancel from another
-    thread; the operation polls `check()` at loop boundaries.
+    ``with token:`` makes the token the active one on the current thread
+    until the block ends, also by an exception; the long-running kernels
+    poll it through `checkpoint()`. Any thread may `cancel()` it. Blocks
+    nest, and one token may be active on several threads at once.
     """
 
     __slots__ = ("_cancelled",)
@@ -73,3 +77,21 @@ class CancelToken:
     def check(self) -> None:
         if self._cancelled:
             raise OperationCancelled("operation cancelled by caller")
+
+    def __enter__(self):
+        # the context holds (active token, enclosing frame), so each context unwinds its own nesting
+        _active.set((self, _active.get()))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _active.set(_active.get()[1])
+
+
+_active = ContextVar("anosovgraph_cancel", default=None)
+
+
+def checkpoint() -> None:
+    """Raise OperationCancelled if the active `CancelToken` has been cancelled; no-op with none active."""
+    frame = _active.get()
+    if frame is not None:
+        frame[0].check()

@@ -129,6 +129,16 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # Parsing
 
 
+def _json_object(text: str):
+    """The decoded JSON object when text is JSON (its first non-blank character is "{"), else None."""
+    if not text.lstrip().startswith("{"):
+        return None
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise GraphInputError(f"invalid JSON: {exc}") from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse a graph from JSON or plain text.
 
@@ -136,12 +146,8 @@ def parse_graph(text: str) -> Graph:
     Text form: one block of vertex names (whitespace-separated), a line "--",
     then one edge "u v" per line.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-            raise GraphInputError(f"invalid JSON: {exc}") from None
+    data = _json_object(text)
+    if data is not None:
         return graph_from_json_dict(data)
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line and not line.startswith("#")]

@@ -33,7 +33,7 @@ from itertools import chain
 from math import prod
 from operator import mul
 
-from .errors import CancelToken
+from .errors import checkpoint
 from .polynomials import (
     IntPolynomial,
     count_real_roots_between,
@@ -43,11 +43,6 @@ from .polynomials import (
     poly_gcd,
     power_sums,
 )
-
-
-def _check(cancel: CancelToken | None) -> None:
-    if cancel is not None:
-        cancel.check()
 
 
 def _int_rows(m) -> list[list[int]]:
@@ -90,24 +85,24 @@ def _pattern_blocks(a: list[list[int]]) -> list[list[int]]:
     return blocks
 
 
-def _charpoly_dense(a: list[list[int]], cancel: CancelToken | None) -> IntPolynomial:
+def _charpoly_dense(a: list[list[int]]) -> IntPolynomial:
     # tr(A^k) is the k-th power sum of the eigenvalues; Newton's identities do the rest.
     # Only A..A^m are formed, m = ceil(n/2); tr(A^(j+m)) = sum over r, c of A^j[r][c] A^m[c][r].
     n = len(a)
     m = (n + 1) // 2
     powers = [a]
     for _ in range(m - 1):
-        _check(cancel)
+        checkpoint()
         powers.append(_matmul(powers[-1], a))
     traces = [n] + [sum(p[i][i] for i in range(n)) for p in powers]
     top = [x for col in zip(*powers[-1]) for x in col]  # A^m transposed, flattened
     for p in powers[: n - m]:
-        _check(cancel)
+        checkpoint()
         traces.append(sum(map(mul, chain.from_iterable(p), top)))
-    return from_power_sums(traces, cancel)
+    return from_power_sums(traces)
 
 
-def char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
+def char_poly(m) -> IntPolynomial:
     """Monic characteristic polynomial of a square integer matrix given as rows, exactly.
 
     Splits the matrix along the connected components of its nonzero pattern
@@ -117,7 +112,7 @@ def char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
     division by k checked. Only A, ..., A^m with m = ceil(n/2) are formed
     (m - 1 matrix products); each later trace tr(A^(j+m)) is the sum of the
     entrywise products of A^j and the transpose of A^m (n - m trace
-    products). Polls ``cancel`` once per product of either kind and once per
+    products). Polls `checkpoint` once per product of either kind and once per
     coefficient. Raises ValueError unless m is a non-empty square sequence
     of integer rows.
     """
@@ -127,7 +122,7 @@ def char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
     result = IntPolynomial([1])
     for block in _pattern_blocks(rows):
         sub = [[rows[i][j] for j in block] for i in block]
-        result = result * _charpoly_dense(sub, cancel)
+        result = result * _charpoly_dense(sub)
     return result
 
 
@@ -188,18 +183,16 @@ class UnitCircleAnalysis:
         }
 
 
-def unit_circle_analysis(p: IntPolynomial, cancel: CancelToken | None = None) -> UnitCircleAnalysis:
+def unit_circle_analysis(p: IntPolynomial) -> UnitCircleAnalysis:
     if p.is_zero:
         raise ValueError("the zero polynomial has every root")
     at_one = p(1) == 0
     at_minus_one = p(-1) == 0
-    _check(cancel)
-    return _unit_circle_stages(at_one, at_minus_one, poly_gcd(p, p.reverse(), cancel), cancel)
+    checkpoint()
+    return _unit_circle_stages(at_one, at_minus_one, poly_gcd(p, p.reverse()))
 
 
-def _unit_circle_stages(
-    at_one: bool, at_minus_one: bool, g: IntPolynomial, cancel: CancelToken | None
-) -> UnitCircleAnalysis:
+def _unit_circle_stages(at_one: bool, at_minus_one: bool, g: IntPolynomial) -> UnitCircleAnalysis:
     """The staged unit-circle test of P, given P(1) == 0, P(-1) == 0 and g = poly_gcd(P, P~).
 
     P~ is the reversal of P. A root of P on the unit circle is the inverse
@@ -227,12 +220,12 @@ def _unit_circle_stages(
     """
     if at_one or at_minus_one or g.degree == 0:
         return UnitCircleAnalysis(at_one, at_minus_one, g.degree, None)
-    _check(cancel)
-    count = count_real_roots_between(palindromic_to_interval_poly(g), -2, 2, cancel)
+    checkpoint()
+    count = count_real_roots_between(palindromic_to_interval_poly(g), -2, 2)
     return UnitCircleAnalysis(False, False, g.degree, count)
 
 
-def exterior_square_poly(p: IntPolynomial, cancel: CancelToken | None = None) -> IntPolynomial:
+def exterior_square_poly(p: IntPolynomial) -> IntPolynomial:
     """Monic polynomial whose roots are the pair products lambda_i lambda_j (i < j) of monic p's roots.
 
     With s_k the k-th power sum of the roots of p, the N = C(n, 2) pair
@@ -241,46 +234,46 @@ def exterior_square_poly(p: IntPolynomial, cancel: CancelToken | None = None) ->
     lambda_i^2k. Newton's identities turn S_1..S_N back into coefficients.
     The roots are algebraic integers, so the S_k and the coefficients are
     integers and each division, by 2 and by k, is exact; a remainder raises
-    AssertionError. Polls ``cancel`` once per k.
+    AssertionError. Polls `checkpoint` once per k.
     """
     if not p.is_monic:
         raise ValueError("the exterior square is defined for monic polynomials")
     if p.degree < 2:
         raise ValueError("exterior square needs dimension at least 2")
     n = p.degree * (p.degree - 1) // 2
-    s = power_sums(p, 2 * n, cancel)
+    s = power_sums(p, 2 * n)
     pair_sums = [n]
     for k in range(1, n + 1):
         half, odd = divmod(s[k] * s[k] - s[2 * k], 2)
         if odd:
             raise AssertionError("inexact division in exterior-square power sums")
         pair_sums.append(half)
-    return from_power_sums(pair_sums, cancel)
+    return from_power_sums(pair_sums)
 
 
-def tensor_poly(p: IntPolynomial, q: IntPolynomial, cancel: CancelToken | None = None) -> IntPolynomial:
+def tensor_poly(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Monic polynomial whose roots are the products lambda_i mu_j of the roots of monic p and q.
 
     It is the characteristic polynomial of A (x) B for any A and B with
     characteristic polynomials p and q. The deg p * deg q products have power
     sums s_k(p) s_k(q), and Newton's identities turn those back into
-    coefficients; each division is exact and checked. Polls ``cancel`` once
+    coefficients; each division is exact and checked. Polls `checkpoint` once
     per k in each of the three passes.
     """
     if not (p.is_monic and q.is_monic):
         raise ValueError("root products are defined for monic polynomials")
     n = p.degree * q.degree
-    sums = zip(power_sums(p, n, cancel), power_sums(q, n, cancel))
-    return from_power_sums([a * b for a, b in sums], cancel)
+    sums = zip(power_sums(p, n), power_sums(q, n))
+    return from_power_sums([a * b for a, b in sums])
 
 
-def exterior_square_char_poly(m, cancel: CancelToken | None = None) -> IntPolynomial:
+def exterior_square_char_poly(m) -> IntPolynomial:
     """Characteristic polynomial of the second exterior power (pairwise eigenvalue products).
 
     Equal to `exterior_square_poly` of the characteristic polynomial of m: the
     C(n, 2) x C(n, 2) compound matrix is never built.
     """
-    return exterior_square_poly(char_poly(m, cancel), cancel)
+    return exterior_square_poly(char_poly(m))
 
 
 @dataclass(frozen=True)
@@ -346,8 +339,7 @@ class HyperbolicityCertificate:
         }
 
 
-def certify_polynomial(p: IntPolynomial, level: int,
-                       cancel: CancelToken | None = None) -> HyperbolicityCertificate:
+def certify_polynomial(p: IntPolynomial, level: int) -> HyperbolicityCertificate:
     """Exact certificate that no root of p, and at level 2 no product of two roots, has modulus one.
 
     Level 2 also builds and tests `exterior_square_poly` of p, only if p
@@ -355,19 +347,18 @@ def certify_polynomial(p: IntPolynomial, level: int,
     """
     if level not in (1, 2):
         raise ValueError("only levels 1 and 2 are supported")
-    return _certificate(p, unit_circle_analysis(p, cancel), level, cancel)
+    return _certificate(p, unit_circle_analysis(p), level)
 
 
-def _certificate(p: IntPolynomial, first: UnitCircleAnalysis, level: int,
-                 cancel: CancelToken | None) -> HyperbolicityCertificate:
+def _certificate(p: IntPolynomial, first: UnitCircleAnalysis, level: int) -> HyperbolicityCertificate:
     stages = [CertificateStage("char_poly", p, first)]
     if level == 2 and not first.exists:
-        compound = exterior_square_poly(p, cancel)
-        stages.append(CertificateStage("exterior_square", compound, unit_circle_analysis(compound, cancel)))
+        compound = exterior_square_poly(p)
+        stages.append(CertificateStage("exterior_square", compound, unit_circle_analysis(compound)))
     return HyperbolicityCertificate(level, tuple(stages))
 
 
-def certify_factors(factors, cancel: CancelToken | None = None) -> HyperbolicityCertificate:
+def certify_factors(factors) -> HyperbolicityCertificate:
     """The level-1 certificate of P = prod f^e over the (factor f, multiplicity e) pairs.
 
     It equals `certify_polynomial(P, 1)` field by field, but the gcd of P
@@ -384,9 +375,9 @@ def certify_factors(factors, cancel: CancelToken | None = None) -> Hyperbolicity
     p = _power_product(factors)
     at_one = any(f(1) == 0 for f, _ in factors)
     at_minus_one = any(f(-1) == 0 for f, _ in factors)
-    _check(cancel)
-    g = _factor_reciprocal_gcd(factors, cancel)
-    return _certificate(p, _unit_circle_stages(at_one, at_minus_one, g, cancel), 1, cancel)
+    checkpoint()
+    g = _factor_reciprocal_gcd(factors)
+    return _certificate(p, _unit_circle_stages(at_one, at_minus_one, g), 1)
 
 
 def _power_product(factors) -> IntPolynomial:
@@ -398,27 +389,27 @@ def _is_reciprocal(f: IntPolynomial) -> bool:
     return reverse == f or reverse == -f
 
 
-def _factor_reciprocal_gcd(factors, cancel: CancelToken | None) -> IntPolynomial:
+def _factor_reciprocal_gcd(factors) -> IntPolynomial:
     """poly_gcd(P, P~) for P = prod f^e, through D and P_D (see `_unit_circle_stages`)."""
     reciprocal, others = [], []
     for f, e in factors:
         (reciprocal if _is_reciprocal(f) else others).append((f, e))
     n = _power_product((f, 1) for f, _ in others)
-    d = poly_gcd(n, n.reverse(), cancel)
+    d = poly_gcd(n, n.reverse())
     parts = reciprocal
     if d.degree > 0:
         for f, e in others:
             part, rest = IntPolynomial([1]), f
-            while (h := poly_gcd(rest, d, cancel)).degree > 0:
+            while (h := poly_gcd(rest, d)).degree > 0:
                 part, rest = part * h, divide_exact(rest, h)
             parts.append((part, e))
     p_d = _power_product(parts)
     if _is_reciprocal(p_d):
         return p_d.primitive()
-    return poly_gcd(p_d, p_d.reverse(), cancel)
+    return poly_gcd(p_d, p_d.reverse())
 
 
-def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> HyperbolicityCertificate:
+def is_c_hyperbolic(m, c: int) -> HyperbolicityCertificate:
     """Exact c-hyperbolicity certificate of an integer matrix, for c in {1, 2}.
 
     Level 1 proves no eigenvalue lies on the unit circle; level 2 additionally
@@ -426,4 +417,4 @@ def is_c_hyperbolic(m, c: int, cancel: CancelToken | None = None) -> Hyperbolici
     on the characteristic polynomial; the exterior-square polynomial is only
     built, and tested, when that test passes.
     """
-    return certify_polynomial(char_poly(m, cancel), c, cancel)
+    return certify_polynomial(char_poly(m), c)

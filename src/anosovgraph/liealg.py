@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 
-from .errors import CancelToken, PreconditionViolation
+from .errors import PreconditionViolation
 from .exactmat import RationalMatrix, coerce_matrix
 from .graphs import CoherentPartition, Graph
 from .hyperbolicity import exterior_square_poly, tensor_poly
@@ -151,9 +151,7 @@ def is_algebra_automorphism(graph: Graph, m) -> bool:
 # Characteristic polynomial on V + W
 
 
-def extension_factors(
-    part: CoherentPartition, component_polys, cancel: CancelToken | None = None
-) -> tuple[tuple[IntPolynomial, int], ...]:
+def extension_factors(part: CoherentPartition, component_polys) -> tuple[tuple[IntPolynomial, int], ...]:
     """Distinct factors, with multiplicities, of the V + W characteristic polynomial of a block map.
 
     The map is block-diagonal over the components, and component_polys[i]
@@ -177,8 +175,8 @@ def extension_factors(
     for comp, p in zip(part.components, polys):
         if p.degree != len(comp):
             raise ValueError(f"component of size {len(comp)} got a polynomial of degree {p.degree}")
-    tensor = cache(lambda p, q: tensor_poly(p, q, cancel))
-    square = cache(lambda p: exterior_square_poly(p, cancel))
+    tensor = cache(tensor_poly)
+    square = cache(exterior_square_poly)
     counts = Counter(polys)
     for i, j in part.quotient_edges:
         counts[tensor(*sorted((polys[i], polys[j]), key=lambda p: p.coefficients))] += 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import BoundExceeded, GraphInputError
+from .errors import BoundExceeded, GraphInputError, checkpoint
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def _divides(d: IntPolynomial, n: IntPolynomial) -> bool:
     return True
 
 
-def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
+def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Primitive gcd in Z[x] with a positive leading coefficient, by a small-prime modular gcd.
 
     Let A, B be the primitive parts of p and q, and G their gcd. Each prime
@@ -226,7 +226,7 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
     each prime, the primitive part of the symmetric lift is returned only if
     exact trial division shows that it divides both A and B. A common
     divisor of degree at least deg G is G up to sign, so the answer is exact
-    whichever primes are unlucky; they only delay it. Polls ``cancel`` once
+    whichever primes are unlucky; they only delay it. Polls `checkpoint` once
     per prime.
     """
     if p.is_zero:
@@ -237,8 +237,7 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
     gamma = gcd(a.leading, b.leading)
     degree, residues, modulus = None, [], 1
     for prime in _word_primes():
-        if cancel is not None:
-            cancel.check()
+        checkpoint()
         if a.leading % prime == 0 or b.leading % prime == 0:
             continue
         image = _monic_gcd_mod(
@@ -260,22 +259,22 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial, cancel=None) -> IntPolynomial:
     raise AssertionError("ran out of primes below 2^30")
 
 
-def squarefree_part(p: IntPolynomial, cancel=None) -> IntPolynomial:
+def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     if p.degree <= 0:
         return p.primitive()
-    return divide_exact(p.primitive(), poly_gcd(p, p.derivative(), cancel)).primitive()
+    return divide_exact(p.primitive(), poly_gcd(p, p.derivative())).primitive()
 
 
 # ---------------------------------------------------------------------------
 # Newton's identities: coefficients <-> power sums of the roots
 
 
-def power_sums(p: IntPolynomial, count: int, cancel=None) -> list[int]:
+def power_sums(p: IntPolynomial, count: int) -> list[int]:
     """[s_0, ..., s_count], s_k the sum of the k-th powers of the roots of monic p.
 
     Roots are counted with multiplicity, so s_0 = deg p. Newton's identities
     give each s_k from the coefficients and the earlier sums with integer
-    products and sums only. Polls ``cancel`` once per k.
+    products and sums only. Polls `checkpoint` once per k.
     """
     if not p.is_monic:
         raise ValueError("power sums need a monic polynomial")
@@ -283,8 +282,7 @@ def power_sums(p: IntPolynomial, count: int, cancel=None) -> list[int]:
     c = p.coefficients[::-1]  # c[i] is the coefficient of x^(n-i)
     s = [n]
     for k in range(1, count + 1):
-        if cancel is not None:
-            cancel.check()
+        checkpoint()
         acc = k * c[k] if k <= n else 0
         for i in range(1, min(k, n + 1)):
             acc += c[i] * s[k - i]
@@ -292,18 +290,17 @@ def power_sums(p: IntPolynomial, count: int, cancel=None) -> list[int]:
     return s
 
 
-def from_power_sums(sums: list[int], cancel=None) -> IntPolynomial:
+def from_power_sums(sums: list[int]) -> IntPolynomial:
     """The monic polynomial of degree n = len(sums) - 1 whose roots have power sums sums[k].
 
     The inverse of `power_sums`; sums[0] (= n) is not read. The k-th step of
     Newton's identities divides by k. That division is exact whenever the
     sums are those of the roots of a monic integer polynomial, which is then
-    the result; a remainder raises AssertionError. Polls ``cancel`` once per k.
+    the result; a remainder raises AssertionError. Polls `checkpoint` once per k.
     """
     c = [1]  # c[i] is the coefficient of x^(n-i)
     for k in range(1, len(sums)):
-        if cancel is not None:
-            cancel.check()
+        checkpoint()
         acc = 0
         for i in range(k):
             acc += c[i] * sums[k - i]
@@ -339,21 +336,20 @@ def _remainder_multiple(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial([x // g for x in out.coefficients]) if g > 1 else out
 
 
-def sturm_chain(p: IntPolynomial, cancel=None) -> list[IntPolynomial]:
+def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     """Sturm chain of the squarefree part of p, on integer polynomials.
 
     Each term is a positive multiple of the canonical term (p, p', then minus
     each remainder), so every point has the same sign variations in both.
-    Polls ``cancel`` once per remainder.
+    Polls `checkpoint` once per remainder.
     """
-    sf = squarefree_part(p, cancel)
+    sf = squarefree_part(p)
     chain = [sf]
     if sf.degree <= 0:
         return chain
     chain.append(sf.derivative())
     while True:
-        if cancel is not None:
-            cancel.check()
+        checkpoint()
         r = _remainder_multiple(chain[-2], chain[-1])
         if r.is_zero:
             return chain
@@ -374,7 +370,7 @@ def _sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots_between(p: IntPolynomial, a, b, cancel=None) -> int:
+def count_real_roots_between(p: IntPolynomial, a, b) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
     The endpoints are int, Fraction or float, taken exactly. Requires
@@ -385,7 +381,7 @@ def count_real_roots_between(p: IntPolynomial, a, b, cancel=None) -> int:
         raise ValueError("empty interval")
     if _cleared_value(p, a_num, a_den) == 0 or _cleared_value(p, b_num, b_den) == 0:
         raise ValueError("interval endpoints must not be roots")
-    chain = sturm_chain(p, cancel)
+    chain = sturm_chain(p)
     va = _sign_variations(_cleared_value(q, a_num, a_den) for q in chain)
     vb = _sign_variations(_cleared_value(q, b_num, b_den) for q in chain)
     return va - vb

@@ -44,11 +44,11 @@ from functools import cached_property, lru_cache
 from math import ceil, gcd, log, pi, prod
 
 from .errors import (
-    CancelToken,
     PreconditionViolation,
     SeedSearchExhausted,
     WitnessAssemblyError,
     WitnessRefused,
+    checkpoint,
 )
 from .graphs import VertexPermutation, index_cycles
 from .holonomy import HolonomyAction, OrbitData
@@ -210,9 +210,7 @@ def seed_catalog(stabilizer_perm: tuple[int, ...]):
 
 
 def find_seed(
-    stabilizer_perm: tuple[int, ...],
-    c: int,
-    cancel: CancelToken | None = None,
+    stabilizer_perm: tuple[int, ...], c: int
 ) -> tuple[tuple[tuple[int, ...], ...], HyperbolicityCertificate]:
     """First certified seed commuting with stabilizer_perm, in `seed_catalog` order.
 
@@ -224,13 +222,12 @@ def find_seed(
     dim = len(stabilizer_perm)
     tried = 0
     for rows in seed_catalog(stabilizer_perm):
-        if cancel is not None:
-            cancel.check()
+        checkpoint()
         tried += 1
-        p = char_poly(rows, cancel)
+        p = char_poly(rows)
         if not is_integer_like(p):
             continue
-        cert = certify_polynomial(p, c, cancel=cancel)
+        cert = certify_polynomial(p, c)
         if cert.valid:
             return rows, cert
     raise SeedSearchExhausted(
@@ -436,14 +433,14 @@ def _int_matpow(rows, k: int):
     return tuple(tuple(r) for r in result)
 
 
-def _seed_orbits(action: HolonomyAction, cancel: CancelToken | None):
+def _seed_orbits(action: HolonomyAction):
     """A certified seed for every orbit, and the log-modulus bounds of its char poly."""
     seeds = []
     for orbit in action.orbits:
         restriction = orbit.stabilizer.restriction
         if restriction is None:
             raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
-        seed, cert = find_seed(restriction, orbit.c, cancel)
+        seed, cert = find_seed(restriction, orbit.c)
         seeds.append((orbit, seed, cert))
     return seeds, [log_modulus_bounds(cert.char_poly) for _, _, cert in seeds]
 
@@ -452,16 +449,12 @@ def _plan(seeds, exponents) -> tuple[OrbitSeedPlan, ...]:
     return tuple(OrbitSeedPlan(orbit, seed, k) for (orbit, seed, _), k in zip(seeds, exponents))
 
 
-def plan_blocks(
-    action: HolonomyAction,
-    *,
-    cancel: CancelToken | None = None,
-) -> tuple[OrbitSeedPlan, ...]:
+def plan_blocks(action: HolonomyAction) -> tuple[OrbitSeedPlan, ...]:
     """Pick a certified seed and an exponent (at margin 2) for every orbit.
 
     Each seed commutes with the orbit's stabilizer on its representative.
     """
-    seeds, bounds = _seed_orbits(action, cancel)
+    seeds, bounds = _seed_orbits(action)
     return _plan(seeds, choose_exponents(bounds))
 
 
@@ -474,11 +467,7 @@ def _require_yes(action: HolonomyAction) -> None:
         )
 
 
-def assemble_witness(
-    action: HolonomyAction,
-    plan: tuple[OrbitSeedPlan, ...],
-    cancel: CancelToken | None = None,
-) -> Witness:
+def assemble_witness(action: HolonomyAction, plan: tuple[OrbitSeedPlan, ...]) -> Witness:
     """Assemble the block matrix from a plan and certify it exactly.
 
     The algebra is that of `action.graph`. Refuses outright when the
@@ -487,14 +476,10 @@ def assemble_witness(
     retry.
     """
     _require_yes(action)
-    return _assemble(action, plan, cancel)
+    return _assemble(action, plan)
 
 
-def _assemble(
-    action: HolonomyAction,
-    plan: tuple[OrbitSeedPlan, ...],
-    cancel: CancelToken | None,
-) -> Witness:
+def _assemble(action: HolonomyAction, plan: tuple[OrbitSeedPlan, ...]) -> Witness:
     graph = action.graph
     part = action.partition
     n = graph.num_vertices
@@ -545,7 +530,7 @@ def _assemble(
         raise WitnessAssemblyError("automorphism", "bracket preservation failed")
 
     _require_block_diagonal(action, full)
-    certificate = certify_factors(extension_factors(part, component_polys, cancel), cancel)
+    certificate = certify_factors(extension_factors(part, component_polys))
     # The constant term is +-det of the V+W matrix, so integer-likeness also
     # proves it invertible; no separate determinant is taken.
     if not is_integer_like(certificate.char_poly):
@@ -588,7 +573,7 @@ def _require_block_diagonal(action: HolonomyAction, rows) -> None:
             raise AssertionError("the map on V is not block-diagonal over the coherent components")
 
 
-def build_witness(action: HolonomyAction, *, cancel: CancelToken | None = None) -> Witness:
+def build_witness(action: HolonomyAction) -> Witness:
     """End-to-end witness construction with exponent escalation.
 
     Seeds, conjugators and the seeds' log-modulus bounds are found once.
@@ -597,13 +582,13 @@ def build_witness(action: HolonomyAction, *, cancel: CancelToken | None = None) 
     re-certification in the assembly is what finally accepts.
     """
     _require_yes(action)
-    seeds, bounds = _seed_orbits(action, cancel)
+    seeds, bounds = _seed_orbits(action)
     margin = 2.0
     last_error: WitnessAssemblyError | None = None
     for _ in range(DEFAULT_MAX_RETRIES + 1):
         plan = _plan(seeds, choose_exponents(bounds, margin))
         try:
-            return _assemble(action, plan, cancel)
+            return _assemble(action, plan)
         except WitnessAssemblyError as exc:
             if exc.stage != "hyperbolicity":
                 raise

@@ -23,7 +23,7 @@ from anosovgraph.cli import (
     EXIT_YES,
     main,
 )
-from anosovgraph.errors import SeedSearchExhausted, WitnessAssemblyError, WitnessRefused
+from anosovgraph.errors import GraphInputError, SeedSearchExhausted, WitnessAssemblyError, WitnessRefused
 from anosovgraph.fixtures import all_loops_chain, four_pair_chain, loop_end_chain, pentagon
 from anosovgraph.graphs import (
     Graph,
@@ -31,6 +31,7 @@ from anosovgraph.graphs import (
     complete_bipartite,
     complete_graph,
     discrete_graph,
+    parse_graph,
 )
 from anosovgraph.hyperbolicity import char_poly
 from anosovgraph.polynomials import IntPolynomial, companion_rows, format_polynomial
@@ -681,6 +682,25 @@ class TestInputErrors:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("input error: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vertices": ["a"], "edges": []', "invalid JSON: Expecting ',' delimiter: line 1 column 32 (char 31)"),
+            (' \n{"vertices": ["a"], "edges": []} x', "invalid JSON: Extra data: line 2 column 34 (char 35)"),
+            ('{"vertices": [' + "1" * 5000 + '], "edges": []}', "invalid JSON: Exceeds the limit (4300 digits)"),
+            ('{"graph": {"vertices": ["a"], "edges": []', "invalid JSON: Expecting ',' delimiter"),
+        ],
+        ids=["truncated", "trailing-data", "long-number", "truncated-envelope"],
+    )
+    def test_json_graph_errors_match_parse_graph(self, run, tmp_path, text, message):
+        # the CLI and parse_graph decode JSON input through the same helper, with one message
+        path = tmp_path / "input"
+        path.write_text(text)
+        with pytest.raises(GraphInputError) as exc:
+            parse_graph(text)
+        assert str(exc.value).startswith(message)
+        assert run("analyze", "--graph", str(path)) == (EXIT_PARSE, "", f"input error: {exc.value}\n")
 
 
 class TestParserReuse:

@@ -9,11 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovgraph.errors import OperationCancelled
+from anosovgraph.errors import CancelToken, OperationCancelled
 from anosovgraph.exactmat import RationalMatrix
 import anosovgraph.hyperbolicity as hyperbolicity_module
 from anosovgraph.hyperbolicity import (
-    CancelToken,
     certify_factors,
     certify_polynomial,
     char_poly,
@@ -32,7 +31,7 @@ from anosovgraph.polynomials import (
     poly_gcd,
     sturm_chain,
 )
-from tests_support_oracles import factor_product
+from tests_support_oracles import CancelOnCheck, factor_product
 
 CAT_MAP = ((2, 1), (1, 1))
 CUBIC = IntPolynomial((1, -2, -1, 1))  # x^3 - x^2 - 2x + 1
@@ -388,9 +387,9 @@ class TestCHyperbolic:
         seen = []
         real = hyperbolicity_module.unit_circle_analysis
 
-        def counting(p, cancel=None):
+        def counting(p):
             seen.append(p)
-            return real(p, cancel)
+            return real(p)
 
         monkeypatch.setattr(hyperbolicity_module, "unit_circle_analysis", counting)
         cert = is_c_hyperbolic(rows, 2)
@@ -426,7 +425,7 @@ class TestCHyperbolic:
         assert cert.failure == "pair product on unit circle"
         assert cert.compound_char_poly == P(-1, 1)
         assert certify_polynomial(P(1, -2, 1), 2).compound_char_poly is None
-        assert list(inspect.signature(certify_polynomial).parameters) == ["p", "level", "cancel"]
+        assert list(inspect.signature(certify_polynomial).parameters) == ["p", "level"]
 
     def test_cubic_level_two(self):
         cert = is_c_hyperbolic(companion_rows(CUBIC), 2)
@@ -532,7 +531,7 @@ class TestCertifyFactors:
         cert = certify_factors([(P(1, -3, 1), 2), (CUBIC, 1)])
         assert cert.char_poly == P(1, -3, 1) * P(1, -3, 1) * CUBIC
         assert cert.level == 1 and cert.compound_char_poly is None
-        assert list(inspect.signature(certify_factors).parameters) == ["factors", "cancel"]
+        assert list(inspect.signature(certify_factors).parameters) == ["factors"]
 
     def test_rejects_zero_factor_and_multiplicity(self):
         with pytest.raises(ValueError):
@@ -546,31 +545,14 @@ class TestCertifyFactors:
         degrees = []
         real = hyperbolicity_module.poly_gcd
 
-        def spy(p, q, cancel=None):
+        def spy(p, q):
             degrees.append(max(p.degree, q.degree))
-            return real(p, q, cancel)
+            return real(p, q)
 
         monkeypatch.setattr(hyperbolicity_module, "poly_gcd", spy)
         cert = certify_factors(factors)
         assert cert.stages[0].analysis.reciprocal_gcd_degree == 12
         assert max(degrees) < factor_product(factors).degree
-
-
-class CancelOnCheck(CancelToken):
-    """A token that counts its `check()` calls and cancels itself at call number `at`."""
-
-    __slots__ = ("_at", "checks")
-
-    def __init__(self, at=None):
-        super().__init__()
-        self._at = at
-        self.checks = 0
-
-    def check(self):
-        self.checks += 1
-        if self.checks == self._at:
-            self.cancel()
-        super().check()
 
 
 def _degree_50():
@@ -584,80 +566,98 @@ class TestCancellation:
     def test_cancelled_token_interrupts(self):
         token = CancelToken()
         token.cancel()
-        with pytest.raises(OperationCancelled):
-            char_poly([[2, 1], [1, 1]], cancel=token)
-        with pytest.raises(OperationCancelled):
-            poly_gcd(P(-1, 0, 1), P(1, 2, 1), cancel=token)
-        with pytest.raises(OperationCancelled):
-            unit_circle_analysis(_degree_50(), cancel=token)
+        with token:
+            with pytest.raises(OperationCancelled):
+                char_poly([[2, 1], [1, 1]])
+            with pytest.raises(OperationCancelled):
+                poly_gcd(P(-1, 0, 1), P(1, 2, 1))
+            with pytest.raises(OperationCancelled):
+                unit_circle_analysis(_degree_50())
 
     def test_poly_gcd_stops_at_every_poll(self):
         f = P(*[3**189 + k for k in range(6)])  # 300-bit gcd: no single prime recovers it
         p, q = f * P(1, 1, 1), f * P(-1, 2, 0, 1)
-        token = CancelOnCheck()
-        assert poly_gcd(p, q, cancel=token) == f
+        with CancelOnCheck() as token:
+            assert poly_gcd(p, q) == f
         assert token.checks > 1
         for at in range(1, token.checks + 1):
-            with pytest.raises(OperationCancelled):
-                poly_gcd(p, q, cancel=CancelOnCheck(at))
+            with CancelOnCheck(at), pytest.raises(OperationCancelled):
+                poly_gcd(p, q)
 
     def test_unit_circle_analysis_stops_at_every_poll(self):
         p = _degree_50()
         assert p.degree == 50
-        token = CancelOnCheck()
-        analysis = unit_circle_analysis(p, cancel=token)
+        with CancelOnCheck() as token:
+            analysis = unit_circle_analysis(p)
         assert analysis.stage == "sturm" and analysis.exists
         assert analysis.reciprocal_gcd_degree == 4
         for at in range(1, token.checks + 1):
-            with pytest.raises(OperationCancelled):
-                unit_circle_analysis(p, cancel=CancelOnCheck(at))
+            with CancelOnCheck(at), pytest.raises(OperationCancelled):
+                unit_circle_analysis(p)
 
     def test_count_real_roots_stops_at_every_poll(self):
         f = P(*[3**189 + k for k in range(6)])  # the squarefree gcd needs many primes
         p = f * f * P(-3, 0, 1)
-        gcd_token = CancelOnCheck()
-        poly_gcd(p, p.derivative(), cancel=gcd_token)
-        token = CancelOnCheck()
-        assert count_real_roots_between(p, -2, 2, cancel=token) == 3  # +-sqrt(3), and f's root near -1
+        with CancelOnCheck() as gcd_token:
+            poly_gcd(p, p.derivative())
+        with CancelOnCheck() as token:
+            assert count_real_roots_between(p, -2, 2) == 3  # +-sqrt(3), and f's root near -1
         # the squarefree gcd polls too, then the chain once per remainder
         assert token.checks == gcd_token.checks + len(sturm_chain(p)) - 1
         for at in range(1, token.checks + 1):
-            with pytest.raises(OperationCancelled):
-                count_real_roots_between(p, -2, 2, cancel=CancelOnCheck(at))
+            with CancelOnCheck(at), pytest.raises(OperationCancelled):
+                count_real_roots_between(p, -2, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_char_poly_stops_at_every_poll(self, n):
         m = [[(3 * i + 5 * j) % 7 + 1 for j in range(n)] for i in range(n)]  # no zero entry: one block
-        token = CancelOnCheck()
-        assert char_poly(m, cancel=token) == sympy_char_poly(m)
+        with CancelOnCheck() as token:
+            p = char_poly(m)
+        assert p == sympy_char_poly(m)
         assert token.checks == (n - 1) + n  # once per product, once per coefficient
         for at in range(1, token.checks + 1):
-            with pytest.raises(OperationCancelled):
-                char_poly(m, cancel=CancelOnCheck(at))
+            with CancelOnCheck(at), pytest.raises(OperationCancelled):
+                char_poly(m)
 
     def test_exterior_square_stops_at_every_poll(self):
         p = P(1, 0, -3, 1) * P(-1, -4, 0, 1)  # degree 6: 15 pair products
-        token = CancelOnCheck()
-        assert exterior_square_poly(p, cancel=token) == dense_compound_char_poly(companion_rows(p))
+        with CancelOnCheck() as token:
+            compound = exterior_square_poly(p)
+        assert compound == dense_compound_char_poly(companion_rows(p))
         assert token.checks == 2 * 15 + 15  # once per power sum, once per coefficient
         for at in range(1, token.checks + 1):
-            with pytest.raises(OperationCancelled):
-                exterior_square_poly(p, cancel=CancelOnCheck(at))
+            with CancelOnCheck(at), pytest.raises(OperationCancelled):
+                exterior_square_poly(p)
 
     def test_cancel_from_other_thread(self):
-        token = CancelToken()
+        # the worker's first poll waits until the main thread has cancelled the token
+        polled, cancelled = threading.Event(), threading.Event()
+
+        class WaitAtFirstPoll(CancelToken):
+            __slots__ = ()
+
+            def check(self):
+                if not polled.is_set():
+                    polled.set()
+                    cancelled.wait(timeout=60)
+                super().check()
+
+        token = WaitAtFirstPoll()
         big = [[(i * j) % 5 - 2 for j in range(60)] for i in range(60)]
         result = {}
 
         def work():
             try:
-                char_poly(big, cancel=token)
+                with token:
+                    char_poly(big)
                 result["outcome"] = "finished"
             except OperationCancelled:
                 result["outcome"] = "cancelled"
 
         t = threading.Thread(target=work)
         t.start()
+        assert polled.wait(timeout=60)
         token.cancel()
+        cancelled.set()
         t.join(timeout=60)
-        assert result["outcome"] in ("cancelled", "finished")
+        assert result["outcome"] == "cancelled"

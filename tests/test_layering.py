@@ -5,8 +5,11 @@ layers (graphs, holonomy, repdecomp) depend only on each other and on
 errors, not on the algebra, certification or matrix modules; Fraction
 arithmetic lives in exactmat alone; the polynomial and certification
 layers, like holonomy, work without exactmat; and the underscore slots of
-the graphs classes are read only inside graphs. It also pins the stored
-fields of the result records, which keep no copy of a derivable value.
+the graphs classes are read only inside graphs. Cancellation reaches the
+kernels through the active token alone: no function takes a `cancel`
+parameter, and only errors, which defines `checkpoint`, touches
+contextvars. It also pins the stored fields of the result records, which
+keep no copy of a derivable value.
 """
 
 import ast
@@ -105,6 +108,36 @@ def test_graphs_private_slots_read_only_in_graphs(module):
     assert {"_images", "_index"} <= private
     read = {node.attr for node in ast.walk(parse(module)) if isinstance(node, ast.Attribute)}
     assert not read & private, read & private
+
+
+def parameter_names(module):
+    names = set()
+    for node in ast.walk(parse(module)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names.update(a.arg for a in args.posonlyargs + args.args + args.kwonlyargs)
+            names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_cancel_parameter(module):
+    assert "cancel" not in parameter_names(module)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_errors_uses_contextvars(module):
+    _, other = imports(module)
+    assert ("contextvars" in other) == (module == "errors")
+
+
+def test_checkpoint_is_defined_in_errors():
+    def defines_checkpoint(module):
+        return any(
+            isinstance(node, ast.FunctionDef) and node.name == "checkpoint" for node in ast.walk(parse(module))
+        )
+
+    assert [m for m in MODULES if defines_checkpoint(m)] == ["errors"]
 
 
 # A value the other fields give is a read-only property of the record, not a

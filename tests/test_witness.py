@@ -16,6 +16,7 @@ import anosovgraph.liealg as liealg_module
 import anosovgraph.witness as witness_module
 from anosovgraph.analysis import analyze
 from anosovgraph.errors import (
+    CancelToken,
     OperationCancelled,
     PreconditionViolation,
     SeedSearchExhausted,
@@ -37,7 +38,6 @@ from anosovgraph.graphs import (
 )
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import (
-    CancelToken,
     certify_polynomial,
     char_poly,
     is_c_hyperbolic,
@@ -234,9 +234,9 @@ class TestSeedSearch:
                 candidates.append(rows)
                 yield rows
 
-        def counting_char_poly(m, cancel=None):
+        def counting_char_poly(m):
             calls.append(m)
-            return real_char_poly(m, cancel)
+            return real_char_poly(m)
 
         monkeypatch.setattr(witness_module, "seed_catalog", counting_catalog)
         monkeypatch.setattr(witness_module, "char_poly", counting_char_poly)
@@ -268,8 +268,8 @@ class TestSeedSearch:
     def test_cancel(self):
         token = CancelToken()
         token.cancel()
-        with pytest.raises(OperationCancelled):
-            find_seed((0, 1, 2), 2, cancel=token)
+        with token, pytest.raises(OperationCancelled):
+            find_seed((0, 1, 2), 2)
 
 
 class TestCycleTypeEnumeration:
@@ -443,8 +443,8 @@ class TestBuildWitness:
         assert len(w.full_matrix) == dim and w.full_char_poly.degree == dim
         w = assemble_witness(action, plan_blocks(action))
         assert len(w.full_matrix) == dim and w.certificate.char_poly.degree == dim
-        assert list(inspect.signature(build_witness).parameters) == ["action", "cancel"]
-        assert list(inspect.signature(assemble_witness).parameters) == ["action", "plan", "cancel"]
+        assert list(inspect.signature(build_witness).parameters) == ["action"]
+        assert list(inspect.signature(assemble_witness).parameters) == ["action", "plan"]
 
     def test_refuses_failing_instance(self):
         action = action_for(four_pair_chain(), "(a1 b1)(a2 b2)(c1 d1)(c2 d2)")
@@ -522,9 +522,9 @@ def factor_certificates(action, plan):
     seen = []
     real = witness_module.certify_factors
 
-    def spy(factors, cancel=None):
+    def spy(factors):
         factors = list(factors)
-        seen.append((factors, real(factors, cancel)))
+        seen.append((factors, real(factors)))
         return seen[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -575,7 +575,7 @@ class TestFactorCertificate:
         calls = []
         real = liealg_module.tensor_poly
         monkeypatch.setattr(
-            liealg_module, "tensor_poly", lambda p, q, cancel=None: calls.append((p, q)) or real(p, q, cancel)
+            liealg_module, "tensor_poly", lambda p, q: calls.append((p, q)) or real(p, q)
         )
         w = build_witness(action)
         assert len(action.partition.quotient_edges) == 5

@@ -7,16 +7,34 @@ permutation with its closure and component action, as `graphs` and
 tests use: the precedence relation, its preservation, the brute-force group
 of order-preserving component permutations, and path graphs. And the
 product of f^e over (factor, multiplicity) pairs, which gives the V+W
-characteristic polynomial from `liealg.extension_factors`."""
+characteristic polynomial from `liealg.extension_factors`. And a cancellation
+token that counts its polls."""
 
 import itertools
 from math import lcm
 
-from anosovgraph.errors import BoundExceeded, PreconditionViolation
+from anosovgraph.errors import BoundExceeded, CancelToken, PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
 from anosovgraph.graphs import Graph
 from anosovgraph.liealg import extension_factors
 from anosovgraph.polynomials import IntPolynomial
+
+
+class CancelOnCheck(CancelToken):
+    """A token that counts its `check()` calls and cancels itself at call number `at`."""
+
+    __slots__ = ("_at", "checks")
+
+    def __init__(self, at=None):
+        super().__init__()
+        self._at = at
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self._at:
+            self.cancel()
+        super().check()
 
 
 def factor_product(factors):
