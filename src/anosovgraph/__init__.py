@@ -55,12 +55,10 @@ from .hyperbolicity import (
 from .liealg import extend_to_algebra, is_algebra_automorphism
 from .polynomials import IntPolynomial, parse_polynomial
 from .repdecomp import (
-    CyclicRepDecomposition,
     Decision,
     OrbitVerdict,
     decide,
     decompose_cyclic_perm_rep,
-    orbit_verdict,
     trivial_holonomy_check,
 )
 from .witness import (
@@ -79,7 +77,6 @@ __all__ = [
     "BoundExceeded",
     "CancelToken",
     "CoherentPartition",
-    "CyclicRepDecomposition",
     "Decision",
     "FamilyInstance",
     "FamilySpec",
@@ -125,7 +122,6 @@ __all__ = [
     "is_c_hyperbolic",
     "is_graph_automorphism",
     "is_integer_like",
-    "orbit_verdict",
     "parse_graph",
     "parse_holonomy_generators",
     "parse_polynomial",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
@@ -17,7 +18,7 @@ from .errors import (
     WitnessAssemblyError,
     WitnessRefused,
 )
-from .graphs import CoherentPartition, Graph, coherent_components
+from .graphs import CoherentPartition, Graph, coherent_components, component_label
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND, HolonomyAction, build_action
 from .repdecomp import Decision, decide
 from .witness import Witness, build_witness
@@ -99,16 +100,11 @@ def _write_dict(mapping, newline: str, out: list) -> None:
     out.append(newline + "}")
 
 
-def component_label(i: int) -> str:
-    return f"lambda_{i + 1}"
-
-
 @dataclass
 class AnalysisReport:
-    """Everything the pipeline produced for one input; the graph and partition are the action's."""
+    """Everything the pipeline produced for one input; the graph, partition and decision are the action's."""
 
     action: HolonomyAction
-    decision: Decision
     witness: Witness | None = None
     witness_error: str | None = None
     timing: dict = field(default_factory=dict)
@@ -124,6 +120,10 @@ class AnalysisReport:
     @property
     def algebra_dimension(self) -> int:
         return self.graph.num_vertices + self.graph.num_edges
+
+    @cached_property
+    def decision(self) -> Decision:
+        return decide(self.action)
 
     @property
     def exit_code(self) -> int:
@@ -205,11 +205,11 @@ def analyze(
     action = build_action(part, generators, order_bound)
     timing["holonomy_s"] = time.monotonic() - t0
 
+    report = AnalysisReport(action=action, timing=timing)
     t0 = time.monotonic()
-    decision = decide(action)
+    decision = report.decision
     timing["decision_s"] = time.monotonic() - t0
 
-    report = AnalysisReport(action=action, decision=decision, timing=timing)
     if want_witness and decision.verdict == "yes":
         t0 = time.monotonic()
         try:

@@ -24,7 +24,7 @@ from .families import FamilySpec, generate
 from .graphs import Graph, coherent_components, graph_from_json_dict, parse_graph, parse_holonomy_generators
 from .graphs import _json_object
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND
-from .hyperbolicity import certify_polynomial, exterior_square_poly, is_c_hyperbolic, is_integer_like
+from .hyperbolicity import certify_polynomial, char_poly, exterior_square_poly, is_integer_like
 from .polynomials import format_polynomial, parse_polynomial
 
 EXIT_YES = 0
@@ -164,18 +164,16 @@ def cmd_certify(args) -> int:
             raise GraphInputError("certification expects a monic polynomial")
         if p.degree < c:
             raise GraphInputError(f"--c {c} needs a polynomial of degree at least {c}")
-        cert = certify_polynomial(p, c)
-        record = cert.to_json_dict()
-        if c == 2 and cert.compound_char_poly is None:
-            record["compound_char_poly"] = list(exterior_square_poly(p).coefficients)
-        integer_like = is_integer_like(p)
     else:
         rows = _parse_matrix_argument(args.matrix)
         if c == 2 and len(rows) < 2:
             raise GraphInputError("--c 2 needs a matrix of size at least 2")
-        cert = is_c_hyperbolic(rows, c)
-        record = cert.to_json_dict()
-        integer_like = is_integer_like(cert.char_poly)
+        p = char_poly(rows)
+    cert = certify_polynomial(p, c)
+    record = cert.to_json_dict()
+    if args.poly is not None and c == 2 and cert.compound_char_poly is None:
+        record["compound_char_poly"] = list(exterior_square_poly(p).coefficients)
+    integer_like = is_integer_like(p)
     payload = {
         "c": c,
         "char_poly": format_polynomial(cert.char_poly),

@@ -70,9 +70,14 @@ def _pair_swap(graph: Graph, comps, pairs) -> VertexPermutation:
     return VertexPermutation(graph.vertices, mapping)
 
 
-def _chain_quotient_path(m: int) -> list[int]:
-    # 0-based component path: odd-side ascending, then even-side descending
-    return list(range(0, 2 * m, 2)) + list(range(2 * m - 1, 0, -2))
+def _swapped_chain(sizes, complete_indices) -> tuple[Graph, VertexPermutation]:
+    """Two components of each size, joined in a path (odd side ascending, then
+    even side descending, 0-based), with each pair swapped by one involution."""
+    m = len(sizes)
+    path = list(range(0, 2 * m, 2)) + list(range(2 * m - 1, 0, -2))
+    comp_sizes = [s for s in sizes for _ in (0, 1)]
+    graph, comps = _component_graph(comp_sizes, complete_indices, list(zip(path, path[1:])))
+    return graph, _pair_swap(graph, comps, [(2 * t, 2 * t + 1) for t in range(m)])
 
 
 def family_I(m: int, sizes) -> FamilyInstance:
@@ -85,11 +90,7 @@ def family_I(m: int, sizes) -> FamilyInstance:
         raise GraphInputError("family I needs the last size >= 3 (its orbit carries c = 2)")
     if any(s < 2 for s in sizes):
         raise GraphInputError("family I needs every size >= 2")
-    comp_sizes = [s for s in sizes for _ in (0, 1)]
-    path = _chain_quotient_path(m)
-    quotient_edges = list(zip(path, path[1:]))
-    graph, comps = _component_graph(comp_sizes, [], quotient_edges)
-    swap = _pair_swap(graph, comps, [(2 * t, 2 * t + 1) for t in range(m)])
+    graph, swap = _swapped_chain(sizes, [])
     dim = sum(2 * s for s in sizes) + (
         2 * sum(sizes[i] * sizes[i + 1] for i in range(m - 1)) + sizes[-1] ** 2
     )
@@ -100,23 +101,19 @@ def family_I_modified(m: int) -> FamilyInstance:
     """Chain with complete end components; dimension 12m + 19."""
     if m < 3:
         raise GraphInputError("the modified family needs m >= 3")
-    sizes = (3,) + (2,) * (m - 2) + (3,)
-    comp_sizes = [s for s in sizes for _ in (0, 1)]
-    path = _chain_quotient_path(m)
-    quotient_edges = list(zip(path, path[1:]))
-    graph, comps = _component_graph(comp_sizes, [0, 1], quotient_edges)
-    swap = _pair_swap(graph, comps, [(2 * t, 2 * t + 1) for t in range(m)])
+    graph, swap = _swapped_chain((3,) + (2,) * (m - 2) + (3,), [0, 1])
     dim = 12 * m + 19
     return FamilyInstance(graph, (swap,), dim)
 
 
-def _rotation(graph: Graph, comps) -> VertexPermutation:
-    n = len(comps)
+def _rotated_cycle(n: int, size: int, complete_indices) -> tuple[Graph, VertexPermutation]:
+    """n components of the given size joined in a cycle, rotated one step by an order-n automorphism."""
+    graph, comps = _component_graph([size] * n, complete_indices, [(i, (i + 1) % n) for i in range(n)])
     mapping = {}
     for i in range(n):
         for u, v in zip(comps[i], comps[(i + 1) % n]):
             mapping[u] = v
-    return VertexPermutation(graph.vertices, mapping)
+    return graph, VertexPermutation(graph.vertices, mapping)
 
 
 def family_II(n: int, size: int = 3) -> FamilyInstance:
@@ -126,9 +123,7 @@ def family_II(n: int, size: int = 3) -> FamilyInstance:
         raise GraphInputError(FOUR_CYCLE_MESSAGE)
     if size < 3:
         raise GraphInputError("family II needs component size >= 3 (every orbit carries c = 2)")
-    quotient_edges = [(i, (i + 1) % n) for i in range(n)]
-    graph, comps = _component_graph([size] * n, [], quotient_edges)
-    rot = _rotation(graph, comps)
+    graph, rot = _rotated_cycle(n, size, [])
     dim = size * n + size * size * n
     return FamilyInstance(graph, (rot,), dim)
 
@@ -138,9 +133,7 @@ def family_II_z4(size: int = 3) -> FamilyInstance:
     4ℓ + 2ℓ(ℓ-1) + 4ℓ² for component size ℓ."""
     if size < 3:
         raise GraphInputError("family II-Z4 needs component size >= 3")
-    quotient_edges = [(i, (i + 1) % 4) for i in range(4)]
-    graph, comps = _component_graph([size] * 4, [0, 1, 2, 3], quotient_edges)
-    rot = _rotation(graph, comps)
+    graph, rot = _rotated_cycle(4, size, [0, 1, 2, 3])
     dim = 4 * size + 2 * size * (size - 1) + 4 * size * size
     return FamilyInstance(graph, (rot,), dim)
 

@@ -325,10 +325,6 @@ class VertexPermutation:
             inverse[j] = i
         return self._with_images(tuple(inverse))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self._images))
-
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         """Disjoint cycles, fixed points omitted; each cycle starts at its earliest
         domain element and cycles are ordered by that element."""
@@ -385,6 +381,11 @@ def parse_holonomy_generators(text: str, graph: Graph) -> tuple[VertexPermutatio
 # The precedence relation and coherent components
 
 
+def component_label(i: int) -> str:
+    """The report label of component i (0-based): lambda_1, lambda_2, ..."""
+    return f"lambda_{i + 1}"
+
+
 class CoherentPartition:
     """Coherent components of a graph with their induced order and quotient graph.
 
@@ -435,7 +436,7 @@ class CoherentPartition:
         return {
             "components": [
                 {
-                    "label": f"lambda_{i + 1}",
+                    "label": component_label(i),
                     "vertices": list(comp),
                     "kind": kind,
                     "loop": loop,

@@ -1,10 +1,11 @@
 """Rational decomposition of cyclic permutation representations and the main criterion.
 
 For a cyclic group of order n acting on a finite set, the rational
-irreducibles are indexed by divisors e of n; the summand for e has dimension
-phi(e), occurs once for every cycle whose length e divides, and splits over
-the reals into one piece when e <= 2 and phi(e)/2 pieces otherwise. An orbit
-passes when every occurring summand satisfies multiplicity * real_splits > c.
+irreducibles are indexed by divisors e of n; the summand for e occurs once for
+every cycle whose length e divides. Its dimension phi(e) and its number of
+real pieces (one when e <= 2, phi(e)/2 otherwise) are read from e, so a part
+stores only e and its multiplicity. An orbit passes when every occurring
+summand satisfies multiplicity * real_splits > c.
 """
 
 from __future__ import annotations
@@ -27,12 +28,21 @@ def euler_phi(n: int) -> int:
 
 @dataclass(frozen=True)
 class RepPart:
-    """One rational irreducible summand: divisor, multiplicity, dimension, real splits."""
+    """One rational irreducible summand: divisor e and multiplicity.
+
+    Its dimension phi(e) and its number of real pieces are read from e.
+    """
 
     divisor: int
     multiplicity: int
-    q_dimension: int
-    real_splits: int
+
+    @property
+    def q_dimension(self) -> int:
+        return euler_phi(self.divisor)
+
+    @property
+    def real_splits(self) -> int:
+        return 1 if self.divisor <= 2 else self.q_dimension // 2
 
     def to_json_dict(self) -> dict:
         return {
@@ -43,14 +53,10 @@ class RepPart:
         }
 
 
-@dataclass(frozen=True)
-class CyclicRepDecomposition:
-    parts: tuple[RepPart, ...]
-
-
-def decompose_cyclic_perm_rep(n: int, cycles) -> CyclicRepDecomposition:
-    """Decompose the permutation representation of a cyclic group of order n
-    whose generator acts with the given cycle lengths."""
+def decompose_cyclic_perm_rep(n: int, cycles) -> tuple[RepPart, ...]:
+    """The rational summands, by increasing divisor, of the permutation
+    representation of a cyclic group of order n whose generator acts with the
+    given cycle lengths."""
     if n < 1:
         raise ValueError("group order must be positive")
     cycles = tuple(sorted(int(c) for c in cycles))
@@ -62,43 +68,40 @@ def decompose_cyclic_perm_rep(n: int, cycles) -> CyclicRepDecomposition:
         if n % e != 0:
             continue
         multiplicity = sum(1 for c in cycles if c % e == 0)
-        if multiplicity == 0:
-            continue
-        phi = euler_phi(e)
-        splits = 1 if e <= 2 else phi // 2
-        parts.append(RepPart(e, multiplicity, phi, splits))
+        if multiplicity:
+            parts.append(RepPart(e, multiplicity))
     if sum(p.multiplicity * p.q_dimension for p in parts) != sum(cycles):
         raise AssertionError("rational dimensions do not sum to the point count")
-    return CyclicRepDecomposition(tuple(parts))
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
 class OrbitVerdict:
-    """Outcome of the criterion on one orbit, read from the orbit and the decomposition.
+    """Outcome of the criterion on one orbit, read from the orbit and its rational parts.
 
-    The decomposition is that of the stabilizer's permutation representation
-    on the representative, None when the stabilizer is not cyclic. The
-    failing part is the first with m*r <= c; ``passed`` is None (undecided)
-    without a decomposition, and otherwise True exactly when no part fails.
+    The parts are those of the stabilizer's permutation representation on
+    the representative, None when the stabilizer is not cyclic. The failing
+    part is the first with m*r <= c; ``passed`` is None (undecided) without
+    parts, and otherwise True exactly when no part fails.
     """
 
     orbit: OrbitData
-    decomposition: CyclicRepDecomposition | None
+    parts: tuple[RepPart, ...] | None
 
     @property
     def failing_part(self) -> RepPart | None:
-        if self.decomposition is None:
+        if self.parts is None:
             return None
         c = self.orbit.c
-        return next((p for p in self.decomposition.parts if p.multiplicity * p.real_splits <= c), None)
+        return next((p for p in self.parts if p.multiplicity * p.real_splits <= c), None)
 
     @property
     def passed(self) -> bool | None:
-        return None if self.decomposition is None else self.failing_part is None
+        return None if self.parts is None else self.failing_part is None
 
     @property
     def reason(self) -> str:
-        if self.decomposition is None:
+        if self.parts is None:
             return f"undecided: stabilizer of order {self.orbit.stabilizer.order} is not cyclic"
         part = self.failing_part
         if part is None:
@@ -112,9 +115,7 @@ class OrbitVerdict:
         return {
             "rep": self.orbit.rep + 1,
             "c": self.orbit.c,
-            "parts": [p.to_json_dict() for p in self.decomposition.parts]
-            if self.decomposition
-            else None,
+            "parts": None if self.parts is None else [p.to_json_dict() for p in self.parts],
             "pass": self.passed,
             "reason": self.reason,
         }
@@ -146,25 +147,22 @@ class Decision:
         }
 
 
-def orbit_verdict(action: HolonomyAction, orbit_index: int) -> OrbitVerdict:
-    """Apply the splitting criterion to one orbit of the component action."""
-    orbit = action.orbits[orbit_index]
-    stab = orbit.stabilizer
-    if not stab.cyclic:
-        return OrbitVerdict(orbit, None)
-    cycles = [len(c) for c in index_cycles(stab.restriction)]
-    return OrbitVerdict(orbit, decompose_cyclic_perm_rep(stab.order, cycles))
-
-
 def decide(action: HolonomyAction) -> Decision:
     """The verdict of every orbit of the action (see `Decision` for how they aggregate).
 
-    Realizability is `guaranteed` exactly for cyclic holonomy (the all-ones
-    vertex vector is a fixed vector of any graph automorphism's extension),
-    and `unknown` otherwise.
+    An orbit's parts decompose its stabilizer's action on the representative
+    when the stabilizer is cyclic. Realizability is `guaranteed` exactly for
+    cyclic holonomy (the all-ones vertex vector is a fixed vector of any graph
+    automorphism's extension), and `unknown` otherwise.
     """
-    verdicts = tuple(orbit_verdict(action, i) for i in range(len(action.orbits)))
-    return Decision(verdicts, "guaranteed" if action.is_cyclic else "unknown")
+    verdicts = []
+    for orbit in action.orbits:
+        stab = orbit.stabilizer
+        parts = None
+        if stab.cyclic:
+            parts = decompose_cyclic_perm_rep(stab.order, [len(c) for c in index_cycles(stab.restriction)])
+        verdicts.append(OrbitVerdict(orbit, parts))
+    return Decision(tuple(verdicts), "guaranteed" if action.is_cyclic else "unknown")
 
 
 class TrivialHolonomyCheck(NamedTuple):

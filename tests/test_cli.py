@@ -350,8 +350,20 @@ class TestDecisionReportPins:
                 "1a6248266b6b674a116c34f1eba7b393625e1487a859d56724cc70a77c444ba3",
                 "3c671b8a568109844f7d4c7ff8f148ca2af54d4bbe6c648c1c767f59aa68a9e7",
             ),
+            (
+                discrete_graph(10),
+                "(v1 v2 v3 v4 v5)(v6 v7 v8 v9 v10)",
+                EXIT_YES,
+                "c1de636416861476e226a44f28ce212ea02a0f24e3399ba1f2c27bfff47a504c",
+                "1fd3f4a5d36ef2d91de9acf57ede538825b978ba60a17761966d36ada7c94552",
+            ),
         ],
-        ids=["K2-trivial-fails", "four-pair-chain-swap-no", "discrete-v4-undecided"],
+        ids=[
+            "K2-trivial-fails",
+            "four-pair-chain-swap-no",
+            "discrete-v4-undecided",
+            "discrete-v10-two-5-cycles-yes",
+        ],
     )
     def test_analyze_report(self, run, tmp_path, graph, holonomy, exit_code, text_digest, json_digest):
         path = write_graph(tmp_path, graph)

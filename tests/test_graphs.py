@@ -31,7 +31,7 @@ from anosovgraph.fixtures import (
     loop_end_chain,
     pentagon,
 )
-from tests_support_oracles import DictPermutation, component_order_group, prec, preserves_prec
+from tests_support_oracles import DictPermutation, component_order_group, is_identity, prec, preserves_prec
 
 
 def random_graph(rng, max_vertices=8):
@@ -463,14 +463,14 @@ class TestVertexPermutation:
 
     def test_identity_forms(self):
         dom = ["a", "b"]
-        assert VertexPermutation.from_cycles("", dom).is_identity
-        assert VertexPermutation.from_cycles("()", dom).is_identity
+        assert is_identity(VertexPermutation.from_cycles("", dom))
+        assert is_identity(VertexPermutation.from_cycles("()", dom))
         assert VertexPermutation.identity(dom).cycle_string() == "()"
 
     def test_inverse_and_compose(self):
         dom = ["a", "b", "c"]
         p = VertexPermutation.from_cycles("(a b c)", dom)
-        assert (p * p.inverse()).is_identity
+        assert is_identity(p * p.inverse())
         assert (p * p)("a") == "c"
 
     def test_bad_cycles(self):
@@ -495,13 +495,13 @@ class TestVertexPermutation:
             perm = list(dom)
             rng.shuffle(perm)
             p = VertexPermutation(dom, dict(zip(dom, perm)))
-            assert (p * p.inverse()).is_identity
+            assert is_identity(p * p.inverse())
             assert p.inverse().inverse() == p
             order = p.order()
             acc = VertexPermutation.identity(dom)
             for _ in range(order):
                 acc = acc * p
-            assert acc.is_identity
+            assert is_identity(acc)
 
 
 def label_walk_cycles(p):
@@ -567,7 +567,7 @@ class TestMatchesDictPermutation:
             assert new.cycles() == old.cycles()
             assert new.cycle_string() == old.cycle_string()
             assert new.order() == old.order()
-            assert new.is_identity == old.is_identity
+            assert is_identity(new) == old.is_identity
             assert new.image_of(subset) == old.image_of(subset)
         assert (p == q) == (dp == dq)
         assert (p < q) == (dp < dq) and (q < p) == (dq < dp)

@@ -20,7 +20,7 @@ from anosovgraph.graphs import (
     is_graph_automorphism,
 )
 from anosovgraph.holonomy import build_action, close_group
-from anosovgraph.repdecomp import decide, decompose_cyclic_perm_rep, orbit_verdict
+from anosovgraph.repdecomp import decide, decompose_cyclic_perm_rep
 from tests_support_oracles import (
     DictPermutation,
     dict_action_json,
@@ -91,7 +91,7 @@ class TestBuildAction:
         assert orbit.stabilizer.order == 2
         assert orbit.stabilizer.cyclic
         assert orbit.stabilizer.restriction == (1, 0)
-        assert orbit_verdict(action, 0).decomposition == decompose_cyclic_perm_rep(2, (2,))
+        assert decide(action).orbits[0].parts == decompose_cyclic_perm_rep(2, (2,))
 
     def test_graph_comes_from_the_partition(self):
         # the part swap of K2,2 fixes no component; with the components of the
@@ -322,5 +322,5 @@ class TestMatchesDictClosure:
             expected = dict_restriction(action.partition, stab.generator, orbit.rep)
             assert stab.restriction == expected
             lengths = [len(c) for c in index_cycles(expected)]
-            decomposition = decompose_cyclic_perm_rep(stab.order, lengths)
-            assert orbit_verdict(action, index).decomposition == decomposition
+            parts = decompose_cyclic_perm_rep(stab.order, lengths)
+            assert decide(action).orbits[index].parts == parts

@@ -143,7 +143,7 @@ def test_checkpoint_is_defined_in_errors():
 # A value the other fields give is a read-only property of the record, not a
 # stored copy that nothing checks against them.
 STORED_FIELDS = {
-    ("analysis", "AnalysisReport"): ("action", "decision", "witness", "witness_error", "timing"),
+    ("analysis", "AnalysisReport"): ("action", "witness", "witness_error", "timing"),
     ("holonomy", "OrbitData"): ("rep", "c", "stabilizer", "conjugators"),
     ("holonomy", "StabilizerInfo"): ("elements", "generator", "restriction"),
     ("hyperbolicity", "HyperbolicityCertificate"): ("level", "stages"),
@@ -153,9 +153,9 @@ STORED_FIELDS = {
         "reciprocal_gcd_degree",
         "sturm_root_count",
     ),
-    ("repdecomp", "CyclicRepDecomposition"): ("parts",),
     ("repdecomp", "Decision"): ("orbits", "realizability"),
-    ("repdecomp", "OrbitVerdict"): ("orbit", "decomposition"),
+    ("repdecomp", "OrbitVerdict"): ("orbit", "parts"),
+    ("repdecomp", "RepPart"): ("divisor", "multiplicity"),
     ("witness", "OrbitSeedPlan"): ("orbit", "seed", "exponent"),
     ("witness", "Witness"): ("full_matrix", "certificate", "commutes_with", "plan"),
 }

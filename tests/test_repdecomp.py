@@ -20,7 +20,6 @@ from anosovgraph.repdecomp import (
     decide,
     decompose_cyclic_perm_rep,
     euler_phi,
-    orbit_verdict,
     trivial_holonomy_check,
 )
 
@@ -62,14 +61,14 @@ class TestEulerPhi:
 class TestDecomposition:
     def test_regular_rep_order_two(self):
         d = decompose_cyclic_perm_rep(2, [2])
-        assert [(p.divisor, p.multiplicity, p.q_dimension, p.real_splits) for p in d.parts] == [
+        assert [(p.divisor, p.multiplicity, p.q_dimension, p.real_splits) for p in d] == [
             (1, 1, 1, 1),
             (2, 1, 1, 1),
         ]
 
     def test_four_cycle(self):
         d = decompose_cyclic_perm_rep(4, [4])
-        assert [(p.divisor, p.multiplicity, p.q_dimension, p.real_splits) for p in d.parts] == [
+        assert [(p.divisor, p.multiplicity, p.q_dimension, p.real_splits) for p in d] == [
             (1, 1, 1, 1),
             (2, 1, 1, 1),
             (4, 1, 2, 1),
@@ -77,7 +76,7 @@ class TestDecomposition:
 
     def test_trivial_group(self):
         d = decompose_cyclic_perm_rep(1, [1, 1, 1])
-        assert [(p.divisor, p.multiplicity, p.q_dimension, p.real_splits) for p in d.parts] == [
+        assert [(p.divisor, p.multiplicity, p.q_dimension, p.real_splits) for p in d] == [
             (1, 3, 1, 1)
         ]
 
@@ -92,7 +91,7 @@ class TestDecomposition:
             divisors = [d for d in range(1, n + 1) if n % d == 0]
             cycles = [rng.choice(divisors) for _ in range(rng.randint(1, 5))]
             d = decompose_cyclic_perm_rep(n, cycles)
-            assert sum(p.multiplicity * p.q_dimension for p in d.parts) == sum(cycles)
+            assert sum(p.multiplicity * p.q_dimension for p in d) == sum(cycles)
 
     def test_matches_character_oracle(self):
         rng = random.Random(29)
@@ -102,13 +101,13 @@ class TestDecomposition:
             cycles = [rng.choice(divisors) for _ in range(rng.randint(1, 5))]
             d = decompose_cyclic_perm_rep(n, cycles)
             oracle = character_multiplicities(n, cycles)
-            ours = {p.divisor: p.multiplicity for p in d.parts}
+            ours = {p.divisor: p.multiplicity for p in d}
             for e, m in oracle.items():
                 assert ours.get(e, 0) == m
 
     def test_real_split_closed_form(self):
         d = decompose_cyclic_perm_rep(12, [12, 6, 1])
-        for p in d.parts:
+        for p in d:
             if p.divisor <= 2:
                 assert p.real_splits == 1
             else:
@@ -127,8 +126,8 @@ class TestDecomposition:
                 g = gcd(k, n)
                 cycles = [n // g] * g
                 assert (
-                    decompose_cyclic_perm_rep(n, cycles).parts
-                    == decompose_cyclic_perm_rep(n, [n]).parts
+                    decompose_cyclic_perm_rep(n, cycles)
+                    == decompose_cyclic_perm_rep(n, [n])
                 )
 
 
@@ -136,15 +135,15 @@ class TestOrbitVerdict:
     def test_bipartite_swap_passes(self):
         g = complete_bipartite(3, 3)
         action = action_for(g, "(a1 b1)(a2 b2)(a3 b3)")
-        v = orbit_verdict(action, 0)
+        v = decide(action).orbits[0]
         assert v.passed is True
         assert v.orbit.c == 2
-        assert [(p.divisor, p.multiplicity) for p in v.decomposition.parts] == [(1, 3)]
+        assert [(p.divisor, p.multiplicity) for p in v.parts] == [(1, 3)]
 
     def test_heisenberg_fails(self):
         g = complete_graph(2)
         action = action_for(g)
-        v = orbit_verdict(action, 0)
+        v = decide(action).orbits[0]
         assert v.passed is False
         assert v.orbit.c == 2
         assert (v.failing_part.divisor, v.failing_part.multiplicity) == (1, 2)
@@ -152,7 +151,7 @@ class TestOrbitVerdict:
     def test_four_cycle_rotation_fails(self):
         g = cycle_graph(4)
         action = action_for(g, "(v1 v2 v3 v4)")
-        v = orbit_verdict(action, 0)
+        v = decide(action).orbits[0]
         assert v.passed is False
         assert v.orbit.c == 2
         assert (v.failing_part.divisor, v.failing_part.multiplicity, v.failing_part.real_splits) == (1, 1, 1)
@@ -160,7 +159,7 @@ class TestOrbitVerdict:
     def test_non_cyclic_stabilizer_undecided(self):
         g = discrete_graph(4)
         action = action_for(g, "(v1 v2)", "(v3 v4)")
-        v = orbit_verdict(action, 0)
+        v = decide(action).orbits[0]
         assert v.passed is None
         assert "not cyclic" in v.reason
 
@@ -267,11 +266,11 @@ class TestInvariance:
             for c in (1, 2):
                 small_pass = all(
                     p.multiplicity * p.real_splits > c
-                    for p in decompose_cyclic_perm_rep(n, cycles).parts
+                    for p in decompose_cyclic_perm_rep(n, cycles)
                 )
                 big_pass = all(
                     p.multiplicity * p.real_splits > c
-                    for p in decompose_cyclic_perm_rep(n, bigger).parts
+                    for p in decompose_cyclic_perm_rep(n, bigger)
                 )
                 if small_pass:
                     assert big_pass

@@ -5,7 +5,8 @@ commutation check the witness ran on V+W, and the label-dict vertex
 permutation with its closure and component action, as `graphs` and
 `holonomy` computed them before positions. Also the graph helpers that only
 tests use: the precedence relation, its preservation, the brute-force group
-of order-preserving component permutations, and path graphs. And the
+of order-preserving component permutations, path graphs, and whether a
+permutation is the identity. And the
 product of f^e over (factor, multiplicity) pairs, which gives the V+W
 characteristic polynomial from `liealg.extension_factors`. And a cancellation
 token that counts its polls."""
@@ -49,6 +50,11 @@ def factor_product(factors):
 def extension_product(part, component_polys):
     """The V+W characteristic polynomial of a block map: the product of its extension factors."""
     return factor_product(extension_factors(part, component_polys))
+
+
+def is_identity(p):
+    """True when the permutation moves no point: it has no cycle of length above one."""
+    return not p.cycles()
 
 
 def path_graph(n, prefix="v"):
