@@ -10,11 +10,10 @@ polynomial, whose roots are the pairwise eigenvalue products.
 from anosovgraph import (
     char_poly,
     exterior_square_char_poly,
-    is_c_hyperbolic,
     is_integer_like,
     parse_polynomial,
 )
-from anosovgraph.hyperbolicity import unit_circle_analysis
+from anosovgraph.hyperbolicity import certify_polynomial, unit_circle_analysis
 from anosovgraph.polynomials import companion_rows, cyclotomic
 
 CAT_MAP = ((2, 1), (1, 1))
@@ -32,8 +31,8 @@ print()
 
 # Level 1 vs level 2 on the torus map: the determinant is 1, so the product
 # of the two eigenvalues sits exactly on the circle and level 2 must fail.
-cert1 = is_c_hyperbolic(CAT_MAP, 1)
-cert2 = is_c_hyperbolic(CAT_MAP, 2)
+cert1 = certify_polynomial(char_poly(CAT_MAP), 1)
+cert2 = certify_polynomial(char_poly(CAT_MAP), 2)
 print("torus map, level 1:", "valid" if cert1.valid else cert1.failure)
 print("torus map, level 2:", "valid" if cert2.valid else cert2.failure)
 print()
@@ -44,6 +43,6 @@ cubic = parse_polynomial("x^3 - x^2 - 2x + 1")
 rows = companion_rows(cubic)
 print("cubic seed:", cubic, "| integer-like:", is_integer_like(cubic))
 print("exterior square char poly:", exterior_square_char_poly(rows))
-cert = is_c_hyperbolic(rows, 2)
+cert = certify_polynomial(char_poly(rows), 2)
 print("level 2 certificate valid:", cert.valid)
 print("stages:", [(s.label, s.analysis.detail) for s in cert.stages])

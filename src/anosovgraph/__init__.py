@@ -49,7 +49,6 @@ from .hyperbolicity import (
     HyperbolicityCertificate,
     char_poly,
     exterior_square_char_poly,
-    is_c_hyperbolic,
     is_integer_like,
 )
 from .liealg import extend_to_algebra, is_algebra_automorphism
@@ -119,7 +118,6 @@ __all__ = [
     "generate",
     "induced_component_permutation",
     "is_algebra_automorphism",
-    "is_c_hyperbolic",
     "is_graph_automorphism",
     "is_integer_like",
     "parse_graph",

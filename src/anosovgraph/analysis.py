@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
@@ -35,9 +36,24 @@ def _json_text(payload) -> str:
     because an ``indent`` sends it to the pure-Python encoder, which makes a
     generator per container and a closure cycle per call; here strings go
     through the C ``encode_basestring_ascii`` and a list of plain ints or of
-    strings is joined in one call. The helpers stay private: a per-layer trace
-    wraps public functions, so a public recursive helper would record a span
-    per JSON node instead of charging the encoding to the renderer.
+    strings is joined in one call.
+
+    A list or tuple of equal-length, non-empty rows of exact ints (a witness
+    matrix) is written in one go. The library writes such a row as "[", then
+    each entry's ``int.__repr__`` on its own line at the row's indent plus
+    two, separated by commas, then "]" at the row's indent; that text
+    depends on the row only through its width, its indent and its entries.
+    So the text of an all-zero row is built once per width and indent, and
+    each row's nonzero entries, found by ``itertools.compress``, replace
+    their "0"s in it; ``str`` is ``int.__repr__`` on exact ints. The first
+    row is checked first, so lists of other items fall through at once; a
+    bool, a ragged or empty row, or any other item sends the whole list
+    down the general path, which gives the library's bytes for it. The rows
+    are joined as the general path joins any list's items.
+
+    The helpers stay private: a per-layer trace wraps public functions, so a
+    public recursive helper would record a span per JSON node instead of
+    charging the encoding to the renderer.
     """
     out = []
     _write(payload, "\n", out)
@@ -71,6 +87,9 @@ def _write_list(items, newline: str, out: list) -> None:
         return
     inner = newline + "  "
     separator = "," + inner
+    if _is_int_matrix(items):
+        out.append("[" + inner + separator.join(_int_rows_text(items, inner)) + newline + "]")
+        return
     types = set(map(type, items))
     if types == {int}:  # str is int.__repr__ on plain ints, and calls faster
         out.append("[" + inner + separator.join(map(str, items)) + newline + "]")
@@ -83,6 +102,45 @@ def _write_list(items, newline: str, out: list) -> None:
             _write(item, inner, out)
             lead = separator
         out.append(newline + "]")
+
+
+_ROW_TYPES = {list, tuple}
+
+
+def _is_int_matrix(items) -> bool:
+    """True for equal-length, non-empty list or tuple rows of exact ints; the first row is tried first."""
+    first = items[0]
+    if type(first) not in _ROW_TYPES or not first or set(map(type, first)) != {int}:
+        return False
+    return (
+        set(map(type, items)) <= _ROW_TYPES
+        and set(map(len, items)) == {len(first)}
+        and set(map(type, chain.from_iterable(items))) == {int}
+    )
+
+
+@lru_cache(maxsize=64)  # a report has a few widths and depths; the texts are immutable
+def _zero_row(width: int, newline: str) -> tuple[str, tuple[int, ...]]:
+    """The text of an all-zero int row whose closing bracket sits after newline, and where each "0" is."""
+    inner = newline + "  "
+    separator = "," + inner
+    text = "[" + inner + separator.join("0" * width) + newline + "]"
+    start, stride = len(inner) + 1, len(separator) + 1
+    return text, tuple(range(start, start + width * stride, stride))
+
+
+def _int_rows_text(rows, newline: str) -> list[str]:
+    """The text of each int row: its nonzero entries spliced into the all-zero row's text."""
+    text, zeros = _zero_row(len(rows[0]), newline)
+    out = []
+    for row in rows:
+        pieces, last = [], 0
+        for at, value in zip(compress(zeros, row), compress(row, row)):
+            pieces += text[last:at], str(value)
+            last = at + 1
+        pieces.append(text[last:])
+        out.append("".join(pieces))
+    return out
 
 
 def _write_dict(mapping, newline: str, out: list) -> None:

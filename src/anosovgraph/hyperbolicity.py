@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from math import prod
 from operator import mul
 
 from .errors import checkpoint
@@ -381,7 +380,15 @@ def certify_factors(factors) -> HyperbolicityCertificate:
 
 
 def _power_product(factors) -> IntPolynomial:
-    return prod((f for f, e in factors for _ in range(e)), start=IntPolynomial([1]))
+    """The product of f^e over the (f, e) pairs, each power packed (`IntPolynomial.__pow__`).
+
+    Polls `checkpoint` once per factor.
+    """
+    out = IntPolynomial([1])
+    for f, e in factors:
+        checkpoint()
+        out = out * f**e
+    return out
 
 
 def _is_reciprocal(f: IntPolynomial) -> bool:
@@ -407,14 +414,3 @@ def _factor_reciprocal_gcd(factors) -> IntPolynomial:
     if _is_reciprocal(p_d):
         return p_d.primitive()
     return poly_gcd(p_d, p_d.reverse())
-
-
-def is_c_hyperbolic(m, c: int) -> HyperbolicityCertificate:
-    """Exact c-hyperbolicity certificate of an integer matrix, for c in {1, 2}.
-
-    Level 1 proves no eigenvalue lies on the unit circle; level 2 additionally
-    proves no product of two eigenvalues does. The unit-circle test runs once
-    on the characteristic polynomial; the exterior-square polynomial is only
-    built, and tested, when that test passes.
-    """
-    return certify_polynomial(char_poly(m), c)

@@ -17,7 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
+from operator import add, mul, sub
 
 from .errors import BoundExceeded, GraphInputError, checkpoint
 
@@ -94,6 +96,41 @@ class IntPolynomial:
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
         return IntPolynomial(out)
+
+    def __pow__(self, e: int) -> "IntPolynomial":
+        """self^e for an int e >= 0, by one big-integer power (Kronecker substitution).
+
+        With f = self of degree d, the product f^e has degree D = d * e, and
+        each coefficient c satisfies |c| <= ||f^e||_1 <= ||f||_1^e < 2^(w - 1),
+        where ||.||_1 is the sum of the absolute coefficients (it is
+        submultiplicative) and w is the least multiple of 8 that makes the
+        last inequality hold. So f(2^w)^e = f^e(2^w) = sum c_j 2^(w j), and
+        adding the offset sum 2^(w - 1) 2^(w j) over j <= D turns each
+        c_j + 2^(w - 1), which lies in (0, 2^w), into the j-th base-2^w digit
+        of a nonnegative integer below 2^(w (D + 1)). Its bytes, w / 8 per
+        slot, give every c_j exactly. The schoolbook `__mul__` is the test
+        oracle. Raises TypeError on a non-int exponent and ValueError on a
+        negative one.
+        """
+        if not isinstance(e, int):
+            raise TypeError(f"exponent must be an int, not {type(e).__name__}")
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        if e == 0:
+            return IntPolynomial([1])
+        bound = sum(map(abs, self.coefficients)) ** e
+        width = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(8 width - 1)
+        shift = 8 * width
+        packed = 0
+        for c in reversed(self.coefficients):
+            packed = (packed << shift) + c
+        slots = (len(self.coefficients) - 1) * e + 1
+        offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+        digits = (packed**e + offset).to_bytes(width * slots, "little")
+        half = 1 << (shift - 1)
+        return IntPolynomial(
+            [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, len(digits), width)]
+        )
 
     def scale(self, k: int) -> "IntPolynomial":
         return IntPolynomial([k * c for c in self.coefficients])
@@ -402,15 +439,16 @@ def palindromic_to_interval_poly(g: IntPolynomial) -> IntPolynomial:
         raise ValueError("palindromic polynomial of odd degree has root -1")
     s = g.degree // 2
     coeffs = g.coefficients
-    # t_k(y) represents x^k + x^(-k); recurrence t_k = y*t_{k-1} - t_{k-2}
-    q = IntPolynomial([coeffs[s]])
-    t_prev = IntPolynomial([2])
-    t_cur = IntPolynomial([0, 1])
-    y = IntPolynomial([0, 1])
+    # t_k lists the coefficients of x^k + x^(-k) in y = x + 1/x: t_k = y t_(k-1) - t_(k-2)
+    q = [coeffs[s]] + [0] * s
+    t_prev, t_cur = [2], [0, 1]
     for k in range(1, s + 1):
-        q = q + t_cur.scale(coeffs[s + k])
-        t_prev, t_cur = t_cur, y * t_cur - t_prev
-    return q
+        if c := coeffs[s + k]:
+            q[: k + 1] = map(add, q, map(mul, t_cur, repeat(c)))
+        t_next = [0, *t_cur]
+        t_next[:k] = map(sub, t_next, t_prev)
+        t_prev, t_cur = t_cur, t_next
+    return IntPolynomial(q)
 
 
 @lru_cache(maxsize=None)

@@ -351,8 +351,8 @@ class Witness:
     docstring) and certified through its distinct factors; `full_char_poly`
     reads it from there. Its constant term is +-1, so the matrix is
     invertible over the integers, and it has no root on the unit circle.
-    `v_char_poly` is the product of each plan's block polynomial over its
-    orbit's members.
+    `v_char_poly` is the product of each plan's block polynomial raised to
+    the number of its orbit's members.
     """
 
     full_matrix: tuple[tuple[int, ...], ...]
@@ -367,7 +367,7 @@ class Witness:
 
     @property
     def v_char_poly(self) -> IntPolynomial:
-        blocks = (p.block_char_poly for p in self.plan for _ in p.orbit.members)
+        blocks = (p.block_char_poly ** len(p.orbit.members) for p in self.plan)
         return prod(blocks, start=IntPolynomial([1]))
 
     @property

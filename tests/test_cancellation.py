@@ -17,10 +17,11 @@ from anosovgraph.errors import CancelToken, OperationCancelled, checkpoint
 from anosovgraph.families import family_I_modified, family_II
 from anosovgraph.graphs import coherent_components, discrete_graph
 from anosovgraph.holonomy import build_action
-from anosovgraph.hyperbolicity import char_poly
+from anosovgraph.hyperbolicity import _power_product, char_poly
+from anosovgraph.polynomials import IntPolynomial
 from anosovgraph.witness import log_modulus_bounds, plan_blocks
 
-from tests_support_oracles import CancelOnCheck
+from tests_support_oracles import CancelOnCheck, factor_product
 
 
 def case(name):
@@ -172,9 +173,29 @@ class TestStagesOutsideTheKernels:
             log_modulus_bounds(p)
 
 
+class TestFactorProduct:
+    """`hyperbolicity._power_product` polls once per factor, before it raises that factor to its power."""
+
+    FACTORS = [(IntPolynomial([1, -3, 1]), 40), (IntPolynomial([-1, 0, 1]), 3), (IntPolynomial([1, -2, -1, 1]), 25)]
+
+    def test_polls_once_per_factor(self):
+        with CancelOnCheck() as token:
+            product = _power_product(self.FACTORS)
+        assert token.checks == len(self.FACTORS)
+        assert product == factor_product(self.FACTORS)
+
+    def test_stops_at_every_poll(self):
+        for at in range(1, len(self.FACTORS) + 1):
+            with CancelOnCheck(at) as token, pytest.raises(OperationCancelled):
+                _power_product(self.FACTORS)
+            assert token.checks == at
+
+
 class TestWholePipeline:
-    # analyze(..., want_witness=True) plus to_json() polls this often
-    POLLS = {"II n=3 s=3": 60, "discrete 8": 52, "I-modified m=3": 230}
+    # analyze(..., want_witness=True) plus to_json() polls this often: each
+    # certificate also polls once per factor in its three factor products
+    # (4, 2 and 14 factors in all on these three cases)
+    POLLS = {"II n=3 s=3": 64, "discrete 8": 54, "I-modified m=3": 244}
 
     @pytest.mark.parametrize("name", sorted(POLLS))
     def test_poll_count(self, name):

@@ -18,7 +18,6 @@ from anosovgraph.hyperbolicity import (
     char_poly,
     exterior_square_char_poly,
     exterior_square_poly,
-    is_c_hyperbolic,
     is_integer_like,
     tensor_poly,
     unit_circle_analysis,
@@ -338,8 +337,8 @@ class TestTensorPoly:
 
 
 def two_pass_c2_certificate(m):
-    """The certificate JSON of the path `is_c_hyperbolic(m, 2)` used to take: the unit-circle
-    test of p ran twice.
+    """The certificate JSON of the path a level-2 matrix certificate used to take: the
+    unit-circle test of p ran twice.
 
     The dict, validity and failure included, is written out here from
     `unit_circle_analysis` and `exterior_square_poly`, so the oracle neither
@@ -392,7 +391,7 @@ class TestCHyperbolic:
             return real(p)
 
         monkeypatch.setattr(hyperbolicity_module, "unit_circle_analysis", counting)
-        cert = is_c_hyperbolic(rows, 2)
+        cert = certify_polynomial(char_poly(rows), 2)
         assert len(seen) == calls
         assert seen[0] == char_poly(rows)
         if calls == 2:
@@ -401,21 +400,21 @@ class TestCHyperbolic:
     @settings(max_examples=60, deadline=None)
     @given(int_matrices(max_n=5))
     def test_level_two_matches_the_two_pass_path(self, m):
-        assert is_c_hyperbolic(m, 2).to_json_dict() == two_pass_c2_certificate(m)
+        assert certify_polynomial(char_poly(m), 2).to_json_dict() == two_pass_c2_certificate(m)
 
     @pytest.mark.parametrize(
         "rows", [companion_rows(CUBIC), CAT_MAP, [[1, 0], [0, 1]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]]]
     )
     def test_level_two_matches_the_two_pass_path_on_each_outcome(self, rows):
-        assert is_c_hyperbolic(rows, 2).to_json_dict() == two_pass_c2_certificate(rows)
+        assert certify_polynomial(char_poly(rows), 2).to_json_dict() == two_pass_c2_certificate(rows)
 
     def test_cat_map_level_one(self):
-        cert = is_c_hyperbolic(CAT_MAP, 1)
+        cert = certify_polynomial(char_poly(CAT_MAP), 1)
         assert cert.valid and cert.level == 1
         assert cert.stages[0].analysis.sturm_root_count == 0
 
     def test_cat_map_level_two_fails(self):
-        cert = is_c_hyperbolic(CAT_MAP, 2)
+        cert = certify_polynomial(char_poly(CAT_MAP), 2)
         assert not cert.valid
         assert cert.failure == "pair product on unit circle"
 
@@ -428,27 +427,27 @@ class TestCHyperbolic:
         assert list(inspect.signature(certify_polynomial).parameters) == ["p", "level"]
 
     def test_cubic_level_two(self):
-        cert = is_c_hyperbolic(companion_rows(CUBIC), 2)
+        cert = certify_polynomial(char_poly(companion_rows(CUBIC)), 2)
         assert cert.valid
         assert cert.compound_char_poly == P(-1, -1, 2, 1)
 
     def test_identity_fails_fast(self):
-        cert = is_c_hyperbolic([[1, 0], [0, 1]], 2)
+        cert = certify_polynomial(char_poly([[1, 0], [0, 1]]), 2)
         assert not cert.valid
         assert cert.failure == "eigenvalue on unit circle"
 
     def test_unsupported_level(self):
         with pytest.raises(ValueError):
-            is_c_hyperbolic(CAT_MAP, 3)
+            certify_polynomial(char_poly(CAT_MAP), 3)
 
     def test_accepts_rational_matrix(self):
-        cert = is_c_hyperbolic(RationalMatrix(CAT_MAP).int_rows(), 1)
+        cert = certify_polynomial(char_poly(RationalMatrix(CAT_MAP).int_rows()), 1)
         assert cert.valid
 
     def test_json_serializable(self):
         import json
 
-        cert = is_c_hyperbolic(companion_rows(CUBIC), 2)
+        cert = certify_polynomial(char_poly(companion_rows(CUBIC)), 2)
         blob = json.dumps(cert.to_json_dict(), sort_keys=True)
         assert "exterior_square" in blob
 

@@ -33,8 +33,36 @@ flat_lists = st.one_of(
     st.lists(texts, max_size=6),
     st.lists(st.one_of(ints, st.booleans()), max_size=6),
 )
+# Rows of exact ints of one width take the row-splicing path: sparse and
+# dense rows, negative entries, entries above 2^64, all-zero rows, tuples of
+# tuples. Each other variant leaves that path at one of its checks: bools
+# among the ints, ragged or empty rows, a row of another type, and a list
+# of matrices, whose own items are the matrices.
+wide_ints = st.one_of(st.integers(2**64, 2**100), st.integers(-(2**100), -(2**64)))
+sparse_ints = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-5, 5), wide_ints)
+
+
+def matrices(entries, max_width=6):
+    return st.integers(1, max_width).flatmap(
+        lambda width: st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=5)
+    )
+
+
+int_matrices = st.one_of(
+    matrices(sparse_ints),
+    matrices(ints),
+    matrices(st.just(0)),
+    matrices(sparse_ints).map(lambda rows: tuple(map(tuple, rows))),
+    matrices(sparse_ints).map(lambda rows: [tuple(r) if i % 2 else r for i, r in enumerate(rows)]),
+)
+near_matrices = st.one_of(
+    matrices(st.one_of(sparse_ints, st.booleans())),
+    st.lists(st.lists(sparse_ints, max_size=4), min_size=1, max_size=5),
+    st.tuples(matrices(sparse_ints), st.one_of(texts, ints, st.just([]))).map(lambda m: [*m[0], m[1]]),
+    st.lists(matrices(sparse_ints), min_size=1, max_size=3),
+)
 payloads = st.recursive(
-    st.one_of(scalars, flat_lists),
+    st.one_of(scalars, flat_lists, int_matrices, near_matrices),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -48,6 +76,13 @@ payloads = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_matches_the_library_encoder(payload):
     assert _json_text(payload) == reference(payload)
+
+
+@given(st.one_of(int_matrices, near_matrices))
+@settings(max_examples=300, deadline=None)
+def test_matrices_match_the_library_encoder(payload):
+    assert _json_text(payload) == reference(payload)
+    assert _json_text({"m": payload}) == reference({"m": payload})  # one level deeper
 
 
 @pytest.mark.parametrize(
@@ -67,6 +102,16 @@ def test_matches_the_library_encoder(payload):
         -7,
         None,
         True,
+        [[0, 0, 0], [0, 0, 0]],
+        [[0, 7, 0], [-(2**65), 0, 2**64]],
+        ((0, 1), (1, 0)),
+        [[0, 1], [True, 0]],
+        [[0, False], [1, 0]],
+        [[1, 2], [3]],
+        [[], []],
+        [[1], []],
+        [[1, 2], "ab"],
+        [[[0, 1], [1, 0]], [[2, 0], [0, 2]]],
     ],
 )
 def test_edge_payloads(payload):
@@ -75,8 +120,14 @@ def test_edge_payloads(payload):
 
 @pytest.mark.parametrize(
     "payload",
-    [{1: "a"}, {True: "a"}, {"a": 1, 2: "b"}, {"a": {None: 1}}, 1.5, [0.0], {1, 2}, {"a": frozenset()}],
-    ids=["int-key", "bool-key", "mixed-keys", "none-key", "float", "float-in-list", "set", "frozenset"],
+    [
+        {1: "a"}, {True: "a"}, {"a": 1, 2: "b"}, {"a": {None: 1}}, 1.5, [0.0], {1, 2}, {"a": frozenset()},
+        [[0, 0.0], [0, 0]], [[1, 2], [3, 1.5]],
+    ],
+    ids=[
+        "int-key", "bool-key", "mixed-keys", "none-key", "float", "float-in-list", "set", "frozenset",
+        "float-zero-in-matrix", "float-in-matrix",
+    ],
 )
 def test_refuses_what_it_would_have_to_convert(payload):
     with pytest.raises(TypeError):

@@ -19,6 +19,7 @@ from anosovgraph.polynomials import (
     squarefree_part,
     sturm_chain,
 )
+from tests_support_oracles import palindromic_to_interval_poly_oracle
 
 
 def P(*ascending):
@@ -57,6 +58,53 @@ class TestBasics:
             IntPolynomial([Fraction(1, 2)])
 
 
+def repeated_product(f, e):
+    out = P(1)
+    for _ in range(e):
+        out = out * f
+    return out
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+polynomials = st.lists(coefficients, min_size=1, max_size=6).map(IntPolynomial)
+
+
+class TestPower:
+    """`__pow__` packs the polynomial into one integer; repeated schoolbook `*` is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polynomials, st.integers(0, 12))
+    def test_matches_repeated_product(self, f, e):
+        assert f**e == repeated_product(f, e)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(IntPolynomial), st.integers(40, 64))
+    def test_matches_repeated_product_at_high_powers(self, f, e):
+        assert f**e == repeated_product(f, e)
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 40, 41])
+    @pytest.mark.parametrize(
+        "f",
+        [P(0), P(1), P(-1), P(0, 1), P(0, -1), P(-1, 1), P(1, -3, 1), P(2**64 + 1, -(2**70)), P(0, 0, 5)],
+        ids=["zero", "one", "minus-one", "x", "minus-x", "x-1", "cat-map", "wide", "5x^2"],
+    )
+    def test_edge_cases(self, f, e):
+        assert f**e == repeated_product(f, e)
+
+    def test_zero_power_is_one(self):
+        assert P(0) ** 0 == P(1)
+        assert P(-7, 3) ** 0 == P(1)
+
+    @pytest.mark.parametrize(
+        "e, error",
+        [(-1, ValueError), (-40, ValueError), (1.0, TypeError), (2.5, TypeError),
+         (Fraction(2), TypeError), ("2", TypeError), (None, TypeError)],
+    )
+    def test_rejects_negative_or_non_int_exponent(self, e, error):
+        with pytest.raises(error):
+            P(1, 1) ** e
+
+
 class TestGcd:
     def test_common_factor(self):
         a = P(-1, 0, 1)  # (x-1)(x+1)
@@ -91,6 +139,22 @@ class TestSubstitution:
     def test_phi5(self):
         q = palindromic_to_interval_poly(cyclotomic(5))
         assert q.coefficients == (-1, 1, 1)  # y^2 + y - 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)), max_size=12),
+        st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)).filter(bool),
+    )
+    def test_matches_the_polynomial_recurrence(self, middle_up, lead):
+        # coefficients c_s..c_2s with c_2s != 0, mirrored: palindromic of even degree 2s
+        upper = [*middle_up, lead]
+        g = IntPolynomial(upper[:0:-1] + upper)
+        assert g.degree == 2 * (len(upper) - 1) and g.is_palindromic()
+        assert palindromic_to_interval_poly(g) == palindromic_to_interval_poly_oracle(g)
+
+    def test_matches_the_polynomial_recurrence_at_degree_600(self):
+        g = P(*([1] + [0] * 299 + [-3] + [0] * 299 + [1]))
+        assert palindromic_to_interval_poly(g) == palindromic_to_interval_poly_oracle(g)
 
     def test_rejects_non_palindromic(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,6 @@ from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import (
     certify_polynomial,
     char_poly,
-    is_c_hyperbolic,
     is_integer_like,
 )
 from anosovgraph.liealg import extend_to_algebra, is_algebra_automorphism
@@ -581,6 +580,27 @@ class TestFactorCertificate:
         assert len(action.partition.quotient_edges) == 5
         assert len(calls) == 1
         assert w.full_char_poly == char_poly(w.full_matrix)
+
+
+class TestVCharPoly:
+    """`Witness.v_char_poly` raises each plan's block polynomial to its orbit's size;
+    the product over every member, one schoolbook `*` each, is the oracle."""
+
+    def test_matches_the_per_member_product(self):
+        families = [family_II(5, 3), family_II(3, 3), family_I(3, (2, 2, 3)), family_I_modified(3)]
+        actions = [build_action(coherent_components(i.graph), i.generators) for i in families]
+        actions += guard_yes_actions(0)
+        sizes = set()
+        for action in actions:
+            w = build_witness(action)
+            per_member = IntPolynomial([1])
+            for p in w.plan:
+                for _ in p.orbit.members:
+                    per_member = per_member * p.block_char_poly
+            assert w.v_char_poly == per_member
+            assert w.v_char_poly == char_poly(w.v_matrix)
+            sizes.update(len(p.orbit.members) for p in w.plan)
+        assert max(sizes) >= 5 and 1 in sizes
 
 
 def dense_block_char_poly(seed, exponent):

@@ -9,7 +9,8 @@ of order-preserving component permutations, path graphs, and whether a
 permutation is the identity. And the
 product of f^e over (factor, multiplicity) pairs, which gives the V+W
 characteristic polynomial from `liealg.extension_factors`. And a cancellation
-token that counts its polls."""
+token that counts its polls, and the x + 1/x substitution as a recurrence on
+polynomials."""
 
 import itertools
 from math import lcm
@@ -45,6 +46,24 @@ def factor_product(factors):
         for _ in range(e):
             out = out * f
     return out
+
+
+def palindromic_to_interval_poly_oracle(g):
+    """q with g(x) = x^s q(x + 1/x) for palindromic g of degree 2s, by the recurrence on polynomials.
+
+    t_k, the polynomial in y = x + 1/x equal to x^k + x^(-k), satisfies
+    t_k = y t_(k-1) - t_(k-2); q is the sum of g's upper coefficients times t_k.
+    """
+    s = g.degree // 2
+    coeffs = g.coefficients
+    q = IntPolynomial([coeffs[s]])
+    t_prev = IntPolynomial([2])
+    t_cur = IntPolynomial([0, 1])
+    y = IntPolynomial([0, 1])
+    for k in range(1, s + 1):
+        q = q + t_cur.scale(coeffs[s + k])
+        t_prev, t_cur = t_cur, y * t_cur - t_prev
+    return q
 
 
 def extension_product(part, component_polys):
