@@ -29,7 +29,8 @@ class SeedSearchExhausted(RuntimeError):
 
     The candidates commute with the stabilizer by construction and the
     certificate alone accepts a seed; the tests find one for every yes cycle
-    type on at most 12 points. This is not a proof that no seed exists.
+    type on one component of at most 16 points, and tests/sweep_witnesses.py
+    up to 24. This is not a proof that no seed exists.
     """
 
     def __init__(self, message, *, candidates_tried):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, checkpoint
 from .exactmat import RationalMatrix, coerce_matrix
 from .graphs import CoherentPartition, Graph
 from .hyperbolicity import exterior_square_poly, tensor_poly
@@ -102,6 +102,7 @@ def brackets_preserved(graph: Graph, rows) -> bool:
     V-entries of each; since every wedge column belongs to exactly one vertex
     pair, the brackets of the edge pairs make up the whole expected W-block.
     Exact on int or Fraction entries; invertibility is not checked here.
+    Polls `checkpoint` once per vertex column x.
     """
     n, m = graph.num_vertices, graph.num_edges
     if any(any(row[n:]) for row in rows[:n]):
@@ -110,6 +111,7 @@ def brackets_preserved(graph: Graph, rows) -> bool:
     support = [[(a, rows[a][x]) for a in range(n) if rows[a][x]] for x in range(n)]
     expected = [[0] * m for _ in range(m)]  # expected[e][k]: row n + e, column n + k
     for x in range(n):
+        checkpoint()
         for y in range(x + 1, n):
             bracket = {}  # wedge index -> coefficient of the bracket of columns x and y
             for a, ca in support[x]:

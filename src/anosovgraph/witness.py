@@ -25,8 +25,16 @@ certificate is the one the whole polynomial would get.
 A seed is the first candidate of `seed_catalog` that the exact certificate
 accepts at the orbit's level c. The candidates are integral and commute with
 the stabilizer by construction, the last one (from Bass's cyclic units) with
-determinant +-1; only the certificate decides hyperbolicity. The tests find
-a seed for every cycle type called yes on at most 12 points.
+determinant +-1; only the certificate decides hyperbolicity. The tests build
+a certified witness for every cycle type called yes on one discrete or
+complete component of at most 16 points, and tests/sweep_witnesses.py goes
+on to 24 points.
+
+The exponents come from float estimates of the seeds' root moduli, which
+only steer: the root solver returns whatever it reached, and the first orbit
+takes exponent 1 whatever its bounds. A later orbit needs usable bounds;
+without them `choose_exponents` raises PreconditionViolation, which says
+nothing about the seeds.
 
 Commutation with each generator's permutation matrix P is checked on V. Once
 `extend_rows` has succeeded, the map A keeps the span E of the edge wedges,
@@ -41,7 +49,7 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import ceil, gcd, log, pi, prod
+from math import ceil, gcd, isfinite, log, pi, prod
 
 from .errors import (
     PreconditionViolation,
@@ -181,9 +189,10 @@ def seed_catalog(stabilizer_perm: tuple[int, ...]):
     seeds lifted along the cycles come first (a trivial stabilizer gets the
     catalog itself); `structured_seed` comes last. Each candidate is integral
     and commutes with the stabilizer by construction; none is proved
-    hyperbolic. The tests certify one for every cycle type that the criterion
-    calls yes on at most 12 points, at c = 1 and 2 (`structured_seed` alone
-    certifies all 413 such types on at most 16 points).
+    hyperbolic. The tests build a witness from one for every cycle type that
+    the criterion calls yes on one component of at most 16 points, at c = 1
+    and 2, and tests/sweep_witnesses.py goes on to 24 points
+    (`structured_seed` alone certifies all 413 such types on at most 16).
     """
     dim = len(stabilizer_perm)
     # When all cycles have one length d, a seed B on the space of cycles lifts
@@ -216,8 +225,9 @@ def find_seed(
 
     Candidates commute with the stabilizer by construction; integer-likeness
     and the exact c-hyperbolicity certificate alone accept one. The tests
-    cover every yes cycle type on at most 12 points. SeedSearchExhausted
-    means that no candidate certified, never that no seed exists.
+    cover every yes cycle type on one component of at most 16 points, and
+    tests/sweep_witnesses.py up to 24. SeedSearchExhausted means that no
+    candidate certified, never that no seed exists.
     """
     dim = len(stabilizer_perm)
     tried = 0
@@ -244,13 +254,18 @@ ABERTH_MAX_SWEEPS = 200
 
 
 def _aberth_roots(p: IntPolynomial) -> list[complex]:
-    """The roots of p, which must be simple and nonzero, in complex floats.
+    """Estimates of the roots of p, which must be simple and nonzero, in complex floats.
 
     Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973), Gauss-Seidel
     style. It starts on the circle of twice the roots' geometric mean modulus:
     a reciprocal polynomial's iteration would leave the unit circle only
     through rounding. It stops once the largest relative step is a few ulps,
-    or below 2^-26 and no smaller than the last one (rounding noise).
+    or below 2^-26 and no smaller than the last one (rounding noise), or
+    after `ABERTH_MAX_SWEEPS` sweeps, and returns its last iterate either
+    way. The roots only steer the exponents, so the solver never fails: on
+    a structured seed of 16 points or more the steps stall above the stop
+    rule, and on larger ones Horner's rule overflows to inf or NaN.
+    Polls `checkpoint` once per sweep.
     """
     coeffs = [float(c) for c in reversed(p.coefficients)]  # leading first
     n = len(coeffs) - 1
@@ -258,6 +273,7 @@ def _aberth_roots(p: IntPolynomial) -> list[complex]:
     roots = [cmath.rect(radius, 2 * pi * k / n + 0.4) for k in range(n)]
     previous = float("inf")
     for _ in range(ABERTH_MAX_SWEEPS):
+        checkpoint()
         largest = 0.0
         for i, z in enumerate(roots):
             value, slope = coeffs[0], 0.0
@@ -270,9 +286,9 @@ def _aberth_roots(p: IntPolynomial) -> list[complex]:
             roots[i] = z - step
             largest = max(largest, abs(step) / abs(roots[i]))
         if largest <= 4 * 2.0**-52 or previous <= largest < 2.0**-26:
-            return roots
+            break
         previous = largest
-    raise AssertionError(f"Aberth iteration did not converge in {ABERTH_MAX_SWEEPS} sweeps on {p}")
+    return roots
 
 
 def log_modulus_bounds(p: IntPolynomial) -> tuple[float, float]:
@@ -282,7 +298,8 @@ def log_modulus_bounds(p: IntPolynomial) -> tuple[float, float]:
     each simple. A lifted seed's char poly is a power, and a float solver
     spreads a root of multiplicity m by about eps^(1/m); on (x^2 - 3x + 1)^3
     the spread is about 1e-5, while the simple roots of x^2 - 3x + 1 come out
-    to a few ulps.
+    to a few ulps. The bounds are estimates that only steer
+    `choose_exponents`: they may be inaccurate, infinite or NaN.
     """
     logs = [abs(log(abs(z))) for z in _aberth_roots(squarefree_part(p))]
     return min(logs), max(logs)
@@ -294,20 +311,22 @@ def choose_exponents(bounds, margin: float = 2.0) -> tuple[int, ...]:
     Guarantees (up to the quality of the numeric bounds) that eigenvalue
     products across different orbits stay off the unit circle; the assembled
     matrix is re-certified exactly afterwards, so the bounds only steer the
-    search. Each k_i is the ceiling of x = margin * sum / min_i less a
+    search. The first orbit takes exponent 1 whatever its bounds.
+    Each later k_i is the ceiling of x = margin * sum / min_i less a
     relative slack of 1e-9, below the bounds' own relative error: where x is
     an integer, the exponent does not depend on how the root solver rounds.
+    Where min_i is not above 1e-12 or x is not finite, the bounds cannot
+    steer, and this raises PreconditionViolation: the root moduli could not
+    be estimated, which says nothing about the (certified) seeds.
     """
-    ks = []
-    acc = 0.0
+    ks, acc = [], 0.0
     for lo, hi in bounds:
-        if not lo > 1e-12:
+        if ks and not (lo > 1e-12 and isfinite(margin * acc / lo)):
             raise PreconditionViolation(
-                "seed has an eigenvalue too close to the unit circle; it cannot be certified"
+                "the seeds' root moduli could not be estimated in floating point"
             )
-        k = max(1, ceil(margin * acc / lo * (1 - 1e-9)))
-        ks.append(k)
-        acc += k * hi
+        ks.append(max(1, ceil(margin * acc / lo * (1 - 1e-9))) if ks else 1)
+        acc += ks[-1] * hi
     return tuple(ks)
 
 
@@ -375,9 +394,10 @@ class Witness:
         return self.certificate.char_poly
 
     def to_json_dict(self) -> dict:
+        """The JSON payload. Matrices stay tuple rows: the canonical writer writes them as lists."""
         return {
-            "v_matrix": [list(row) for row in self.v_matrix],
-            "full_matrix": [list(row) for row in self.full_matrix],
+            "v_matrix": self.v_matrix,
+            "full_matrix": self.full_matrix,
             "v_char_poly": list(self.v_char_poly.coefficients),
             "full_char_poly": list(self.full_char_poly.coefficients),
             "certificate": self.certificate.to_json_dict(),
@@ -385,7 +405,7 @@ class Witness:
             "blocks": [
                 {
                     "orbit_rep": p.orbit.rep + 1,
-                    "seed": [list(r) for r in p.seed],
+                    "seed": p.seed,
                     "exponent": p.exponent,
                     "seed_char_poly": list(p.seed_char_poly.coefficients),
                     "conjugators": [

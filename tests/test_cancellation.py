@@ -15,11 +15,12 @@ import pytest
 from anosovgraph.analysis import analyze
 from anosovgraph.errors import CancelToken, OperationCancelled, checkpoint
 from anosovgraph.families import family_I_modified, family_II
-from anosovgraph.graphs import coherent_components, discrete_graph
+from anosovgraph.graphs import VertexPermutation, coherent_components, complete_graph, discrete_graph
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import _power_product, char_poly
-from anosovgraph.polynomials import IntPolynomial
-from anosovgraph.witness import log_modulus_bounds, plan_blocks
+from anosovgraph.liealg import brackets_preserved, extend_rows
+from anosovgraph.polynomials import IntPolynomial, squarefree_part
+from anosovgraph.witness import ABERTH_MAX_SWEEPS, _aberth_roots, find_seed, log_modulus_bounds, plan_blocks
 
 from tests_support_oracles import CancelOnCheck, factor_product
 
@@ -172,6 +173,25 @@ class TestStagesOutsideTheKernels:
         with cancelled, pytest.raises(OperationCancelled):
             log_modulus_bounds(p)
 
+    def test_root_solver_polls_once_per_sweep(self):
+        # the structured seed on 16 points: its iteration stalls above the
+        # stop rule and runs every sweep
+        graph = discrete_graph(16)
+        gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
+        (orbit,) = build_action(coherent_components(graph), [gen]).orbits
+        p = squarefree_part(find_seed(orbit.stabilizer.restriction, orbit.c)[1].char_poly)
+        with CancelOnCheck() as token:
+            roots = _aberth_roots(p)
+        assert token.checks == ABERTH_MAX_SWEEPS
+        assert len(roots) == p.degree
+
+    def test_bracket_check_polls_once_per_vertex_column(self):
+        graph = complete_graph(5)
+        rows = extend_rows(graph, [[int(i == j) for j in range(5)] for i in range(5)])
+        with CancelOnCheck() as token:
+            assert brackets_preserved(graph, rows)
+        assert token.checks == 5
+
 
 class TestFactorProduct:
     """`hyperbolicity._power_product` polls once per factor, before it raises that factor to its power."""
@@ -194,8 +214,10 @@ class TestFactorProduct:
 class TestWholePipeline:
     # analyze(..., want_witness=True) plus to_json() polls this often: each
     # certificate also polls once per factor in its three factor products
-    # (4, 2 and 14 factors in all on these three cases)
-    POLLS = {"II n=3 s=3": 64, "discrete 8": 54, "I-modified m=3": 244}
+    # (4, 2 and 14 factors in all on these three cases), the root solver once
+    # per sweep (5, 8 and 5 + 5 + 5 sweeps) and the bracket check once per
+    # vertex column (9, 8 and 16 columns)
+    POLLS = {"II n=3 s=3": 78, "discrete 8": 70, "I-modified m=3": 275}
 
     @pytest.mark.parametrize("name", sorted(POLLS))
     def test_poll_count(self, name):

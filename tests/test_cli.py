@@ -295,6 +295,18 @@ class TestWitnessReportPins:
             == "6fa41d2dc1c979e304d79a87dad311e9d2707e8fdd89552b0ef559fe40e27535"
         )
 
+    def test_discrete_16_double_swap_report(self, run, tmp_path):
+        # a structured seed whose float root moduli do not settle; one orbit takes exponent 1
+        path = write_graph(tmp_path, discrete_graph(16))
+        code, out, _ = run(
+            "analyze", "--graph", path, "--holonomy", "(v1 v2)(v3 v4)", "--json", "--witness"
+        )
+        assert code == EXIT_YES
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "d7c0dbb818ac82e8a22e755d14972347387d2a25f4591122c5390ad0f2312606"
+        )
+
     def test_discrete_mixed_cycles_structured_seed_report(self, run, tmp_path):
         # cycle lengths 2, 1, 2: no lifted seed, so the block is `structured_seed`
         path = write_graph(tmp_path, discrete_graph(5))
@@ -321,6 +333,50 @@ class TestWitnessReportPins:
             hashlib.sha256(out.encode()).hexdigest()
             == "aa8f7ad0d09d819c7c5534ee5f31c4c18cfc58e1dabc52f0dfe9f621f134337d"
         )
+
+
+class TestCertifiedSeedsAboveTwelvePoints:
+    """Yes instances on one component whose seed is `structured_seed`, certified
+    exactly, while the float root moduli that steer the exponents do not
+    settle: from 16 points the Aberth steps stall above the stop rule, and at
+    48 points Horner's rule overflows and the bounds come out NaN. A single
+    orbit takes exponent 1 whatever its bounds, so each run exits 0."""
+
+    CASES = [
+        ("discrete", 16, "(v1 v2)(v3 v4)"),
+        ("discrete", 20, "(v1 v2)(v3 v4)"),
+        ("discrete", 48, "(v1 v2)(v3 v4)"),
+        ("discrete", 16, "(v1 v2)(v3 v4)(v5 v6)"),
+        ("discrete", 18, "(v1 v2 v3)(v4 v5 v6)"),
+        ("discrete", 20, "(v1 v2 v3 v4)(v5 v6 v7 v8)"),
+        ("complete", 16, "(v1 v2)(v3 v4)(v5 v6)(v7 v8)"),
+    ]
+
+    @pytest.mark.parametrize("kind, n, holonomy", CASES, ids=[f"{k} {n} {h}" for k, n, h in CASES])
+    def test_witness_exits_0(self, run, tmp_path, kind, n, holonomy):
+        graph = (discrete_graph if kind == "discrete" else complete_graph)(n)
+        argv = ["analyze", "--graph", write_graph(tmp_path, graph), "--holonomy", holonomy]
+        code, out, _ = run(*argv, "--json", "--witness")
+        assert code == EXIT_YES
+        witness = json.loads(out)["witness"]
+        assert witness["certificate"]["valid"] is True
+        (block,) = witness["blocks"]
+        assert block["exponent"] == 1
+        # the block polynomial is read off power sums; the dense one of the V-matrix must agree
+        assert char_poly(witness["v_matrix"]).coefficients == tuple(witness["v_char_poly"])
+
+    def test_overflowed_bounds_of_two_orbits_exit_6(self, run, tmp_path):
+        # discrete v1..v40 beside the complete t1 t2 t3: the second orbit's
+        # exponent needs the bounds, and they overflow
+        vertices = [f"v{i}" for i in range(1, 41)] + ["t1", "t2", "t3"]
+        graph = Graph(vertices, [("t1", "t2"), ("t1", "t3"), ("t2", "t3")])
+        argv = ["analyze", "--graph", write_graph(tmp_path, graph), "--holonomy", "(v1 v2)(v3 v4)"]
+        code, out, err = run(*argv, "--json", "--witness")
+        assert code == EXIT_WITNESS
+        report = json.loads(out)
+        assert report["decision"]["verdict"] == "yes"
+        assert "root moduli could not be estimated" in report["witness_error"]
+        assert "unit circle" not in report["witness_error"] and "unit circle" not in err
 
 
 class TestDecisionReportPins:

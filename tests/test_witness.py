@@ -4,7 +4,7 @@ import json
 import random
 from dataclasses import replace
 from functools import lru_cache
-from math import log
+from math import isfinite, log
 
 import numpy as np
 import pytest
@@ -154,6 +154,31 @@ def cyclic_generator(graph, lengths):
     return VertexPermutation.from_cycles("".join(cycles), graph.vertices)
 
 
+def witness_every_cycle_type(points):
+    """`analyze(..., want_witness=True)` on one cyclic generator of every cycle
+    type on each number of points, on a discrete component (c = 1) and on a
+    complete one (c = 2). Each yes must get a certified witness, and each
+    other verdict none; returns the number of yes instances."""
+    yes = 0
+    for n in points:
+        for lengths in cycle_types(n):
+            for graph in (discrete_graph(n), complete_graph(n)):
+                report = analyze(graph, [cyclic_generator(graph, lengths)], want_witness=True)
+                if report.decision.verdict == "yes":
+                    yes += 1
+                    assert report.witness is not None, (lengths, graph.num_edges, report.witness_error)
+                    assert report.witness.certificate.valid
+                else:
+                    assert report.witness is None and report.witness_error is None
+    return yes
+
+
+def discrete_beside_triangle(n):
+    """Discrete v1..vn beside the complete t1 t2 t3: two orbits, whose float bounds steer the exponents."""
+    vertices = [f"v{i}" for i in range(1, n + 1)] + ["t1", "t2", "t3"]
+    return Graph(vertices, [("t1", "t2"), ("t1", "t3"), ("t2", "t3")])
+
+
 def yes_orbits(max_points):
     """The orbit of one cyclic generator of every cycle type on at most max_points
     points, on a discrete component (c = 1) and on a complete one (c = 2), where
@@ -292,6 +317,12 @@ class TestCycleTypeEnumeration:
                         assert report.witness is None and report.witness_error is None
         assert verdicts == {"yes": 21, "other": 95}
 
+    def test_every_yes_cycle_type_on_9_to_16_points_gets_a_witness(self):
+        """Above 12 points most seeds are `structured_seed`, whose float root
+        moduli stall or spread; only the exact certificate may stop them.
+        tests/sweep_witnesses.py runs 17 to 24 points."""
+        assert witness_every_cycle_type(range(9, 17)) == 379
+
     def test_find_seed_certifies_every_yes_cycle_type_on_at_most_12_points(self):
         certified = 0
         for orbit in yes_orbits(12):
@@ -324,8 +355,25 @@ class TestChooseExponents:
         assert all(a < b for a, b in zip(ks, ks[1:]))
 
     def test_degenerate_bounds_rejected(self):
-        with pytest.raises(PreconditionViolation):
-            choose_exponents([(0.0, 1.0)])
+        """A single orbit takes exponent 1 whatever its bounds; bounds that
+        cannot steer a later orbit raise without claiming anything about the
+        unit circle."""
+        nan, inf = float("nan"), float("inf")
+        for bounds in [(0.0, 1.0), (1e-13, 1.0), (-1.0, 1.0), (nan, nan), (inf, inf), (nan, 1.0)]:
+            assert choose_exponents([bounds]) == (1,)
+            assert choose_exponents([bounds], margin=64.0) == (1,)
+        for bounds in [
+            [(0.5, 1.0), (0.0, 1.0)],
+            [(0.5, 1.0), (nan, nan)],
+            [(0.5, 1.0), (1e-13, 1.0)],
+            [(0.5, nan), (0.5, 1.0)],
+            [(0.5, inf), (0.5, 1.0)],
+            [(0.5, 1e308), (1e-11, 1.0)],  # finite bounds whose quotient overflows
+            [(0.5, 1.0), (0.5, 1.0), (nan, 1.0)],
+        ]:
+            with pytest.raises(PreconditionViolation, match="root moduli could not be estimated") as info:
+                choose_exponents(bounds)
+            assert "unit circle" not in str(info.value)
 
     def test_separation_inequality(self):
         rng = random.Random(3)
@@ -355,10 +403,15 @@ class TestLogBounds:
         cube = log_modulus_bounds(cat * cat * cat)
         assert cube == pytest.approx(log_modulus_bounds(cat), rel=0, abs=1e-12)
 
-    def test_unconverged_iteration_raises(self, monkeypatch):
+    def test_unconverged_iteration_returns_finite_bounds(self, monkeypatch):
+        """An iteration cut short still steers: its bounds are finite, and the
+        exact certificate accepts the single-orbit witness they lead to."""
         monkeypatch.setattr(witness_module, "ABERTH_MAX_SWEEPS", 1)
-        with pytest.raises(AssertionError):
-            log_modulus_bounds(CUBIC)
+        lo, hi = log_modulus_bounds(CUBIC)
+        assert isfinite(lo) and isfinite(hi) and 0 <= lo <= hi
+        report = analyze(discrete_graph(3), want_witness=True)
+        assert report.witness is not None and report.witness.certificate.valid
+        assert report.witness.plan[0].seed == companion_rows(CUBIC)
 
     def test_matches_numpy_on_every_yes_seed_and_its_powers(self):
         """Oracle: numpy's roots of the squarefree part, on the char polys of the
@@ -384,6 +437,29 @@ class TestLogBounds:
                 assert choose_exponents([pure[i], pure[j]], margin) == choose_exponents(
                     [oracle[i], oracle[j]], margin
                 ), (seeds[i], seeds[j], margin)
+
+
+class TestMultiOrbitAboveTwelvePoints:
+    """Discrete v1..vn with holonomy (v1 v2)(v3 v4) beside a triangle: the
+    second orbit's exponent is read from the float bounds of both seeds."""
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_certified(self, n):
+        graph = discrete_beside_triangle(n)
+        gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
+        report = analyze(graph, [gen], want_witness=True)
+        assert report.witness is not None, report.witness_error
+        assert report.witness.certificate.valid
+        first, second = (p.exponent for p in report.witness.plan)
+        assert first == 1 < second
+
+    def test_overflowed_bounds_are_reported(self):
+        graph = discrete_beside_triangle(40)
+        gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
+        report = analyze(graph, [gen], want_witness=True)
+        assert report.decision.verdict == "yes" and report.witness is None
+        assert "root moduli could not be estimated" in report.witness_error
+        assert "unit circle" not in report.witness_error
 
 
 class TestBuildWitness:
