@@ -13,12 +13,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import (
-    PreconditionViolation,
-    SeedSearchExhausted,
-    WitnessAssemblyError,
-    WitnessRefused,
-)
+from .errors import SeedSearchExhausted, WitnessAssemblyError, WitnessRefused
 from .graphs import CoherentPartition, Graph, coherent_components, component_label
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND, HolonomyAction, build_action
 from .repdecomp import Decision, decide
@@ -272,12 +267,8 @@ def analyze(
         t0 = time.monotonic()
         try:
             report.witness = build_witness(action)
-        except (
-            SeedSearchExhausted,
-            WitnessRefused,
-            WitnessAssemblyError,
-            PreconditionViolation,
-        ) as exc:  # reported, not raised: the decision stands
+        except (SeedSearchExhausted, WitnessRefused, WitnessAssemblyError) as exc:
+            # reported, not raised: the decision stands
             report.witness_error = str(exc)
         timing["witness_s"] = time.monotonic() - t0
     return report

@@ -14,7 +14,7 @@ import json
 import re
 from math import lcm
 
-from .errors import BoundExceeded, GraphInputError, PermutationError, PreconditionViolation
+from .errors import BoundExceeded, GraphInputError, PermutationError, PreconditionViolation, checkpoint
 
 
 class Graph:
@@ -283,6 +283,7 @@ class VertexPermutation:
         The closure composes bare position tuples and wraps only the distinct
         elements. Raises BoundExceeded as soon as more than order_bound are found,
         the identity included, so an order_bound below 1 admits no group.
+        Polls `checkpoint` once per frontier round.
         """
         identity = cls.identity(domain)
         gens = []
@@ -295,6 +296,7 @@ class VertexPermutation:
         elements = {identity._images}
         frontier = [identity._images]
         while frontier:
+            checkpoint()
             new_frontier = []
             for g in gens:
                 for h in frontier:

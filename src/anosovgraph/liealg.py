@@ -45,12 +45,14 @@ def extend_rows(graph: Graph, rows) -> tuple[tuple, ...]:
     so only their pairs are formed. A nonzero coefficient on a non-edge means
     the map admits no degree-0 extension, and raises PreconditionViolation.
     Exact on int or Fraction entries; invertibility is not checked here.
+    Polls `checkpoint` once per wedge column.
     """
     n, m = graph.num_vertices, graph.num_edges
     wedge = _wedge_index(graph)
     support = [{u for u in range(n) if rows[u][x]} for x in range(n)]
     full = [list(row) + [0] * m for row in rows] + [[0] * (n + m) for _ in range(m)]
     for (ia, ib), col in wedge.items():
+        checkpoint()
         touched = sorted(support[ia] | support[ib])
         for k, u in enumerate(touched):
             gu_a, gu_b = rows[u][ia], rows[u][ib]

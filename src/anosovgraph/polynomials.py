@@ -432,6 +432,7 @@ def palindromic_to_interval_poly(g: IntPolynomial) -> IntPolynomial:
     """For palindromic g of even degree 2s, the polynomial q with g(x) = x^s q(x + 1/x).
 
     Roots of g on the unit circle correspond to real roots of q in [-2, 2].
+    Polls `checkpoint` once per k.
     """
     if g.is_zero or not g.is_palindromic():
         raise ValueError("polynomial is not palindromic")
@@ -443,6 +444,7 @@ def palindromic_to_interval_poly(g: IntPolynomial) -> IntPolynomial:
     q = [coeffs[s]] + [0] * s
     t_prev, t_cur = [2], [0, 1]
     for k in range(1, s + 1):
+        checkpoint()
         if c := coeffs[s + k]:
             q[: k + 1] = map(add, q, map(mul, t_cur, repeat(c)))
         t_next = [0, *t_cur]

@@ -31,10 +31,10 @@ complete component of at most 16 points, and tests/sweep_witnesses.py goes
 on to 24 points.
 
 The exponents come from float estimates of the seeds' root moduli, which
-only steer: the root solver returns whatever it reached, and the first orbit
-takes exponent 1 whatever its bounds. A later orbit needs usable bounds;
-without them `choose_exponents` raises PreconditionViolation, which says
-nothing about the seeds.
+only steer: the root solver returns whatever it reached, and an orbit whose
+bounds cannot steer (the first orbit always, and any orbit whose bounds are
+degenerate, NaN or overflow) takes exponent 1. Floats never refuse a
+witness; the exact certificate accepts or refuses the assembled matrix.
 
 Commutation with each generator's permutation matrix P is checked on V. Once
 `extend_rows` has succeeded, the map A keeps the span E of the edge wedges,
@@ -311,21 +311,17 @@ def choose_exponents(bounds, margin: float = 2.0) -> tuple[int, ...]:
     Guarantees (up to the quality of the numeric bounds) that eigenvalue
     products across different orbits stay off the unit circle; the assembled
     matrix is re-certified exactly afterwards, so the bounds only steer the
-    search. The first orbit takes exponent 1 whatever its bounds.
-    Each later k_i is the ceiling of x = margin * sum / min_i less a
+    search. Each k_i is the ceiling of x = margin * sum / min_i less a
     relative slack of 1e-9, below the bounds' own relative error: where x is
     an integer, the exponent does not depend on how the root solver rounds.
-    Where min_i is not above 1e-12 or x is not finite, the bounds cannot
-    steer, and this raises PreconditionViolation: the root moduli could not
-    be estimated, which says nothing about the (certified) seeds.
+    Where the bounds cannot steer, k_i is 1: for the first orbit (the sum
+    is 0), and where min_i is not above 1e-12 or x is not finite (NaN or
+    overflowing bounds). Nothing raises; the certificate decides.
     """
     ks, acc = [], 0.0
     for lo, hi in bounds:
-        if ks and not (lo > 1e-12 and isfinite(margin * acc / lo)):
-            raise PreconditionViolation(
-                "the seeds' root moduli could not be estimated in floating point"
-            )
-        ks.append(max(1, ceil(margin * acc / lo * (1 - 1e-9))) if ks else 1)
+        x = margin * acc / lo if lo > 1e-12 else 0.0
+        ks.append(max(1, ceil(x * (1 - 1e-9))) if isfinite(x) else 1)
         acc += ks[-1] * hi
     return tuple(ks)
 
@@ -441,14 +437,17 @@ class Witness:
 
 
 def _int_matpow(rows, k: int):
+    """rows^k for k >= 1, by binary powering; polls `checkpoint` once per product."""
     n = len(rows)
     result = [[int(i == j) for j in range(n)] for i in range(n)]
     base = rows
     while k:
         if k & 1:
+            checkpoint()
             result = _matmul(result, base)
         k >>= 1
         if k:
+            checkpoint()
             base = _matmul(base, base)
     return tuple(tuple(r) for r in result)
 
@@ -598,20 +597,24 @@ def build_witness(action: HolonomyAction) -> Witness:
 
     Seeds, conjugators and the seeds' log-modulus bounds are found once.
     Each of up to `DEFAULT_MAX_RETRIES` retries recomputes only the
-    exponents from those bounds, at double the separation margin; the exact
-    re-certification in the assembly is what finally accepts.
+    exponents from those bounds, at double the separation margin, and
+    assembles them unless an earlier margin gave the same exponents (one
+    orbit, or bounds that cannot steer, give the same ones at every
+    margin). The exact re-certification in the assembly is what finally
+    accepts; the last hyperbolicity failure is raised when none does.
     """
     _require_yes(action)
     seeds, bounds = _seed_orbits(action)
-    margin = 2.0
-    last_error: WitnessAssemblyError | None = None
-    for _ in range(DEFAULT_MAX_RETRIES + 1):
-        plan = _plan(seeds, choose_exponents(bounds, margin))
+    tried = set()
+    for retry in range(DEFAULT_MAX_RETRIES + 1):
+        exponents = choose_exponents(bounds, 2.0 * 2**retry)
+        if exponents in tried:
+            continue
+        tried.add(exponents)
         try:
-            return _assemble(action, plan)
+            return _assemble(action, _plan(seeds, exponents))
         except WitnessAssemblyError as exc:
             if exc.stage != "hyperbolicity":
                 raise
             last_error = exc
-        margin *= 2
     raise last_error

@@ -19,8 +19,16 @@ from anosovgraph.graphs import VertexPermutation, coherent_components, complete_
 from anosovgraph.holonomy import build_action
 from anosovgraph.hyperbolicity import _power_product, char_poly
 from anosovgraph.liealg import brackets_preserved, extend_rows
-from anosovgraph.polynomials import IntPolynomial, squarefree_part
-from anosovgraph.witness import ABERTH_MAX_SWEEPS, _aberth_roots, find_seed, log_modulus_bounds, plan_blocks
+from anosovgraph.polynomials import IntPolynomial, palindromic_to_interval_poly, squarefree_part
+from anosovgraph.witness import (
+    ABERTH_MAX_SWEEPS,
+    CAT_MAP_ROWS,
+    _aberth_roots,
+    _int_matpow,
+    find_seed,
+    log_modulus_bounds,
+    plan_blocks,
+)
 
 from tests_support_oracles import CancelOnCheck, factor_product
 
@@ -193,6 +201,50 @@ class TestStagesOutsideTheKernels:
         assert token.checks == 5
 
 
+def identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def five_cycle_group():
+    graph = discrete_graph(5)
+    gen = VertexPermutation.from_cycles("(v1 v2 v3 v4 v5)", graph.vertices)
+    return VertexPermutation.generated_group([gen], graph.vertices, 10)
+
+
+class TestPollsPerStep:
+    """Stages that poll once per step of their loop: a full run polls that
+    often, and a token that fires at any of those polls stops the run there."""
+
+    STAGES = {
+        # K5 has 10 edges
+        "extend_rows, per wedge column": (lambda: extend_rows(complete_graph(5), identity_rows(5)), 10),
+        # 13 = 0b1101: three products into the result and three squarings
+        "_int_matpow, per product": (lambda: _int_matpow(CAT_MAP_ROWS, 13), 6),
+        # x^20 + 1 = x^10 q(x + 1/x): k = 1..10
+        "palindromic_to_interval_poly, per k": (
+            lambda: palindromic_to_interval_poly(IntPolynomial([1] + [0] * 19 + [1])),
+            10,
+        ),
+        # the frontiers {1}, {g}, ..., {g^4}
+        "generated_group, per frontier round": (five_cycle_group, 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STAGES))
+    def test_poll_count(self, name):
+        stage, polls = self.STAGES[name]
+        with CancelOnCheck() as token:
+            stage()
+        assert token.checks == polls
+
+    @pytest.mark.parametrize("name", sorted(STAGES))
+    def test_stops_at_every_poll(self, name):
+        stage, polls = self.STAGES[name]
+        for at in range(1, polls + 1):
+            with CancelOnCheck(at) as token, pytest.raises(OperationCancelled):
+                stage()
+            assert token.checks == at
+
+
 class TestFactorProduct:
     """`hyperbolicity._power_product` polls once per factor, before it raises that factor to its power."""
 
@@ -212,16 +264,22 @@ class TestFactorProduct:
 
 
 class TestWholePipeline:
-    # analyze(..., want_witness=True) plus to_json() polls this often: each
-    # certificate also polls once per factor in its three factor products
-    # (4, 2 and 14 factors in all on these three cases), the root solver once
-    # per sweep (5, 8 and 5 + 5 + 5 sweeps) and the bracket check once per
-    # vertex column (9, 8 and 16 columns)
-    POLLS = {"II n=3 s=3": 78, "discrete 8": 70, "I-modified m=3": 275}
+    # analyze(..., want_witness=True) plus to_json() polls this often once
+    # the process has built the seed catalog, whose cyclotomic conversions
+    # poll on its first use only: each certificate also polls once per
+    # factor in its three factor products (4, 2 and 14 factors in all on
+    # these three cases), the root solver once per sweep (5, 8 and 5 + 5 + 5
+    # sweeps), the bracket check once per vertex column (9, 8 and 16
+    # columns), the group closure once per frontier round (3, 1 and 2), the
+    # extension once per wedge column (27, 0 and 39), the block powers once
+    # per product (1, 1 and 10), and the x + 1/x conversion once per k (3,
+    # on I-modified m=3 only)
+    POLLS = {"II n=3 s=3": 109, "discrete 8": 72, "I-modified m=3": 329}
 
     @pytest.mark.parametrize("name", sorted(POLLS))
     def test_poll_count(self, name):
         graph, gens = case(name)
+        witness_json(name)  # builds the seed catalog this case reads
         with CancelOnCheck() as token:
             analyze(graph, gens, want_witness=True).to_json()
         assert token.checks == self.POLLS[name]

@@ -336,11 +336,11 @@ class TestWitnessReportPins:
 
 
 class TestCertifiedSeedsAboveTwelvePoints:
-    """Yes instances on one component whose seed is `structured_seed`, certified
-    exactly, while the float root moduli that steer the exponents do not
-    settle: from 16 points the Aberth steps stall above the stop rule, and at
-    48 points Horner's rule overflows and the bounds come out NaN. A single
-    orbit takes exponent 1 whatever its bounds, so each run exits 0."""
+    """Yes instances whose seed is `structured_seed`, certified exactly, while
+    the float root moduli that steer the exponents do not settle: from 16
+    points the Aberth steps stall above the stop rule, and at 48 points
+    Horner's rule overflows and the bounds come out NaN. A single orbit, and
+    any orbit whose bounds cannot steer, takes exponent 1, so each run exits 0."""
 
     CASES = [
         ("discrete", 16, "(v1 v2)(v3 v4)"),
@@ -365,18 +365,17 @@ class TestCertifiedSeedsAboveTwelvePoints:
         # the block polynomial is read off power sums; the dense one of the V-matrix must agree
         assert char_poly(witness["v_matrix"]).coefficients == tuple(witness["v_char_poly"])
 
-    def test_overflowed_bounds_of_two_orbits_exit_6(self, run, tmp_path):
-        # discrete v1..v40 beside the complete t1 t2 t3: the second orbit's
-        # exponent needs the bounds, and they overflow
+    def test_overflowed_bounds_of_two_orbits_exit_0(self, run, tmp_path):
+        # discrete v1..v40 beside the complete t1 t2 t3: the bounds that would
+        # steer the second orbit's exponent overflow, so it takes exponent 1
         vertices = [f"v{i}" for i in range(1, 41)] + ["t1", "t2", "t3"]
         graph = Graph(vertices, [("t1", "t2"), ("t1", "t3"), ("t2", "t3")])
         argv = ["analyze", "--graph", write_graph(tmp_path, graph), "--holonomy", "(v1 v2)(v3 v4)"]
-        code, out, err = run(*argv, "--json", "--witness")
-        assert code == EXIT_WITNESS
-        report = json.loads(out)
-        assert report["decision"]["verdict"] == "yes"
-        assert "root moduli could not be estimated" in report["witness_error"]
-        assert "unit circle" not in report["witness_error"] and "unit circle" not in err
+        code, out, _ = run(*argv, "--json", "--witness")
+        assert code == EXIT_YES
+        witness = json.loads(out)["witness"]
+        assert witness["certificate"]["valid"] is True
+        assert [block["exponent"] for block in witness["blocks"]] == [1, 1]
 
 
 class TestDecisionReportPins:

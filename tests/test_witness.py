@@ -18,7 +18,6 @@ from anosovgraph.analysis import analyze
 from anosovgraph.errors import (
     CancelToken,
     OperationCancelled,
-    PreconditionViolation,
     SeedSearchExhausted,
     WitnessAssemblyError,
     WitnessRefused,
@@ -173,10 +172,12 @@ def witness_every_cycle_type(points):
     return yes
 
 
-def discrete_beside_triangle(n):
-    """Discrete v1..vn beside the complete t1 t2 t3: two orbits, whose float bounds steer the exponents."""
-    vertices = [f"v{i}" for i in range(1, n + 1)] + ["t1", "t2", "t3"]
-    return Graph(vertices, [("t1", "t2"), ("t1", "t3"), ("t2", "t3")])
+def discrete_beside_triangle(n, joined=False):
+    """Discrete v1..vn beside the complete t1 t2 t3, or with every v joined to
+    every t: two orbits, whose float bounds steer the exponents while they are finite."""
+    vs, ts = [f"v{i}" for i in range(1, n + 1)], ["t1", "t2", "t3"]
+    joins = list(itertools.product(vs, ts)) if joined else []
+    return Graph(vs + ts, [("t1", "t2"), ("t1", "t3"), ("t2", "t3")] + joins)
 
 
 def yes_orbits(max_points):
@@ -354,26 +355,25 @@ class TestChooseExponents:
         assert ks == (1, 2, 6)
         assert all(a < b for a, b in zip(ks, ks[1:]))
 
-    def test_degenerate_bounds_rejected(self):
-        """A single orbit takes exponent 1 whatever its bounds; bounds that
-        cannot steer a later orbit raise without claiming anything about the
-        unit circle."""
+    def test_bounds_that_cannot_steer_take_exponent_1(self):
+        """A single orbit takes exponent 1 whatever its bounds, and so does a
+        later orbit whose bounds cannot steer: nothing raises, and the exact
+        certificate decides."""
         nan, inf = float("nan"), float("inf")
         for bounds in [(0.0, 1.0), (1e-13, 1.0), (-1.0, 1.0), (nan, nan), (inf, inf), (nan, 1.0)]:
             assert choose_exponents([bounds]) == (1,)
             assert choose_exponents([bounds], margin=64.0) == (1,)
-        for bounds in [
-            [(0.5, 1.0), (0.0, 1.0)],
-            [(0.5, 1.0), (nan, nan)],
-            [(0.5, 1.0), (1e-13, 1.0)],
-            [(0.5, nan), (0.5, 1.0)],
-            [(0.5, inf), (0.5, 1.0)],
-            [(0.5, 1e308), (1e-11, 1.0)],  # finite bounds whose quotient overflows
-            [(0.5, 1.0), (0.5, 1.0), (nan, 1.0)],
+        for bounds, exponents in [
+            ([(0.5, 1.0), (0.0, 1.0)], (1, 1)),
+            ([(0.5, 1.0), (nan, nan)], (1, 1)),
+            ([(0.5, 1.0), (1e-13, 1.0)], (1, 1)),
+            ([(0.5, nan), (0.5, 1.0)], (1, 1)),
+            ([(0.5, inf), (0.5, 1.0)], (1, 1)),
+            ([(0.5, 1e308), (1e-11, 1.0)], (1, 1)),  # finite bounds whose quotient overflows
+            ([(0.5, 1.0), (0.5, 1.0), (nan, 1.0)], (1, 4, 1)),
+            ([(0.5, 1.0), (nan, nan), (0.5, 1.0)], (1, 1, 1)),  # a NaN sum steers nothing after it
         ]:
-            with pytest.raises(PreconditionViolation, match="root moduli could not be estimated") as info:
-                choose_exponents(bounds)
-            assert "unit circle" not in str(info.value)
+            assert choose_exponents(bounds) == exponents, bounds
 
     def test_separation_inequality(self):
         rng = random.Random(3)
@@ -439,27 +439,30 @@ class TestLogBounds:
                 ), (seeds[i], seeds[j], margin)
 
 
+def two_orbit_exponents(graph):
+    """The exponents of the certified witness on graph, with holonomy (v1 v2)(v3 v4)."""
+    gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
+    report = analyze(graph, [gen], want_witness=True)
+    assert report.witness is not None, report.witness_error
+    assert report.witness.certificate.valid
+    return tuple(p.exponent for p in report.witness.plan)
+
+
 class TestMultiOrbitAboveTwelvePoints:
     """Discrete v1..vn with holonomy (v1 v2)(v3 v4) beside a triangle: the
-    second orbit's exponent is read from the float bounds of both seeds."""
+    second orbit's exponent is read from the float bounds of both seeds
+    while they are finite, and is 1 from 33 points, where they overflow."""
 
-    @pytest.mark.parametrize("n", [16, 24, 32])
+    EXPONENTS = {16: 93, 24: 144, 32: 194}
+
+    @pytest.mark.parametrize("n", sorted(EXPONENTS))
     def test_certified(self, n):
-        graph = discrete_beside_triangle(n)
-        gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
-        report = analyze(graph, [gen], want_witness=True)
-        assert report.witness is not None, report.witness_error
-        assert report.witness.certificate.valid
-        first, second = (p.exponent for p in report.witness.plan)
-        assert first == 1 < second
+        assert two_orbit_exponents(discrete_beside_triangle(n)) == (1, self.EXPONENTS[n])
 
-    def test_overflowed_bounds_are_reported(self):
-        graph = discrete_beside_triangle(40)
-        gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
-        report = analyze(graph, [gen], want_witness=True)
-        assert report.decision.verdict == "yes" and report.witness is None
-        assert "root moduli could not be estimated" in report.witness_error
-        assert "unit circle" not in report.witness_error
+    @pytest.mark.parametrize("n, joined", [(33, False), (33, True), (40, False), (40, True)],
+                             ids=["33 beside", "33 joined", "40 beside", "40 joined"])
+    def test_overflowed_bounds_certify(self, n, joined):
+        assert two_orbit_exponents(discrete_beside_triangle(n, joined)) == (1, 1)
 
 
 class TestBuildWitness:
@@ -567,6 +570,22 @@ class TestBuildWitness:
         assert is_algebra_automorphism(inst.graph, w.full_matrix)
         assert len(seed_searches) == 3  # one per orbit
         assert len(bound_solves) == 3  # one per orbit, not one per orbit and attempt
+
+    def test_each_exponent_tuple_is_assembled_once(self, monkeypatch):
+        # one orbit takes exponent 1 at every margin, so a certificate that
+        # fails there would fail at every retry: the plan is assembled once
+        action = action_for(complete_bipartite(3, 3), "(a1 b1)(a2 b2)(a3 b3)")
+        invalid = certify_polynomial(IntPolynomial((1, -2, 1)), 1)
+        assert is_integer_like(invalid.char_poly) and not invalid.valid
+        assembled = []
+        monkeypatch.setattr(witness_module, "certify_factors", lambda f: assembled.append(f) or invalid)
+        with pytest.raises(WitnessAssemblyError) as built:
+            build_witness(action)
+        assert len(assembled) == 1
+        with pytest.raises(WitnessAssemblyError) as direct:
+            assemble_witness(action, plan_blocks(action))
+        assert built.value.stage == direct.value.stage == "hyperbolicity"
+        assert str(built.value) == str(direct.value)
 
     def test_json_and_text_exports(self):
         g = complete_bipartite(3, 3)
