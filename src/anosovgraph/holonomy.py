@@ -10,19 +10,26 @@ recording whether the orbit spans any quotient-graph edge or loop. The
 decision layer reads the stabilizer's action from the orbit, and the witness
 reads it and the conjugators; each is computed once per orbit.
 
-Everything here runs on vertex positions: products in the closure compose
-position tuples, and each element's component permutation comes from the
-partition's position table. Each element's component permutation and order
-are computed once per `build_action` and shared by the orbit (members and
-conjugators), stabilizer and cyclicity scans. Labels enter only the
-canonical sort order of the group, the reported cycle strings, and the
-once-per-orbit restriction of the stabilizer generator to the
-representative's members.
+The closure composes vertex position tuples. The action is then built in
+linear passes. Only the generators have their component permutations
+computed, which also checks that each maps components onto components; their
+products then do too, so an element carries a representative to the
+component of its first vertex's image, one label lookup per element and
+orbit. One sweep of the loops and quotient edges gives every orbit's c. A
+cyclic group is abelian, so generators that do not commute settle
+`is_cyclic` without any element's order; a stabilizer as large as the group
+reuses the group's answer, and the other cyclicity scans stop at the first
+element of full order, taking each element's order at most once. Labels
+enter only the canonical sort order of the group, the reported cycle
+strings, the vertex lookups and the once-per-orbit restriction of the
+stabilizer generator to the representative's members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from .errors import NotAnAutomorphism
 from .graphs import (
@@ -129,20 +136,9 @@ def close_group(
     return tuple(sorted(elements, key=VertexPermutation.image_labels))
 
 
-def _orbit_c_value(part: CoherentPartition, members: tuple[int, ...]) -> int:
-    member_set = set(members)
-    loops = part.loops
-    if any(loops[i] for i in member_set):
-        return 2
-    for i, j in part.quotient_edges:
-        if i in member_set and j in member_set:
-            return 2
-    return 1
-
-
-def _cyclic_generator(elements, orders) -> VertexPermutation | None:
+def _cyclic_generator(elements, order) -> VertexPermutation | None:
     """The first element whose order is the group's, or None when the group is not cyclic."""
-    return next((h for h, n in zip(elements, orders) if n == len(elements)), None)
+    return next((h for h in elements if order(h) == len(elements)), None)
 
 
 def _restriction(part: CoherentPartition, p: VertexPermutation, rep: int) -> tuple[int, ...]:
@@ -152,17 +148,6 @@ def _restriction(part: CoherentPartition, p: VertexPermutation, rep: int) -> tup
     return tuple(local[p(v)] for v in comp)
 
 
-def _stabilizer_info(part, elements, component_perms, orders, rep: int) -> StabilizerInfo:
-    kept = [t for t, perm in enumerate(component_perms) if perm[rep] == rep]
-    stab = tuple(elements[t] for t in kept)
-    generator = _cyclic_generator(stab, [orders[t] for t in kept])
-    return StabilizerInfo(
-        elements=stab,
-        generator=generator,
-        restriction=None if generator is None else _restriction(part, generator, rep),
-    )
-
-
 def build_action(
     part: CoherentPartition,
     generators,
@@ -170,15 +155,21 @@ def build_action(
 ) -> HolonomyAction:
     """Close the generators, act on components, and collect orbit data.
 
-    The graph is `part.graph`, the one the partition belongs to. Orbits are
-    listed by smallest member index, which is also the chosen
-    representative; one scan of the group gives the members and each one's
-    conjugator. The stabilizer of the representative is scanned for a
-    single generator; when none exists it is flagged non-cyclic and downstream
-    verdicts come out undecided instead of guessed. The whole group is
-    scanned once the same way for `is_cyclic`. Each element's component
-    permutation and order are computed once and shared by all the scans.
-    A generator given on a reordered domain is re-indexed onto `graph.vertices`.
+    The graph is `part.graph`, the one the partition belongs to. Each
+    generator is checked to be an automorphism that permutes the components;
+    products of such generators permute them too, so an element carries a
+    component to the component of its first vertex's image, and one lookup
+    per element and orbit gives the members, each one's conjugator and the
+    stabilizer. Orbits are listed by smallest member index, which is also
+    the chosen representative, and one sweep of the loops and quotient edges
+    gives every orbit's c. A cyclic group is abelian, so two generators that
+    do not commute make the group non-cyclic without taking any element's
+    order; a stabilizer as large as the group reuses the group's answer, and
+    the other scans stop at the first element of full order, taking each
+    element's order at most once. A stabilizer with no single generator is
+    flagged non-cyclic, and downstream verdicts come out undecided instead of
+    guessed. A generator given on a reordered domain is re-indexed onto
+    `graph.vertices`.
     """
     graph = part.graph
     checked = []
@@ -187,37 +178,52 @@ def build_action(
             raise NotAnAutomorphism(f"{g.cycle_string()} is not an automorphism of the graph")
         if g.domain != graph.vertices:
             g = VertexPermutation(graph.vertices, {v: g(v) for v in graph.vertices})
+        induced_component_permutation(part, g)
         checked.append(g)
     generators = tuple(checked)
     elements = close_group(generators, graph.vertices, order_bound)
-    component_perms = [induced_component_permutation(part, h) for h in elements]
-    orders = [h.order() for h in elements]
+    order = cache(VertexPermutation.order)
+    abelian = all(g * h == h * g for g, h in combinations(generators, 2))
+    group_generator = _cyclic_generator(elements, order) if abelian else None
 
-    k = part.num_components
-    seen = set()
-    orbits = []
-    for start in range(k):
-        if start in seen:
+    component_of = {v: i for i, comp in enumerate(part.components) for v in comp}
+    orbit_of = {}
+    scans = []
+    for start, comp in enumerate(part.components):
+        if start in orbit_of:
             continue
-        first = {}
-        for h, perm in zip(elements, component_perms):
-            first.setdefault(perm[start], h)
-        members = tuple(sorted(first))
-        seen.update(members)
-        orbit = OrbitData(
+        first, stab = {}, []
+        for h in elements:
+            j = component_of[h(comp[0])]
+            if j == start:
+                stab.append(h)
+            elif j not in first:
+                first[j] = h
+        orbit_of.update(dict.fromkeys([start, *first], start))
+        scans.append((start, tuple(sorted(first.items())), tuple(stab)))
+    spanning = {orbit_of[i] for i, loop in enumerate(part.loops) if loop}
+    spanning.update(orbit_of[i] for i, j in part.quotient_edges if orbit_of[i] == orbit_of[j])
+
+    orbits = []
+    for start, conjugators, stab in scans:
+        generator = group_generator if len(stab) == len(elements) else _cyclic_generator(stab, order)
+        orbits.append(OrbitData(
             rep=start,
-            c=_orbit_c_value(part, members),
-            stabilizer=_stabilizer_info(part, elements, component_perms, orders, start),
-            conjugators=tuple((m, first[m]) for m in members if m != start),
-        )
-        orbits.append(orbit)
+            c=2 if start in spanning else 1,
+            stabilizer=StabilizerInfo(
+                elements=stab,
+                generator=generator,
+                restriction=None if generator is None else _restriction(part, generator, start),
+            ),
+            conjugators=conjugators,
+        ))
 
     action_obj = HolonomyAction(
         partition=part,
         generators=generators,
         elements=elements,
         orbits=tuple(orbits),
-        is_cyclic=_cyclic_generator(elements, orders) is not None,
+        is_cyclic=group_generator is not None,
     )
     for orbit in action_obj.orbits:
         if orbit.stabilizer.order * len(orbit.members) != action_obj.order:

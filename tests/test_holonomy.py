@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anosovgraph.holonomy
 from anosovgraph.errors import BoundExceeded, NotAnAutomorphism, PermutationError
 from anosovgraph.fixtures import four_pair_chain, four_pair_chain_swap, pentagon
 from anosovgraph.graphs import (
@@ -211,6 +212,92 @@ class TestBuildAction:
         assert not orbit.stabilizer.cyclic and orbit.stabilizer.restriction is None
 
 
+
+def k_k_symmetric(k, diagonal):
+    """K_{k,k} with S_k on side a, or on both sides at once: a transposition and a k-cycle."""
+    g = complete_bipartite(k, k)
+    sides = "ab" if diagonal else "a"
+    swap = "".join(f"({s}1 {s}2)" for s in sides)
+    rotate = "".join("(" + " ".join(f"{s}{i}" for i in range(1, k + 1)) + ")" for s in sides)
+    return g, (swap, rotate)
+
+
+def three_edges():
+    """Three disjoint edges, so three complete components of two vertices each."""
+    return Graph(["x1", "y1", "x2", "y2", "x3", "y3"], [("x1", "y1"), ("x2", "y2"), ("x3", "y3")])
+
+
+def matches_oracle(graph, *cycle_strings):
+    """build_action on the cycle strings, checked against the dict-based scans it replaced."""
+    gens = [VertexPermutation.from_cycles(s, graph.vertices) for s in cycle_strings]
+    old = [DictPermutation(graph.vertices, {v: g(v) for v in graph.vertices}) for g in gens]
+    part = coherent_components(graph)
+    action = build_action(part, gens)
+    assert action.to_json_dict() == dict_action_json(part, old)
+    return action
+
+
+class TestCyclicityPaths:
+    """Each way `build_action` settles cyclicity gives what the all-orders scan gave."""
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["one-sided", "diagonal"])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_generators_that_do_not_commute(self, k, diagonal):
+        # S_k fixes both sides: each stabilizer is the group, not cyclic
+        graph, gens = k_k_symmetric(k, diagonal)
+        action = matches_oracle(graph, *gens)
+        assert not action.is_cyclic and len(action.orbits) == 2
+        for orbit in action.orbits:
+            assert orbit.stabilizer.order == action.order and not orbit.stabilizer.cyclic
+        assert decide(action).verdict == "undecided"
+
+    def test_non_abelian_group_with_cyclic_stabilizer(self):
+        # S_3 permutes the three edges; the stabilizer of one swaps the other two
+        action = matches_oracle(three_edges(), "(x1 x2)(y1 y2)", "(x1 x2 x3)(y1 y2 y3)")
+        assert action.order == 6 and not action.is_cyclic
+        (orbit,) = action.orbits
+        assert orbit.members == (0, 1, 2) and orbit.c == 2
+        assert orbit.stabilizer.order == 2 and orbit.stabilizer.cyclic
+        assert orbit.stabilizer.generator.cycle_string() == "(x2 x3)(y2 y3)"
+        assert decide(action).verdict in ("yes", "no")
+
+    def test_abelian_group_that_is_not_cyclic(self):
+        action = matches_oracle(discrete_graph(4), "(v1 v2)", "(v3 v4)")
+        assert action.order == 4 and not action.is_cyclic
+        (orbit,) = action.orbits
+        assert orbit.stabilizer.order == 4 and not orbit.stabilizer.cyclic
+
+    def test_commuting_generators_of_a_cyclic_group(self):
+        # Z2 x Z3 is cyclic: the scan has to find an element of order 6
+        action = matches_oracle(discrete_graph(5), "(v1 v2)", "(v3 v4 v5)")
+        assert action.order == 6 and action.is_cyclic
+        (orbit,) = action.orbits
+        assert orbit.stabilizer.generator.order() == 6
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["one-sided", "diagonal"])
+    def test_no_orders_and_generator_checks_only(self, monkeypatch, diagonal):
+        # S_6 on K6,6: no element's order is needed, and only generators are checked
+        graph, gens = k_k_symmetric(6, diagonal)
+        orders, checks = [], []
+        real_order = VertexPermutation.order
+        real_check = anosovgraph.holonomy.induced_component_permutation
+
+        def counting_order(self):
+            orders.append(self)
+            return real_order(self)
+
+        def counting_check(part, p):
+            checks.append(p)
+            return real_check(part, p)
+
+        monkeypatch.setattr(VertexPermutation, "order", counting_order)
+        monkeypatch.setattr(anosovgraph.holonomy, "induced_component_permutation", counting_check)
+        action = action_for(graph, *gens)
+        assert action.order == 720 and not action.is_cyclic
+        assert orders == []
+        assert checks == list(action.generators)
+
+
 @st.composite
 def symmetric_blowups(draw):
     """A blow-up of a random graph or a cycle on at most 5 nodes (each node a
@@ -324,3 +411,17 @@ class TestMatchesDictClosure:
             lengths = [len(c) for c in index_cycles(expected)]
             parts = decompose_cyclic_perm_rep(stab.order, lengths)
             assert decide(action).orbits[index].parts == parts
+
+    @given(symmetric_blowups())
+    @settings(max_examples=80, deadline=None)
+    def test_every_element_permutes_components(self, case):
+        # what the one-vertex lookup in build_action relies on
+        graph, maps = case
+        gens = [VertexPermutation(graph.vertices, m) for m in maps]
+        part = coherent_components(graph)
+        component_of = {v: i for i, comp in enumerate(part.components) for v in comp}
+        reps = [orbit.rep for orbit in build_action(part, gens).orbits]
+        for h in close_group(gens, graph.vertices):
+            perm = induced_component_permutation(part, h)
+            for rep in reps:
+                assert perm[rep] == component_of[h(part.components[rep][0])]
