@@ -213,11 +213,11 @@ class VertexPermutation:
     """A bijection on a fixed vertex domain, with canonical cycle form.
 
     Stored on positions: ``_images[i]`` is the domain position of the image of
-    ``domain[i]``, and ``_index`` maps each label to its position. A product or
-    inverse shares its operand's domain and index and is built from positions,
-    so only a mapping that comes from outside is validated. Labels appear only
-    at the edges: `__call__`, `image_of`, `cycles` and the sort order, which
-    compares the image labels in domain order.
+    ``domain[i]``, and ``_index`` maps each label to its position. A product
+    shares its operands' domain and index and is built from positions, so
+    only a mapping that comes from outside is validated. Labels appear only
+    at the edges: `__call__`, `cycles` and the sort order, which compares the
+    image labels in domain order.
     """
 
     __slots__ = ("domain", "_index", "_images")
@@ -321,12 +321,6 @@ class VertexPermutation:
             raise PermutationError("permutations have different domains")
         return self._with_images(tuple(map(self._images.__getitem__, other._images)))
 
-    def inverse(self) -> "VertexPermutation":
-        inverse = [0] * len(self._images)
-        for i, j in enumerate(self._images):
-            inverse[j] = i
-        return self._with_images(tuple(inverse))
-
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         """Disjoint cycles, fixed points omitted; each cycle starts at its earliest
         domain element and cycles are ordered by that element."""
@@ -348,9 +342,6 @@ class VertexPermutation:
     def image_labels(self) -> tuple[str, ...]:
         """The image of each domain element, in domain order: the canonical sort key."""
         return tuple(map(self.domain.__getitem__, self._images))
-
-    def image_of(self, vertex_set) -> frozenset:
-        return frozenset(map(self, vertex_set))
 
     def __eq__(self, other) -> bool:
         return (

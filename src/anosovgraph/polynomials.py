@@ -132,9 +132,6 @@ class IntPolynomial:
             [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, len(digits), width)]
         )
 
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial([k * c for c in self.coefficients])
-
     def derivative(self) -> "IntPolynomial":
         if self.degree <= 0:
             return IntPolynomial([0])

@@ -30,11 +30,13 @@ a certified witness for every cycle type called yes on one discrete or
 complete component of at most 16 points, and tests/sweep_witnesses.py goes
 on to 24 points.
 
-The exponents come from float estimates of the seeds' root moduli, which
-only steer: the root solver returns whatever it reached, and an orbit whose
-bounds cannot steer (the first orbit always, and any orbit whose bounds are
-degenerate, NaN or overflow) takes exponent 1. Floats never refuse a
-witness; the exact certificate accepts or refuses the assembled matrix.
+`plan_blocks` is the one planner: a seed per orbit, then the exponents at
+margin 2 (see `choose_exponents`) from float estimates of the seeds' root
+moduli, which only steer: the root solver returns whatever it reached, and
+an orbit whose bounds cannot steer (the first orbit always, and any orbit
+whose bounds are degenerate, NaN or overflow) takes exponent 1. Floats never
+refuse a witness; the exact certificate of the one assembled matrix accepts
+or refuses it.
 
 Commutation with each generator's permutation matrix P is checked on V. Once
 `extend_rows` has succeeded, the map A keeps the span E of the edge wedges,
@@ -80,8 +82,6 @@ from .polynomials import (
     squarefree_part,
 )
 from .repdecomp import decide, euler_phi
-
-DEFAULT_MAX_RETRIES = 8
 
 CAT_MAP_ROWS = ((2, 1), (1, 1))
 
@@ -305,22 +305,26 @@ def log_modulus_bounds(p: IntPolynomial) -> tuple[float, float]:
     return min(logs), max(logs)
 
 
-def choose_exponents(bounds, margin: float = 2.0) -> tuple[int, ...]:
-    """Exponents k_i with k_i * min_i >= margin * sum_{j<i} k_j * max_j.
+def choose_exponents(bounds) -> tuple[int, ...]:
+    """Exponents k_i with k_i * min_i >= 2 * sum_{j<i} k_j * max_j.
 
-    Guarantees (up to the quality of the numeric bounds) that eigenvalue
-    products across different orbits stay off the unit circle; the assembled
-    matrix is re-certified exactly afterwards, so the bounds only steer the
-    search. Each k_i is the ceiling of x = margin * sum / min_i less a
-    relative slack of 1e-9, below the bounds' own relative error: where x is
-    an integer, the exponent does not depend on how the root solver rounds.
-    Where the bounds cannot steer, k_i is 1: for the first orbit (the sum
-    is 0), and where min_i is not above 1e-12 or x is not finite (NaN or
-    overflowing bounds). Nothing raises; the certificate decides.
+    Margin 2 is the paper's separation of eigenvalue magnitudes across
+    orbits, with slack. When the bounds are accurate, the product of a root
+    of block i with one of an earlier block j has
+    |log| >= k_i * min_i - k_j * max_j >= sum_{j<i} k_j * max_j: at or above
+    the running sum, so off the unit circle, and it stays off while every
+    bound is within a third of its value. The assembled matrix is
+    re-certified exactly afterwards, so the bounds only steer. Each k_i is
+    the ceiling of x = 2 * sum / min_i less a relative slack of 1e-9, below
+    the bounds' own relative error: where x is an integer, the exponent
+    does not depend on how the root solver rounds. Where the bounds cannot
+    steer, k_i is 1: for the first orbit (the sum is 0), and where min_i is
+    not above 1e-12 or x is not finite (NaN or overflowing bounds). Nothing
+    raises; the certificate decides.
     """
     ks, acc = [], 0.0
     for lo, hi in bounds:
-        x = margin * acc / lo if lo > 1e-12 else 0.0
+        x = 2 * acc / lo if lo > 1e-12 else 0.0
         ks.append(max(1, ceil(x * (1 - 1e-9))) if isfinite(x) else 1)
         acc += ks[-1] * hi
     return tuple(ks)
@@ -452,29 +456,22 @@ def _int_matpow(rows, k: int):
     return tuple(tuple(r) for r in result)
 
 
-def _seed_orbits(action: HolonomyAction):
-    """A certified seed for every orbit, and the log-modulus bounds of its char poly."""
+def plan_blocks(action: HolonomyAction) -> tuple[OrbitSeedPlan, ...]:
+    """Pick a certified seed for every orbit, then all exponents at once.
+
+    Each seed commutes with the orbit's stabilizer on its representative;
+    `choose_exponents` reads the exponents off the log-modulus bounds of
+    the seeds' characteristic polynomials. A non-cyclic stabilizer is
+    refused: the criterion is undecided there.
+    """
     seeds = []
     for orbit in action.orbits:
         restriction = orbit.stabilizer.restriction
         if restriction is None:
             raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
-        seed, cert = find_seed(restriction, orbit.c)
-        seeds.append((orbit, seed, cert))
-    return seeds, [log_modulus_bounds(cert.char_poly) for _, _, cert in seeds]
-
-
-def _plan(seeds, exponents) -> tuple[OrbitSeedPlan, ...]:
+        seeds.append((orbit, *find_seed(restriction, orbit.c)))
+    exponents = choose_exponents([log_modulus_bounds(cert.char_poly) for _, _, cert in seeds])
     return tuple(OrbitSeedPlan(orbit, seed, k) for (orbit, seed, _), k in zip(seeds, exponents))
-
-
-def plan_blocks(action: HolonomyAction) -> tuple[OrbitSeedPlan, ...]:
-    """Pick a certified seed and an exponent (at margin 2) for every orbit.
-
-    Each seed commutes with the orbit's stabilizer on its representative.
-    """
-    seeds, bounds = _seed_orbits(action)
-    return _plan(seeds, choose_exponents(bounds))
 
 
 def _require_yes(action: HolonomyAction) -> None:
@@ -491,8 +488,7 @@ def assemble_witness(action: HolonomyAction, plan: tuple[OrbitSeedPlan, ...]) ->
 
     The algebra is that of `action.graph`. Refuses outright when the
     decision criterion does not say yes. Any failing certificate raises a
-    structured error naming the stage, so callers can escalate exponents and
-    retry.
+    structured `WitnessAssemblyError` naming the stage.
     """
     _require_yes(action)
     return _assemble(action, plan)
@@ -593,28 +589,11 @@ def _require_block_diagonal(action: HolonomyAction, rows) -> None:
 
 
 def build_witness(action: HolonomyAction) -> Witness:
-    """End-to-end witness construction with exponent escalation.
+    """End-to-end witness construction: one plan, one assembly.
 
-    Seeds, conjugators and the seeds' log-modulus bounds are found once.
-    Each of up to `DEFAULT_MAX_RETRIES` retries recomputes only the
-    exponents from those bounds, at double the separation margin, and
-    assembles them unless an earlier margin gave the same exponents (one
-    orbit, or bounds that cannot steer, give the same ones at every
-    margin). The exact re-certification in the assembly is what finally
-    accepts; the last hyperbolicity failure is raised when none does.
+    The decision guard runs first, so a non-yes action is refused before
+    any seed search. The exact re-certification in the assembly accepts
+    the witness or raises the stage that failed; nothing is retried.
     """
     _require_yes(action)
-    seeds, bounds = _seed_orbits(action)
-    tried = set()
-    for retry in range(DEFAULT_MAX_RETRIES + 1):
-        exponents = choose_exponents(bounds, 2.0 * 2**retry)
-        if exponents in tried:
-            continue
-        tried.add(exponents)
-        try:
-            return _assemble(action, _plan(seeds, exponents))
-        except WitnessAssemblyError as exc:
-            if exc.stage != "hyperbolicity":
-                raise
-            last_error = exc
-    raise last_error
+    return _assemble(action, plan_blocks(action))

@@ -1,22 +1,33 @@
-"""The yes sweep from 17 to 24 points, the 64-point structured seed, and two
-orbits on 48 and 64 points beside or joined to a triangle.
+"""The yes sweep from 17 to 24 points, the 64-point structured seed, two
+orbits on 48 and 64 points beside or joined to a triangle, and paper families
+beyond the tier-1 sample certified at margin 2 in one assembly: family I with
+m = 4 and sizes in {2, 3}^3 x {3}, and I-modified with m = 7.
 
 These extend `test_witness.TestCycleTypeEnumeration` (every yes cycle type on
 one discrete or complete component of at most 16 points),
-`test_cli.TestCertifiedSeedsAboveTwelvePoints` and
-`test_witness.TestMultiOrbitAboveTwelvePoints`. They take about five minutes
-on two CPUs, so the tier-1 run, which collects only test_*.py files, leaves
-them out. Run them with
+`test_cli.TestCertifiedSeedsAboveTwelvePoints`,
+`test_witness.TestMultiOrbitAboveTwelvePoints` and
+`test_witness.TestFamilyRegression`. They take about five minutes on two
+CPUs, so the tier-1 run, which collects only test_*.py files, leaves them
+out. Run them with
 
     PYTHONPATH=src python -m pytest -q tests/sweep_witnesses.py
 """
 
+import itertools
+
 import pytest
 
 from anosovgraph.analysis import analyze
+from anosovgraph.families import family_I, family_I_modified
 from anosovgraph.graphs import VertexPermutation, discrete_graph
 
-from test_witness import discrete_beside_triangle, two_orbit_exponents, witness_every_cycle_type
+from test_witness import (
+    discrete_beside_triangle,
+    two_orbit_exponents,
+    witness_every_cycle_type,
+    witness_in_one_assembly,
+)
 
 # yes instances per number of points, the trivial generator included
 YES = {17: 124, 18: 166, 19: 204, 20: 261, 21: 327, 22: 415, 23: 509, 24: 650}
@@ -41,3 +52,12 @@ def test_discrete_64_with_two_transpositions():
 def test_two_orbits_whose_bounds_overflow(n, joined):
     # the float bounds cannot steer the second exponent; both orbits take 1
     assert two_orbit_exponents(discrete_beside_triangle(n, joined)) == (1, 1)
+
+
+@pytest.mark.parametrize("sizes", [(*head, 3) for head in itertools.product((2, 3), repeat=3)], ids=str)
+def test_family_I_m4_certifies_in_one_assembly(sizes):
+    witness_in_one_assembly(family_I(4, sizes))
+
+
+def test_family_I_modified_m7_certifies_in_one_assembly():
+    witness_in_one_assembly(family_I_modified(7))

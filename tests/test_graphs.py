@@ -467,12 +467,6 @@ class TestVertexPermutation:
         assert is_identity(VertexPermutation.from_cycles("()", dom))
         assert VertexPermutation.identity(dom).cycle_string() == "()"
 
-    def test_inverse_and_compose(self):
-        dom = ["a", "b", "c"]
-        p = VertexPermutation.from_cycles("(a b c)", dom)
-        assert is_identity(p * p.inverse())
-        assert (p * p)("a") == "c"
-
     def test_bad_cycles(self):
         dom = ["a", "b"]
         with pytest.raises(PermutationError):
@@ -495,8 +489,6 @@ class TestVertexPermutation:
             perm = list(dom)
             rng.shuffle(perm)
             p = VertexPermutation(dom, dict(zip(dom, perm)))
-            assert is_identity(p * p.inverse())
-            assert p.inverse().inverse() == p
             order = p.order()
             acc = VertexPermutation.identity(dom)
             for _ in range(order):
@@ -545,8 +537,7 @@ def permutation_pairs(draw):
     domain = draw(domains())
     p = dict(zip(domain, draw(st.permutations(domain))))
     q = dict(zip(domain, draw(st.permutations(domain))))
-    subset = draw(st.lists(st.sampled_from(domain), unique=True)) if domain else []
-    return domain, p, q, subset
+    return domain, p, q
 
 
 class TestMatchesDictPermutation:
@@ -555,12 +546,12 @@ class TestMatchesDictPermutation:
     @settings(max_examples=300, deadline=None)
     @given(permutation_pairs())
     def test_operations(self, case):
-        domain, p_map, q_map, subset = case
+        domain, p_map, q_map = case
         p, q = VertexPermutation(domain, p_map), VertexPermutation(domain, q_map)
         dp, dq = DictPermutation(domain, p_map), DictPermutation(domain, q_map)
         pairs = [
             (p, dp), (q, dq), (p * q, dp * dq), (q * p, dq * dp),
-            (p.inverse(), dp.inverse()), (p * p.inverse(), dp * dp.inverse()),
+            (p * p, dp * dp), (p * q * p, dp * dq * dp),
         ]
         for new, old in pairs:
             assert [new(v) for v in domain] == [old(v) for v in domain]
@@ -568,13 +559,15 @@ class TestMatchesDictPermutation:
             assert new.cycle_string() == old.cycle_string()
             assert new.order() == old.order()
             assert is_identity(new) == old.is_identity
-            assert new.image_of(subset) == old.image_of(subset)
         assert (p == q) == (dp == dq)
         assert (p < q) == (dp < dq) and (q < p) == (dq < dp)
         ranked_new = [h.cycle_string() for h in sorted(new for new, _ in pairs)]
         ranked_old = [h.cycle_string() for h in sorted(old for _, old in pairs)]
         assert ranked_new == ranked_old
-        assert hash(p * p.inverse()) == hash(VertexPermutation.identity(domain))
+        # a product built from positions equals, and hashes as, its mapping built from labels
+        pq = p * q
+        from_labels = VertexPermutation(domain, {v: pq(v) for v in domain})
+        assert pq == from_labels and hash(pq) == hash(from_labels)
         # the same mapping on the domain listed in another order is another permutation
         other = domain[::-1]
         assert (VertexPermutation(other, p_map) == p) == (DictPermutation(other, p_map) == dp)

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 import json
@@ -23,7 +24,7 @@ from anosovgraph.errors import (
     WitnessRefused,
 )
 from anosovgraph.exactmat import RationalMatrix
-from anosovgraph.families import family_I, family_I_modified, family_II
+from anosovgraph.families import family_I, family_I_modified, family_II, family_II_z4
 from anosovgraph.fixtures import four_pair_chain, four_pair_chain_swap
 from anosovgraph.graphs import (
     Graph,
@@ -362,7 +363,6 @@ class TestChooseExponents:
         nan, inf = float("nan"), float("inf")
         for bounds in [(0.0, 1.0), (1e-13, 1.0), (-1.0, 1.0), (nan, nan), (inf, inf), (nan, 1.0)]:
             assert choose_exponents([bounds]) == (1,)
-            assert choose_exponents([bounds], margin=64.0) == (1,)
         for bounds, exponents in [
             ([(0.5, 1.0), (0.0, 1.0)], (1, 1)),
             ([(0.5, 1.0), (nan, nan)], (1, 1)),
@@ -417,9 +417,9 @@ class TestLogBounds:
         """Oracle: numpy's roots of the squarefree part, on the char polys of the
         seeds for every yes cycle type on at most 12 points, and on their squares
         and cubes. The bounds agree to 1e-9, and the exponents agree on every
-        ordered pair of seeds at every retry margin, also where
-        margin * max_i / min_j is an integer: there choose_exponents' relative
-        slack of 1e-9 lies above the error of either solver."""
+        ordered pair of seeds, also where 2 * max_i / min_j is an integer:
+        there choose_exponents' relative slack of 1e-9 lies above the error of
+        either solver."""
         seeds = sorted(
             {find_seed(o.stabilizer.restriction, o.c)[1].char_poly for o in yes_orbits(12)},
             key=lambda p: p.coefficients,
@@ -432,11 +432,10 @@ class TestLogBounds:
             pure.append(log_modulus_bounds(p))
             for power in (p, p * p, p * p * p):
                 assert log_modulus_bounds(power) == pytest.approx(oracle[-1], rel=1e-9, abs=0), power
-        for margin in (2 * 2**k for k in range(9)):
-            for i, j in itertools.product(range(len(seeds)), repeat=2):
-                assert choose_exponents([pure[i], pure[j]], margin) == choose_exponents(
-                    [oracle[i], oracle[j]], margin
-                ), (seeds[i], seeds[j], margin)
+        for i, j in itertools.product(range(len(seeds)), repeat=2):
+            assert choose_exponents([pure[i], pure[j]]) == choose_exponents(
+                [oracle[i], oracle[j]]
+            ), (seeds[i], seeds[j])
 
 
 def two_orbit_exponents(graph):
@@ -537,43 +536,41 @@ class TestBuildWitness:
         with pytest.raises(WitnessRefused):
             build_witness(action)
 
-    def test_exponent_retry_reuses_seeds(self, monkeypatch):
-        # all-ones exponents at the first margin fail the hyperbolicity stage;
-        # the retry must recompute only the exponents, not search seeds or
-        # solve for their root bounds again
+    def test_failing_certificate_is_assembled_once(self, monkeypatch):
+        # the first exponent choice on I m=3 is forced to all ones, which fails
+        # the hyperbolicity stage, and a later one would certify: the failure
+        # is raised after one assembly, with seeds and bounds taken once per orbit
         inst = family_I(3, (2, 2, 3))
         action = build_action(coherent_components(inst.graph), inst.generators)
-        margins, seed_searches, bound_solves = [], [], []
-        real_choose, real_find = witness_module.choose_exponents, witness_module.find_seed
-        real_bounds = witness_module.log_modulus_bounds
+        calls = collections.Counter()
+        counted_names = ("find_seed", "log_modulus_bounds", "certify_factors")
+        real = {name: getattr(witness_module, name) for name in counted_names}
+        real_choose = witness_module.choose_exponents
 
-        def choose(bounds, margin=2.0):
-            margins.append(margin)
-            ks = real_choose(bounds, margin)
-            return (1,) * len(ks) if margin == 2.0 else ks
+        def counted(name):
+            def spy(*args):
+                calls[name] += 1
+                return real[name](*args)
 
-        def find(*args, **kwargs):
-            seed_searches.append(args)
-            return real_find(*args, **kwargs)
+            return spy
 
-        def bounds(p):
-            bound_solves.append(p)
-            return real_bounds(p)
+        def choose(*args):
+            calls["choose_exponents"] += 1
+            ks = real_choose(*args)
+            return (1,) * len(ks) if calls["choose_exponents"] == 1 else ks
 
+        for name in real:
+            monkeypatch.setattr(witness_module, name, counted(name))
         monkeypatch.setattr(witness_module, "choose_exponents", choose)
-        monkeypatch.setattr(witness_module, "find_seed", find)
-        monkeypatch.setattr(witness_module, "log_modulus_bounds", bounds)
-        w = build_witness(action)
-        assert margins == [2.0, 4.0]
-        assert tuple(p.exponent for p in w.plan) == (1, 4, 88)
-        assert w.certificate.valid
-        assert is_algebra_automorphism(inst.graph, w.full_matrix)
-        assert len(seed_searches) == 3  # one per orbit
-        assert len(bound_solves) == 3  # one per orbit, not one per orbit and attempt
+        with pytest.raises(WitnessAssemblyError) as err:
+            build_witness(action)
+        assert err.value.stage == "hyperbolicity"
+        assert len(action.orbits) == 3
+        assert calls == {"find_seed": 3, "log_modulus_bounds": 3, "choose_exponents": 1, "certify_factors": 1}
 
     def test_each_exponent_tuple_is_assembled_once(self, monkeypatch):
-        # one orbit takes exponent 1 at every margin, so a certificate that
-        # fails there would fail at every retry: the plan is assembled once
+        # a failing certificate on one orbit raises from build_witness after
+        # one assembly, with the error that assembling the plan directly gives
         action = action_for(complete_bipartite(3, 3), "(a1 b1)(a2 b2)(a3 b3)")
         invalid = certify_polynomial(IntPolynomial((1, -2, 1)), 1)
         assert is_integer_like(invalid.char_poly) and not invalid.valid
@@ -586,6 +583,12 @@ class TestBuildWitness:
             assemble_witness(action, plan_blocks(action))
         assert built.value.stage == direct.value.stage == "hyperbolicity"
         assert str(built.value) == str(direct.value)
+
+    def test_witness_plan_is_plan_blocks(self):
+        actions = [a for seed in range(4) for a in guard_yes_actions(seed)]
+        assert any(len(a.orbits) > 1 for a in actions)
+        for action in actions:
+            assert build_witness(action).plan == plan_blocks(action)
 
     def test_json_and_text_exports(self):
         g = complete_bipartite(3, 3)
@@ -834,20 +837,33 @@ class TestAssembleGuard:
         assert "not invertible" in str(err.value)
 
 
+def witness_in_one_assembly(inst):
+    """The certified witness of a family instance, checked to come from one assembly."""
+    assemblies = []
+    real = witness_module.certify_factors
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness_module, "certify_factors", lambda f: assemblies.append(f) or real(f))
+        action = build_action(coherent_components(inst.graph), inst.generators)
+        assert decide(action).verdict == "yes"
+        w = build_witness(action)
+    assert len(assemblies) == 1
+    assert w.certificate.valid and is_integer_like(w.full_char_poly)
+    return w
+
+
 class TestFamilyRegression:
     def test_witnesses_for_paper_families_at_default_bounds(self):
-        from anosovgraph.families import family_I, family_II, family_II_z4
-
+        """Family I with m <= 3 and sizes in {2, 3, 4}, I-modified with m = 3..6,
+        II with n = 3, 5..9 and sizes 3..5, and II-Z4 with sizes 3..6: every
+        instance certifies at margin 2, each witness after one assembly."""
         instances = [
-            family_I(1, (3,)),
-            family_I(2, (2, 3)),
-            family_I(3, (2, 2, 3)),
-            family_II(3),
-            family_II_z4(3),
+            family_I(m, sizes)
+            for m in (1, 2, 3)
+            for sizes in itertools.product((2, 3, 4), repeat=m)
+            if sizes[-1] >= 3
         ]
-        for inst in instances:
-            action = build_action(coherent_components(inst.graph), inst.generators)
-            assert decide(action).verdict == "yes"
-            w = build_witness(action)
-            assert w.certificate.valid
-            assert is_integer_like(w.full_char_poly)
+        instances += [family_I_modified(m) for m in range(3, 7)]
+        instances += [family_II(n, s) for n in (3, 5, 6, 7, 8, 9) for s in (3, 4, 5)]
+        instances += [family_II_z4(s) for s in range(3, 7)]
+        witnesses = [witness_in_one_assembly(inst) for inst in instances]
+        assert (len(witnesses), sum(len(w.plan) > 1 for w in witnesses)) == (52, 28)

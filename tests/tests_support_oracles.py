@@ -61,7 +61,7 @@ def palindromic_to_interval_poly_oracle(g):
     t_cur = IntPolynomial([0, 1])
     y = IntPolynomial([0, 1])
     for k in range(1, s + 1):
-        q = q + t_cur.scale(coeffs[s + k])
+        q = q + IntPolynomial([coeffs[s + k] * c for c in t_cur.coefficients])
         t_prev, t_cur = t_cur, y * t_cur - t_prev
     return q
 
@@ -195,9 +195,6 @@ class DictPermutation:
             raise ValueError("permutations have different domains")
         return DictPermutation(self.domain, {v: self.map[other.map[v]] for v in self.domain})
 
-    def inverse(self):
-        return DictPermutation(self.domain, {w: v for v, w in self.map.items()})
-
     @property
     def is_identity(self):
         return all(v == w for v, w in self.map.items())
@@ -228,9 +225,6 @@ class DictPermutation:
     def order(self):
         return lcm(1, *(len(c) for c in self.cycles()))
 
-    def image_of(self, vertex_set):
-        return frozenset(self.map[v] for v in vertex_set)
-
     def __eq__(self, other):
         return isinstance(other, DictPermutation) and self.domain == other.domain and self.key == other.key
 
@@ -260,7 +254,7 @@ def dict_close_group(generators, domain):
 def dict_component_permutation(part, p):
     """Component i goes to the component equal to p's image of it, found by frozenset lookup."""
     lookup = {frozenset(c): i for i, c in enumerate(part.components)}
-    return tuple(lookup[p.image_of(c)] for c in part.components)
+    return tuple(lookup[frozenset(map(p, c))] for c in part.components)
 
 
 def dict_action_json(part, generators):
