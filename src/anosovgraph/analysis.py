@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .errors import SeedSearchExhausted, WitnessAssemblyError, WitnessRefused
 from .graphs import CoherentPartition, Graph, coherent_components, component_label
 from .holonomy import DEFAULT_GROUP_ORDER_BOUND, HolonomyAction, build_action
+from .polynomials import _int_text_unlimited
 from .repdecomp import Decision, decide
 from .witness import Witness, build_witness
 
@@ -48,10 +49,12 @@ def _json_text(payload) -> str:
 
     The helpers stay private: a per-layer trace wraps public functions, so a
     public recursive helper would record a span per JSON node instead of
-    charging the encoding to the renderer.
+    charging the encoding to the renderer. Ints of any size are written
+    (`polynomials._int_text_unlimited`); the digit limit on parsing stays.
     """
     out = []
-    _write(payload, "\n", out)
+    with _int_text_unlimited():
+        _write(payload, "\n", out)
     out.append("\n")
     return "".join(out)
 

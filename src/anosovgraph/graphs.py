@@ -216,8 +216,8 @@ class VertexPermutation:
     ``domain[i]``, and ``_index`` maps each label to its position. A product
     shares its operands' domain and index and is built from positions, so
     only a mapping that comes from outside is validated. Labels appear only
-    at the edges: `__call__`, `cycles` and the sort order, which compares the
-    image labels in domain order.
+    at the edges: `__call__`, `cycles` and the canonical order of
+    `generated_group`.
     """
 
     __slots__ = ("domain", "_index", "_images")
@@ -277,13 +277,16 @@ class VertexPermutation:
         return cls(domain, mapping)
 
     @classmethod
-    def generated_group(cls, generators, domain, order_bound: int) -> list["VertexPermutation"]:
-        """Every element of the group the generators generate on domain, unordered.
+    def generated_group(cls, generators, domain, order_bound: int) -> tuple["VertexPermutation", ...]:
+        """Every element of the group the generators generate on domain, in canonical order.
 
-        The closure composes bare position tuples and wraps only the distinct
-        elements. Raises BoundExceeded as soon as more than order_bound are found,
-        the identity included, so an order_bound below 1 admits no group.
-        Polls `checkpoint` once per frontier round.
+        The canonical order compares the image labels of the domain elements,
+        in domain order: labels, not positions. The reported stabilizer
+        generators and conjugators are the first fitting elements in it. The
+        closure composes bare position tuples, then sorts and wraps only the
+        distinct ones. Raises BoundExceeded as soon as more than order_bound
+        are found, the identity included, so an order_bound below 1 admits no
+        group. Polls `checkpoint` once per frontier round.
         """
         identity = cls.identity(domain)
         gens = []
@@ -307,7 +310,9 @@ class VertexPermutation:
                         if len(elements) > order_bound:
                             raise BoundExceeded(f"holonomy group order exceeds the bound {order_bound}")
             frontier = new_frontier
-        return [identity._with_images(images) for images in elements]
+        label = identity.domain.__getitem__
+        ordered = sorted(elements, key=lambda images: tuple(map(label, images)))
+        return tuple(map(identity._with_images, ordered))
 
     def __call__(self, v: str) -> str:
         try:
@@ -339,10 +344,6 @@ class VertexPermutation:
     def order(self) -> int:
         return lcm(1, *(len(c) for c in index_cycles(self._images)))
 
-    def image_labels(self) -> tuple[str, ...]:
-        """The image of each domain element, in domain order: the canonical sort key."""
-        return tuple(map(self.domain.__getitem__, self._images))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VertexPermutation)
@@ -352,9 +353,6 @@ class VertexPermutation:
 
     def __hash__(self) -> int:
         return hash(self._images)
-
-    def __lt__(self, other: "VertexPermutation") -> bool:
-        return self.image_labels() < other.image_labels()
 
     def __repr__(self) -> str:
         return f"VertexPermutation({self.cycle_string()})"

@@ -1,8 +1,9 @@
 """Holonomy subgroups of graph automorphisms acting on coherent components.
 
 The group is generated by explicit graph automorphisms, closed by
-multiplication up to a configurable order bound, and acts on the coherent
-components through the induced index permutations. Each orbit carries a
+multiplication up to a configurable order bound in the canonical order of
+`VertexPermutation.generated_group`, and acts on the coherent components
+through the induced index permutations. Each orbit carries a
 representative, its stabilizer (with a cyclic generator when one exists, and
 that generator's action on the representative component), a conjugator
 carrying the representative to each other member, and the constant c
@@ -10,8 +11,8 @@ recording whether the orbit spans any quotient-graph edge or loop. The
 decision layer reads the stabilizer's action from the orbit, and the witness
 reads it and the conjugators; each is computed once per orbit.
 
-The closure composes vertex position tuples. The action is then built in
-linear passes. Only the generators have their component permutations
+The closure composes and sorts vertex position tuples. The action is then
+built in linear passes. Only the generators have their component permutations
 computed, which also checks that each maps components onto components; their
 products then do too, so an element carries a representative to the
 component of its first vertex's image, one label lookup per element and
@@ -20,9 +21,9 @@ cyclic group is abelian, so generators that do not commute settle
 `is_cyclic` without any element's order; a stabilizer as large as the group
 reuses the group's answer, and the other cyclicity scans stop at the first
 element of full order, taking each element's order at most once. Labels
-enter only the canonical sort order of the group, the reported cycle
-strings, the vertex lookups and the once-per-orbit restriction of the
-stabilizer generator to the representative's members.
+enter only the closure's sort, the reported cycle strings, the vertex
+lookups and the once-per-orbit restriction of the stabilizer generator to
+the representative's members.
 """
 
 from __future__ import annotations
@@ -123,19 +124,6 @@ class HolonomyAction:
         }
 
 
-def close_group(
-    generators, domain, order_bound: int = DEFAULT_GROUP_ORDER_BOUND
-) -> tuple[VertexPermutation, ...]:
-    """Multiplicative closure of the generators, in canonical sorted order.
-
-    The order compares image labels (`VertexPermutation.image_labels`), not
-    positions: the reported stabilizer generator and the orbits' conjugators
-    are the first fitting elements in it.
-    """
-    elements = VertexPermutation.generated_group(generators, domain, order_bound)
-    return tuple(sorted(elements, key=VertexPermutation.image_labels))
-
-
 def _cyclic_generator(elements, order) -> VertexPermutation | None:
     """The first element whose order is the group's, or None when the group is not cyclic."""
     return next((h for h in elements if order(h) == len(elements)), None)
@@ -155,7 +143,9 @@ def build_action(
 ) -> HolonomyAction:
     """Close the generators, act on components, and collect orbit data.
 
-    The graph is `part.graph`, the one the partition belongs to. Each
+    The graph is `part.graph`, the one the partition belongs to. Every scan
+    runs over `VertexPermutation.generated_group` in its canonical order, so
+    each stabilizer generator and conjugator is the first fitting element. Each
     generator is checked to be an automorphism that permutes the components;
     products of such generators permute them too, so an element carries a
     component to the component of its first vertex's image, and one lookup
@@ -181,7 +171,7 @@ def build_action(
         induced_component_permutation(part, g)
         checked.append(g)
     generators = tuple(checked)
-    elements = close_group(generators, graph.vertices, order_bound)
+    elements = VertexPermutation.generated_group(generators, graph.vertices, order_bound)
     order = cache(VertexPermutation.order)
     abelian = all(g * h == h * g for g, h in combinations(generators, 2))
     group_generator = _cyclic_generator(elements, order) if abelian else None

@@ -15,6 +15,9 @@ exactly, so the choice of primes affects the running time, never the answer.
 from __future__ import annotations
 
 import re
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -238,6 +241,15 @@ def _monic_gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
 
 
 def _divides(d: IntPolynomial, n: IntPolynomial) -> bool:
+    """Whether d divides n in Z[x], by exact division.
+
+    If it does, d(t) divides n(t) for every integer t, so a nonzero d(t)
+    that leaves a remainder at t = 2 or 3 rejects d without the division.
+    """
+    for t in (2, 3):
+        dt = d(t)
+        if dt and n(t) % dt:
+            return False
     try:
         divide_exact(n, d)
     except ValueError:
@@ -258,7 +270,8 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     lc G divides, are images of one integer multiple of G; CRT recovers it
     once the primes' product exceeds twice its largest coefficient. After
     each prime, the primitive part of the symmetric lift is returned only if
-    exact trial division shows that it divides both A and B. A common
+    exact trial division shows that it divides both A and B; a lift whose
+    values at 2 or 3 do not divide theirs is rejected before dividing. A common
     divisor of degree at least deg G is G up to sign, so the answer is exact
     whichever primes are unlucky; they only delay it. Polls `checkpoint` once
     per prime.
@@ -554,23 +567,50 @@ def parse_polynomial(text: str) -> IntPolynomial:
     return IntPolynomial(out)
 
 
+_INT_TEXT_LOCK = threading.RLock()
+
+
+@contextmanager
+def _int_text_unlimited():
+    """Lift the interpreter's limit on int-to-decimal conversion while rendering.
+
+    A certified witness polynomial can have coefficients of more than 4300
+    digits, the default limit, and every int the certificate holds is
+    printed. The text is that of ``str()`` either way. The previous limit,
+    which also guards parsing, is restored on exit; interpreters before
+    3.10.7 have no limit to lift. The limit is process-wide, so renders hold
+    one lock: a render that ends cannot restore it under one still running
+    on another thread.
+    """
+    with _INT_TEXT_LOCK:
+        previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if previous:
+            sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            if previous:
+                sys.set_int_max_str_digits(previous)
+
+
 def format_polynomial(p: IntPolynomial) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for power in range(p.degree, -1, -1):
-        c = p.coefficients[power]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if power == 0:
-            body = str(mag)
-        elif power == 1:
-            body = "x" if mag == 1 else f"{mag}x"
-        else:
-            body = f"x^{power}" if mag == 1 else f"{mag}x^{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    with _int_text_unlimited():
+        for power in range(p.degree, -1, -1):
+            c = p.coefficients[power]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if power == 0:
+                body = str(mag)
+            elif power == 1:
+                body = "x" if mag == 1 else f"{mag}x"
+            else:
+                body = f"x^{power}" if mag == 1 else f"{mag}x^{power}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)

@@ -1,7 +1,9 @@
 """The yes sweep from 17 to 24 points, the 64-point structured seed, two
 orbits on 48 and 64 points beside or joined to a triangle, and paper families
-beyond the tier-1 sample certified at margin 2 in one assembly: family I with
-m = 4 and sizes in {2, 3}^3 x {3}, and I-modified with m = 7.
+beyond the tier-1 sample certified at margin 2 in one assembly and rendered
+as text and as JSON that parses back: family I with m = 4 and sizes in
+{2, 3}^3 x {3}, and I-modified with m = 7, whose 26,766-bit coefficients
+pass the 4300 digits that ``str()`` of an int allows by default.
 
 These extend `test_witness.TestCycleTypeEnumeration` (every yes cycle type on
 one discrete or complete component of at most 16 points),
@@ -15,10 +17,12 @@ out. Run them with
 """
 
 import itertools
+import json
+import sys
 
 import pytest
 
-from anosovgraph.analysis import analyze
+from anosovgraph.analysis import _json_text, analyze
 from anosovgraph.families import family_I, family_I_modified
 from anosovgraph.graphs import VertexPermutation, discrete_graph
 
@@ -54,10 +58,28 @@ def test_two_orbits_whose_bounds_overflow(n, joined):
     assert two_orbit_exponents(discrete_beside_triangle(n, joined)) == (1, 1)
 
 
+def assert_renders(w):
+    """Both witness reports print, and the JSON parses back to the certificate's ints;
+    the interpreter's digit limit on int text is back in place afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit before 3.10.7
+    before = limit()
+    text, rendered = w.to_text(), _json_text(w.to_json_dict())
+    assert limit() == before
+    assert "characteristic polynomial on V+W: " in text
+    if before:
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(rendered)
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
+    assert payload["full_char_poly"] == list(w.certificate.char_poly.coefficients)
+
+
 @pytest.mark.parametrize("sizes", [(*head, 3) for head in itertools.product((2, 3), repeat=3)], ids=str)
 def test_family_I_m4_certifies_in_one_assembly(sizes):
-    witness_in_one_assembly(family_I(4, sizes))
+    assert_renders(witness_in_one_assembly(family_I(4, sizes)))
 
 
 def test_family_I_modified_m7_certifies_in_one_assembly():
-    witness_in_one_assembly(family_I_modified(7))
+    assert_renders(witness_in_one_assembly(family_I_modified(7)))

@@ -24,6 +24,7 @@ from anosovgraph.cli import (
     main,
 )
 from anosovgraph.errors import GraphInputError, SeedSearchExhausted, WitnessAssemblyError, WitnessRefused
+from anosovgraph.families import family_I
 from anosovgraph.fixtures import all_loops_chain, four_pair_chain, loop_end_chain, pentagon
 from anosovgraph.graphs import (
     Graph,
@@ -333,6 +334,52 @@ class TestWitnessReportPins:
             hashlib.sha256(out.encode()).hexdigest()
             == "aa8f7ad0d09d819c7c5534ee5f31c4c18cfc58e1dabc52f0dfe9f621f134337d"
         )
+
+
+class TestWitnessAboveTheDigitLimit:
+    """Family I m=4 sizes (2,3,4,4): exponents (1, 9, 57, 669) and a witness
+    polynomial with 25,266-bit coefficients, beyond the 4300 decimal digits
+    that ``str()`` of an int allows by default. Every report prints them, and
+    the interpreter's limit is back in place afterwards."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        inst = family_I(4, (2, 3, 4, 4))
+        return anosovgraph.analysis.analyze(inst.graph, inst.generators, want_witness=True)
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            (("analyze", "--json", "--witness"), "f0e8c1a15cf75e47b1e221eeaaca99088605e4f4f88b10a41185c78e18b34a4b"),
+            (("witness", "--json"), "4a3c260e29eaf291c84b5495b8956ea1edbaea1815b8f4196de55c21bd28998d"),
+            (("witness",), "126e363c034b38eace44382f58fc4e3d29b9a1910893bd54b1cdc97257720f9d"),
+        ],
+        ids=["analyze-json", "witness-json", "witness-text"],
+    )
+    def test_report_prints_every_coefficient(self, run, tmp_path, report, command, digest):
+        expected = list(report.witness.certificate.char_poly.coefficients)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit before 3.10.7
+        before = limit()
+        if before:
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                str(max(expected, key=abs))
+        code, out, _ = run("family", "--name", "I", "--m", "4", "--sizes", "2,3,4,4")
+        path = tmp_path / "family.json"
+        path.write_text(out)
+        code, out, _ = run(*command, "--graph", str(path))
+        assert code == EXIT_YES
+        assert limit() == before
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if "--json" in command:
+            if before:
+                sys.set_int_max_str_digits(0)
+            try:
+                payload = json.loads(out)
+            finally:
+                if before:
+                    sys.set_int_max_str_digits(before)
+            witness = payload.get("witness", payload)
+            assert witness["full_char_poly"] == witness["certificate"]["char_poly"] == expected
 
 
 class TestCertifiedSeedsAboveTwelvePoints:

@@ -560,10 +560,6 @@ class TestMatchesDictPermutation:
             assert new.order() == old.order()
             assert is_identity(new) == old.is_identity
         assert (p == q) == (dp == dq)
-        assert (p < q) == (dp < dq) and (q < p) == (dq < dp)
-        ranked_new = [h.cycle_string() for h in sorted(new for new, _ in pairs)]
-        ranked_old = [h.cycle_string() for h in sorted(old for _, old in pairs)]
-        assert ranked_new == ranked_old
         # a product built from positions equals, and hashes as, its mapping built from labels
         pq = p * q
         from_labels = VertexPermutation(domain, {v: pq(v) for v in domain})

@@ -20,7 +20,7 @@ from anosovgraph.graphs import (
     induced_component_permutation,
     is_graph_automorphism,
 )
-from anosovgraph.holonomy import build_action, close_group
+from anosovgraph.holonomy import build_action
 from anosovgraph.repdecomp import decide, decompose_cyclic_perm_rep
 from tests_support_oracles import (
     DictPermutation,
@@ -36,30 +36,34 @@ def action_for(graph, *cycle_strings, order_bound=10_000):
 
 
 class TestCloseGroup:
+    """The group closure, `VertexPermutation.generated_group`."""
+
     def test_cyclic_closure(self):
         g = pentagon()
         rot = VertexPermutation.from_cycles("(a b c d e)", g.vertices)
-        elements = close_group([rot], g.vertices)
+        elements = VertexPermutation.generated_group([rot], g.vertices, 10_000)
         assert len(elements) == 5
+        images = [tuple(map(h, g.vertices)) for h in elements]
+        assert images == sorted(images)  # canonical order: image labels, in domain order
 
     def test_two_generators(self):
         g = discrete_graph(3)
         a = VertexPermutation.from_cycles("(v1 v2)", g.vertices)
         b = VertexPermutation.from_cycles("(v2 v3)", g.vertices)
-        assert len(close_group([a, b], g.vertices)) == 6
+        assert len(VertexPermutation.generated_group([a, b], g.vertices, 10_000)) == 6
 
     def test_bound(self):
         g = discrete_graph(5)
         a = VertexPermutation.from_cycles("(v1 v2)", g.vertices)
         b = VertexPermutation.from_cycles("(v1 v2 v3 v4 v5)", g.vertices)
         with pytest.raises(BoundExceeded):
-            close_group([a, b], g.vertices, order_bound=50)
+            VertexPermutation.generated_group([a, b], g.vertices, 50)
 
     def test_generator_on_another_domain(self):
         g = discrete_graph(3)
         a = VertexPermutation.from_cycles("(v1 v2)", g.vertices[::-1])
         with pytest.raises(PermutationError, match="different domains"):
-            close_group([a], g.vertices)
+            VertexPermutation.generated_group([a], g.vertices, 10_000)
 
 
 class TestBuildAction:
@@ -361,7 +365,7 @@ class TestMatchesDictClosure:
         graph, maps = case
         gens = [VertexPermutation(graph.vertices, m) for m in maps]
         old = [DictPermutation(graph.vertices, m) for m in maps]
-        elements = close_group(gens, graph.vertices)
+        elements = VertexPermutation.generated_group(gens, graph.vertices, 10_000)
         assert [h.cycle_string() for h in elements] == [
             h.cycle_string() for h in dict_close_group(old, graph.vertices)
         ]
@@ -371,7 +375,7 @@ class TestMatchesDictClosure:
         other = graph.vertices[::-1]
         moved = [VertexPermutation(other, m) for m in maps]
         moved_old = [DictPermutation(other, m) for m in maps]
-        assert [h.cycle_string() for h in close_group(moved, other)] == [
+        assert [h.cycle_string() for h in VertexPermutation.generated_group(moved, other, 10_000)] == [
             h.cycle_string() for h in dict_close_group(moved_old, other)
         ]
         for new, dict_perm in zip(moved, moved_old):
@@ -421,7 +425,7 @@ class TestMatchesDictClosure:
         part = coherent_components(graph)
         component_of = {v: i for i, comp in enumerate(part.components) for v in comp}
         reps = [orbit.rep for orbit in build_action(part, gens).orbits]
-        for h in close_group(gens, graph.vertices):
+        for h in VertexPermutation.generated_group(gens, graph.vertices, 10_000):
             perm = induced_component_permutation(part, h)
             for rep in reps:
                 assert perm[rep] == component_of[h(part.components[rep][0])]

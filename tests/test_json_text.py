@@ -6,6 +6,8 @@ package can emit, and refuse, rather than convert, anything else.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -132,3 +134,38 @@ def test_edge_payloads(payload):
 def test_refuses_what_it_would_have_to_convert(payload):
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7")
+def test_ints_beyond_the_digit_limit_on_concurrent_threads():
+    # The limit is process-wide: a render that ends must not restore it under
+    # a render still running on another thread.
+    before = sys.get_int_max_str_digits()
+    payload = {"c": [10**5000 + k for k in range(4)], "m": [[10**4400, 0], [0, -1]]}
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = reference(payload)
+    finally:
+        sys.set_int_max_str_digits(before)
+    failures = []
+
+    def work():
+        try:
+            for _ in range(100):
+                assert _json_text(payload) == expected
+        except Exception as exc:  # collected and asserted below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert sys.get_int_max_str_digits() == before

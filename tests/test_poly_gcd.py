@@ -13,7 +13,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anosovgraph.polynomials import IntPolynomial, _prime_below, _word_primes, divide_exact, poly_gcd
+import anosovgraph.polynomials as polynomials_module
+from anosovgraph.polynomials import IntPolynomial, _divides, _prime_below, _word_primes, divide_exact, poly_gcd
 
 SETTINGS = settings(max_examples=100, deadline=None)
 FIRST_PRIMES = list(itertools.islice(_word_primes(), 4))
@@ -179,6 +180,45 @@ class TestUnluckyPrimes:
         g = P(shift, 1)
         assert_matches_oracles(f * g, f * P(shift + c, 1))
         assert_matches_oracles(f * g * P(0, FIRST_PRIMES[0]), f * P(shift + c, 1))
+
+
+class TestTrialDivisionScreen:
+    """`_divides` rejects by the values at 2 and 3 and accepts only by exact division."""
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        calls = []
+        real = polynomials_module.divide_exact
+        monkeypatch.setattr(polynomials_module, "divide_exact", lambda n, d: calls.append(d) or real(n, d))
+        return calls
+
+    def test_screen_rejects_without_dividing(self, divisions):
+        # (x - 5)(2) = -3 does not divide (x^2 + 1)(2) = 5
+        assert not _divides(P(-5, 1), P(1, 0, 1))
+        assert divisions == []
+
+    @pytest.mark.parametrize(
+        "d, n, expected",
+        [
+            (P(1, 1), P(-1, 0, 1), True),  # x + 1 divides x^2 - 1
+            (P(-2, 1), P(1, 0, 1), False),  # d(2) = 0 and d(3) = 1: only the division rejects
+        ],
+        ids=["divisor", "past-the-screen"],
+    )
+    def test_what_passes_the_screen_is_divided(self, divisions, d, n, expected):
+        assert _divides(d, n) is expected
+        assert divisions == [d]
+
+    @SETTINGS
+    @given(polys(min_degree=1, max_degree=4), polys(min_degree=0, max_degree=6))
+    def test_agrees_with_exact_division(self, d, n):
+        try:
+            divide_exact(n, d)
+            exact = True
+        except ValueError:
+            exact = False
+        assert _divides(d, n) is exact
+        assert _divides(d, d * n)
 
 
 
