@@ -30,22 +30,36 @@ def _json_text(payload) -> str:
     keys, lists, tuples, str, int, bool and None. Any other key or value type
     raises TypeError instead of being converted. The library call is not used
     because an ``indent`` sends it to the pure-Python encoder, which makes a
-    generator per container and a closure cycle per call; here strings go
-    through the C ``encode_basestring_ascii`` and a list of plain ints or of
-    strings is joined in one call.
+    generator per container and a closure cycle per call. Here the Python
+    work is paid per container, not per scalar:
 
-    A list or tuple of equal-length, non-empty rows of exact ints (a witness
-    matrix) is written in one go. The library writes such a row as "[", then
-    each entry's ``int.__repr__`` on its own line at the row's indent plus
-    two, separated by commas, then "]" at the row's indent; that text
-    depends on the row only through its width, its indent and its entries.
-    So the text of an all-zero row is built once per width and indent, and
-    each row's nonzero entries, found by ``itertools.compress``, replace
-    their "0"s in it; ``str`` is ``int.__repr__`` on exact ints. The first
-    row is checked first, so lists of other items fall through at once; a
-    bool, a ragged or empty row, or any other item sends the whole list
-    down the general path, which gives the library's bytes for it. The rows
-    are joined as the general path joins any list's items.
+    - Scalars are written through ``_SCALAR_TEXT``, a table from exact type
+      to text function: ``str`` by the C ``encode_basestring_ascii``, ``int``
+      by ``int.__repr__`` (the library's own choice), bool and None by their
+      literals. A dict writes its scalar values through the table inline, so
+      they do not recurse. Subclasses of str and int miss the table and are
+      written as the library writes them.
+    - A list or tuple whose items are all of one scalar type is joined in one
+      call. So is each row of a list or tuple of non-empty list or tuple rows
+      whose cells are all of one scalar type (graph edges, quotient edges,
+      the order, witness matrices): one pass over the cells' types decides
+      that path, and each row is joined in one expression. Rows of exact ints
+      that all have one width (a witness matrix) are spliced instead: the
+      library writes such a row as "[", then each entry on its own line at
+      the row's indent plus two, separated by commas, then "]" at the row's
+      indent, so the text of an all-zero row is built once per width and
+      indent and each row's nonzero entries, found by ``itertools.compress``,
+      replace their "0"s in it. Anything else in a list, such as a bool
+      among ints or a ragged row of mixed cells, sends the list down the
+      general path, one item at a time.
+    - A dict takes its sorted keys and the text before each value from
+      ``_dict_skeleton``, cached on the key tuple and the indent, since a
+      report repeats a few key sets (one per orbit, part or component). The
+      keys are quoted when an entry is built, and ``encode_basestring_ascii``
+      refuses a non-str key with TypeError, so such a key set raises every
+      time and is never cached. The cache is bounded because the key sets
+      come from the payload: a caller rendering dicts keyed by data must not
+      grow it without end.
 
     The helpers stay private: a per-layer trace wraps public functions, so a
     public recursive helper would record a span per JSON node instead of
@@ -59,22 +73,29 @@ def _json_text(payload) -> str:
     return "".join(out)
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    bool: _LITERALS.__getitem__,
+    type(None): _LITERALS.__getitem__,
+}
+_ROW_TYPES = {list, tuple}
+
+
 def _write(value, newline: str, out: list) -> None:
     """Append the JSON text of value, whose closing bracket sits after newline."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
     elif isinstance(value, (list, tuple)):
         _write_list(value, newline, out)
     elif isinstance(value, dict):
         _write_dict(value, newline, out)
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -85,36 +106,31 @@ def _write_list(items, newline: str, out: list) -> None:
         return
     inner = newline + "  "
     separator = "," + inner
-    if _is_int_matrix(items):
-        out.append("[" + inner + separator.join(_int_rows_text(items, inner)) + newline + "]")
-        return
     types = set(map(type, items))
-    if types == {int}:  # str is int.__repr__ on plain ints, and calls faster
-        out.append("[" + inner + separator.join(map(str, items)) + newline + "]")
-    elif types == {str}:
-        out.append("[" + inner + separator.join(map(_quote, items)) + newline + "]")
-    else:
-        lead = "[" + inner
-        for item in items:
-            out.append(lead)
-            _write(item, inner, out)
-            lead = separator
-        out.append(newline + "]")
+    if len(types) == 1 and (text := _SCALAR_TEXT.get(*types)):
+        out.append("[" + inner + separator.join(map(text, items)) + newline + "]")
+        return
+    if types <= _ROW_TYPES and all(items):
+        cells = set(map(type, chain.from_iterable(items)))
+        if len(cells) == 1 and (cell := cells.pop()) in _SCALAR_TEXT:
+            out.append("[" + inner + separator.join(_rows_text(items, inner, cell)) + newline + "]")
+            return
+    lead = "[" + inner
+    for item in items:
+        out.append(lead)
+        _write(item, inner, out)
+        lead = separator
+    out.append(newline + "]")
 
 
-_ROW_TYPES = {list, tuple}
-
-
-def _is_int_matrix(items) -> bool:
-    """True for equal-length, non-empty list or tuple rows of exact ints; the first row is tried first."""
-    first = items[0]
-    if type(first) not in _ROW_TYPES or not first or set(map(type, first)) != {int}:
-        return False
-    return (
-        set(map(type, items)) <= _ROW_TYPES
-        and set(map(len, items)) == {len(first)}
-        and set(map(type, chain.from_iterable(items))) == {int}
-    )
+def _rows_text(rows, newline: str, cell: type) -> list[str]:
+    """Each row's text, closed after newline; the rows are non-empty, their cells of one scalar type."""
+    if cell is int and len(set(map(len, rows))) == 1:
+        return _int_rows_text(rows, newline)
+    text = _SCALAR_TEXT[cell]
+    inner = newline + "  "
+    head, separator, tail = "[" + inner, "," + inner, newline + "]"
+    return [head + separator.join(map(text, row)) + tail for row in rows]
 
 
 @lru_cache(maxsize=64)  # a report has a few widths and depths; the texts are immutable
@@ -141,18 +157,32 @@ def _int_rows_text(rows, newline: str) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=256)  # bounded: the key sets come from the payload
+def _dict_skeleton(keys: tuple, newline: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The sorted keys, and the text before each one's value in a dict closed after newline.
+
+    Keys of mixed types fail to sort and a non-str key fails to quote, both with TypeError.
+    """
+    ordered = tuple(sorted(keys))
+    inner = newline + "  "
+    leads = ["{" + inner] + ["," + inner] * (len(ordered) - 1)
+    return ordered, tuple(lead + _quote(key) + ": " for lead, key in zip(leads, ordered))
+
+
 def _write_dict(mapping, newline: str, out: list) -> None:
     if not mapping:
         out.append("{}")
         return
+    keys, leads = _dict_skeleton(tuple(mapping), newline)
     inner = newline + "  "
-    lead = "{" + inner
-    for key in sorted(mapping):
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        out.append(lead + _quote(key) + ": ")
-        _write(mapping[key], inner, out)
-        lead = "," + inner
+    for key, lead in zip(keys, leads):
+        value = mapping[key]
+        text = _SCALAR_TEXT.get(type(value))
+        if text is None:
+            out.append(lead)
+            _write(value, inner, out)
+        else:
+            out.append(lead + text(value))
     out.append(newline + "}")
 
 

@@ -104,6 +104,8 @@ class HolonomyAction:
         return len(self.elements)
 
     def to_json_dict(self) -> dict:
+        """The JSON payload; each distinct stabilizer generator's cycle string is taken once."""
+        cycle_strings = {g: g.cycle_string() for g in {o.stabilizer.generator for o in self.orbits} if g}
         return {
             "generators": [g.cycle_string() for g in self.generators],
             "order": self.order,
@@ -115,9 +117,7 @@ class HolonomyAction:
                     "c": o.c,
                     "stabilizer_order": o.stabilizer.order,
                     "stabilizer_cyclic": o.stabilizer.cyclic,
-                    "stabilizer_generator": (
-                        o.stabilizer.generator.cycle_string() if o.stabilizer.generator else None
-                    ),
+                    "stabilizer_generator": cycle_strings.get(o.stabilizer.generator),
                 }
                 for o in self.orbits
             ],

@@ -11,6 +11,7 @@ summand satisfies multiplicity * real_splits > c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -88,7 +89,7 @@ class OrbitVerdict:
     orbit: OrbitData
     parts: tuple[RepPart, ...] | None
 
-    @property
+    @cached_property
     def failing_part(self) -> RepPart | None:
         if self.parts is None:
             return None

@@ -302,6 +302,39 @@ class TestCyclicityPaths:
         assert checks == list(action.generators)
 
 
+class TestJsonDict:
+    """`HolonomyAction.to_json_dict` takes one cycle string per distinct stabilizer generator."""
+
+    @pytest.mark.parametrize(
+        "cycle_strings, distinct",
+        [((), 1), (("(x1 x2)(y1 y2)",), 2)],
+        ids=["trivial", "one-swap"],
+    )
+    def test_cycle_string_once_per_distinct_stabilizer_generator(self, monkeypatch, cycle_strings, distinct):
+        # 30 disjoint edges: 30 components, each its own orbit but for a swapped pair
+        graph = Graph(
+            [v for i in range(1, 31) for v in (f"x{i}", f"y{i}")],
+            [(f"x{i}", f"y{i}") for i in range(1, 31)],
+        )
+        gens = [VertexPermutation.from_cycles(s, graph.vertices) for s in cycle_strings]
+        old = [DictPermutation(graph.vertices, {v: g(v) for v in graph.vertices}) for g in gens]
+        part = coherent_components(graph)
+        action = build_action(part, gens)
+        assert sum(len(orbit.members) == 1 for orbit in action.orbits) >= 25
+        assert len({orbit.stabilizer.generator for orbit in action.orbits}) == distinct
+        calls = []
+        real_cycle_string = VertexPermutation.cycle_string
+
+        def counting_cycle_string(self):
+            calls.append(self)
+            return real_cycle_string(self)
+
+        monkeypatch.setattr(VertexPermutation, "cycle_string", counting_cycle_string)
+        payload = action.to_json_dict()
+        assert len(calls) == len(gens) + distinct
+        assert payload == dict_action_json(part, old)
+
+
 @st.composite
 def symmetric_blowups(draw):
     """A blow-up of a random graph or a cycle on at most 5 nodes (each node a

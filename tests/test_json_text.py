@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovgraph.analysis import _json_text
+from anosovgraph.analysis import _dict_skeleton, _json_text
 
 
 def reference(payload) -> str:
@@ -63,12 +63,43 @@ near_matrices = st.one_of(
     st.tuples(matrices(sparse_ints), st.one_of(texts, ints, st.just([]))).map(lambda m: [*m[0], m[1]]),
     st.lists(matrices(sparse_ints), min_size=1, max_size=3),
 )
+# Rows of strings take the row path too, at one width or ragged, as lists or
+# tuples. Rows whose cells mix str, int, None and bool leave it for the
+# general path.
+str_rows = st.one_of(
+    matrices(texts),
+    matrices(texts).map(lambda rows: tuple(map(tuple, rows))),
+    st.lists(st.lists(texts, min_size=1, max_size=4), min_size=1, max_size=5),
+    st.lists(st.lists(texts, min_size=1, max_size=4).map(tuple), min_size=1, max_size=5).map(tuple),
+)
+mixed_cells = st.one_of(texts, st.integers(-5, 5), st.none(), st.booleans())
+mixed_rows = st.one_of(
+    matrices(mixed_cells),
+    st.lists(st.lists(mixed_cells, min_size=1, max_size=4), min_size=1, max_size=5),
+)
+# Dict keys with the characters a text template or an escape could trip on.
+keys = st.one_of(texts, st.text(alphabet=st.sampled_from('%s{}"\\é€😀 '), max_size=6))
+
+
+def keyed(names, values):
+    return st.fixed_dictionaries({name: values for name in names})
+
+
+# Lists of dicts that share one key set, and dicts holding the same key set
+# one level down, as a report's orbits, parts and components do.
+shared_key_sets = st.lists(keys, min_size=1, max_size=4, unique=True).flatmap(
+    lambda names: st.one_of(
+        st.lists(keyed(names, scalars), min_size=2, max_size=4),
+        keyed(names, keyed(names, scalars)),
+        st.lists(keyed(names, st.lists(keyed(names, scalars), max_size=2)), min_size=1, max_size=3),
+    )
+)
 payloads = st.recursive(
-    st.one_of(scalars, flat_lists, int_matrices, near_matrices),
+    st.one_of(scalars, flat_lists, int_matrices, near_matrices, str_rows, mixed_rows, shared_key_sets),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(texts, children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
     ),
     max_leaves=30,
 )
@@ -83,6 +114,13 @@ def test_matches_the_library_encoder(payload):
 @given(st.one_of(int_matrices, near_matrices))
 @settings(max_examples=300, deadline=None)
 def test_matrices_match_the_library_encoder(payload):
+    assert _json_text(payload) == reference(payload)
+    assert _json_text({"m": payload}) == reference({"m": payload})  # one level deeper
+
+
+@given(st.one_of(str_rows, mixed_rows, shared_key_sets))
+@settings(max_examples=300, deadline=None)
+def test_rows_and_shared_key_sets_match_the_library_encoder(payload):
     assert _json_text(payload) == reference(payload)
     assert _json_text({"m": payload}) == reference({"m": payload})  # one level deeper
 
@@ -114,6 +152,10 @@ def test_matrices_match_the_library_encoder(payload):
         [[1], []],
         [[1, 2], "ab"],
         [[[0, 1], [1, 0]], [[2, 0], [0, 2]]],
+        [["a", "b"], ["c"]],
+        [["a", 1]],
+        [[True, False]],
+        {"%s": 1, "%%": {"%s": [1]}},
     ],
 )
 def test_edge_payloads(payload):
@@ -124,16 +166,25 @@ def test_edge_payloads(payload):
     "payload",
     [
         {1: "a"}, {True: "a"}, {"a": 1, 2: "b"}, {"a": {None: 1}}, 1.5, [0.0], {1, 2}, {"a": frozenset()},
-        [[0, 0.0], [0, 0]], [[1, 2], [3, 1.5]],
+        [[0, 0.0], [0, 0]], [[1, 2], [3, 1.5]], [{"a": 1}, {1: 2}], {"a": {"b": 1}, "c": {True: 1}},
     ],
     ids=[
         "int-key", "bool-key", "mixed-keys", "none-key", "float", "float-in-list", "set", "frozenset",
-        "float-zero-in-matrix", "float-in-matrix",
+        "float-zero-in-matrix", "float-in-matrix", "int-key-after-a-str-key-set", "bool-key-one-level-down",
     ],
 )
 def test_refuses_what_it_would_have_to_convert(payload):
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+def test_a_refused_key_set_is_refused_again_and_the_cache_stays_bounded():
+    for _ in range(2):  # a key set that raised is not cached, so it raises again
+        with pytest.raises(TypeError):
+            _json_text({"a": 1, 2: "b"})
+    for k in range(3 * _dict_skeleton.cache_info().maxsize):
+        assert _json_text({f"k{k}": k}) == reference({f"k{k}": k})
+    assert _dict_skeleton.cache_info().currsize <= _dict_skeleton.cache_info().maxsize
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7")
