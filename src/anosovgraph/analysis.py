@@ -40,18 +40,21 @@ def _json_text(payload) -> str:
       they do not recurse. Subclasses of str and int miss the table and are
       written as the library writes them.
     - A list or tuple whose items are all of one scalar type is joined in one
-      call. So is each row of a list or tuple of non-empty list or tuple rows
-      whose cells are all of one scalar type (graph edges, quotient edges,
-      the order, witness matrices): one pass over the cells' types decides
-      that path, and each row is joined in one expression. Rows of exact ints
-      that all have one width (a witness matrix) are spliced instead: the
-      library writes such a row as "[", then each entry on its own line at
-      the row's indent plus two, separated by commas, then "]" at the row's
-      indent, so the text of an all-zero row is built once per width and
-      indent and each row's nonzero entries, found by ``itertools.compress``,
-      replace their "0"s in it. Anything else in a list, such as a bool
-      among ints or a ragged row of mixed cells, sends the list down the
-      general path, one item at a time.
+      call. The texts of an exact-int list are kept for the rest of the
+      render, keyed by its entries, so a list written again (a witness
+      report holds its polynomial three times) is converted to decimal once.
+      Each row of a list or tuple of non-empty list or tuple rows whose cells
+      are all of one scalar type (graph edges, quotient edges, the order,
+      witness matrices) is joined in one expression too: one pass over the
+      cells' types decides that path. Rows of exact ints that all have one
+      width and hold a 0 (sparse witness matrix rows) are spliced instead:
+      the library writes such a row as "[", then each entry on its own line
+      at the row's indent plus two, separated by commas, then "]" at the
+      row's indent, so the text of an all-zero row is built once per width
+      and indent and each row's nonzero entries, found by
+      ``itertools.compress``, replace their "0"s in it. Anything else in a
+      list, such as a bool among ints or a ragged row of mixed cells, sends
+      the list down the general path, one item at a time.
     - A dict takes its sorted keys and the text before each value from
       ``_dict_skeleton``, cached on the key tuple and the indent, since a
       report repeats a few key sets (one per orbit, part or component). The
@@ -68,7 +71,7 @@ def _json_text(payload) -> str:
     """
     out = []
     with _int_text_unlimited():
-        _write(payload, "\n", out)
+        _write(payload, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
@@ -83,15 +86,18 @@ _SCALAR_TEXT = {
 _ROW_TYPES = {list, tuple}
 
 
-def _write(value, newline: str, out: list) -> None:
-    """Append the JSON text of value, whose closing bracket sits after newline."""
+def _write(value, newline: str, out: list, texts: dict) -> None:
+    """Append the JSON text of value, whose closing bracket sits after newline.
+
+    texts maps each int list written so far, as a tuple, to its entries' texts.
+    """
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         out.append(text(value))
     elif isinstance(value, (list, tuple)):
-        _write_list(value, newline, out)
+        _write_list(value, newline, out, texts)
     elif isinstance(value, dict):
-        _write_dict(value, newline, out)
+        _write_dict(value, newline, out, texts)
     elif isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, int):
@@ -100,7 +106,7 @@ def _write(value, newline: str, out: list) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_list(items, newline: str, out: list) -> None:
+def _write_list(items, newline: str, out: list, texts: dict) -> None:
     if not items:
         out.append("[]")
         return
@@ -108,7 +114,13 @@ def _write_list(items, newline: str, out: list) -> None:
     separator = "," + inner
     types = set(map(type, items))
     if len(types) == 1 and (text := _SCALAR_TEXT.get(*types)):
-        out.append("[" + inner + separator.join(map(text, items)) + newline + "]")
+        if int in types:
+            key = tuple(items)
+            if (cells := texts.get(key)) is None:
+                cells = texts[key] = list(map(text, key))
+        else:
+            cells = map(text, items)
+        out.append("[" + inner + separator.join(cells) + newline + "]")
         return
     if types <= _ROW_TYPES and all(items):
         cells = set(map(type, chain.from_iterable(items)))
@@ -118,7 +130,7 @@ def _write_list(items, newline: str, out: list) -> None:
     lead = "[" + inner
     for item in items:
         out.append(lead)
-        _write(item, inner, out)
+        _write(item, inner, out, texts)
         lead = separator
     out.append(newline + "]")
 
@@ -144,10 +156,15 @@ def _zero_row(width: int, newline: str) -> tuple[str, tuple[int, ...]]:
 
 
 def _int_rows_text(rows, newline: str) -> list[str]:
-    """The text of each int row: its nonzero entries spliced into the all-zero row's text."""
+    """The text of each int row: a row holding a 0 is spliced into the all-zero row's text, any other joined."""
     text, zeros = _zero_row(len(rows[0]), newline)
+    inner = newline + "  "
+    head, separator, tail = "[" + inner, "," + inner, newline + "]"
     out = []
     for row in rows:
+        if 0 not in row:
+            out.append(head + separator.join(map(int.__repr__, row)) + tail)
+            continue
         pieces, last = [], 0
         for at, value in zip(compress(zeros, row), compress(row, row)):
             pieces += text[last:at], str(value)
@@ -169,7 +186,7 @@ def _dict_skeleton(keys: tuple, newline: str) -> tuple[tuple[str, ...], tuple[st
     return ordered, tuple(lead + _quote(key) + ": " for lead, key in zip(leads, ordered))
 
 
-def _write_dict(mapping, newline: str, out: list) -> None:
+def _write_dict(mapping, newline: str, out: list, texts: dict) -> None:
     if not mapping:
         out.append("{}")
         return
@@ -180,7 +197,7 @@ def _write_dict(mapping, newline: str, out: list) -> None:
         text = _SCALAR_TEXT.get(type(value))
         if text is None:
             out.append(lead)
-            _write(value, inner, out)
+            _write(value, inner, out, texts)
         else:
             out.append(lead + text(value))
     out.append(newline + "}")

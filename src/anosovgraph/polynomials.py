@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -215,29 +216,82 @@ def _word_primes():
     """The primes below 2^30, largest first.
 
     CPython stores ints in 30-bit digits, so each residue is one digit and
-    every reduction in `_monic_gcd_mod` divides by a single digit.
+    every reduction of a coefficient in `poly_gcd` divides by a single digit.
+    The bound p < 2^30 also keeps each 128-bit slot of the packed sums in
+    `_monic_gcd_mod` below 2^61, which its reduction needs.
     """
     p = 2**30 + 1
     while (p := _prime_below(p)) is not None:
         yield p
 
 
+_SLOT = 128  # bits per residue of a packed polynomial
+_SLOT_MASK = (1 << _SLOT) - 1
+_BARRETT = 91  # s * ceil(2^91 / p) >> 91 is s // p for s < 2^61 and odd p < 2^30
+
+
+def _pack(residues: list[int]) -> int:
+    """The residues, each below 2^64, as one int: residue i in bits [128 i, 128 i + 128)."""
+    words = array("Q", bytes(16 * len(residues)))  # two 64-bit words per slot, low word first
+    words[::2] = array("Q", residues)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
 def _monic_gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
-    """Monic gcd in (Z/prime)[x] of two reduced, nonzero coefficient lists (ascending)."""
-    while b:
-        inv = pow(b[-1], -1, prime)
-        n = len(b) - 1
-        a = list(a)
-        while len(a) > n:  # replace a by its remainder mod b, one leading term at a time
-            c = a.pop() * inv % prime
-            if c:
-                shift = len(a) - n
-                a[shift:] = [(x - c * y) % prime for x, y in zip(a[shift:], b)]
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    inv = pow(a[-1], -1, prime)
-    return [c * inv % prime for c in a]
+    """Monic gcd in (Z/prime)[x] of two lists of residues mod prime (ascending), b nonzero.
+
+    Euclid on packed polynomials: a is the int A = sum a_i 2^(128 i), and
+    likewise b, so that a remainder step is a few big-int operations instead
+    of a Python loop over coefficients. A step cancels the two leading terms
+    of a by q = q1 x^(k+1) + q0 x^k, whose coefficients come from those terms
+    and the inverse of b's leading one, in one product:
+
+        S = A + ((m0 + m1 2^128) B << 128 k),  m0 = -q0 mod p,  m1 = -q1 mod p.
+
+    When deg a = deg b, it cancels the one leading term by q = q1, and
+    S = A + m1 B.
+
+    Slot bound. Slot i of S would hold s_i = a_i + m0 b_(i-k) + m1 b_(i-k-1),
+    congruent mod p to the coefficient of x^i in a - q b. Every term is
+    nonnegative and every factor at most p - 1, so
+    s_i <= (p - 1) + 2 (p - 1)^2 < 2 p^2 <= 2^61, since p < 2^30
+    (`_word_primes`). No slot carries into the next, so S's slots are the s_i.
+
+    Reduction. With M = ceil(2^91 / p), M p = 2^91 + e for some e < p, so
+    s_i M / 2^91 = s_i / p + s_i e / (p 2^91) and the last term is below 1 / p:
+    floor(s_i M / 2^91) = floor(s_i / p) = t_i. Each s_i M < 2^122 + 2^61 fits
+    its slot, so (S M) >> 91 holds t_i < 2^31 in the low 37 bits of slot i,
+    and the mask ``quotients`` clears the bits above them, which come from
+    slot i + 1. S - T p has the slots s_i - t_i p = s_i mod p, with no
+    borrow: the reduced remainder, whose bit length gives its degree, also
+    when a leading coefficient vanishes mod p.
+
+    The result is the unique monic gcd in (Z/prime)[x].
+    """
+    reciprocal = (1 << _BARRETT) // prime + 1  # ceil(2^91 / p): p is odd
+    quotients = _pack([(1 << (_SLOT - _BARRETT)) - 1] * max(len(a), len(b)))
+    A, B = _pack(a), _pack(b)
+    da, db = (A.bit_length() - 1) // _SLOT, (B.bit_length() - 1) // _SLOT  # degrees; 0 has -1
+    while db > 0:
+        inv = pow(B >> (_SLOT * db), -1, prime)
+        while da >= db:  # replace A by its remainder mod B, two leading terms at a time
+            top = A >> (_SLOT * (da - 1))
+            q1 = (top >> _SLOT) * inv % prime
+            if da > db:
+                q0 = ((top & _SLOT_MASK) - q1 * ((B >> (_SLOT * (db - 1))) & _SLOT_MASK)) * inv % prime
+                sums = A + ((-q0 % prime + (-q1 % prime << _SLOT)) * B << (_SLOT * (da - db - 1)))
+            else:
+                sums = A + -q1 % prime * B
+            A = sums - ((sums * reciprocal >> _BARRETT) & quotients) * prime
+            da = (A.bit_length() - 1) // _SLOT
+        A, B, da, db = B, A, db, da
+    if B:  # a nonzero constant divides both
+        return [1]
+    inv = pow(A >> (_SLOT * da), -1, prime)
+    digits = A.to_bytes(16 * (da + 1), "little")
+    return [int.from_bytes(digits[i : i + 8], "little") * inv % prime for i in range(0, len(digits), 16)]
 
 
 def _divides(d: IntPolynomial, n: IntPolynomial) -> bool:

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovgraph.analysis import _dict_skeleton, _json_text
+import anosovgraph.analysis as analysis_module
+from anosovgraph.analysis import _dict_skeleton, _json_text, analyze
+from anosovgraph.families import family_I_modified
 
 
 def reference(payload) -> str:
@@ -50,10 +52,16 @@ def matrices(entries, max_width=6):
     )
 
 
+# Rows with no 0 are joined, rows holding one spliced, also within one
+# matrix: dense rows such as a report's 1-based `order` pairs, and dense rows
+# among sparse ones.
+nonzero_ints = st.one_of(st.integers(1, 5), st.integers(-5, -1), wide_ints)
 int_matrices = st.one_of(
     matrices(sparse_ints),
     matrices(ints),
     matrices(st.just(0)),
+    matrices(nonzero_ints),
+    matrices(st.one_of(nonzero_ints, nonzero_ints, nonzero_ints, st.just(0))),
     matrices(sparse_ints).map(lambda rows: tuple(map(tuple, rows))),
     matrices(sparse_ints).map(lambda rows: [tuple(r) if i % 2 else r for i, r in enumerate(rows)]),
 )
@@ -144,6 +152,8 @@ def test_rows_and_shared_key_sets_match_the_library_encoder(payload):
         True,
         [[0, 0, 0], [0, 0, 0]],
         [[0, 7, 0], [-(2**65), 0, 2**64]],
+        [[1, 2], [2, 3], [1, 3]],
+        [[1, 2], [0, 3], [-(2**70), 2**64]],
         ((0, 1), (1, 0)),
         [[0, 1], [True, 0]],
         [[0, False], [1, 0]],
@@ -220,3 +230,34 @@ def test_ints_beyond_the_digit_limit_on_concurrent_threads():
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert sys.get_int_max_str_digits() == before
+
+
+@pytest.fixture
+def int_conversions(monkeypatch):
+    """The ints that the writer converts through its scalar table, in order."""
+    converted = []
+    real = analysis_module._SCALAR_TEXT[int]
+    monkeypatch.setitem(analysis_module._SCALAR_TEXT, int, lambda value: converted.append(value) or real(value))
+    return converted
+
+
+def test_an_int_list_written_again_is_converted_once(int_conversions):
+    poly = [2**100 + k for k in range(5)]
+    payload = {"a": poly, "b": {"c": list(poly), "d": [{"e": list(poly)}]}, "f": poly[:4], "g": (7, 8)}
+    assert _json_text(payload) == reference(payload)
+    assert sorted(int_conversions) == sorted(poly + poly[:4] + [7, 8])
+
+
+def test_the_witness_polynomial_is_converted_once(int_conversions):
+    # full_char_poly, the certificate's char_poly and its first stage's poly
+    # hold the same coefficients
+    instance = family_I_modified(3)
+    payload = analyze(instance.graph, instance.generators, want_witness=True).canonical_dict()
+    witness = payload["witness"]
+    poly = witness["full_char_poly"]
+    assert type(poly) is list
+    assert witness["certificate"]["char_poly"] == witness["certificate"]["stages"][0]["poly"] == poly
+    assert _json_text(payload) == reference(payload)
+    largest = max(poly, key=abs)
+    assert largest.bit_length() > 40
+    assert int_conversions.count(largest) == 1

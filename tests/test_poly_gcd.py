@@ -4,6 +4,8 @@
 sequence it replaced (kept here as the slow reference) and sympy's gcd over
 Z[x], normalised to a primitive polynomial with a positive leading
 coefficient. Random inputs are products f*g and f*h that share the factor f.
+Its Euclid mod a prime, on packed polynomials, is compared with the
+coefficient-list Euclid it replaced (`tests_support_oracles.monic_gcd_mod`).
 """
 
 import itertools
@@ -14,10 +16,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import anosovgraph.polynomials as polynomials_module
-from anosovgraph.polynomials import IntPolynomial, _divides, _prime_below, _word_primes, divide_exact, poly_gcd
+from anosovgraph.polynomials import (
+    IntPolynomial,
+    _divides,
+    _monic_gcd_mod,
+    _pack,
+    _prime_below,
+    _word_primes,
+    divide_exact,
+    poly_gcd,
+)
+from tests_support_oracles import certify_whole_poly, monic_gcd_mod
 
 SETTINGS = settings(max_examples=100, deadline=None)
 FIRST_PRIMES = list(itertools.islice(_word_primes(), 4))
+# the largest and the smallest word prime, and one between
+KERNEL_PRIMES = [FIRST_PRIMES[0], _prime_below(2**15 + 1), 67]
 X = sympy.Symbol("x")
 
 
@@ -260,3 +274,94 @@ class TestWordPrimes:
         assert a == b == expected
         assert list(itertools.islice(_word_primes(), 40)) == expected
         assert _prime_below.cache_info().misses == 40  # each prime was searched for once
+
+
+def _times_mod(f, g, prime):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = (out[i + j] + x * y) % prime
+    return out
+
+
+@st.composite
+def residue_lists(draw, prime, max_degree=60):
+    """A coefficient list mod prime of degree 0..max_degree with a nonzero last entry.
+
+    Entries lean on 0, 1 and prime - 1, the largest residue, as well as random ones.
+    """
+    entry = st.one_of(st.sampled_from([0, 1, prime - 1]), st.integers(0, prime - 1))
+    body = draw(st.lists(entry, max_size=max_degree))
+    return body + [draw(st.one_of(st.sampled_from([1, prime - 1]), st.integers(1, prime - 1)))]
+
+
+class TestPackedKernel:
+    """`_monic_gcd_mod` against the coefficient-list Euclid, on every prime size the gcd uses."""
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from(KERNEL_PRIMES))
+    def test_planted_common_factor(self, data, prime):
+        f = data.draw(residue_lists(prime, max_degree=8))
+        g = data.draw(residue_lists(prime, max_degree=52))
+        h = data.draw(residue_lists(prime, max_degree=52))
+        a, b = _times_mod(f, g, prime), _times_mod(f, h, prime)
+        image = _monic_gcd_mod(a, b, prime)
+        assert image == monic_gcd_mod(a, b, prime)
+        assert len(image) >= len(f)  # the planted factor divides the image
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from(KERNEL_PRIMES))
+    def test_any_degree_gap(self, data, prime):
+        # deg a - deg b ranges over -60..60: gaps above 1, and b above a
+        a, b = data.draw(residue_lists(prime)), data.draw(residue_lists(prime))
+        assert _monic_gcd_mod(a, b, prime) == monic_gcd_mod(a, b, prime)
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from(KERNEL_PRIMES), st.integers(0, 2))
+    def test_remainder_vanishes_or_is_constant(self, data, prime, constant):
+        # a = b g + c: the first remainder is the constant c, zero when c = 0
+        b = data.draw(residue_lists(prime, max_degree=30))
+        g = data.draw(residue_lists(prime, max_degree=30))
+        a = _times_mod(b, g, prime)
+        a[0] = (a[0] + constant) % prime
+        inv = pow(b[-1], -1, prime)
+        expected = [1] if constant else [c * inv % prime for c in b]
+        assert monic_gcd_mod(a, b, prime) == expected
+        assert _monic_gcd_mod(a, b, prime) == expected
+        if a[-1]:  # a = [0] when b, g and -c are constants that cancel
+            assert _monic_gcd_mod(b, a, prime) == monic_gcd_mod(b, a, prime)
+
+    @pytest.mark.parametrize("degree", [1, 2, 7, 30, 60])
+    def test_largest_slot_load(self, degree):
+        # Largest word prime p, b = -(1 + x + ... + x^m) and
+        # a = -(1 + x + ... + x^(m-1)) - 2 x^m - x^(m+1): q = x + 1, so
+        # m0 = m1 = p - 1 and the middle slots reach (p - 1) + 2 (p - 1)^2,
+        # the bound of the docstring.
+        prime = FIRST_PRIMES[0]
+        b = [prime - 1] * (degree + 1)
+        a = [prime - 1] * degree + [prime - 2, prime - 1]
+        for x, y in [(a, b), (b, a), (b, b), (a, a), ([prime - 1] * 61, [prime - 1] * 60)]:
+            assert _monic_gcd_mod(x, y, prime) == monic_gcd_mod(x, y, prime)
+
+    def test_pack_puts_residue_i_in_slot_i(self):
+        assert _pack([]) == 0
+        assert _pack([5, 0, 2**64 - 1]) == 5 + ((2**64 - 1) << 256)
+
+
+class TestCertifyWholeShaped:
+    """A degree-50, 320-bit product of powered hyperbolic blocks, as the benchmark's `certify --poly` inputs."""
+
+    def test_reciprocal_gcd_in_two_primes(self, monkeypatch):
+        poly, palindromic = certify_whole_poly()
+        assert poly.degree == 50
+        assert max(abs(c) for c in poly.coefficients).bit_length() == 320
+        images = []
+        real = polynomials_module._monic_gcd_mod
+        monkeypatch.setattr(
+            polynomials_module, "_monic_gcd_mod", lambda a, b, prime: images.append(prime) or real(a, b, prime)
+        )
+        g = poly_gcd(poly, poly.reverse())
+        assert g == palindromic == sympy_gcd(poly, poly.reverse())
+        assert max(abs(c) for c in g.coefficients).bit_length() == 31
+        # 31-bit coefficients need two primes' CRT: one more image would cost a prime
+        assert images == FIRST_PRIMES[:2]

@@ -10,7 +10,9 @@ permutation is the identity. And the
 product of f^e over (factor, multiplicity) pairs, which gives the V+W
 characteristic polynomial from `liealg.extension_factors`. And a cancellation
 token that counts its polls, and the x + 1/x substitution as a recurrence on
-polynomials."""
+polynomials. And the coefficient-list Euclid mod a prime that the packed
+`polynomials._monic_gcd_mod` replaced, and a polynomial shaped like the
+benchmark's whole-polynomial inputs."""
 
 import itertools
 from math import lcm
@@ -19,7 +21,7 @@ from anosovgraph.errors import BoundExceeded, CancelToken, PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
 from anosovgraph.graphs import Graph
 from anosovgraph.liealg import extension_factors
-from anosovgraph.polynomials import IntPolynomial
+from anosovgraph.polynomials import IntPolynomial, from_power_sums, power_sums
 
 
 class CancelOnCheck(CancelToken):
@@ -64,6 +66,70 @@ def palindromic_to_interval_poly_oracle(g):
         q = q + IntPolynomial([coeffs[s + k] * c for c in t_cur.coefficients])
         t_prev, t_cur = t_cur, y * t_cur - t_prev
     return q
+
+
+def monic_gcd_mod(a, b, prime):
+    """Monic gcd in (Z/prime)[x] of two reduced coefficient lists (ascending), b's last entry nonzero.
+
+    Euclid one leading term at a time, a Python loop over the coefficients.
+    """
+    while b:
+        inv = pow(b[-1], -1, prime)
+        n = len(b) - 1
+        a = list(a)
+        while len(a) > n:  # replace a by its remainder mod b, one leading term at a time
+            c = a.pop() * inv % prime
+            if c:
+                shift = len(a) - n
+                a[shift:] = [(x - c * y) % prime for x, y in zip(a[shift:], b)]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
+def powered(f, k):
+    """The monic polynomial whose roots are the k-th powers of the roots of monic f."""
+    return from_power_sums(power_sums(f, k * f.degree)[::k])
+
+
+# (block polynomial, ascending; power): two palindromic quadratics, whose
+# powers make the reciprocal gcd (degree 4, 31-bit middle coefficient), eight
+# quadratics of determinant -1 to odd powers and ten cubic units with one root
+# outside the unit circle; each power has about 15 bits of Mahler measure.
+CERTIFY_WHOLE_BLOCKS = (
+    ((1, -3, 1), 11),
+    ((1, 4, 1), 8),
+    ((-1, -1, 1), 23),
+    ((-1, -2, 1), 13),
+    ((-1, -3, 1), 9),
+    ((-1, -4, 1), 7),
+    ((-1, -1, 1), 25),
+    ((-1, -2, 1), 15),
+    ((-1, -3, 1), 11),
+    ((-1, -4, 1), 9),
+    ((-1, -1, 0, 1), 37),
+    ((-1, 0, -1, 1), 27),
+    ((-1, -1, -1, 1), 17),
+    ((-1, 1, -2, 1), 18),
+    ((-1, 0, -2, 1), 13),
+    ((-1, -1, 0, 1), 38),
+    ((-1, 0, -1, 1), 28),
+    ((-1, -1, -1, 1), 18),
+    ((-1, 1, -2, 1), 19),
+    ((-1, 0, -2, 1), 14),
+)
+
+
+def certify_whole_poly():
+    """A degree-50, 320-bit product of powered hyperbolic block polynomials, shaped like
+    the benchmark's `certify --poly` inputs, and its reciprocal gcd."""
+    blocks = [powered(IntPolynomial(f), k) for f, k in CERTIFY_WHOLE_BLOCKS]
+    poly = IntPolynomial([1])
+    for block in blocks:
+        poly = poly * block
+    return poly, blocks[0] * blocks[1]
 
 
 def extension_product(part, component_polys):
