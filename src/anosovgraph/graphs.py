@@ -31,7 +31,6 @@ class Graph:
             index[v] = len(index)
         adjacency = {v: set() for v in vertices}
         canonical = []
-        seen = set()
         for e in edges:
             u, v = e
             u, v = str(u), str(v)
@@ -43,9 +42,8 @@ class Graph:
                 raise GraphInputError(f"loop edge at {u!r} (simple graphs only)")
             if index[u] > index[v]:
                 u, v = v, u
-            if (u, v) in seen:
+            if v in adjacency[u]:
                 raise GraphInputError(f"duplicate edge {u!r}-{v!r}")
-            seen.add((u, v))
             canonical.append((u, v))
             adjacency[u].add(v)
             adjacency[v].add(u)
@@ -178,14 +176,12 @@ def graph_from_json_dict(data) -> Graph:
     for v in vertices:
         if not isinstance(v, str):
             raise GraphInputError(f"vertex label must be a string: {v!r}")
-    pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphInputError(f"edge must be a pair: {e!r}")
         if not all(isinstance(v, str) for v in e):
             raise GraphInputError(f"edge endpoints must be vertex labels (strings): {e!r}")
-        pairs.append((e[0], e[1]))
-    return Graph(vertices, pairs)
+    return Graph(vertices, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -545,15 +545,10 @@ def companion_rows(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # Human-readable syntax, e.g. "x^3 - x^2 - 2x + 1"
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<x>x)|(?P<pow>\^)|(?P<op>[+-])|(?P<mul>\*))")
-
-
-def _parse_int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # more digits than int() converts
-        raise GraphInputError(f"number with {len(digits)} digits is too long") from None
-
+# The whole text must be these tokens and blanks; a term is then
+# [+|-][digits][*x | x][^digits], with blanks between its tokens.
+_TOKENS = re.compile(r"(?:\s*(?:\d+|x|\^|[+-]|\*))*")
+_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(\*?)\s*(x\s*(\^\s*(\d*))?)?")
 
 MAX_PARSED_EXPONENT = 10_000
 
@@ -561,58 +556,47 @@ MAX_PARSED_EXPONENT = 10_000
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse integer polynomials in human syntax: "x^2-3x+1", "2*x + 5", "-x^3".
 
-    Raises BoundExceeded on an exponent above `MAX_PARSED_EXPONENT`, before
-    the dense coefficient list is built; at that degree one modular Euclid
-    in `poly_gcd` already takes about 10^8 operations per prime.
+    Repeated powers add up. Raises BoundExceeded on an exponent above
+    `MAX_PARSED_EXPONENT`, before the dense coefficient list is built; at that
+    degree one modular Euclid in `poly_gcd` already takes about 10^8
+    operations per prime.
     """
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise GraphInputError(f"cannot parse polynomial near {text[pos:]!r}")
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-
+    end = _TOKENS.match(text).end()
+    if text[end:].strip():
+        raise GraphInputError(f"cannot parse polynomial near {text[end:]!r}")
     coeffs: dict[int, int] = {}
-    i = 0
-
-    def take(kind):
-        nonlocal i
-        if i < len(tokens) and tokens[i][0] == kind:
-            i += 1
-            return tokens[i - 1][1]
-        return None
-
-    first = True
-    while i < len(tokens):
-        sign = 1
-        op = take("op")
-        if op is None and not first:
+    pos = 0
+    while pos < end:  # each term takes at least one token or raises
+        m = _TERM.match(text, pos)
+        sign, digits, star, x, caret, exp = m.groups()
+        if pos and not sign:
             raise GraphInputError("expected '+' or '-' between polynomial terms")
-        if op == "-":
-            sign = -1
-        first = False
-        num = take("num")
-        take("mul")
-        coef = sign * _parse_int(num) if num is not None else sign
-        if take("x") is not None:
-            if take("pow") is not None:
-                exp = take("num")
-                if exp is None:
-                    raise GraphInputError("missing exponent after '^'")
-                power = _parse_int(exp)
-                if power > MAX_PARSED_EXPONENT:
-                    raise BoundExceeded(f"exponent {power} exceeds the bound {MAX_PARSED_EXPONENT}")
-            else:
-                power = 1
-        else:
-            if num is None:
+        try:
+            coef = int(digits) if digits else 1
+        except ValueError:  # more digits than int() converts
+            raise GraphInputError(f"number with {len(digits)} digits is too long") from None
+        if star and not (digits and x):
+            raise GraphInputError("'*' must join a coefficient to x")
+        if x is None:
+            if not digits:
                 raise GraphInputError("dangling sign in polynomial")
             power = 0
-        coeffs[power] = coeffs.get(power, 0) + coef
+        elif caret is None:
+            power = 1
+        elif not exp:
+            raise GraphInputError("missing exponent after '^'")
+        else:
+            exp = exp.lstrip("0") or "0"
+            try:
+                power = int(exp)
+            except ValueError:  # more digits than int() converts, far above the bound
+                raise BoundExceeded(
+                    f"exponent of {len(exp)} digits exceeds the bound {MAX_PARSED_EXPONENT}"
+                ) from None
+            if power > MAX_PARSED_EXPONENT:
+                raise BoundExceeded(f"exponent {power} exceeds the bound {MAX_PARSED_EXPONENT}")
+        coeffs[power] = coeffs.get(power, 0) + (-coef if sign == "-" else coef)
+        pos = m.end()
     if not coeffs:
         raise GraphInputError("empty polynomial")
     out = [0] * (max(coeffs) + 1)

@@ -739,6 +739,19 @@ class TestCertify:
         assert out == ""
         assert err == "bound exceeded: exponent 1000000000000 exceeds the bound 10000\n"
 
+    def test_exponent_beyond_int_conversion_exits_bounds(self, run):
+        code, out, err = run("certify", "--poly", "x^" + "9" * 5000 + " + 1")
+        assert code == EXIT_BOUNDS
+        assert out == ""
+        assert err == "bound exceeded: exponent of 5000 digits exceeds the bound 10000\n"
+
+    def test_stray_star_exits_3(self, run):
+        # with the `*` dropped this would read, and certify, x^2 - x + 4
+        code, out, err = run("certify", "--poly", "x^2 + 3*-x + 1")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "input error: '*' must join a coefficient to x\n"
+
 
 class TestInputErrors:
     @pytest.mark.parametrize(

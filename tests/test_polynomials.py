@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,37 @@ from anosovgraph.polynomials import (
     squarefree_part,
     sturm_chain,
 )
-from tests_support_oracles import palindromic_to_interval_poly_oracle
+from tests_support_oracles import (
+    certify_whole_poly,
+    oracle_tokens,
+    palindromic_to_interval_poly_oracle,
+    parse_polynomial_oracle,
+)
 
 
 def P(*ascending):
     return IntPolynomial(ascending)
+
+
+def parse_outcome(parse, text):
+    """The coefficients `parse` reads from text, or the type and message of what it raises."""
+    try:
+        return parse(text).coefficients
+    except (GraphInputError, BoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def outside_the_oracle(text):
+    """True when text holds a `*` not between a coefficient and x, or an exponent
+    int() cannot convert: the inputs the token-list oracle reads differently."""
+    tokens, _ = oracle_tokens(text)
+    kinds = [kind for kind, _ in tokens]
+    for i, (kind, value) in enumerate(tokens):
+        if kind == "mul" and (kinds[i - 1 : i] != ["num"] or kinds[i + 1 : i + 2] != ["x"]):
+            return True
+        if kind == "num" and kinds[i - 1 : i] == ["pow"] and len(value) > 4300:
+            return True
+    return False
 
 
 class TestBasics:
@@ -338,17 +365,75 @@ class TestParseFormat:
     def test_parse(self, text, expected):
         assert parse_polynomial(text).coefficients == expected
 
-    @pytest.mark.parametrize("bad", ["", "x^", "x 3", "^2", "+", "3.5x"])
+    PARSE_ERRORS = {
+        "": "empty polynomial",
+        "x^": "missing exponent after '^'",
+        "x 3": "expected '+' or '-' between polynomial terms",
+        "^2": "dangling sign in polynomial",
+        "+": "dangling sign in polynomial",
+        "3.5x": "cannot parse polynomial near '.5x'",
+        # a character outside the tokens is reported before any grammar error
+        "x x $": "cannot parse polynomial near ' $'",
+        "2 3": "expected '+' or '-' between polynomial terms",
+        "x^+1": "missing exponent after '^'",
+        "--x": "dangling sign in polynomial",
+        "   ": "empty polynomial",
+    }
+
+    @pytest.mark.parametrize("bad", list(PARSE_ERRORS))
     def test_parse_errors(self, bad):
-        with pytest.raises(GraphInputError):
+        with pytest.raises(GraphInputError) as info:
             parse_polynomial(bad)
+        assert str(info.value) == self.PARSE_ERRORS[bad]
+
+    @pytest.mark.parametrize("bad", ["x^2 + 3*-x + 1", "2*", "*x"])
+    def test_star_only_joins_a_coefficient_to_x(self, bad):
+        with pytest.raises(GraphInputError) as info:
+            parse_polynomial(bad)
+        assert str(info.value) == "'*' must join a coefficient to x"
 
     def test_exponent_bound(self):
         assert parse_polynomial("x^10000 + 1") == IntPolynomial([1] + [0] * 9999 + [1])
         with pytest.raises(BoundExceeded, match="exponent 10001 exceeds the bound 10000"):
             parse_polynomial("x^10001 + 1")
 
+    def test_exponent_beyond_int_conversion_is_above_the_bound(self):
+        with pytest.raises(BoundExceeded) as info:
+            parse_polynomial("x^" + "9" * 5000 + " + 1")
+        assert str(info.value) == "exponent of 5000 digits exceeds the bound 10000"
+        assert parse_polynomial("x^" + "0" * 5000 + "2") == P(0, 0, 1)
+        # a coefficient that long is malformed input, not a bound
+        with pytest.raises(GraphInputError, match="number with 5000 digits is too long"):
+            parse_polynomial("x + " + "1" * 5000)
+
+    def test_matches_the_token_list_oracle(self):
+        """Seeded random strings over the token alphabet and stray characters: the same
+        polynomial, or the same exception type and message, as the token-list parser.
+
+        Inputs with a `*` outside coefficient*x, or an exponent int() cannot convert, are
+        where the two differ on purpose; there the parser raises the '*' error or the
+        oracle raised "too long".
+        """
+        pieces = [*"xx^+-* ", "  ", "\t", *"0123456789", "10", "007", *".$yX", "\u0663", "\u00a0"]
+        long_pieces = ["1" * 4301, "0" * 4300 + "3"]
+        rng = random.Random(0)
+        compared = 0
+        for _ in range(100_000):
+            text = "".join(
+                rng.choice(pieces if rng.random() < 0.98 else long_pieces) for _ in range(rng.randrange(13))
+            )
+            new, old = parse_outcome(parse_polynomial, text), parse_outcome(parse_polynomial_oracle, text)
+            if outside_the_oracle(text):
+                assert new == old or new == (GraphInputError, "'*' must join a coefficient to x") \
+                    or old[0] is GraphInputError and "too long" in old[1], text
+            else:
+                assert new == old, text
+                compared += 1
+        assert compared > 80_000
+
     def test_format_roundtrip(self):
-        for coeffs in [(1, -3, 1), (1, -2, -1, 1), (-1, 0, 0, 1), (5,), (0, 1)]:
+        whole = certify_whole_poly()[0]  # degree 50, coefficients of about 320 bits
+        assert whole.degree == 50
+        for coeffs in [(1, -3, 1), (1, -2, -1, 1), (-1, 0, 0, 1), (5,), (0, 1), whole.coefficients]:
             p = IntPolynomial(coeffs)
             assert parse_polynomial(format_polynomial(p)) == p

@@ -12,16 +12,18 @@ characteristic polynomial from `liealg.extension_factors`. And a cancellation
 token that counts its polls, and the x + 1/x substitution as a recurrence on
 polynomials. And the coefficient-list Euclid mod a prime that the packed
 `polynomials._monic_gcd_mod` replaced, and a polynomial shaped like the
-benchmark's whole-polynomial inputs."""
+benchmark's whole-polynomial inputs. And the token-list parser of human
+polynomial syntax that `polynomials.parse_polynomial` replaced."""
 
 import itertools
+import re
 from math import lcm
 
-from anosovgraph.errors import BoundExceeded, CancelToken, PreconditionViolation
+from anosovgraph.errors import BoundExceeded, CancelToken, GraphInputError, PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
 from anosovgraph.graphs import Graph
 from anosovgraph.liealg import extension_factors
-from anosovgraph.polynomials import IntPolynomial, from_power_sums, power_sums
+from anosovgraph.polynomials import MAX_PARSED_EXPONENT, IntPolynomial, from_power_sums, power_sums
 
 
 class CancelOnCheck(CancelToken):
@@ -130,6 +132,81 @@ def certify_whole_poly():
     for block in blocks:
         poly = poly * block
     return poly, blocks[0] * blocks[1]
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<x>x)|(?P<pow>\^)|(?P<op>[+-])|(?P<mul>\*))")
+
+
+def _parse_int(digits):
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise GraphInputError(f"number with {len(digits)} digits is too long") from None
+
+
+def oracle_tokens(text):
+    """The (kind, text) tokens `parse_polynomial_oracle` reads, and the position
+    after the last of them: where the first character that starts no token stands."""
+    tokens = []
+    pos = 0
+    while (m := _TOKEN.match(text, pos)) is not None:
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        pos = m.end()
+    return tokens, pos
+
+
+def parse_polynomial_oracle(text):
+    """Human polynomial syntax by a token list and a grammar loop over it.
+
+    Unlike `parse_polynomial`, it drops a `*` wherever it stands, and it refuses
+    an exponent that int() cannot convert as too long, not as above the bound.
+    """
+    tokens, pos = oracle_tokens(text)
+    if text[pos:].strip():
+        raise GraphInputError(f"cannot parse polynomial near {text[pos:]!r}")
+    coeffs = {}
+    i = 0
+
+    def take(kind):
+        nonlocal i
+        if i < len(tokens) and tokens[i][0] == kind:
+            i += 1
+            return tokens[i - 1][1]
+        return None
+
+    first = True
+    while i < len(tokens):
+        sign = 1
+        op = take("op")
+        if op is None and not first:
+            raise GraphInputError("expected '+' or '-' between polynomial terms")
+        if op == "-":
+            sign = -1
+        first = False
+        num = take("num")
+        take("mul")
+        coef = sign * _parse_int(num) if num is not None else sign
+        if take("x") is not None:
+            if take("pow") is not None:
+                exp = take("num")
+                if exp is None:
+                    raise GraphInputError("missing exponent after '^'")
+                power = _parse_int(exp)
+                if power > MAX_PARSED_EXPONENT:
+                    raise BoundExceeded(f"exponent {power} exceeds the bound {MAX_PARSED_EXPONENT}")
+            else:
+                power = 1
+        else:
+            if num is None:
+                raise GraphInputError("dangling sign in polynomial")
+            power = 0
+        coeffs[power] = coeffs.get(power, 0) + coef
+    if not coeffs:
+        raise GraphInputError("empty polynomial")
+    out = [0] * (max(coeffs) + 1)
+    for power, c in coeffs.items():
+        out[power] = c
+    return IntPolynomial(out)
 
 
 def extension_product(part, component_polys):
