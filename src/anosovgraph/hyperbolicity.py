@@ -60,7 +60,7 @@ def _int_rows(m) -> list[list[int]]:
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _pattern_blocks(a: list[list[int]]) -> list[list[int]]:

@@ -13,8 +13,11 @@ characteristic polynomial on V + W, and commutation with every generator.
 That polynomial is read off the block structure instead of the dense V + W
 matrix. Each conjugated block is a simultaneous permutation of its orbit's
 block, so it has the same characteristic polynomial, and that of the block
-seed^e comes from the seed's through power sums, s_k(seed^e) = s_ke(seed):
-the seed's dense polynomial is taken once per plan. The assembly asserts
+seed^e comes from the seed's through power sums, s_k(seed^e) = s_ke(seed).
+The seed's polynomial takes no matrix arithmetic for a catalog seed, which
+carries the polynomial q it was built from and has polynomial q^d (see
+`CatalogSeed`); only a structured seed's is taken densely, once per plan
+and once in the search. The assembly asserts
 that the V-part is block-diagonal over the coherent components, and the
 bracket check proves that the W-part is the map induced on wedges with no
 V-rows in the wedge columns. Under those checked facts the polynomial is
@@ -30,9 +33,10 @@ a certified witness for every cycle type called yes on one discrete or
 complete component of at most 16 points, and tests/sweep_witnesses.py goes
 on to 24 points.
 
-`plan_blocks` is the one planner: a seed per orbit, then the exponents at
-margin 2 (see `choose_exponents`) from float estimates of the seeds' root
-moduli, which only steer: the root solver returns whatever it reached, and
+`plan_blocks` is the one planner: a seed per orbit, searched once per
+distinct stabilizer restriction and level c, then the exponents at margin 2
+(see `choose_exponents`) from float estimates of the seeds' root moduli,
+which only steer: the root solver returns whatever it reached, and
 an orbit whose bounds cannot steer (the first orbit always, and any orbit
 whose bounds are degenerate, NaN or overflow) takes exponent 1. Floats never
 refuse a witness; the exact certificate of the one assembled matrix accepts
@@ -84,6 +88,7 @@ from .polynomials import (
 from .repdecomp import decide, euler_phi
 
 CAT_MAP_ROWS = ((2, 1), (1, 1))
+CAT_MAP_POLY = IntPolynomial((1, -3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +186,60 @@ def structured_seed(stabilizer_perm: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return tuple(tuple(row) for row in rows)
 
 
+class CatalogSeed(tuple):
+    """The rows of a catalog seed, fixed together with the polynomial it was built from.
+
+    ``CatalogSeed(small, base, cycles)`` lifts the r x r seed ``small``,
+    whose characteristic polynomial is ``base``, along r cycles of one length
+    d: rows[C_a[t]][C_b[t]] = small[a][b], and every other entry is 0. The
+    positions t = 0..d-1 split the basis into d sets that the rows keep, and
+    on each the rows are ``small``. So, up to a simultaneous permutation of
+    the basis, the rows are block-diagonal with d copies of ``small``
+    (small (x) I_d), and their characteristic polynomial, `char_poly`, is
+    base^d. The rows and ``base`` are set here only; nothing changes them
+    later.
+    """
+
+    def __new__(cls, small, base: IntPolynomial, cycles):
+        dim = sum(map(len, cycles))
+        rows = [[0] * dim for _ in range(dim)]
+        for a, ca in enumerate(cycles):
+            for b, cb in enumerate(cycles):
+                if small[a][b]:
+                    for i, j in zip(ca, cb):
+                        rows[i][j] = small[a][b]
+        seed = super().__new__(cls, map(tuple, rows))
+        object.__setattr__(seed, "base", base)
+        return seed
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a catalog seed is immutable")
+
+    @property
+    def char_poly(self) -> IntPolynomial:
+        return self.base ** (len(self) // self.base.degree)
+
+
+def _seed_char_poly(rows) -> IntPolynomial:
+    """The characteristic polynomial of seed rows: read off a `CatalogSeed`, otherwise taken densely."""
+    return rows.char_poly if isinstance(rows, CatalogSeed) else char_poly(rows)
+
+
 def seed_catalog(stabilizer_perm: tuple[int, ...]):
     """Finite ordered stream of candidate integer seed matrices for one orbit block.
 
     stabilizer_perm is the stabilizer's permutation of the component; its
-    length is the dimension. When all its cycles have one length, catalog
+    length is the dimension. When all its cycles have one length d, catalog
     seeds lifted along the cycles come first (a trivial stabilizer gets the
-    catalog itself); `structured_seed` comes last. Each candidate is integral
-    and commutes with the stabilizer by construction; none is proved
-    hyperbolic. The tests build a witness from one for every cycle type that
-    the criterion calls yes on one component of at most 16 points, at c = 1
-    and 2, and tests/sweep_witnesses.py goes on to 24 points
+    catalog itself): each is a `CatalogSeed`, which carries the polynomial q
+    it was built from, so its characteristic polynomial q^d needs no matrix
+    arithmetic. `structured_seed` comes last, as plain rows. Each candidate
+    is integral and commutes with the stabilizer by construction; none is
+    proved hyperbolic. The tests build a witness from one for every cycle
+    type that the criterion calls yes on one component of at most 16 points,
+    at c = 1 and 2, and tests/sweep_witnesses.py goes on to 24 points
     (`structured_seed` alone certifies all 413 such types on at most 16).
     """
-    dim = len(stabilizer_perm)
     # When all cycles have one length d, a seed B on the space of cycles lifts
     # to B (x) identity along each cycle; the lift commutes with the
     # stabilizer and inherits B's certificates (with d = 1 it is B). Catalog
@@ -203,18 +248,11 @@ def seed_catalog(stabilizer_perm: tuple[int, ...]):
     cycles = index_cycles(stabilizer_perm)
     lengths = {len(c) for c in cycles}
     if len(lengths) == 1:
-        d = lengths.pop()
         r = len(cycles)
-        cat_map = [CAT_MAP_ROWS] if r == 2 else []
-        for b in itertools.chain(cat_map, map(companion_rows, catalog_polynomials(r))):
-            rows = [[0] * dim for _ in range(dim)]
-            for a_idx in range(r):
-                for b_idx in range(r):
-                    if b[a_idx][b_idx] == 0:
-                        continue
-                    for t in range(d):
-                        rows[cycles[a_idx][t]][cycles[b_idx][t]] = b[a_idx][b_idx]
-            yield tuple(tuple(row) for row in rows)
+        if r == 2:
+            yield CatalogSeed(CAT_MAP_ROWS, CAT_MAP_POLY, cycles)
+        for q in catalog_polynomials(r):
+            yield CatalogSeed(companion_rows(q), q, cycles)
     yield structured_seed(stabilizer_perm)
 
 
@@ -224,17 +262,19 @@ def find_seed(
     """First certified seed commuting with stabilizer_perm, in `seed_catalog` order.
 
     Candidates commute with the stabilizer by construction; integer-likeness
-    and the exact c-hyperbolicity certificate alone accept one. The tests
-    cover every yes cycle type on one component of at most 16 points, and
-    tests/sweep_witnesses.py up to 24. SeedSearchExhausted means that no
-    candidate certified, never that no seed exists.
+    and the exact c-hyperbolicity certificate of the candidate's
+    characteristic polynomial alone accept one. That polynomial is q^d for a
+    `CatalogSeed`, and is taken densely only for the structured candidate.
+    The tests cover every yes cycle type on one component of at most 16
+    points, and tests/sweep_witnesses.py up to 24. SeedSearchExhausted means
+    that no candidate certified, never that no seed exists.
     """
     dim = len(stabilizer_perm)
     tried = 0
     for rows in seed_catalog(stabilizer_perm):
         checkpoint()
         tried += 1
-        p = char_poly(rows)
+        p = _seed_char_poly(rows)
         if not is_integer_like(p):
             continue
         cert = certify_polynomial(p, c)
@@ -291,17 +331,22 @@ def _aberth_roots(p: IntPolynomial) -> list[complex]:
     return roots
 
 
-def log_modulus_bounds(p: IntPolynomial) -> tuple[float, float]:
+def log_modulus_bounds(p: IntPolynomial | CatalogSeed) -> tuple[float, float]:
     """(min, max) of |log|root|| over the roots of p (with p(0) != 0), numerically.
 
     The roots are taken on the exact squarefree part of p: the same roots,
     each simple. A lifted seed's char poly is a power, and a float solver
     spreads a root of multiplicity m by about eps^(1/m); on (x^2 - 3x + 1)^3
     the spread is about 1e-5, while the simple roots of x^2 - 3x + 1 come out
-    to a few ulps. The bounds are estimates that only steer
-    `choose_exponents`: they may be inaccurate, infinite or NaN.
+    to a few ulps. p may also be a `CatalogSeed`, which stands for its
+    polynomial q^d: the squarefree part of q^d is q itself, since every
+    catalog polynomial and x^2 - 3x + 1 is squarefree (the tests check it),
+    so q is read with no gcd and the bounds are those of q^d. The bounds are
+    estimates that only steer `choose_exponents`: they may be inaccurate,
+    infinite or NaN.
     """
-    logs = [abs(log(abs(z))) for z in _aberth_roots(squarefree_part(p))]
+    squarefree = p.base if isinstance(p, CatalogSeed) else squarefree_part(p)
+    logs = [abs(log(abs(z))) for z in _aberth_roots(squarefree)]
     return min(logs), max(logs)
 
 
@@ -345,8 +390,8 @@ class OrbitSeedPlan:
 
     @cached_property
     def seed_char_poly(self) -> IntPolynomial:
-        """The characteristic polynomial of the seed, taken once per plan."""
-        return char_poly(self.seed)
+        """The seed's characteristic polynomial: q^d for a `CatalogSeed`, else taken densely once per plan."""
+        return _seed_char_poly(self.seed)
 
     @cached_property
     def block_char_poly(self) -> IntPolynomial:
@@ -461,17 +506,28 @@ def plan_blocks(action: HolonomyAction) -> tuple[OrbitSeedPlan, ...]:
 
     Each seed commutes with the orbit's stabilizer on its representative;
     `choose_exponents` reads the exponents off the log-modulus bounds of
-    the seeds' characteristic polynomials. A non-cyclic stabilizer is
-    refused: the criterion is undecided there.
+    the seeds' characteristic polynomials. `find_seed` and
+    `log_modulus_bounds` are pure, so each runs once per distinct
+    (restriction, c), and the orbits with that key share its seed and
+    bounds. A catalog seed's bounds are read off its base q (see
+    `log_modulus_bounds`). A non-cyclic stabilizer is refused: the
+    criterion is undecided there.
     """
-    seeds = []
+    keys = []
     for orbit in action.orbits:
         restriction = orbit.stabilizer.restriction
         if restriction is None:
             raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
-        seeds.append((orbit, *find_seed(restriction, orbit.c)))
-    exponents = choose_exponents([log_modulus_bounds(cert.char_poly) for _, _, cert in seeds])
-    return tuple(OrbitSeedPlan(orbit, seed, k) for (orbit, seed, _), k in zip(seeds, exponents))
+        keys.append((restriction, orbit.c))
+    seeds = {key: find_seed(*key) for key in dict.fromkeys(keys)}
+    bounds = {
+        key: log_modulus_bounds(seed if isinstance(seed, CatalogSeed) else cert.char_poly)
+        for key, (seed, cert) in seeds.items()
+    }
+    exponents = choose_exponents([bounds[key] for key in keys])
+    return tuple(
+        OrbitSeedPlan(orbit, seeds[key][0], k) for orbit, key, k in zip(action.orbits, keys, exponents)
+    )
 
 
 def _require_yes(action: HolonomyAction) -> None:

@@ -143,17 +143,28 @@ def first_orbit_plan():
     return replace(plan, exponent=3)
 
 
+def structured_plan():
+    """The plan of discrete v1..v5 with holonomy (v1 v2)(v4 v5), whose seed is
+    `structured_seed` as plain rows, with nothing cached."""
+    graph = discrete_graph(5)
+    gen = VertexPermutation.from_cycles("(v1 v2)(v4 v5)", graph.vertices)
+    (plan,) = plan_blocks(build_action(coherent_components(graph), [gen]))
+    assert type(plan.seed) is tuple
+    return plan
+
+
 class TestStagesOutsideTheKernels:
-    """The plan's dense seed polynomial, its block polynomial and the
-    log-modulus bounds run kernels that poll, with no argument to pass."""
+    """The plan's seed polynomial, dense for a structured seed, its block
+    polynomial and the log-modulus bounds run kernels that poll, with no
+    argument to pass."""
 
     def test_seed_char_poly_polls(self):
         with CancelOnCheck() as token:
-            first_orbit_plan().seed_char_poly
+            structured_plan().seed_char_poly
         assert token.checks > 0
         cancelled = CancelToken()
         cancelled.cancel()
-        plan = first_orbit_plan()
+        plan = structured_plan()
         with cancelled, pytest.raises(OperationCancelled):
             plan.seed_char_poly
 
@@ -266,15 +277,26 @@ class TestFactorProduct:
 class TestWholePipeline:
     # analyze(..., want_witness=True) plus to_json() polls this often once
     # the process has built the seed catalog, whose cyclotomic conversions
-    # poll on its first use only: each certificate also polls once per
-    # factor in its three factor products (4, 2 and 14 factors in all on
-    # these three cases), the root solver once per sweep (5, 8 and 5 + 5 + 5
-    # sweeps), the bracket check once per vertex column (9, 8 and 16
-    # columns), the group closure once per frontier round (3, 1 and 2), the
-    # extension once per wedge column (27, 0 and 39), the block powers once
-    # per product (1, 1 and 10), and the x + 1/x conversion once per k (3,
-    # on I-modified m=3 only)
-    POLLS = {"II n=3 s=3": 109, "discrete 8": 72, "I-modified m=3": 329}
+    # poll on its first use only. On II n=3 s=3, discrete 8 and I-modified
+    # m=3 in turn, it polls:
+    # - the seed search once per candidate (1, 1 and 2: two of the three
+    #   orbits of I-modified m=3 share a stabilizer restriction and level c,
+    #   so one search and one root solve serve both);
+    # - the root solver once per sweep (5, 8 and 5 + 5);
+    # - Newton's identities once per power sum (27, 8 and 136) and once per
+    #   coefficient (15, 8 and 35);
+    # - the certificates once per factor in their factor products (4, 2 and
+    #   14), once per gcd prime (3, 2 and 6), once per unit-circle test (2, 1
+    #   and 3) and once per `certify_factors` (1 each), and on I-modified m=3
+    #   also twice in the stage loop and twice in the Sturm chain;
+    # - the bracket check once per vertex column (9, 8 and 16), the group
+    #   closure once per frontier round (3, 1 and 2), the extension once per
+    #   wedge column (27, 0 and 39), the block powers once per product (1, 1
+    #   and 10), and the x + 1/x conversion once per k (3, on I-modified m=3
+    #   only).
+    # Every seed here is a catalog seed, which carries its polynomial, so no
+    # dense characteristic polynomial is taken.
+    POLLS = {"II n=3 s=3": 98, "discrete 8": 41, "I-modified m=3": 281}
 
     @pytest.mark.parametrize("name", sorted(POLLS))
     def test_poll_count(self, name):

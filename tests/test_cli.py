@@ -335,6 +335,25 @@ class TestWitnessReportPins:
             == "aa8f7ad0d09d819c7c5534ee5f31c4c18cfc58e1dabc52f0dfe9f621f134337d"
         )
 
+    @pytest.mark.parametrize(
+        "n, holonomy, digest",
+        [
+            # a catalog_polynomials(4) seed lifted along four 2-cycles (d = 2)
+            (8, "(v1 v2)(v3 v4)(v5 v6)(v7 v8)", "e2391254ad5fd209364a3d3ab0fb42ae3cf214d53fcc7e43fb0cd1bf4a821358"),
+            # the cat map lifted along two 3-cycles (d = 3)
+            (6, "(v1 v2 v3)(v4 v5 v6)", "e8888b334314149ca449e723d222f221671f1f69465ef3467653193961122936"),
+            # one orbit whose seed is a companion matrix of degree 64
+            (64, None, "c1a6b0e6a09d183a171d19c7e58b8c892e2b40d084dff2cd6d44ea22d85fb0d0"),
+        ],
+        ids=["discrete-8-four-swaps", "discrete-6-two-3-cycles", "discrete-64-trivial"],
+    )
+    def test_discrete_catalog_seed_report(self, run, tmp_path, n, holonomy, digest):
+        path = write_graph(tmp_path, discrete_graph(n))
+        args = ("--holonomy", holonomy) if holonomy else ()
+        code, out, _ = run("analyze", "--graph", path, *args, "--json", "--witness")
+        assert code == EXIT_YES
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestWitnessAboveTheDigitLimit:
     """Family I m=4 sizes (2,3,4,4): exponents (1, 9, 57, 669) and a witness

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import inspect
 import itertools
 import json
@@ -52,7 +53,9 @@ from anosovgraph.polynomials import (
 )
 from anosovgraph.repdecomp import decide
 from anosovgraph.witness import (
+    CAT_MAP_POLY,
     CAT_MAP_ROWS,
+    CatalogSeed,
     OrbitSeedPlan,
     assemble_witness,
     build_witness,
@@ -271,14 +274,23 @@ class TestSeedSearch:
 
     @pytest.mark.parametrize("dim, c", [(2, 1), (3, 2), (4, 2)])
     def test_one_char_poly_per_candidate(self, counted, dim, c):
+        # the first catalog candidate certifies, and it carries its polynomial:
+        # no dense one is taken
         candidates, calls = counted
         _, cert = find_seed(tuple(range(dim)), c)
-        assert cert.valid and len(calls) == len(candidates)
+        assert cert.valid and len(candidates) == 1 and calls == []
+
+    @pytest.mark.parametrize("perm, c", [((1, 0, 2), 1), ((0, 1), 2)], ids=["mixed cycles", "exhausted"])
+    def test_dense_char_poly_only_for_the_structured_candidate(self, counted, perm, c):
+        candidates, calls = counted
+        with contextlib.suppress(SeedSearchExhausted):
+            find_seed(perm, c)
+        assert calls == [structured_seed(perm)] == candidates[-1:]
 
     @pytest.mark.parametrize("case", ["I-modified m=3", "discrete 8"])
     def test_one_char_poly_per_candidate_and_orbit_in_a_witness_run(self, counted, case):
-        # find_seed takes one per candidate; the plan takes its seed's once,
-        # and the assembly and both renderers read that one
+        # every seed is a catalog seed, which carries its polynomial: neither
+        # the search, the plan, the assembly nor the renderers take a dense one
         if case == "discrete 8":
             graph, gens = discrete_graph(8), []
         else:
@@ -289,7 +301,49 @@ class TestSeedSearch:
         report.to_json()
         report.to_text()
         assert report.witness is not None
-        assert len(calls) == len(candidates) + len(report.action.orbits)
+        assert all(isinstance(rows, CatalogSeed) for rows in candidates)
+        assert calls == []
+
+    def test_catalog_candidates_carry_their_dense_polynomial(self):
+        """Oracle: on every uniform cycle type on at most 16 points, lifts
+        included, each catalog candidate's polynomial q^d is the dense
+        `char_poly` of its rows; the structured candidate comes last, as plain rows."""
+        rng = random.Random(5)
+        checked = 0
+        for n in range(1, 17):
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                points = list(range(n))
+                for order in (points, rng.sample(points, n)):
+                    perm = [0] * n
+                    for start in range(0, n, d):
+                        cycle = order[start : start + d]
+                        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                            perm[a] = b
+                    perm = tuple(perm)
+                    *catalog, last = seed_catalog(perm)
+                    assert type(last) is tuple and last == structured_seed(perm)
+                    for rows in catalog:
+                        assert isinstance(rows, CatalogSeed) and commutes_with_perm(rows, perm)
+                        assert rows.char_poly == rows.base ** d == char_poly(rows), (perm, rows.base)
+                        checked += 1
+        assert checked == 374
+
+    def test_catalog_polynomials_are_squarefree(self):
+        # so a catalog seed's bounds may be read off q instead of squarefree_part(q^d)
+        polys = [CAT_MAP_POLY] + [q for dim in range(1, 17) for q in catalog_polynomials(dim)]
+        assert CAT_MAP_POLY == char_poly(CAT_MAP_ROWS)
+        for q in polys:
+            assert squarefree_part(q) == q, q
+        assert len(polys) == 74
+
+    def test_catalog_seed_is_immutable(self):
+        seed = next(seed_catalog((1, 0, 3, 2)))
+        with pytest.raises(AttributeError):
+            seed.base = IntPolynomial((1, -1))
+        # a plan given other rows reads their polynomial, not the catalog seed's
+        (orbit,) = action_for(discrete_graph(4), "(v1 v2)(v3 v4)").orbits
+        plan = replace(OrbitSeedPlan(orbit, seed, 1), seed=tuple(seed))
+        assert plan.seed_char_poly == char_poly(seed) == seed.char_poly
 
     def test_cancel(self):
         token = CancelToken()
@@ -539,7 +593,8 @@ class TestBuildWitness:
     def test_failing_certificate_is_assembled_once(self, monkeypatch):
         # the first exponent choice on I m=3 is forced to all ones, which fails
         # the hyperbolicity stage, and a later one would certify: the failure
-        # is raised after one assembly, with seeds and bounds taken once per orbit
+        # is raised after one assembly, with a seed and bounds taken once per
+        # distinct stabilizer restriction and level c: two of the three orbits share theirs
         inst = family_I(3, (2, 2, 3))
         action = build_action(coherent_components(inst.graph), inst.generators)
         calls = collections.Counter()
@@ -566,7 +621,7 @@ class TestBuildWitness:
             build_witness(action)
         assert err.value.stage == "hyperbolicity"
         assert len(action.orbits) == 3
-        assert calls == {"find_seed": 3, "log_modulus_bounds": 3, "choose_exponents": 1, "certify_factors": 1}
+        assert calls == {"find_seed": 2, "log_modulus_bounds": 2, "choose_exponents": 1, "certify_factors": 1}
 
     def test_each_exponent_tuple_is_assembled_once(self, monkeypatch):
         # a failing certificate on one orbit raises from build_witness after
