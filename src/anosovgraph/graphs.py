@@ -13,8 +13,9 @@ import itertools
 import json
 import re
 from math import lcm
+from operator import itemgetter
 
-from .errors import BoundExceeded, GraphInputError, PermutationError, PreconditionViolation, checkpoint
+from .errors import GraphInputError, PermutationError, PreconditionViolation
 
 
 class Graph:
@@ -212,8 +213,9 @@ class VertexPermutation:
     ``domain[i]``, and ``_index`` maps each label to its position. A product
     shares its operands' domain and index and is built from positions, so
     only a mapping that comes from outside is validated. Labels appear only
-    at the edges: `__call__`, `cycles` and the canonical order of
-    `generated_group`.
+    at the edges: `__call__` and `cycles`. `positions` and `with_positions`
+    let position arithmetic elsewhere (the stabilizer chains of `holonomy`)
+    read and make permutations without labels.
     """
 
     __slots__ = ("domain", "_index", "_images")
@@ -233,8 +235,13 @@ class VertexPermutation:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_images", images)
 
-    def _with_images(self, images: tuple[int, ...]) -> "VertexPermutation":
-        """A permutation on this domain from image positions known to form a bijection."""
+    @property
+    def positions(self) -> tuple[int, ...]:
+        """The domain position of each domain element's image, in domain order."""
+        return self._images
+
+    def with_positions(self, images: tuple[int, ...]) -> "VertexPermutation":
+        """A permutation on this domain from image positions known to form a bijection (unchecked)."""
         p = object.__new__(VertexPermutation)
         p._set(self.domain, self._index, images)
         return p
@@ -272,44 +279,6 @@ class VertexPermutation:
                 mapping[name] = names[(i + 1) % len(names)]
         return cls(domain, mapping)
 
-    @classmethod
-    def generated_group(cls, generators, domain, order_bound: int) -> tuple["VertexPermutation", ...]:
-        """Every element of the group the generators generate on domain, in canonical order.
-
-        The canonical order compares the image labels of the domain elements,
-        in domain order: labels, not positions. The reported stabilizer
-        generators and conjugators are the first fitting elements in it. The
-        closure composes bare position tuples, then sorts and wraps only the
-        distinct ones. Raises BoundExceeded as soon as more than order_bound
-        are found, the identity included, so an order_bound below 1 admits no
-        group. Polls `checkpoint` once per frontier round.
-        """
-        identity = cls.identity(domain)
-        gens = []
-        for g in generators:
-            if g.domain != identity.domain:
-                raise PermutationError("permutations have different domains")
-            gens.append(g._images.__getitem__)
-        if order_bound < 1:
-            raise BoundExceeded(f"holonomy group order exceeds the bound {order_bound}")
-        elements = {identity._images}
-        frontier = [identity._images]
-        while frontier:
-            checkpoint()
-            new_frontier = []
-            for g in gens:
-                for h in frontier:
-                    prod = tuple(map(g, h))
-                    if prod not in elements:
-                        elements.add(prod)
-                        new_frontier.append(prod)
-                        if len(elements) > order_bound:
-                            raise BoundExceeded(f"holonomy group order exceeds the bound {order_bound}")
-            frontier = new_frontier
-        label = identity.domain.__getitem__
-        ordered = sorted(elements, key=lambda images: tuple(map(label, images)))
-        return tuple(map(identity._with_images, ordered))
-
     def __call__(self, v: str) -> str:
         try:
             return self.domain[self._images[self._index[v]]]
@@ -320,7 +289,7 @@ class VertexPermutation:
         """Composition: (p * q)(x) = p(q(x))."""
         if self.domain != other.domain:
             raise PermutationError("permutations have different domains")
-        return self._with_images(tuple(map(self._images.__getitem__, other._images)))
+        return self.with_positions(tuple(map(self._images.__getitem__, other._images)))
 
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         """Disjoint cycles, fixed points omitted; each cycle starts at its earliest
@@ -528,9 +497,17 @@ def _check_domain(graph: Graph, p: VertexPermutation) -> None:
 
 
 def is_graph_automorphism(graph: Graph, p: VertexPermutation) -> bool:
-    """True when p maps edges onto edges (bijectively, since p is a bijection)."""
+    """True when p maps edges onto edges (bijectively, since p is a bijection).
+
+    One dict, read off p's image positions, takes each label to its image;
+    each edge's image pair is then looked up in the graph's adjacency sets,
+    in one pass of iterators over the edge list.
+    """
     _check_domain(graph, p)
-    return all(graph.has_edge(p(u), p(v)) for u, v in graph.edges)
+    domain = p.domain
+    image = dict(zip(domain, map(domain.__getitem__, p._images))).__getitem__
+    tails, heads = map(image, map(itemgetter(0), graph.edges)), map(image, map(itemgetter(1), graph.edges))
+    return all(map(frozenset.__contains__, map(graph._adjacency.__getitem__, tails), heads))
 
 
 def induced_component_permutation(part: CoherentPartition, p: VertexPermutation) -> tuple[int, ...]:

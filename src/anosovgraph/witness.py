@@ -486,14 +486,17 @@ class Witness:
 
 
 def _int_matpow(rows, k: int):
-    """rows^k for k >= 1, by binary powering; polls `checkpoint` once per product."""
-    n = len(rows)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    """rows^k for k >= 1, by binary powering; polls `checkpoint` once per product.
+
+    The first factor taken into the result is the result, not its product
+    with the identity, but it is polled like a product.
+    """
+    result = None
     base = rows
     while k:
         if k & 1:
             checkpoint()
-            result = _matmul(result, base)
+            result = base if result is None else _matmul(result, base)
         k >>= 1
         if k:
             checkpoint()

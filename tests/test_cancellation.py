@@ -16,7 +16,7 @@ from anosovgraph.analysis import analyze
 from anosovgraph.errors import CancelToken, OperationCancelled, checkpoint
 from anosovgraph.families import family_I_modified, family_II
 from anosovgraph.graphs import VertexPermutation, coherent_components, complete_graph, discrete_graph
-from anosovgraph.holonomy import build_action
+from anosovgraph.holonomy import _stabilizer_chain, build_action
 from anosovgraph.hyperbolicity import _power_product, char_poly
 from anosovgraph.liealg import brackets_preserved, extend_rows
 from anosovgraph.polynomials import IntPolynomial, palindromic_to_interval_poly, squarefree_part
@@ -216,10 +216,10 @@ def identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def five_cycle_group():
-    graph = discrete_graph(5)
-    gen = VertexPermutation.from_cycles("(v1 v2 v3 v4 v5)", graph.vertices)
-    return VertexPermutation.generated_group([gen], graph.vertices, 10)
+def symmetric_group_chain():
+    graph = discrete_graph(4)
+    gens = [VertexPermutation.from_cycles(s, graph.vertices) for s in ("(v1 v2)", "(v1 v2 v3 v4)")]
+    return _stabilizer_chain([g.positions for g in gens], graph.num_vertices)
 
 
 class TestPollsPerStep:
@@ -236,8 +236,9 @@ class TestPollsPerStep:
             lambda: palindromic_to_interval_poly(IntPolynomial([1] + [0] * 19 + [1])),
             10,
         ),
-        # the frontiers {1}, {g}, ..., {g^4}
-        "generated_group, per frontier round": (five_cycle_group, 5),
+        # S4: its two generators, then the Schreier generators off the
+        # search trees of the basic orbits of 4, 3 and 2 points (5, 4 and 1)
+        "_stabilizer_chain, per sift": (symmetric_group_chain, 12),
     }
 
     @pytest.mark.parametrize("name", sorted(STAGES))
@@ -289,14 +290,16 @@ class TestWholePipeline:
     #   14), once per gcd prime (3, 2 and 6), once per unit-circle test (2, 1
     #   and 3) and once per `certify_factors` (1 each), and on I-modified m=3
     #   also twice in the stage loop and twice in the Sturm chain;
-    # - the bracket check once per vertex column (9, 8 and 16), the group
-    #   closure once per frontier round (3, 1 and 2), the extension once per
+    # - the bracket check once per vertex column (9, 8 and 16), the group's
+    #   stabilizer chain once per element it sifts (2, 0 and 2: the
+    #   generator, then the one Schreier generator off the search tree of a
+    #   basic orbit; the trivial group has no chain), the extension once per
     #   wedge column (27, 0 and 39), the block powers once per product (1, 1
     #   and 10), and the x + 1/x conversion once per k (3, on I-modified m=3
     #   only).
     # Every seed here is a catalog seed, which carries its polynomial, so no
     # dense characteristic polynomial is taken.
-    POLLS = {"II n=3 s=3": 98, "discrete 8": 41, "I-modified m=3": 281}
+    POLLS = {"II n=3 s=3": 97, "discrete 8": 40, "I-modified m=3": 281}
 
     @pytest.mark.parametrize("name", sorted(POLLS))
     def test_poll_count(self, name):

@@ -335,6 +335,26 @@ class TestWitnessReportPins:
             == "aa8f7ad0d09d819c7c5534ee5f31c4c18cfc58e1dabc52f0dfe9f621f134337d"
         )
 
+    def test_path_conjugators_from_cosets_of_two_report(self, run, tmp_path):
+        # a path A-X-Y-B of discrete classes, its ends and its middle swapped:
+        # two orbits of two members whose stabilizer has order 2, so each
+        # conjugator is the first of the two group elements carrying the
+        # representative to the other member
+        a, x, y, b = ([f"{s}{i}" for i in range(1, k + 1)] for s, k in (("a", 4), ("x", 6), ("y", 6), ("b", 4)))
+        graph = Graph(a + x + y + b, [(u, v) for p, q in ((a, x), (x, y), (y, b)) for u in p for v in q])
+        holonomy = (
+            "(a1 b1)(a2 b2)(a3 b3)(a4 b4)(x1 y1)(x2 y2)(x3 y3)(x4 y4)(x5 y5)(x6 y6);"
+            "(a1 a2)(a3 a4)(b1 b2)(b3 b4)(x1 x2)(x3 x4)(x5 x6)(y1 y2)(y3 y4)(y5 y6)"
+        )
+        path = write_graph(tmp_path, graph)
+        code, out, _ = run("analyze", "--graph", path, "--holonomy", holonomy, "--json", "--witness")
+        assert code == EXIT_YES
+        assert [len(o["members"]) for o in json.loads(out)["holonomy"]["orbits"]] == [2, 2]
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "7f161f8b1c69c603ce381b0f04b5df46b23eb3e6fa8a410ed0db44f54ee9fade"
+        )
+
     @pytest.mark.parametrize(
         "n, holonomy, digest",
         [
@@ -493,6 +513,19 @@ class TestDecisionReportPins:
             code, out, _ = run(*argv, *extra)
             assert code == exit_code
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_symmetric_group_on_both_sides_report(self, run, tmp_path):
+        # S6 acting diagonally on K6,6, order 720: both sides are one-member
+        # orbits whose stabilizer is the whole group, which is not cyclic
+        path = write_graph(tmp_path, complete_bipartite(6, 6))
+        holonomy = "(a1 a2)(b1 b2);(a1 a2 a3 a4 a5 a6)(b1 b2 b3 b4 b5 b6)"
+        code, out, _ = run("analyze", "--graph", path, "--holonomy", holonomy, "--json")
+        assert code == EXIT_UNDECIDED
+        assert json.loads(out)["holonomy"]["order"] == 720
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "774269e9fab51c2a2e94e886de6b0844a9a4434bb68229810833b6108055db0e"
+        )
 
     @pytest.mark.parametrize(
         "poly, exit_code, text_digest, json_digest",

@@ -20,13 +20,14 @@ from anosovgraph.graphs import (
     induced_component_permutation,
     is_graph_automorphism,
 )
-from anosovgraph.holonomy import build_action
+from anosovgraph.holonomy import _canonical_walk, _stabilizer_chain, build_action
 from anosovgraph.repdecomp import decide, decompose_cyclic_perm_rep
 from tests_support_oracles import (
     DictPermutation,
     dict_action_json,
     dict_close_group,
     dict_component_permutation,
+    generated_group,
 )
 
 
@@ -36,12 +37,12 @@ def action_for(graph, *cycle_strings, order_bound=10_000):
 
 
 class TestCloseGroup:
-    """The group closure, `VertexPermutation.generated_group`."""
+    """The group closure of the test oracles, `generated_group`."""
 
     def test_cyclic_closure(self):
         g = pentagon()
         rot = VertexPermutation.from_cycles("(a b c d e)", g.vertices)
-        elements = VertexPermutation.generated_group([rot], g.vertices, 10_000)
+        elements = generated_group([rot], g.vertices, 10_000)
         assert len(elements) == 5
         images = [tuple(map(h, g.vertices)) for h in elements]
         assert images == sorted(images)  # canonical order: image labels, in domain order
@@ -50,20 +51,20 @@ class TestCloseGroup:
         g = discrete_graph(3)
         a = VertexPermutation.from_cycles("(v1 v2)", g.vertices)
         b = VertexPermutation.from_cycles("(v2 v3)", g.vertices)
-        assert len(VertexPermutation.generated_group([a, b], g.vertices, 10_000)) == 6
+        assert len(generated_group([a, b], g.vertices, 10_000)) == 6
 
     def test_bound(self):
         g = discrete_graph(5)
         a = VertexPermutation.from_cycles("(v1 v2)", g.vertices)
         b = VertexPermutation.from_cycles("(v1 v2 v3 v4 v5)", g.vertices)
         with pytest.raises(BoundExceeded):
-            VertexPermutation.generated_group([a, b], g.vertices, 50)
+            generated_group([a, b], g.vertices, 50)
 
     def test_generator_on_another_domain(self):
         g = discrete_graph(3)
         a = VertexPermutation.from_cycles("(v1 v2)", g.vertices[::-1])
         with pytest.raises(PermutationError, match="different domains"):
-            VertexPermutation.generated_group([a], g.vertices, 10_000)
+            generated_group([a], g.vertices, 10_000)
 
 
 class TestBuildAction:
@@ -120,7 +121,8 @@ class TestBuildAction:
         assert is_graph_automorphism(g, reordered)
         part = coherent_components(g)
         action = build_action(part, [reordered])
-        assert all(h.domain == g.vertices for h in action.generators + action.elements)
+        conjugators = [h for orbit in action.orbits for _, h in orbit.conjugators]
+        assert conjugators and all(h.domain == g.vertices for h in action.generators + tuple(conjugators))
         expected = build_action(part, [VertexPermutation(g.vertices, swap)])
         assert action.to_json_dict() == expected.to_json_dict()
 
@@ -137,7 +139,7 @@ class TestBuildAction:
         with pytest.raises(BoundExceeded, match=f"exceeds the bound {order_bound}"):
             action_for(g, order_bound=order_bound)
         with pytest.raises(BoundExceeded):
-            VertexPermutation.generated_group([], g.vertices, order_bound)
+            generated_group([], g.vertices, order_bound)
         assert action_for(g, order_bound=1).order == 1
 
     def test_orbit_stabilizer_identity_random(self):
@@ -175,7 +177,12 @@ class TestBuildAction:
             for _ in range(action.order // o):
                 expected.add(acc)
                 acc = acc * step_o
-            assert set(orbit.stabilizer.elements) == expected
+            assert orbit.stabilizer.order == len(expected)
+            powers, acc = set(), orbit.stabilizer.generator
+            for _ in range(orbit.stabilizer.order):
+                powers.add(acc)
+                acc = acc * orbit.stabilizer.generator
+            assert powers == expected
 
     def test_cyclicity_is_scanned_once(self, monkeypatch):
         # S_6 on the discrete graph: one component, so one stabilizer, the whole group
@@ -203,8 +210,9 @@ class TestBuildAction:
         assert [o.stabilizer.restriction for o in action.orbits] == [(1, 0), (1, 0)]
         # the rotation moves component 1, so the restriction comes from its square
         rot = VertexPermutation.from_cycles("(v1 v2 v3 v4)", g.vertices)
-        (orbit,) = action_for(g, "(v1 v2 v3 v4)").orbits
-        assert rot not in orbit.stabilizer.elements
+        action = action_for(g, "(v1 v2 v3 v4)")
+        (orbit,) = action.orbits
+        assert induced_component_permutation(action.partition, rot)[orbit.rep] != orbit.rep
         assert orbit.stabilizer.generator == rot * rot
         assert orbit.stabilizer.restriction == (1, 0)
 
@@ -398,7 +406,7 @@ class TestMatchesDictClosure:
         graph, maps = case
         gens = [VertexPermutation(graph.vertices, m) for m in maps]
         old = [DictPermutation(graph.vertices, m) for m in maps]
-        elements = VertexPermutation.generated_group(gens, graph.vertices, 10_000)
+        elements = generated_group(gens, graph.vertices, 10_000)
         assert [h.cycle_string() for h in elements] == [
             h.cycle_string() for h in dict_close_group(old, graph.vertices)
         ]
@@ -408,7 +416,7 @@ class TestMatchesDictClosure:
         other = graph.vertices[::-1]
         moved = [VertexPermutation(other, m) for m in maps]
         moved_old = [DictPermutation(other, m) for m in maps]
-        assert [h.cycle_string() for h in VertexPermutation.generated_group(moved, other, 10_000)] == [
+        assert [h.cycle_string() for h in generated_group(moved, other, 10_000)] == [
             h.cycle_string() for h in dict_close_group(moved_old, other)
         ]
         for new, dict_perm in zip(moved, moved_old):
@@ -421,10 +429,11 @@ class TestMatchesDictClosure:
         gens = [VertexPermutation(graph.vertices, m) for m in maps]
         action = build_action(coherent_components(graph), gens)
         part = action.partition
+        elements = generated_group(gens, graph.vertices, 10_000)
         for orbit in action.orbits:
             expected = tuple(
                 (member, next(
-                    h for h in action.elements
+                    h for h in elements
                     if induced_component_permutation(part, h)[orbit.rep] == member
                 ))
                 for member in orbit.members
@@ -452,13 +461,80 @@ class TestMatchesDictClosure:
     @given(symmetric_blowups())
     @settings(max_examples=80, deadline=None)
     def test_every_element_permutes_components(self, case):
-        # what the one-vertex lookup in build_action relies on
+        # products of generators that permute components do too, so the
+        # orbit search over the generators' component permutations finds the orbits
         graph, maps = case
         gens = [VertexPermutation(graph.vertices, m) for m in maps]
         part = coherent_components(graph)
         component_of = {v: i for i, comp in enumerate(part.components) for v in comp}
         reps = [orbit.rep for orbit in build_action(part, gens).orbits]
-        for h in VertexPermutation.generated_group(gens, graph.vertices, 10_000):
+        for h in generated_group(gens, graph.vertices, 10_000):
             perm = induced_component_permutation(part, h)
             for rep in reps:
                 assert perm[rep] == component_of[h(part.components[rep][0])]
+
+
+def label_ranks(graph):
+    """The rank of each position's label among the labels: the canonical order on positions."""
+    ordered = sorted(graph.vertices)
+    return [ordered.index(v) for v in graph.vertices]
+
+
+def every_coset(t, size):
+    return True
+
+
+class TestStabilizerChain:
+    """The stabilizer chain behind `build_action`, against the closure oracle."""
+
+    @given(symmetric_blowups())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_walk_is_the_sorted_closure(self, case):
+        graph, maps = case
+        gens = [VertexPermutation(graph.vertices, m) for m in maps]
+        closure = generated_group(gens, graph.vertices, 10_000)
+        n = graph.num_vertices
+        levels = _stabilizer_chain([g.positions for g in gens], n)
+        walked = list(_canonical_walk(levels, tuple(range(n)), label_ranks(graph), every_coset))
+        assert walked == [h.positions for h in closure]
+
+    @given(symmetric_blowups())
+    @settings(max_examples=80, deadline=None)
+    def test_chain_depends_only_on_the_group(self, case):
+        # base points increase, every basic orbit has two points or more, and
+        # another generating set of the same group gives the same levels
+        graph, maps = case
+        gens = [VertexPermutation(graph.vertices, m).positions for m in maps]
+        n = graph.num_vertices
+        levels = _stabilizer_chain(gens, n)
+        points = [level.point for level in levels]
+        assert points == sorted(set(points))
+        assert all(len(level.transversal) > 1 for level in levels)
+        closure = [h.positions for h in generated_group(
+            [VertexPermutation(graph.vertices, m) for m in maps], graph.vertices, 10_000
+        )]
+        again = _stabilizer_chain(closure[::-1], n)
+        assert [(lv.point, set(lv.transversal)) for lv in again] == [
+            (lv.point, set(lv.transversal)) for lv in levels
+        ]
+
+    def test_order_bound_at_the_group_order(self):
+        # S5 on one side of K5,5: order 120 answers at bound 120, and exceeds 119
+        graph, gens = k_k_symmetric(5, diagonal=False)
+        assert action_for(graph, *gens, order_bound=120).order == 120
+        with pytest.raises(BoundExceeded, match="exceeds the bound 119"):
+            action_for(graph, *gens, order_bound=119)
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["one-generator-per-class", "one-generator"])
+    def test_cyclic_group_of_coprime_rotations(self, joined):
+        # rotations of discrete classes of 3, 4 and 5 points joined in a path:
+        # cyclic of order 60, and the first generator moves every class
+        classes = [[f"c{i}_{j}" for j in range(1, size + 1)] for i, size in enumerate((3, 4, 5), 1)]
+        graph = Graph(
+            [v for cls in classes for v in cls],
+            [(u, v) for a, b in zip(classes, classes[1:]) for u in a for v in b],
+        )
+        cycles = ["(" + " ".join(cls) + ")" for cls in classes]
+        action = matches_oracle(graph, *(["".join(cycles)] if joined else cycles))
+        assert action.order == 60 and action.is_cyclic
+        assert all(orbit.stabilizer.generator.order() == 60 for orbit in action.orbits)

@@ -145,7 +145,7 @@ def test_checkpoint_is_defined_in_errors():
 STORED_FIELDS = {
     ("analysis", "AnalysisReport"): ("action", "witness", "witness_error", "timing"),
     ("holonomy", "OrbitData"): ("rep", "c", "stabilizer", "conjugators"),
-    ("holonomy", "StabilizerInfo"): ("elements", "generator", "restriction"),
+    ("holonomy", "StabilizerInfo"): ("order", "generator", "restriction"),
     ("hyperbolicity", "HyperbolicityCertificate"): ("level", "stages"),
     ("hyperbolicity", "UnitCircleAnalysis"): (
         "root_at_one",

@@ -70,7 +70,7 @@ from anosovgraph.witness import (
 )
 
 from tests_support_guard import dummy_plan, make_instances
-from tests_support_oracles import factor_product, permutation_matrix
+from tests_support_oracles import factor_product, generated_group, permutation_matrix
 
 CUBIC = IntPolynomial((1, -2, -1, 1))
 
@@ -849,7 +849,7 @@ class TestAssembleGuard:
         member, h = orbit.conjugators[0]
         u, v = action.partition.components[member][:2]
         swap = VertexPermutation.from_cycles(f"({u} {v})", inst.graph.vertices)
-        assert swap * h not in action.elements
+        assert swap * h not in generated_group(action.generators, inst.graph.vertices, 10_000)
         action = with_first_orbit(action, conjugators=((member, swap * h),) + orbit.conjugators[1:])
         with pytest.raises(WitnessAssemblyError) as err:
             assemble_witness(action, plan_blocks(action))

@@ -3,7 +3,9 @@ coefficient vectors, the signed wedge index of a vertex pair, a vertex
 permutation's extension to V+W as a signed permutation with the signed
 commutation check the witness ran on V+W, and the label-dict vertex
 permutation with its closure and component action, as `graphs` and
-`holonomy` computed them before positions. Also the graph helpers that only
+`holonomy` computed them before positions, and the position closure of
+the whole group in canonical order that stabilizer chains replaced. Also the
+graph helpers that only
 tests use: the precedence relation, its preservation, the brute-force group
 of order-preserving component permutations, path graphs, and whether a
 permutation is the identity. And the
@@ -19,9 +21,9 @@ import itertools
 import re
 from math import lcm
 
-from anosovgraph.errors import BoundExceeded, CancelToken, GraphInputError, PreconditionViolation
+from anosovgraph.errors import BoundExceeded, CancelToken, GraphInputError, PermutationError, PreconditionViolation
 from anosovgraph.exactmat import RationalMatrix
-from anosovgraph.graphs import Graph
+from anosovgraph.graphs import Graph, VertexPermutation
 from anosovgraph.liealg import extension_factors
 from anosovgraph.polynomials import MAX_PARSED_EXPONENT, IntPolynomial, from_power_sums, power_sums
 
@@ -376,6 +378,41 @@ class DictPermutation:
 
     def __lt__(self, other):
         return self.key < other.key
+
+
+def generated_group(generators, domain, order_bound):
+    """Every element of the group the generators generate on domain, in canonical order.
+
+    The canonical order compares the image labels of the domain elements,
+    in domain order: labels, not positions. The closure composes bare
+    position tuples, then sorts and wraps the distinct ones. Raises
+    BoundExceeded as soon as more than order_bound are found, the identity
+    included, so an order_bound below 1 admits no group.
+    """
+    identity = VertexPermutation.identity(domain)
+    gens = []
+    for g in generators:
+        if g.domain != identity.domain:
+            raise PermutationError("permutations have different domains")
+        gens.append(g.positions.__getitem__)
+    if order_bound < 1:
+        raise BoundExceeded(f"holonomy group order exceeds the bound {order_bound}")
+    elements = {identity.positions}
+    frontier = [identity.positions]
+    while frontier:
+        new_frontier = []
+        for g in gens:
+            for h in frontier:
+                prod = tuple(map(g, h))
+                if prod not in elements:
+                    elements.add(prod)
+                    new_frontier.append(prod)
+                    if len(elements) > order_bound:
+                        raise BoundExceeded(f"holonomy group order exceeds the bound {order_bound}")
+        frontier = new_frontier
+    label = identity.domain.__getitem__
+    ordered = sorted(elements, key=lambda images: tuple(map(label, images)))
+    return tuple(map(identity.with_positions, ordered))
 
 
 def dict_close_group(generators, domain):
