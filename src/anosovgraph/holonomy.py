@@ -9,28 +9,31 @@ constant c recording whether the orbit spans any quotient-graph edge or loop.
 The decision layer reads the stabilizer's action from the orbit, and the
 witness reads it and the conjugators; each is computed once per orbit.
 
-No group is enumerated. The group is held as a stabilizer chain (a base and
-strong generating set, built by the Schreier-Sims algorithm; Sims 1970,
-Seress 2003) on vertex position tuples. Its base is the domain positions in
-increasing order, and a level is kept only where its basic orbit has more
-than one point, so the base and the basic orbits depend on the group alone,
-not on its generators. The group's order is the
-product of the basic orbit lengths, and the order bound is checked on the
-partial products while the chain grows. The orbits of components come from
-the generators' component permutations, each member with a transversal
-element; a representative's stabilizer has its own chain, built from the
-Schreier generators of that orbit. The canonical order compares the image
-labels of the domain elements, in domain order. The first element of a coset
-in it comes from a descent through the stabilizer's chain, and a cyclic
+`build_action` enumerates no group. The group is held as a stabilizer chain
+(a base and strong generating set, built by the Schreier-Sims algorithm;
+Sims 1970, Seress 2003) on vertex position tuples. Its base is the domain
+positions in increasing order, and a level is kept only where its basic
+orbit has more than one point, so the base and the basic orbits depend on
+the group alone, not on its generators. The group's order is the product of
+the basic orbit lengths, and the order bound is checked on the partial
+products while the chain grows. The orbits of components come from the
+generators' component permutations, each member with a transversal element;
+a representative's stabilizer has its own chain, built from the Schreier
+generators of that orbit. The canonical order compares the image labels of
+the domain elements, in domain order. The first element of a coset in it
+comes from a descent through the stabilizer's chain, and a cyclic
 stabilizer's first element of full order from a walk of the chain in that
 order; see `_first_in_coset` and `_first_generator`. Labels enter only those
 two, the reported cycle strings and the once-per-orbit restriction of the
 stabilizer generator to the representative's members.
+`HolonomyAction.elements` lists the group in canonical order from a chain
+built when it is first read; nothing in the package reads it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, compress, islice
 from math import lcm, prod
@@ -100,6 +103,11 @@ class HolonomyAction:
     def graph(self) -> Graph:
         return self.partition.graph
 
+    @property
+    def elements(self) -> GroupElements:
+        """The group's elements in canonical order; see `GroupElements`."""
+        return GroupElements(self)
+
     def to_json_dict(self) -> dict:
         """The JSON payload; each distinct stabilizer generator's cycle string is taken once."""
         cycle_strings = {g: g.cycle_string() for g in {o.stabilizer.generator for o in self.orbits} if g}
@@ -144,19 +152,18 @@ class _Level:
 
     ``transversal`` maps each point p of the basic orbit of ``point`` to an
     element u_p of the level's group with u_p(point) = p, the point itself
-    to the identity; ``gens`` generate the level's group. ``tree`` holds the
-    (point, generator index) pairs that defined a transversal element, whose
-    Schreier generators are the identity, and ``tested`` the pairs whose
-    Schreier generators have been sifted.
+    to the identity; ``gens`` generate the level's group. ``tested`` holds
+    the (point, generator index) pairs whose Schreier generators need no
+    sift: those already sifted, and those that defined a transversal
+    element, whose Schreier generators are the identity.
     """
 
-    __slots__ = ("point", "gens", "transversal", "tree", "tested", "_inverses")
+    __slots__ = ("point", "gens", "transversal", "tested", "_inverses")
 
     def __init__(self, point: int, gens: list, identity: tuple[int, ...]):
         self.point = point
         self.gens = gens
         self.transversal = {point: identity}
-        self.tree = set()
         # the next level's generators, which fix the point: their Schreier
         # generators there are themselves, which that level's group holds
         self.tested = {(point, i) for i in range(len(gens))}
@@ -172,21 +179,21 @@ class _Level:
     def add(self, g: tuple[int, ...]) -> None:
         """Add a generator, and close the basic orbit under all generators."""
         self.gens.append(g)
-        u, tree, gens = self.transversal, self.tree, self.gens
+        u, tested, gens = self.transversal, self.tested, self.gens
         new = []
         last = len(gens) - 1
         for p in list(u):
             q = g[p]
             if q not in u:
                 u[q] = _compose(g, u[p])
-                tree.add((p, last))
+                tested.add((p, last))
                 new.append(q)
         for p in new:  # grows while it is read
             for i, s in enumerate(gens):
                 q = s[p]
                 if q not in u:
                     u[q] = _compose(s, u[p])
-                    tree.add((p, i))
+                    tested.add((p, i))
                     new.append(q)
 
 
@@ -252,7 +259,7 @@ def _stabilizer_chain(gens, n: int, order_bound: int | None = None) -> list[_Lev
         resume = None
         for p, u_p in list(level.transversal.items()):
             for j, s in enumerate(level.gens):
-                if (p, j) in level.tree or (p, j) in level.tested:
+                if (p, j) in level.tested:
                     continue
                 level.tested.add((p, j))
                 checkpoint()
@@ -289,25 +296,22 @@ def _first_in_coset(t: tuple[int, ...], levels: list[_Level], rank: list[int]) -
     return t
 
 
-def _canonical_walk(levels: list[_Level], identity: tuple[int, ...], rank: list[int], keep):
-    """The elements of the chain's group H in canonical order, lazily, skipping the cosets keep refuses.
+def _walk_cosets(
+    levels: list[_Level], rank: list[int], keep, t: tuple[int, ...], k: int = 0, size: int | None = None
+):
+    """The elements of the coset t H_k in canonical order, lazily, skipping the cosets keep refuses.
 
-    A depth-first walk of the cosets t H_k (see `_first_in_coset`), the
-    children of each taken by the rank of t(p), yields the elements in
-    canonical order. keep(t, |H_k|) is asked on entering each coset t H_k,
-    and a refused coset is skipped whole. Polls `checkpoint` once per coset
-    it enters.
+    H_k is the group of levels[k:], of order size (worked out when None),
+    and t the identity for the whole chain's group. A depth-first walk of
+    the cosets (see `_first_in_coset`), the children of each taken by the
+    rank of t(p), yields the elements in canonical order. keep(t, |H_k|) is
+    asked on entering each coset t H_k, and a refused coset is skipped
+    whole. Polls `checkpoint` once per coset it enters. A module function,
+    not a closure: a closure that calls itself holds a reference cycle,
+    which would keep the chain alive until the cyclic garbage collector runs.
     """
-    return _walk_cosets(levels, rank, keep, identity, 0, _chain_order(levels))
-
-
-def _walk_cosets(levels: list[_Level], rank: list[int], keep, t: tuple[int, ...], k: int, size: int):
-    """`_canonical_walk` from the coset t H_k of order size.
-
-    A module function, not a closure: a closure that calls itself holds a
-    reference cycle, which would keep the chain alive until the cyclic
-    garbage collector runs.
-    """
+    if size is None:
+        size = _chain_order(levels[k:])
     checkpoint()
     if not keep(t, size):
         return
@@ -329,7 +333,7 @@ def _first_generator(levels: list[_Level], identity, rank: list[int], order_of) 
     element the same test asks for order |H|.
     """
     target = _chain_order(levels)
-    return next(_canonical_walk(levels, identity, rank, lambda t, size: lcm(order_of(t), size) == target))
+    return next(_walk_cosets(levels, rank, lambda t, size: lcm(order_of(t), size) == target, identity))
 
 
 def _is_cyclic(gens, order: int, order_of) -> bool:
@@ -341,6 +345,64 @@ def _is_cyclic(gens, order: int, order_of) -> bool:
     if any(_compose(g, h) != _compose(h, g) for g, h in combinations(gens, 2)):
         return False
     return lcm(1, *map(order_of, gens)) == order
+
+
+def _label_ranks(domain) -> list[int]:
+    """The rank of each position's label among the labels: the canonical order on positions."""
+    rank = [0] * len(domain)
+    for r, i in enumerate(sorted(range(len(domain)), key=domain.__getitem__)):
+        rank[i] = r
+    return rank
+
+
+def _every_coset(t, size) -> bool:
+    return True
+
+
+class GroupElements(Sequence):
+    """The elements of a holonomy group in canonical order, listed only when read.
+
+    The length is the group's order and lists nothing. The first element
+    read builds the group's stabilizer chain; iteration walks it in
+    canonical order (`_walk_cosets`), and an index descends it, taking the
+    child at each level by the quotient of the index by the size of the
+    cosets below. Nothing in the package reads the elements.
+    """
+
+    __slots__ = ("_action", "_chain", "_rank")
+
+    def __init__(self, action: HolonomyAction):
+        self._action = action
+        self._chain = None
+
+    def __len__(self) -> int:
+        return self._action.order
+
+    def _levels(self) -> list[_Level]:
+        if self._chain is None:
+            vertices = self._action.graph.vertices
+            self._chain = _stabilizer_chain([g.positions for g in self._action.generators], len(vertices))
+            self._rank = _label_ranks(vertices)
+        return self._chain
+
+    def __iter__(self):
+        identity = VertexPermutation.identity(self._action.graph.vertices)
+        for t in _walk_cosets(self._levels(), self._rank, _every_coset, identity.positions):
+            yield identity.with_positions(t)
+
+    def __getitem__(self, index):
+        index = range(len(self))[index]  # a tuple's negative indices, slices and IndexError
+        if isinstance(index, range):
+            return tuple(map(self.__getitem__, index))
+        identity = VertexPermutation.identity(self._action.graph.vertices)
+        levels = self._levels()
+        t, size, rank = identity.positions, len(self), self._rank
+        for level in levels:
+            u = level.transversal
+            size //= len(u)
+            child, index = divmod(index, size)
+            t = _compose(t, u[sorted(u, key=lambda p: rank[t[p]])[child]])
+        return identity.with_positions(t)
 
 
 def _restriction(part: CoherentPartition, p: tuple[int, ...], rep: int) -> tuple[int, ...]:
@@ -395,9 +457,7 @@ def build_action(
     gens = [g.positions for g in generators]
     chain = _stabilizer_chain(gens, n, order_bound)
     order = _chain_order(chain)
-    rank = [0] * n
-    for r, i in enumerate(sorted(range(n), key=graph.vertices.__getitem__)):
-        rank[i] = r
+    rank = _label_ranks(graph.vertices)
     orders = {}
 
     def order_of(t):

@@ -20,7 +20,7 @@ from anosovgraph.graphs import (
     induced_component_permutation,
     is_graph_automorphism,
 )
-from anosovgraph.holonomy import _canonical_walk, _stabilizer_chain, build_action
+from anosovgraph.holonomy import _stabilizer_chain, _walk_cosets, build_action
 from anosovgraph.repdecomp import decide, decompose_cyclic_perm_rep
 from tests_support_oracles import (
     DictPermutation,
@@ -189,12 +189,19 @@ class TestBuildAction:
         g = discrete_graph(6)
         calls = []
         real_order = VertexPermutation.order
+        real_cycles = anosovgraph.holonomy.index_cycles
 
         def counting_order(self):
             calls.append(self)
             return real_order(self)
 
+        def counting_cycles(p):
+            calls.append(p)
+            return real_cycles(p)
+
+        # build_action takes orders through index_cycles, the other layers through VertexPermutation.order
         monkeypatch.setattr(VertexPermutation, "order", counting_order)
+        monkeypatch.setattr(anosovgraph.holonomy, "index_cycles", counting_cycles)
         action = action_for(g, "(v1 v2)", "(v1 v2 v3 v4 v5 v6)")
         assert action.order == 720 and not action.is_cyclic
         assert len(calls) <= action.order  # at most once per element, stabilizer scans included
@@ -291,18 +298,18 @@ class TestCyclicityPaths:
         # S_6 on K6,6: no element's order is needed, and only generators are checked
         graph, gens = k_k_symmetric(6, diagonal)
         orders, checks = [], []
-        real_order = VertexPermutation.order
+        real_cycles = anosovgraph.holonomy.index_cycles
         real_check = anosovgraph.holonomy.induced_component_permutation
 
-        def counting_order(self):
-            orders.append(self)
-            return real_order(self)
+        def counting_cycles(p):
+            orders.append(p)
+            return real_cycles(p)
 
         def counting_check(part, p):
             checks.append(p)
             return real_check(part, p)
 
-        monkeypatch.setattr(VertexPermutation, "order", counting_order)
+        monkeypatch.setattr(anosovgraph.holonomy, "index_cycles", counting_cycles)
         monkeypatch.setattr(anosovgraph.holonomy, "induced_component_permutation", counting_check)
         action = action_for(graph, *gens)
         assert action.order == 720 and not action.is_cyclic
@@ -495,8 +502,30 @@ class TestStabilizerChain:
         closure = generated_group(gens, graph.vertices, 10_000)
         n = graph.num_vertices
         levels = _stabilizer_chain([g.positions for g in gens], n)
-        walked = list(_canonical_walk(levels, tuple(range(n)), label_ranks(graph), every_coset))
+        walked = list(_walk_cosets(levels, label_ranks(graph), every_coset, tuple(range(n))))
         assert walked == [h.positions for h in closure]
+
+    @given(symmetric_blowups(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_elements_are_the_sorted_closure(self, case, data):
+        graph, maps = case
+        gens = [VertexPermutation(graph.vertices, m) for m in maps]
+        closure = generated_group(gens, graph.vertices, 10_000)
+        action = build_action(coherent_components(graph), gens)
+        elements = action.elements
+        assert len(elements) == action.order == len(closure)
+        assert tuple(elements) == closure
+        i = data.draw(st.integers(-len(closure), len(closure) - 1))
+        assert elements[i] == closure[i]
+        assert elements[i::3] == closure[i::3]
+        with pytest.raises(IndexError):
+            elements[len(closure)]
+
+    def test_element_count_builds_no_chain(self, monkeypatch):
+        graph, gens = k_k_symmetric(6, diagonal=True)
+        action = action_for(graph, *gens)
+        monkeypatch.setattr(anosovgraph.holonomy, "_stabilizer_chain", None)
+        assert len(action.elements) == 720
 
     @given(symmetric_blowups())
     @settings(max_examples=80, deadline=None)
