@@ -29,7 +29,7 @@ def describe(name, graph):
 describe("chain with looped end", loop_end_chain())
 g = loop_end_chain()
 for a, b in (("a1", "b1"), ("b1", "a1")):
-    print(f"N({a}) <= N[{b}]:", g.open_neighborhood(a) <= g.closed_neighborhood(b))
+    print(f"N({a}) <= N[{b}]:", g.open_neighborhood(a) <= g.open_neighborhood(b) | {b})
 print()
 
 # Making every class complete adds loops everywhere and changes the order.

@@ -4,6 +4,10 @@ The central relation: a vertex ``a`` precedes ``b`` when the open neighborhood
 of ``a`` is contained in the closed neighborhood of ``b``. Mutual precedence is
 an equivalence; its classes (the coherent components) induce complete or
 discrete subgraphs and carry a quotient graph with loops at complete classes.
+
+A graph keeps its adjacency on vertex positions, one int bitmask per vertex,
+so the classes, their order and the quotient edges come from bit operations
+on those masks: a graph on n vertices holds at most n^2/8 bytes of masks.
 """
 
 from __future__ import annotations
@@ -13,46 +17,49 @@ import itertools
 import json
 import re
 from math import lcm
-from operator import itemgetter
+from operator import or_
 
 from .errors import GraphInputError, PermutationError, PreconditionViolation
 
 
 class Graph:
-    """Immutable finite simple graph with a canonical (input) vertex order."""
+    """Immutable finite simple graph with a canonical (input) vertex order.
 
-    __slots__ = ("vertices", "edges", "_index", "_adjacency")
+    Bit j of ``_masks[i]`` is set when the vertices at positions i and j are
+    adjacent. ``edges`` lists each edge once, from its earlier vertex, ordered
+    by the positions of its endpoints.
+    """
+
+    __slots__ = ("vertices", "edges", "_index", "_masks")
 
     def __init__(self, vertices, edges):
-        vertices = tuple(str(v) for v in vertices)
-        index = {}
-        for v in vertices:
-            if v in index:
-                raise GraphInputError(f"duplicate vertex label {v!r}")
-            index[v] = len(index)
-        adjacency = {v: set() for v in vertices}
-        canonical = []
-        for e in edges:
-            u, v = e
-            u, v = str(u), str(v)
-            if u not in index:
-                raise GraphInputError(f"edge endpoint {u!r} is not a listed vertex")
-            if v not in index:
-                raise GraphInputError(f"edge endpoint {v!r} is not a listed vertex")
-            if u == v:
-                raise GraphInputError(f"loop edge at {u!r} (simple graphs only)")
-            if index[u] > index[v]:
-                u, v = v, u
-            if v in adjacency[u]:
-                raise GraphInputError(f"duplicate edge {u!r}-{v!r}")
-            canonical.append((u, v))
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        canonical.sort(key=lambda e: (index[e[0]], index[e[1]]))
+        vertices = tuple(map(str, vertices))
+        n = len(vertices)
+        index = dict(zip(vertices, range(n)))
+        if len(index) != n:
+            seen = set()
+            for v in vertices:
+                if v in seen:
+                    raise GraphInputError(f"duplicate vertex label {v!r}")
+                seen.add(v)
+        edges = list(edges)
+        try:
+            pairs = [(index[str(u)], index[str(v)]) for u, v in edges]
+        except (KeyError, TypeError, ValueError):  # an unknown endpoint, or an edge that is no pair
+            raise _first_bad_edge(index, edges) from None
+        bits = [1 << i for i in range(n)]
+        masks = [0] * n
+        for a, b in pairs:
+            masks[a] |= bits[b]
+            masks[b] |= bits[a]
+        # A new edge sets two bits, a loop one and a repeated edge none.
+        if sum(map(int.bit_count, masks)) != 2 * len(pairs):
+            raise _first_bad_edge(index, edges)
+        keys = sorted([a * n + b if a < b else b * n + a for a, b in pairs])
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "edges", tuple([(vertices[k // n], vertices[k % n]) for k in keys]))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adjacency", {v: frozenset(adjacency[v]) for v in vertices})
+        object.__setattr__(self, "_masks", masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -72,14 +79,12 @@ class Graph:
             raise GraphInputError(f"unknown vertex {v!r}") from None
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adjacency.get(u, frozenset())
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and self._masks[i] >> j & 1 == 1
 
     def open_neighborhood(self, v: str) -> frozenset:
-        self.index(v)
-        return self._adjacency[v]
-
-    def closed_neighborhood(self, v: str) -> frozenset:
-        return self.open_neighborhood(v) | {v}
+        mask = self._masks[self.index(v)]
+        return frozenset(w for j, w in enumerate(self.vertices) if mask >> j & 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -96,6 +101,24 @@ class Graph:
 
     def to_json_dict(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
+
+
+def _first_bad_edge(index: dict, edges: list) -> GraphInputError:
+    """The error of the first edge, in input order, with an unknown endpoint, a loop or a repeat."""
+    seen = set()
+    for u, v in edges:
+        u, v = str(u), str(v)
+        for w in (u, v):
+            if w not in index:
+                return GraphInputError(f"edge endpoint {w!r} is not a listed vertex")
+        if u == v:
+            return GraphInputError(f"loop edge at {u!r} (simple graphs only)")
+        if index[u] > index[v]:
+            u, v = v, u
+        if (u, v) in seen:
+            return GraphInputError(f"duplicate edge {u!r}-{v!r}")
+        seen.add((u, v))
+    raise AssertionError("no bad edge")
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +197,20 @@ def graph_from_json_dict(data) -> Graph:
         raise GraphInputError('"vertices" and "edges" must be lists')
     if not vertices:
         raise GraphInputError("no vertices listed")
-    for v in vertices:
-        if not isinstance(v, str):
-            raise GraphInputError(f"vertex label must be a string: {v!r}")
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise GraphInputError(f"edge must be a pair: {e!r}")
-        if not all(isinstance(v, str) for v in e):
-            raise GraphInputError(f"edge endpoints must be vertex labels (strings): {e!r}")
+    if not all(map(isinstance, vertices, itertools.repeat(str))):
+        bad = next(v for v in vertices if not isinstance(v, str))
+        raise GraphInputError(f"vertex label must be a string: {bad!r}")
+    # Checked in bulk; only a failure walks the edges to name the first bad one.
+    if not (
+        all(map(isinstance, edges, itertools.repeat((list, tuple))))
+        and all(map((2).__eq__, map(len, edges)))
+        and all(map(isinstance, itertools.chain.from_iterable(edges), itertools.repeat(str)))
+    ):
+        for e in edges:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise GraphInputError(f"edge must be a pair: {e!r}")
+            if not all(isinstance(v, str) for v in e):
+                raise GraphInputError(f"edge endpoints must be vertex labels (strings): {e!r}")
     return Graph(vertices, edges)
 
 
@@ -242,9 +271,7 @@ class VertexPermutation:
 
     def with_positions(self, images: tuple[int, ...]) -> "VertexPermutation":
         """A permutation on this domain from image positions known to form a bijection (unchecked)."""
-        p = object.__new__(VertexPermutation)
-        p._set(self.domain, self._index, images)
-        return p
+        return _on_positions(self.domain, self._index, images)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexPermutation is immutable")
@@ -258,26 +285,11 @@ class VertexPermutation:
     def from_cycles(cls, text: str, domain) -> "VertexPermutation":
         """Parse cycle notation "(a b)(c d e)"; fixed points omitted; "" is the identity."""
         domain = tuple(domain)
-        mapping = {v: v for v in domain}
-        body = text.strip()
-        if body in ("", "()", "id"):
-            return cls(domain, mapping)
-        if not re.fullmatch(r"\s*(\([^()]*\)\s*)+", body):
-            raise PermutationError(f"malformed cycle notation: {text!r}")
-        moved = set()
-        for cycle_text in re.findall(r"\(([^()]*)\)", body):
-            names = [tok for tok in re.split(r"[,\s]+", cycle_text.strip()) if tok]
-            if len(names) < 2:
-                continue
-            for name in names:
-                if name not in mapping:
-                    raise PermutationError(f"unknown vertex {name!r} in cycle notation")
-                if name in moved:
-                    raise PermutationError(f"vertex {name!r} appears twice in cycle notation")
-                moved.add(name)
-            for i, name in enumerate(names):
-                mapping[name] = names[(i + 1) % len(names)]
-        return cls(domain, mapping)
+        index = {v: i for i, v in enumerate(dict.fromkeys(domain))}
+        images = _cycle_positions(text, index)  # notation errors come before a repeated label's
+        if len(index) != len(domain):
+            raise PermutationError("domain lists a vertex twice")
+        return _on_positions(domain, index, images)
 
     def __call__(self, v: str) -> str:
         try:
@@ -323,13 +335,50 @@ class VertexPermutation:
         return f"VertexPermutation({self.cycle_string()})"
 
 
+def _on_positions(domain, index, images) -> VertexPermutation:
+    """The permutation with these image positions on domain, whose positions index holds (unchecked)."""
+    p = object.__new__(VertexPermutation)
+    p._set(domain, index, images)
+    return p
+
+
+def _cycle_positions(text: str, index: dict) -> tuple[int, ...]:
+    """The image positions of cycle notation on the domain whose label positions index holds."""
+    images = list(range(len(index)))
+    body = text.strip()
+    if body in ("", "()", "id"):
+        return tuple(images)
+    if not re.fullmatch(r"\s*(\([^()]*\)\s*)+", body):
+        raise PermutationError(f"malformed cycle notation: {text!r}")
+    moved = set()
+    for cycle_text in re.findall(r"\(([^()]*)\)", body):
+        names = [tok for tok in re.split(r"[,\s]+", cycle_text.strip()) if tok]
+        if len(names) < 2:
+            continue
+        for name in names:
+            if name not in index:
+                raise PermutationError(f"unknown vertex {name!r} in cycle notation")
+            if name in moved:
+                raise PermutationError(f"vertex {name!r} appears twice in cycle notation")
+            moved.add(name)
+        cycle = [index[name] for name in names]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return tuple(images)
+
+
 def parse_holonomy_generators(text: str, graph: Graph) -> tuple[VertexPermutation, ...]:
-    """Parse a semicolon-separated list of cycle strings, e.g. "(a b)(c d);(e f)"."""
+    """Parse a semicolon-separated list of cycle strings, e.g. "(a b)(c d);(e f)".
+
+    Each generator is built on positions through the graph's own index, so its
+    domain is `graph.vertices`.
+    """
     text = text.strip()
     if not text:
         return ()
     return tuple(
-        VertexPermutation.from_cycles(part, graph.vertices) for part in text.split(";")
+        _on_positions(graph.vertices, graph._index, _cycle_positions(part, graph._index))
+        for part in text.split(";")
     )
 
 
@@ -348,9 +397,9 @@ class CoherentPartition:
     Components are enumerated topologically: if component i precedes component
     j in the induced order, then i <= j. Ties keep first-appearance order.
     ``member_positions[i]`` holds the graph positions of component i's
-    vertices and ``component_of[r]`` the component of the vertex at position
-    r (None if no component lists it); `induced_component_permutation` reads
-    both.
+    vertices, in increasing order, and ``component_of[r]`` the component of
+    the vertex at position r; `induced_component_permutation` reads both.
+    ``quotient_edges`` are pairs i < j in increasing order.
     """
 
     __slots__ = (
@@ -358,20 +407,15 @@ class CoherentPartition:
         "member_positions", "component_of",
     )
 
-    def __init__(self, graph, components, kinds, order_pairs, quotient_edges):
-        components = tuple(tuple(c) for c in components)
-        member_positions = tuple(tuple(graph.index(v) for v in comp) for comp in components)
-        component_of = [None] * graph.num_vertices
-        for i, positions in enumerate(member_positions):
-            for r in positions:
-                component_of[r] = i
+    def __init__(self, graph, member_positions, component_of, kinds, order_pairs, quotient_edges):
+        label = graph.vertices.__getitem__
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "member_positions", member_positions)
+        object.__setattr__(self, "components", tuple(tuple(map(label, ms)) for ms in member_positions))
+        object.__setattr__(self, "member_positions", tuple(member_positions))
         object.__setattr__(self, "component_of", tuple(component_of))
         object.__setattr__(self, "kinds", tuple(kinds))
         object.__setattr__(self, "order_pairs", frozenset(order_pairs))
-        object.__setattr__(self, "quotient_edges", tuple(sorted(tuple(sorted(e)) for e in quotient_edges)))
+        object.__setattr__(self, "quotient_edges", tuple(quotient_edges))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoherentPartition is immutable")
@@ -410,49 +454,51 @@ class CoherentPartition:
 def coherent_components(graph: Graph) -> CoherentPartition:
     """Partition by mutual neighborhood containment, with order and quotient graph.
 
-    Mutual precedence of a != b means equal open neighborhoods (non-adjacent
-    twins) or equal closed ones (adjacent twins), so the classes are found by
-    hashing neighborhoods, and only class representatives are compared for
-    the order. The enumeration is topological, ties broken by first
-    appearance; see `CoherentPartition`.
+    Everything runs on the graph's position bitmasks. Mutual precedence of
+    a != b means equal open neighborhoods (non-adjacent twins) or equal
+    closed ones (adjacent twins), so the classes are found by hashing masks;
+    a class of two or more is all open twins or all closed twins, never a
+    mix. Only class representatives are compared for the order: i precedes
+    j when ``open[rep_i] & ~closed[rep_j]`` is 0. Two classes are joined by
+    every edge between them or by none, so one test of a representative's
+    mask against the other class's members gives each quotient edge. The
+    enumeration is topological, ties broken by first appearance; see
+    `CoherentPartition`.
     """
-    verts = graph.vertices
-    open_n = {v: graph.open_neighborhood(v) for v in verts}
-    closed_n = {v: open_n[v] | {v} for v in verts}
-    open_twins: dict[frozenset, list[str]] = {}
-    closed_twins: dict[frozenset, list[str]] = {}
-    for v in verts:
-        open_twins.setdefault(open_n[v], []).append(v)
-        closed_twins.setdefault(closed_n[v], []).append(v)
-
-    # Equivalence classes in first-appearance order; a class of two or more
-    # is all open twins or all closed twins, never a mix.
-    raw_components: list[list[str]] = []
-    assigned: set[str] = set()
-    for v in verts:
-        if v in assigned:
-            continue
-        comp = open_twins[open_n[v]]
-        if len(comp) == 1:
-            comp = closed_twins[closed_n[v]]
-        assigned.update(comp)
-        raw_components.append(comp)
+    masks = graph._masks
+    n = len(masks)
+    bits = [1 << i for i in range(n)]
+    closed = list(map(or_, masks, bits))
+    # The first and last position of each open mask, the first of each closed
+    # one. A vertex with an open twin is in its open class, any other in its
+    # closed class (maybe alone); a class is keyed by its first member, so
+    # classes come in first-appearance order.
+    first_open = dict(zip(reversed(masks), range(n - 1, -1, -1)))
+    last_open = dict(zip(masks, range(n)))
+    first_closed = dict(zip(reversed(closed), range(n - 1, -1, -1)))
+    members: dict[int, list[int]] = {}
+    for r, (m, c) in enumerate(zip(masks, closed)):
+        rep = first_open[m]
+        if rep == last_open[m]:
+            rep = first_closed[c]
+        members.setdefault(rep, []).append(r)
+    reps = list(members)
+    k = len(reps)
 
     # Induced strict order between classes, via representatives.
-    reps = [comp[0] for comp in raw_components]
-    k = len(reps)
-    strict = {
-        (i, j) for i in range(k) for j in range(k) if i != j and open_n[reps[i]] <= closed_n[reps[j]]
-    }
+    not_closed = [~closed[r] for r in reps]
+    successors = [
+        [j for j, nc in enumerate(not_closed) if not masks[rep] & nc and j != i]
+        for i, rep in enumerate(reps)
+    ]
 
     # Topological enumeration, ties broken by original index: Kahn's algorithm
     # with a min-heap, so each step takes the smallest index with no remaining
     # predecessor.
-    successors: list[list[int]] = [[] for _ in range(k)]
     indegree = [0] * k
-    for i, j in strict:
-        successors[i].append(j)
-        indegree[j] += 1
+    for succ in successors:
+        for j in succ:
+            indegree[j] += 1
     ready = [i for i in range(k) if indegree[i] == 0]
     order: list[int] = []
     while ready:
@@ -464,27 +510,24 @@ def coherent_components(graph: Graph) -> CoherentPartition:
                 heapq.heappush(ready, j)
     relabel = {old: new for new, old in enumerate(order)}
 
-    components = [tuple(raw_components[old]) for old in order]
-    order_pairs = {(relabel[i], relabel[j]) for i, j in strict}
-
-    kinds = []
-    for comp in components:
-        if len(comp) == 1:
-            kinds.append("singleton")
-        elif graph.has_edge(comp[0], comp[1]):
-            kinds.append("complete")
-        else:
-            kinds.append("discrete")
-
-    # Two classes are joined by every edge between them or by none.
-    component_of = {v: i for i, comp in enumerate(components) for v in comp}
-    quotient_edges = {
-        tuple(sorted((component_of[u], component_of[v])))
-        for u, v in graph.edges
-        if component_of[u] != component_of[v]
-    }
-
-    return CoherentPartition(graph, components, kinds, order_pairs, quotient_edges)
+    member_positions = [tuple(members[reps[old]]) for old in order]
+    component_of = [0] * n
+    for i, ms in enumerate(member_positions):
+        for r in ms:
+            component_of[r] = i
+    order_pairs = [(relabel[i], relabel[j]) for i, succ in enumerate(successors) for j in succ]
+    kinds = [
+        "singleton" if len(ms) == 1 else "complete" if masks[ms[0]] >> ms[1] & 1 else "discrete"
+        for ms in member_positions
+    ]
+    member_masks = [sum(map(bits.__getitem__, ms)) for ms in member_positions]
+    quotient_edges = [
+        (i, j)
+        for i, ms in enumerate(member_positions)
+        for j in range(i + 1, k)
+        if masks[ms[0]] & member_masks[j]
+    ]
+    return CoherentPartition(graph, member_positions, component_of, kinds, order_pairs, quotient_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -496,18 +539,23 @@ def _check_domain(graph: Graph, p: VertexPermutation) -> None:
         raise PermutationError("permutation domain does not match the graph's vertices")
 
 
+def _graph_images(graph: Graph, p: VertexPermutation) -> tuple[int, ...]:
+    """The graph position of p's image of each graph vertex, in graph order."""
+    if p.domain == graph.vertices:
+        return p._images
+    _check_domain(graph, p)
+    return tuple(graph.index(p(v)) for v in graph.vertices)
+
+
 def is_graph_automorphism(graph: Graph, p: VertexPermutation) -> bool:
     """True when p maps edges onto edges (bijectively, since p is a bijection).
 
-    One dict, read off p's image positions, takes each label to its image;
-    each edge's image pair is then looked up in the graph's adjacency sets,
-    in one pass of iterators over the edge list.
+    One dict takes each label to its image's position, and each edge's image
+    is one bit test in the graph's masks.
     """
-    _check_domain(graph, p)
-    domain = p.domain
-    image = dict(zip(domain, map(domain.__getitem__, p._images))).__getitem__
-    tails, heads = map(image, map(itemgetter(0), graph.edges)), map(image, map(itemgetter(1), graph.edges))
-    return all(map(frozenset.__contains__, map(graph._adjacency.__getitem__, tails), heads))
+    image = dict(zip(graph.vertices, _graph_images(graph, p)))
+    masks = graph._masks
+    return all(masks[image[u]] >> image[v] & 1 for u, v in graph.edges)
 
 
 def induced_component_permutation(part: CoherentPartition, p: VertexPermutation) -> tuple[int, ...]:
@@ -517,22 +565,13 @@ def induced_component_permutation(part: CoherentPartition, p: VertexPermutation)
     vertex's image, and every other member must land in j too, with equal
     sizes, so that (p being a bijection) p maps component i onto component j.
     """
-    graph = part.graph
-    if p.domain == graph.vertices:
-        images = p._images
-    else:
-        _check_domain(graph, p)
-        images = tuple(graph.index(p(v)) for v in graph.vertices)
+    images = _graph_images(part.graph, p)
     component_of = part.component_of
     members = part.member_positions
     result = []
     for i, positions in enumerate(members):
         j = component_of[images[positions[0]]]
-        if (
-            j is None
-            or len(members[j]) != len(positions)
-            or any(component_of[images[r]] != j for r in positions)
-        ):
+        if len(members[j]) != len(positions) or any(component_of[images[r]] != j for r in positions):
             raise PreconditionViolation(
                 f"permutation does not map component {i + 1} onto a component"
             )

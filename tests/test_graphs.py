@@ -31,7 +31,17 @@ from anosovgraph.fixtures import (
     loop_end_chain,
     pentagon,
 )
-from tests_support_oracles import DictPermutation, component_order_group, is_identity, prec, preserves_prec
+from anosovgraph.graphs import graph_from_json_dict
+from tests_support_oracles import (
+    DictPermutation,
+    closed_neighborhood,
+    component_order_group,
+    is_identity,
+    label_coherent_components,
+    label_is_graph_automorphism,
+    prec,
+    preserves_prec,
+)
 
 
 def random_graph(rng, max_vertices=8):
@@ -125,6 +135,117 @@ class TestParsing:
         assert again == g
 
 
+class TestInputErrors:
+    """Each input error's exact message, and which offending item it names first."""
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            (["a", 1, 2.5], [], "vertex label must be a string: 1"),
+            (["a", "b"], [["a", "b"], ["a"]], "edge must be a pair: ['a']"),
+            (["a", "b"], [["a", "b", "a"]], "edge must be a pair: ['a', 'b', 'a']"),
+            (["a", "b"], ["ab"], "edge must be a pair: 'ab'"),
+            (["a", "b"], [{"a": "b"}], "edge must be a pair: {'a': 'b'}"),
+            (["a", "b"], [["a", 1]], "edge endpoints must be vertex labels (strings): ['a', 1]"),
+            (["a", "b"], [[None, "b"]], "edge endpoints must be vertex labels (strings): [None, 'b']"),
+            (["a", "b"], [["a", "z"]], "edge endpoint 'z' is not a listed vertex"),
+            (["a", "b"], [["y", "z"]], "edge endpoint 'y' is not a listed vertex"),
+            (["a", "b"], [["a", "a"]], "loop edge at 'a' (simple graphs only)"),
+            (["a", "b"], [["b", "a"], ["a", "b"]], "duplicate edge 'a'-'b'"),
+            (["b", "a"], [["a", "b"], ["a", "b"]], "duplicate edge 'b'-'a'"),
+            (["a", "b", "a"], [], "duplicate vertex label 'a'"),
+            (["a", "b", "b", "a"], [], "duplicate vertex label 'b'"),
+        ],
+        ids=[
+            "non-str-vertex", "short-edge", "long-edge", "string-edge", "dict-edge",
+            "non-str-endpoint", "null-endpoint", "unknown-head", "unknown-tail-first", "loop",
+            "duplicate-edge", "duplicate-edge-vertex-order", "duplicate-vertex", "first-duplicate-vertex",
+        ],
+    )
+    def test_json_message(self, vertices, edges, message):
+        with pytest.raises(GraphInputError) as err:
+            graph_from_json_dict({"vertices": vertices, "edges": edges})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            # good edges, then a loop, then an unknown endpoint and a duplicate
+            (
+                ["a", "b", "c"],
+                [["a", "b"], ["b", "c"], ["c", "c"], ["a", "z"], ["b", "a"]],
+                "loop edge at 'c' (simple graphs only)",
+            ),
+            # an unknown endpoint before a loop and a duplicate
+            (
+                ["a", "b", "c"],
+                [["a", "b"], ["c", "z"], ["a", "a"], ["a", "b"]],
+                "edge endpoint 'z' is not a listed vertex",
+            ),
+            # a duplicate before a loop
+            (["a", "b", "c"], [["c", "a"], ["b", "c"], ["a", "c"], ["b", "b"]], "duplicate edge 'a'-'c'"),
+            # the first bad endpoint of an edge whose both endpoints are unknown, after good edges
+            (["a", "b"], [["a", "b"], ["x", "y"]], "edge endpoint 'x' is not a listed vertex"),
+            # a non-pair edge after a non-str endpoint: the earlier edge is named
+            (["a", "b"], [["a", "b"], ["a", 1], ["a"]], "edge endpoints must be vertex labels (strings): ['a', 1]"),
+            # a non-str endpoint after a non-pair edge
+            (["a", "b"], [["a", "b"], ["a"], ["a", 1]], "edge must be a pair: ['a']"),
+            # the shape of every edge is checked before any endpoint is looked up
+            (["a", "b"], [["a", "z"], ["a", "a"], ["a"]], "edge must be a pair: ['a']"),
+            # every vertex label is checked before any edge, and before duplicate vertices
+            (["a", "a", 3], [["a"]], "vertex label must be a string: 3"),
+            # a duplicate vertex before any edge error
+            (["a", "b", "a"], [["a", "z"], ["b", "b"]], "duplicate vertex label 'a'"),
+            # edge shapes before a duplicate vertex
+            (["a", "b", "a"], [["a", "b"], ["a"]], "edge must be a pair: ['a']"),
+        ],
+        ids=[
+            "loop-first", "unknown-first", "duplicate-first", "unknown-after-good",
+            "endpoint-before-pair", "pair-before-endpoint", "shape-before-lookup",
+            "vertex-types-first", "duplicate-vertex-before-edges", "shape-before-duplicate-vertex",
+        ],
+    )
+    def test_json_first_offender(self, vertices, edges, message):
+        with pytest.raises(GraphInputError) as err:
+            graph_from_json_dict({"vertices": vertices, "edges": edges})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            (["a", "b"], [("a", "z")], "edge endpoint 'z' is not a listed vertex"),
+            (["a", "b"], [("y", "z")], "edge endpoint 'y' is not a listed vertex"),
+            (["a", "b"], [("b", "b")], "loop edge at 'b' (simple graphs only)"),
+            (["a", "b"], [("b", "a"), ("a", "b")], "duplicate edge 'a'-'b'"),
+            (["b", "a"], [("b", "a"), ("a", "b")], "duplicate edge 'b'-'a'"),
+            (["a", "b", "a"], [("a", "z")], "duplicate vertex label 'a'"),
+            (["a", "b", "c"], [("a", "b"), ("c", "b"), ("b", "c"), ("a", "a")], "duplicate edge 'b'-'c'"),
+            (["a", "b", "c"], [("a", "b"), ("c", "c"), ("b", "z")], "loop edge at 'c' (simple graphs only)"),
+            # labels are converted with str() before they are looked up
+            ([1, 2], [(1, 3)], "edge endpoint '3' is not a listed vertex"),
+            ([1, 2, "1"], [], "duplicate vertex label '1'"),
+        ],
+        ids=[
+            "unknown-head", "unknown-tail-first", "loop", "duplicate-edge", "duplicate-edge-vertex-order",
+            "duplicate-vertex", "mixed-duplicate", "mixed-loop", "str-endpoint", "str-vertex",
+        ],
+    )
+    def test_graph_message(self, vertices, edges, message):
+        with pytest.raises(GraphInputError) as err:
+            Graph(vertices, edges)
+        assert str(err.value) == message
+
+    def test_graph_converts_labels_with_str(self):
+        g = Graph([1, 2, 3], [(2, 1), ("3", 2)])
+        assert g.vertices == ("1", "2", "3")
+        assert g.edges == (("1", "2"), ("2", "3"))
+
+    def test_edges_in_canonical_order(self):
+        # each edge from its earlier vertex, edges by (earlier, later) input position
+        g = graph_from_json_dict({"vertices": ["c", "a", "b"], "edges": [["b", "a"], ["a", "c"], ["b", "c"]]})
+        assert g.edges == (("c", "a"), ("c", "b"), ("a", "b"))
+
+
 # ---------------------------------------------------------------------------
 # Neighborhoods and the precedence relation
 
@@ -132,25 +253,25 @@ class TestParsing:
 class TestNeighborhoods:
     def test_pentagon_open(self):
         g = pentagon()
-        open_n, closed_n = g.open_neighborhood("a"), g.closed_neighborhood("a")
+        open_n, closed_n = g.open_neighborhood("a"), closed_neighborhood(g, "a")
         assert open_n == {"b", "e"}
         assert closed_n == {"a", "b", "e"}
 
     def test_isolated_vertex(self):
         g = discrete_graph(3)
-        open_n, closed_n = g.open_neighborhood("v2"), g.closed_neighborhood("v2")
+        open_n, closed_n = g.open_neighborhood("v2"), closed_neighborhood(g, "v2")
         assert open_n == frozenset()
         assert closed_n == {"v2"}
 
     def test_k2_closed(self):
         g = complete_graph(2)
-        assert g.closed_neighborhood("v1") == {"v1", "v2"}
+        assert closed_neighborhood(g, "v1") == {"v1", "v2"}
 
     def test_unknown_vertex(self):
         with pytest.raises(GraphInputError):
             pentagon().open_neighborhood("z")
         with pytest.raises(GraphInputError):
-            pentagon().closed_neighborhood("z")
+            closed_neighborhood(pentagon(), "z")
 
 
 class TestPrec:
@@ -207,8 +328,8 @@ def brute_force_classes(g):
         for cls in classes:
             w = cls[0]
             if (
-                g.open_neighborhood(v) <= g.closed_neighborhood(w)
-                and g.open_neighborhood(w) <= g.closed_neighborhood(v)
+                g.open_neighborhood(v) <= closed_neighborhood(g, w)
+                and g.open_neighborhood(w) <= closed_neighborhood(g, v)
             ):
                 cls.append(v)
                 placed = True
@@ -321,6 +442,77 @@ def smallest_ready_index_components(graph):
         if graph.has_edge(components[i][0], components[j][0])
     )
     return components, {(relabel[i], relabel[j]) for i, j in strict}, quotient_edges
+
+
+def seeded_graph(rng, max_vertices=40):
+    """A graph of up to max_vertices vertices: complete, empty, random, or a blow-up of a
+    random base with twin classes of both kinds and isolated vertices; vertices and edges
+    listed in shuffled order, each edge in either direction."""
+    shape = rng.choice(["complete", "empty", "random", "blowup", "blowup", "blowup"])
+    n = rng.randint(1, max_vertices)
+    if shape in ("complete", "empty", "random"):
+        labels = [f"v{i}" for i in range(n)]
+        density = {"complete": 1.0, "empty": 0.0, "random": rng.random()}[shape]
+        edges = [e for e in itertools.combinations(labels, 2) if rng.random() < density]
+    else:
+        classes, total = [], 0
+        while total < n:
+            size = min(rng.randint(1, 4), n - total)
+            classes.append([f"c{len(classes)}_{t}" for t in range(size)])
+            total += size
+        k = len(classes)
+        density = rng.random()
+        edges = [
+            (u, v)
+            for i, j in itertools.combinations(range(k), 2)
+            if rng.random() < density
+            for u in classes[i]
+            for v in classes[j]
+        ]
+        for cls in classes:
+            if rng.random() < 0.5:
+                edges.extend(itertools.combinations(cls, 2))
+        labels = [v for cls in classes for v in cls]
+        labels += [f"iso{t}" for t in range(rng.randint(0, 3))]
+    rng.shuffle(labels)
+    rng.shuffle(edges)
+    return Graph(labels, [e[::-1] if rng.random() < 0.5 else e for e in edges])
+
+
+class TestMatchesLabelOracles:
+    """The bitmask graph layer against the label-frozenset code it replaced."""
+
+    def test_coherent_components(self):
+        rng = random.Random(2037)
+        fields = ("components", "kinds", "order_pairs", "quotient_edges", "member_positions", "component_of")
+        for _ in range(2000):
+            g = seeded_graph(rng)
+            part, expected = coherent_components(g), label_coherent_components(g)
+            assert {f: getattr(part, f) for f in fields} == expected, g.to_json_dict()
+
+    def test_is_graph_automorphism(self):
+        rng = random.Random(3037)
+        verdicts = []
+        for _ in range(400):
+            g = seeded_graph(rng, max_vertices=24)
+            domain = list(g.vertices)
+            # a shuffle inside every coherent component is an automorphism
+            inside = {}
+            for comp in label_coherent_components(g)["components"]:
+                images = list(comp)
+                rng.shuffle(images)
+                inside.update(zip(comp, images))
+            anywhere = dict(zip(domain, rng.sample(domain, len(domain))))
+            a, b = rng.choice(domain), rng.choice(domain)
+            swap = {**{v: v for v in domain}, a: b, b: a}
+            for mapping in (inside, anywhere, swap):
+                reordered = rng.sample(domain, len(domain))
+                for on in (domain, reordered):
+                    p = VertexPermutation(on, mapping)
+                    verdict = is_graph_automorphism(g, p)
+                    assert verdict == label_is_graph_automorphism(g, p), (g.to_json_dict(), p)
+                    verdicts.append(verdict)
+        assert verdicts.count(True) > 800 and verdicts.count(False) > 200
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,21 @@ commutation check the witness ran on V+W, and the label-dict vertex
 permutation with its closure and component action, as `graphs` and
 `holonomy` computed them before positions, and the position closure of
 the whole group in canonical order that stabilizer chains replaced. Also the
-graph helpers that only
-tests use: the precedence relation, its preservation, the brute-force group
-of order-preserving component permutations, path graphs, and whether a
-permutation is the identity. And the
+graph helpers that only tests use: the closed neighborhood, the precedence
+relation, its preservation, the brute-force group of order-preserving
+component permutations, path graphs, and whether a permutation is the
+identity. And the
 product of f^e over (factor, multiplicity) pairs, which gives the V+W
 characteristic polynomial from `liealg.extension_factors`. And a cancellation
 token that counts its polls, and the x + 1/x substitution as a recurrence on
 polynomials. And the coefficient-list Euclid mod a prime that the packed
 `polynomials._monic_gcd_mod` replaced, and a polynomial shaped like the
 benchmark's whole-polynomial inputs. And the token-list parser of human
-polynomial syntax that `polynomials.parse_polynomial` replaced."""
+polynomial syntax that `polynomials.parse_polynomial` replaced. And
+`coherent_components` and `is_graph_automorphism` on label frozensets, as
+they ran before the graph layer moved to position bitmasks."""
 
+import heapq
 import itertools
 import re
 from math import lcm
@@ -226,12 +229,96 @@ def path_graph(n, prefix="v"):
     return Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
 
 
+def closed_neighborhood(graph, v):
+    """The open neighborhood of v with v itself."""
+    return graph.open_neighborhood(v) | {v}
+
+
 def prec(graph, a, b):
     """True when the open neighborhood of a is contained in the closed one of b.
 
     Reflexive and transitive on every graph.
     """
-    return graph.open_neighborhood(a) <= graph.closed_neighborhood(b)
+    return graph.open_neighborhood(a) <= closed_neighborhood(graph, b)
+
+
+def label_adjacency(graph):
+    """Each vertex label's open neighborhood as a frozenset of labels, read off the edge list."""
+    adjacency = {v: set() for v in graph.vertices}
+    for u, v in graph.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
+
+
+def label_coherent_components(graph):
+    """`coherent_components` on label frozensets, as `graphs` computed it before position bitmasks.
+
+    Returns the fields of a `CoherentPartition` as a dict: the classes come
+    from hashing open and closed neighborhoods, the order from frozenset
+    containment between representatives, and the quotient edges from one
+    sorted component pair per graph edge.
+    """
+    verts = graph.vertices
+    open_n = label_adjacency(graph)
+    closed_n = {v: open_n[v] | {v} for v in verts}
+    open_twins, closed_twins = {}, {}
+    for v in verts:
+        open_twins.setdefault(open_n[v], []).append(v)
+        closed_twins.setdefault(closed_n[v], []).append(v)
+    raw_components, assigned = [], set()
+    for v in verts:
+        if v in assigned:
+            continue
+        comp = open_twins[open_n[v]]
+        if len(comp) == 1:
+            comp = closed_twins[closed_n[v]]
+        assigned.update(comp)
+        raw_components.append(comp)
+    reps = [comp[0] for comp in raw_components]
+    k = len(reps)
+    strict = {(i, j) for i in range(k) for j in range(k) if i != j and open_n[reps[i]] <= closed_n[reps[j]]}
+    successors, indegree = [[] for _ in range(k)], [0] * k
+    for i, j in strict:
+        successors[i].append(j)
+        indegree[j] += 1
+    ready = [i for i in range(k) if indegree[i] == 0]
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in successors[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
+    relabel = {old: new for new, old in enumerate(order)}
+    components = tuple(tuple(raw_components[old]) for old in order)
+    kinds = tuple(
+        "singleton" if len(comp) == 1 else "complete" if comp[1] in open_n[comp[0]] else "discrete"
+        for comp in components
+    )
+    component_of = {v: i for i, comp in enumerate(components) for v in comp}
+    quotient_edges = {
+        tuple(sorted((component_of[u], component_of[v])))
+        for u, v in graph.edges
+        if component_of[u] != component_of[v]
+    }
+    return {
+        "components": components,
+        "kinds": kinds,
+        "order_pairs": frozenset((relabel[i], relabel[j]) for i, j in strict),
+        "quotient_edges": tuple(sorted(quotient_edges)),
+        "member_positions": tuple(tuple(graph.index(v) for v in comp) for comp in components),
+        "component_of": tuple(component_of[v] for v in verts),
+    }
+
+
+def label_is_graph_automorphism(graph, p):
+    """`is_graph_automorphism` on label frozensets: each edge's image looked up in a neighborhood."""
+    if p.domain != graph.vertices and set(p.domain) != set(graph.vertices):
+        raise PermutationError("permutation domain does not match the graph's vertices")
+    adjacency = label_adjacency(graph)
+    return all(p(v) in adjacency[p(u)] for u, v in graph.edges)
 
 
 def preserves_prec(graph, p):
