@@ -78,10 +78,6 @@ class Graph:
         except KeyError:
             raise GraphInputError(f"unknown vertex {v!r}") from None
 
-    def has_edge(self, u: str, v: str) -> bool:
-        i, j = self._index.get(u), self._index.get(v)
-        return i is not None and j is not None and self._masks[i] >> j & 1 == 1
-
     def open_neighborhood(self, v: str) -> frozenset:
         mask = self._masks[self.index(v)]
         return frozenset(w for j, w in enumerate(self.vertices) if mask >> j & 1)
@@ -279,7 +275,10 @@ class VertexPermutation:
     @classmethod
     def identity(cls, domain) -> "VertexPermutation":
         domain = tuple(domain)
-        return cls(domain, {v: v for v in domain})
+        index = {v: i for i, v in enumerate(domain)}
+        if len(index) != len(domain):
+            raise PermutationError("domain lists a vertex twice")
+        return _on_positions(domain, index, tuple(range(len(domain))))
 
     @classmethod
     def from_cycles(cls, text: str, domain) -> "VertexPermutation":

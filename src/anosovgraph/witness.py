@@ -14,16 +14,16 @@ That polynomial is read off the block structure instead of the dense V + W
 matrix. Each conjugated block is a simultaneous permutation of its orbit's
 block, so it has the same characteristic polynomial, and that of the block
 seed^e comes from the seed's through power sums, s_k(seed^e) = s_ke(seed).
-The seed's polynomial takes no matrix arithmetic for a catalog seed, which
-carries the polynomial q it was built from and has polynomial q^d (see
-`CatalogSeed`); only a structured seed's is taken densely, once per plan
-and once in the search. The assembly asserts
-that the V-part is block-diagonal over the coherent components, and the
-bracket check proves that the W-part is the map induced on wedges with no
-V-rows in the wedge columns. Under those checked facts the polynomial is
-exactly the product of `extension_factors` of the block polynomials, and
-`certify_factors` certifies it through those few distinct factors; its
-certificate is the one the whole polynomial would get.
+Every seed is a `Seed`, which holds its polynomial and that polynomial's
+squarefree base beside its rows: a catalog lift's are q^d and q, read off
+the polynomial q it was lifted from with no matrix arithmetic, and a
+structured seed's polynomial is taken densely once, when the seed is built.
+The assembly asserts that the V-part is block-diagonal over the coherent
+components, and the bracket check proves that the W-part is the map induced
+on wedges with no V-rows in the wedge columns. Under those checked facts the
+polynomial is exactly the product of `extension_factors` of the block
+polynomials, and `certify_factors` certifies it through those few distinct
+factors; its certificate is the one the whole polynomial would get.
 
 A seed is the first candidate of `seed_catalog` that the exact certificate
 accepts at the orbit's level c. The candidates are integral and commute with
@@ -35,12 +35,12 @@ on to 24 points.
 
 `plan_blocks` is the one planner: a seed per orbit, searched once per
 distinct stabilizer restriction and level c, then the exponents at margin 2
-(see `choose_exponents`) from float estimates of the seeds' root moduli,
-which only steer: the root solver returns whatever it reached, and
-an orbit whose bounds cannot steer (the first orbit always, and any orbit
-whose bounds are degenerate, NaN or overflow) takes exponent 1. Floats never
-refuse a witness; the exact certificate of the one assembled matrix accepts
-or refuses it.
+(see `choose_exponents`) from float estimates of the root moduli of the
+seeds' bases, which only steer: the root solver returns whatever it
+reached, and an orbit whose bounds cannot steer (the first orbit always,
+and any orbit whose bounds are degenerate, NaN or overflow) takes exponent
+one. Floats never refuse a witness; the exact certificate of the one
+assembled matrix accepts or refuses it.
 
 Commutation with each generator's permutation matrix P is checked on V. Once
 `extend_rows` has succeeded, the map A keeps the span E of the edge wedges,
@@ -156,7 +156,56 @@ def _bass_unit(length: int) -> list[int]:
     return [x + (1 - a**phi) // length for x in u]
 
 
-def structured_seed(stabilizer_perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+class Seed(tuple):
+    """Integer seed rows, fixed together with their characteristic polynomial and its squarefree base.
+
+    ``char_poly`` is the characteristic polynomial of the rows, and ``base``
+    the squarefree polynomial with the same roots, from which
+    `log_modulus_bounds` reads the exponent bounds. `_lift_seed` and
+    `seed_from_rows` build seeds; each sets the rows and both polynomials
+    once, and nothing changes them later, so no rows are ever paired with
+    another matrix's polynomial.
+    """
+
+    def __new__(cls, rows, poly: IntPolynomial, base: IntPolynomial):
+        seed = super().__new__(cls, rows)
+        object.__setattr__(seed, "char_poly", poly)
+        object.__setattr__(seed, "base", base)
+        return seed
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a seed is immutable")
+
+
+def seed_from_rows(rows) -> Seed:
+    """Integer rows as a `Seed`: their polynomial taken densely, once, and its squarefree part as base."""
+    rows = tuple(map(tuple, rows))
+    p = char_poly(rows)
+    return Seed(rows, p, squarefree_part(p))
+
+
+def _lift_seed(small, q: IntPolynomial, cycles) -> Seed:
+    """The r x r seed ``small``, whose polynomial q is squarefree, lifted along r cycles of length d.
+
+    Every catalog polynomial and x^2 - 3x + 1 is squarefree (the tests check
+    it). rows[C_a[t]][C_b[t]] = small[a][b], and every other entry is 0. The
+    positions t = 0..d-1 split the basis into d sets that the rows keep, and
+    on each the rows are ``small``. So, up to a simultaneous permutation of
+    the basis, the rows are block-diagonal with d copies of ``small``
+    (small (x) I_d): their characteristic polynomial is q^d, and its
+    squarefree base is q itself, both with no matrix arithmetic and no gcd.
+    """
+    dim = sum(map(len, cycles))
+    rows = [[0] * dim for _ in range(dim)]
+    for a, ca in enumerate(cycles):
+        for b, cb in enumerate(cycles):
+            if small[a][b]:
+                for i, j in zip(ca, cb):
+                    rows[i][j] = small[a][b]
+    return Seed(map(tuple, rows), q ** len(cycles[0]), q)
+
+
+def structured_seed(stabilizer_perm: tuple[int, ...]) -> Seed:
     """D * prod_{i<j} (I + R_ij) * prod_{i>j} (I + R_ij) on the stabilizer's cycles C_1..C_r.
 
     R_ij has a 1 at (C_i[k], C_j[s]) when k = s mod gcd(|C_i|, |C_j|); D is
@@ -165,6 +214,7 @@ def structured_seed(stabilizer_perm: tuple[int, ...]) -> tuple[tuple[int, ...], 
     On the e-th isotypic part I + R_ij is I + (|C_j|/gcd) E_ij, so the
     unipotent product is a positive matrix there, and D puts a cyclotomic
     unit on each part of multiplicity 1; `find_seed` certifies the result.
+    Its polynomial is taken densely, once, by `seed_from_rows`.
     """
     dim = len(stabilizer_perm)
     cycles = index_cycles(stabilizer_perm)
@@ -183,62 +233,24 @@ def structured_seed(stabilizer_perm: tuple[int, ...]) -> tuple[tuple[int, ...], 
         for row in rows:  # times I + R_ij: add columns of C_i to those of C_j
             for s, b in enumerate(cj):
                 row[b] += sum(row[a] for a in ci[s % g :: g])
-    return tuple(tuple(row) for row in rows)
-
-
-class CatalogSeed(tuple):
-    """The rows of a catalog seed, fixed together with the polynomial it was built from.
-
-    ``CatalogSeed(small, base, cycles)`` lifts the r x r seed ``small``,
-    whose characteristic polynomial is ``base``, along r cycles of one length
-    d: rows[C_a[t]][C_b[t]] = small[a][b], and every other entry is 0. The
-    positions t = 0..d-1 split the basis into d sets that the rows keep, and
-    on each the rows are ``small``. So, up to a simultaneous permutation of
-    the basis, the rows are block-diagonal with d copies of ``small``
-    (small (x) I_d), and their characteristic polynomial, `char_poly`, is
-    base^d. The rows and ``base`` are set here only; nothing changes them
-    later.
-    """
-
-    def __new__(cls, small, base: IntPolynomial, cycles):
-        dim = sum(map(len, cycles))
-        rows = [[0] * dim for _ in range(dim)]
-        for a, ca in enumerate(cycles):
-            for b, cb in enumerate(cycles):
-                if small[a][b]:
-                    for i, j in zip(ca, cb):
-                        rows[i][j] = small[a][b]
-        seed = super().__new__(cls, map(tuple, rows))
-        object.__setattr__(seed, "base", base)
-        return seed
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a catalog seed is immutable")
-
-    @property
-    def char_poly(self) -> IntPolynomial:
-        return self.base ** (len(self) // self.base.degree)
-
-
-def _seed_char_poly(rows) -> IntPolynomial:
-    """The characteristic polynomial of seed rows: read off a `CatalogSeed`, otherwise taken densely."""
-    return rows.char_poly if isinstance(rows, CatalogSeed) else char_poly(rows)
+    return seed_from_rows(rows)
 
 
 def seed_catalog(stabilizer_perm: tuple[int, ...]):
-    """Finite ordered stream of candidate integer seed matrices for one orbit block.
+    """Finite ordered stream of candidate `Seed`s for one orbit block.
 
     stabilizer_perm is the stabilizer's permutation of the component; its
     length is the dimension. When all its cycles have one length d, catalog
     seeds lifted along the cycles come first (a trivial stabilizer gets the
-    catalog itself): each is a `CatalogSeed`, which carries the polynomial q
-    it was built from, so its characteristic polynomial q^d needs no matrix
-    arithmetic. `structured_seed` comes last, as plain rows. Each candidate
-    is integral and commutes with the stabilizer by construction; none is
-    proved hyperbolic. The tests build a witness from one for every cycle
-    type that the criterion calls yes on one component of at most 16 points,
-    at c = 1 and 2, and tests/sweep_witnesses.py goes on to 24 points
-    (`structured_seed` alone certifies all 413 such types on at most 16).
+    catalog itself): each carries the polynomial q it was lifted from as its
+    base, so its characteristic polynomial q^d needs no matrix arithmetic.
+    `structured_seed` comes last, with its polynomial taken densely when it
+    is built. Each candidate is integral and commutes with the stabilizer by
+    construction; none is proved hyperbolic. The tests build a witness from
+    one for every cycle type that the criterion calls yes on one component
+    of at most 16 points, at c = 1 and 2, and tests/sweep_witnesses.py goes
+    on to 24 points (`structured_seed` alone certifies all 413 such types on
+    at most 16).
     """
     # When all cycles have one length d, a seed B on the space of cycles lifts
     # to B (x) identity along each cycle; the lift commutes with the
@@ -250,36 +262,32 @@ def seed_catalog(stabilizer_perm: tuple[int, ...]):
     if len(lengths) == 1:
         r = len(cycles)
         if r == 2:
-            yield CatalogSeed(CAT_MAP_ROWS, CAT_MAP_POLY, cycles)
+            yield _lift_seed(CAT_MAP_ROWS, CAT_MAP_POLY, cycles)
         for q in catalog_polynomials(r):
-            yield CatalogSeed(companion_rows(q), q, cycles)
+            yield _lift_seed(companion_rows(q), q, cycles)
     yield structured_seed(stabilizer_perm)
 
 
-def find_seed(
-    stabilizer_perm: tuple[int, ...], c: int
-) -> tuple[tuple[tuple[int, ...], ...], HyperbolicityCertificate]:
+def find_seed(stabilizer_perm: tuple[int, ...], c: int) -> tuple[Seed, HyperbolicityCertificate]:
     """First certified seed commuting with stabilizer_perm, in `seed_catalog` order.
 
     Candidates commute with the stabilizer by construction; integer-likeness
-    and the exact c-hyperbolicity certificate of the candidate's
-    characteristic polynomial alone accept one. That polynomial is q^d for a
-    `CatalogSeed`, and is taken densely only for the structured candidate.
-    The tests cover every yes cycle type on one component of at most 16
-    points, and tests/sweep_witnesses.py up to 24. SeedSearchExhausted means
-    that no candidate certified, never that no seed exists.
+    and the exact c-hyperbolicity certificate of the polynomial each
+    candidate carries alone accept one. The tests cover every yes cycle
+    type on one component of at most 16 points, and tests/sweep_witnesses.py
+    up to 24. SeedSearchExhausted means that no candidate certified, never
+    that no seed exists.
     """
     dim = len(stabilizer_perm)
     tried = 0
-    for rows in seed_catalog(stabilizer_perm):
+    for seed in seed_catalog(stabilizer_perm):
         checkpoint()
         tried += 1
-        p = _seed_char_poly(rows)
-        if not is_integer_like(p):
+        if not is_integer_like(seed.char_poly):
             continue
-        cert = certify_polynomial(p, c)
+        cert = certify_polynomial(seed.char_poly, c)
         if cert.valid:
-            return rows, cert
+            return seed, cert
     raise SeedSearchExhausted(
         f"no seed candidate certified (dim {dim}, c={c}, {tried} candidates)",
         candidates_tried=tried,
@@ -331,22 +339,18 @@ def _aberth_roots(p: IntPolynomial) -> list[complex]:
     return roots
 
 
-def log_modulus_bounds(p: IntPolynomial | CatalogSeed) -> tuple[float, float]:
-    """(min, max) of |log|root|| over the roots of p (with p(0) != 0), numerically.
+def log_modulus_bounds(base: IntPolynomial) -> tuple[float, float]:
+    """(min, max) of |log|root|| over the roots of base, numerically.
 
-    The roots are taken on the exact squarefree part of p: the same roots,
-    each simple. A lifted seed's char poly is a power, and a float solver
-    spreads a root of multiplicity m by about eps^(1/m); on (x^2 - 3x + 1)^3
-    the spread is about 1e-5, while the simple roots of x^2 - 3x + 1 come out
-    to a few ulps. p may also be a `CatalogSeed`, which stands for its
-    polynomial q^d: the squarefree part of q^d is q itself, since every
-    catalog polynomial and x^2 - 3x + 1 is squarefree (the tests check it),
-    so q is read with no gcd and the bounds are those of q^d. The bounds are
-    estimates that only steer `choose_exponents`: they may be inaccurate,
-    infinite or NaN.
+    base must be squarefree with base(0) != 0: a seed's ``base``, which has
+    the roots of its polynomial, each simple. A lifted seed's polynomial is a
+    power, and a float solver spreads a root of multiplicity m by about
+    eps^(1/m); on (x^2 - 3x + 1)^3 the spread is about 1e-5, while the simple
+    roots of x^2 - 3x + 1 come out to a few ulps. The bounds are estimates
+    that only steer `choose_exponents`: they may be inaccurate, infinite or
+    NaN.
     """
-    squarefree = p.base if isinstance(p, CatalogSeed) else squarefree_part(p)
-    logs = [abs(log(abs(z))) for z in _aberth_roots(squarefree)]
+    logs = [abs(log(abs(z))) for z in _aberth_roots(base)]
     return min(logs), max(logs)
 
 
@@ -385,13 +389,8 @@ class OrbitSeedPlan:
     carries the block seed^exponent, and its conjugators copy that block to the other members."""
 
     orbit: OrbitData
-    seed: tuple[tuple[int, ...], ...]
+    seed: Seed
     exponent: int
-
-    @cached_property
-    def seed_char_poly(self) -> IntPolynomial:
-        """The seed's characteristic polynomial: q^d for a `CatalogSeed`, else taken densely once per plan."""
-        return _seed_char_poly(self.seed)
 
     @cached_property
     def block_char_poly(self) -> IntPolynomial:
@@ -401,7 +400,7 @@ class OrbitSeedPlan:
         sum is the seed's (k * exponent)-th; `from_power_sums` checks every
         division.
         """
-        p, e = self.seed_char_poly, self.exponent
+        p, e = self.seed.char_poly, self.exponent
         return from_power_sums(power_sums(p, p.degree * e)[::e])
 
 
@@ -452,7 +451,7 @@ class Witness:
                     "orbit_rep": p.orbit.rep + 1,
                     "seed": p.seed,
                     "exponent": p.exponent,
-                    "seed_char_poly": list(p.seed_char_poly.coefficients),
+                    "seed_char_poly": list(p.seed.char_poly.coefficients),
                     "conjugators": [
                         [comp + 1, h.cycle_string()] for comp, h in p.orbit.conjugators
                     ],
@@ -466,7 +465,7 @@ class Witness:
         for p in self.plan:
             lines.append(
                 f"orbit of component {p.orbit.rep + 1}: seed char poly "
-                f"{format_polynomial(p.seed_char_poly)}, exponent {p.exponent}"
+                f"{format_polynomial(p.seed.char_poly)}, exponent {p.exponent}"
             )
             for comp, h in p.orbit.conjugators:
                 lines.append(f"  component {comp + 1} = conjugate by {h.cycle_string()}")
@@ -509,11 +508,10 @@ def plan_blocks(action: HolonomyAction) -> tuple[OrbitSeedPlan, ...]:
 
     Each seed commutes with the orbit's stabilizer on its representative;
     `choose_exponents` reads the exponents off the log-modulus bounds of
-    the seeds' characteristic polynomials. `find_seed` and
-    `log_modulus_bounds` are pure, so each runs once per distinct
-    (restriction, c), and the orbits with that key share its seed and
-    bounds. A catalog seed's bounds are read off its base q (see
-    `log_modulus_bounds`). A non-cyclic stabilizer is refused: the
+    the seeds' squarefree bases, which every `Seed` holds: q for a catalog
+    lift, with no gcd. `find_seed` and `log_modulus_bounds` are pure, so
+    each runs once per distinct (restriction, c), and the orbits with that
+    key share its seed and bounds. A non-cyclic stabilizer is refused: the
     criterion is undecided there.
     """
     keys = []
@@ -522,15 +520,10 @@ def plan_blocks(action: HolonomyAction) -> tuple[OrbitSeedPlan, ...]:
         if restriction is None:
             raise WitnessRefused("non-cyclic stabilizer; the criterion is undecided here")
         keys.append((restriction, orbit.c))
-    seeds = {key: find_seed(*key) for key in dict.fromkeys(keys)}
-    bounds = {
-        key: log_modulus_bounds(seed if isinstance(seed, CatalogSeed) else cert.char_poly)
-        for key, (seed, cert) in seeds.items()
-    }
+    seeds = {key: find_seed(*key)[0] for key in dict.fromkeys(keys)}
+    bounds = {key: log_modulus_bounds(seed.base) for key, seed in seeds.items()}
     exponents = choose_exponents([bounds[key] for key in keys])
-    return tuple(
-        OrbitSeedPlan(orbit, seeds[key][0], k) for orbit, key, k in zip(action.orbits, keys, exponents)
-    )
+    return tuple(OrbitSeedPlan(orbit, seeds[key], k) for orbit, key, k in zip(action.orbits, keys, exponents))
 
 
 def _require_yes(action: HolonomyAction) -> None:

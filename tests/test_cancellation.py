@@ -19,7 +19,7 @@ from anosovgraph.graphs import VertexPermutation, coherent_components, complete_
 from anosovgraph.holonomy import _stabilizer_chain, build_action
 from anosovgraph.hyperbolicity import _power_product, char_poly
 from anosovgraph.liealg import brackets_preserved, extend_rows
-from anosovgraph.polynomials import IntPolynomial, palindromic_to_interval_poly, squarefree_part
+from anosovgraph.polynomials import IntPolynomial, palindromic_to_interval_poly
 from anosovgraph.witness import (
     ABERTH_MAX_SWEEPS,
     CAT_MAP_ROWS,
@@ -28,6 +28,8 @@ from anosovgraph.witness import (
     find_seed,
     log_modulus_bounds,
     plan_blocks,
+    seed_from_rows,
+    structured_seed,
 )
 
 from tests_support_oracles import CancelOnCheck, factor_product
@@ -143,46 +145,57 @@ def first_orbit_plan():
     return replace(plan, exponent=3)
 
 
+STRUCTURED_PERM = (1, 0, 2, 4, 3)  # the stabilizer of (v1 v2)(v4 v5) on discrete v1..v5
+
+
 def structured_plan():
     """The plan of discrete v1..v5 with holonomy (v1 v2)(v4 v5), whose seed is
-    `structured_seed` as plain rows, with nothing cached."""
+    `structured_seed`, with nothing cached."""
     graph = discrete_graph(5)
     gen = VertexPermutation.from_cycles("(v1 v2)(v4 v5)", graph.vertices)
     (plan,) = plan_blocks(build_action(coherent_components(graph), [gen]))
-    assert type(plan.seed) is tuple
+    assert plan.seed == structured_seed(STRUCTURED_PERM)
     return plan
 
 
 class TestStagesOutsideTheKernels:
-    """The plan's seed polynomial, dense for a structured seed, its block
-    polynomial and the log-modulus bounds run kernels that poll, with no
-    argument to pass."""
+    """Building a structured seed takes its dense polynomial and squarefree
+    base, and the plan's block polynomial and the log-modulus bounds run
+    kernels that poll, with no argument to pass."""
 
     def test_seed_char_poly_polls(self):
         with CancelOnCheck() as token:
-            structured_plan().seed_char_poly
+            seed = structured_seed(STRUCTURED_PERM)
         assert token.checks > 0
         cancelled = CancelToken()
         cancelled.cancel()
-        plan = structured_plan()
         with cancelled, pytest.raises(OperationCancelled):
-            plan.seed_char_poly
+            structured_seed(STRUCTURED_PERM)
+        with cancelled, pytest.raises(OperationCancelled):
+            seed_from_rows(seed)
+
+    def test_plan_reads_the_seed_polynomial_without_polling(self):
+        # taken when the seed was built: the plan's seed polynomial needs no further work
+        plan = structured_plan()
+        cancelled = CancelToken()
+        cancelled.cancel()
+        with cancelled:
+            p = plan.seed.char_poly
+        assert p == char_poly(plan.seed)
 
     def test_block_char_poly_polls(self):
-        plan = first_orbit_plan()
-        plan.seed_char_poly  # taken outside: only the block's own polls count
+        plan = first_orbit_plan()  # its seed brought its polynomial: only the block's own polls count
         with CancelOnCheck() as token:
             plan.block_char_poly
         assert token.checks > 0
         cancelled = CancelToken()
         cancelled.cancel()
         plan = first_orbit_plan()
-        plan.seed_char_poly
         with cancelled, pytest.raises(OperationCancelled):
             plan.block_char_poly
 
     def test_log_modulus_bounds_polls(self):
-        p = first_orbit_plan().seed_char_poly
+        p = first_orbit_plan().seed.base
         with CancelOnCheck() as token:
             bounds = log_modulus_bounds(p)
         assert token.checks > 0
@@ -198,7 +211,7 @@ class TestStagesOutsideTheKernels:
         graph = discrete_graph(16)
         gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
         (orbit,) = build_action(coherent_components(graph), [gen]).orbits
-        p = squarefree_part(find_seed(orbit.stabilizer.restriction, orbit.c)[1].char_poly)
+        p = find_seed(orbit.stabilizer.restriction, orbit.c)[0].base
         with CancelOnCheck() as token:
             roots = _aberth_roots(p)
         assert token.checks == ABERTH_MAX_SWEEPS

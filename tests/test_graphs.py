@@ -36,6 +36,7 @@ from tests_support_oracles import (
     DictPermutation,
     closed_neighborhood,
     component_order_group,
+    has_edge,
     is_identity,
     label_coherent_components,
     label_is_graph_automorphism,
@@ -383,7 +384,7 @@ class TestCoherentComponents:
         part = coherent_components(g)
         for comp in part.components:
             pairs = list(itertools.combinations(comp, 2))
-            present = [g.has_edge(u, v) for u, v in pairs]
+            present = [has_edge(g, u, v) for u, v in pairs]
             assert all(present) or not any(present)
 
     @given(graphs())
@@ -391,7 +392,7 @@ class TestCoherentComponents:
     def test_cross_adjacency_all_or_nothing(self, g):
         part = coherent_components(g)
         for ci, cj in itertools.combinations(part.components, 2):
-            present = [g.has_edge(u, v) for u in ci for v in cj]
+            present = [has_edge(g, u, v) for u in ci for v in cj]
             assert all(present) or not any(present)
 
     @given(graphs())
@@ -439,7 +440,7 @@ def smallest_ready_index_components(graph):
     components = tuple(tuple(raw[old]) for old in order)
     quotient_edges = tuple(
         (i, j) for i in range(k) for j in range(i + 1, k)
-        if graph.has_edge(components[i][0], components[j][0])
+        if has_edge(graph, components[i][0], components[j][0])
     )
     return components, {(relabel[i], relabel[j]) for i, j in strict}, quotient_edges
 
@@ -529,7 +530,7 @@ class TestAutomorphism:
         g = complete_bipartite(3, 3)
         swap = VertexPermutation.from_cycles("(a1 b1)(a2 b2)(a3 b3)", g.vertices)
         # oracle: check all nine edges directly
-        assert all(g.has_edge(swap(u), swap(v)) for u, v in g.edges)
+        assert all(has_edge(g, swap(u), swap(v)) for u, v in g.edges)
         assert is_graph_automorphism(g, swap)
 
     def test_four_cycle_transposition_fails(self):
@@ -658,6 +659,24 @@ class TestVertexPermutation:
         assert is_identity(VertexPermutation.from_cycles("", dom))
         assert is_identity(VertexPermutation.from_cycles("()", dom))
         assert VertexPermutation.identity(dom).cycle_string() == "()"
+
+    def test_identity_equals_the_mapping_built_identity(self):
+        # built on positions, with no label mapping: the same permutation, on any listing of the domain
+        rng = random.Random(11)
+        for n in (0, 1, 2, 5, 120):
+            dom = [f"v{i}" for i in range(n)]
+            for order in (dom, dom[::-1], rng.sample(dom, n)):
+                ident = VertexPermutation.identity(order)
+                mapped = VertexPermutation(order, {v: v for v in order})
+                assert ident == mapped and hash(ident) == hash(mapped)
+                assert ident.domain == tuple(order) and ident.positions == tuple(range(n))
+                assert all(ident(v) == v for v in order)
+                assert ident * mapped == mapped * ident == mapped
+
+    def test_identity_refuses_a_repeated_label(self):
+        for dom in (["a", "a"], ["a", "b", "c", "b"], ("x", "y", "x")):
+            with pytest.raises(PermutationError, match="^domain lists a vertex twice$"):
+                VertexPermutation.identity(dom)
 
     def test_bad_cycles(self):
         dom = ["a", "b"]

@@ -9,7 +9,7 @@ the graphs classes are read only inside graphs. Cancellation reaches the
 kernels through the active token alone: no function takes a `cancel`
 parameter, and only errors, which defines `checkpoint`, touches
 contextvars. It also pins the stored fields of the result records, which
-keep no copy of a derivable value.
+keep no copy of a derivable value, and the two facts a witness seed holds.
 """
 
 import ast
@@ -165,3 +165,14 @@ STORED_FIELDS = {
 def test_result_records_store_only_underived_fields(module, record):
     cls = getattr(importlib.import_module(f"anosovgraph.{module}"), record)
     assert tuple(f.name for f in dataclasses.fields(cls)) == STORED_FIELDS[module, record]
+
+
+def test_seed_stores_its_rows_polynomial_and_base():
+    # a `witness.Seed` is its rows with two facts fixed beside them when it is
+    # built: its characteristic polynomial and that polynomial's squarefree base
+    from anosovgraph.witness import Seed, seed_catalog
+
+    for perm in ((1, 0, 3, 2), (1, 0, 2)):  # catalog lifts and a structured seed; a structured seed alone
+        for seed in seed_catalog(perm):
+            assert type(seed) is Seed and tuple(vars(seed)) == ("char_poly", "base")
+            assert all(type(row) is tuple for row in seed)

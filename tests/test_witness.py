@@ -55,8 +55,8 @@ from anosovgraph.repdecomp import decide
 from anosovgraph.witness import (
     CAT_MAP_POLY,
     CAT_MAP_ROWS,
-    CatalogSeed,
     OrbitSeedPlan,
+    Seed,
     assemble_witness,
     build_witness,
     catalog_polynomials,
@@ -66,6 +66,7 @@ from anosovgraph.witness import (
     log_modulus_bounds,
     plan_blocks,
     seed_catalog,
+    seed_from_rows,
     structured_seed,
 )
 
@@ -285,7 +286,10 @@ class TestSeedSearch:
         candidates, calls = counted
         with contextlib.suppress(SeedSearchExhausted):
             find_seed(perm, c)
-        assert calls == [structured_seed(perm)] == candidates[-1:]
+        # the one dense polynomial is taken when the structured candidate is built, on its rows
+        (dense,) = calls
+        assert dense == candidates[-1] == structured_seed(perm)
+        assert candidates[-1].char_poly == char_poly(dense)
 
     @pytest.mark.parametrize("case", ["I-modified m=3", "discrete 8"])
     def test_one_char_poly_per_candidate_and_orbit_in_a_witness_run(self, counted, case):
@@ -301,15 +305,35 @@ class TestSeedSearch:
         report.to_json()
         report.to_text()
         assert report.witness is not None
-        assert all(isinstance(rows, CatalogSeed) for rows in candidates)
+        # every candidate is a catalog lift: its base is the cat map's polynomial or a catalog polynomial
+        for seed in candidates:
+            r = seed.base.degree
+            assert seed.base in (CAT_MAP_POLY, *catalog_polynomials(r)), seed.base
+            assert seed.char_poly == seed.base ** (len(seed) // r)
         assert calls == []
+
+    def test_structured_seed_polynomial_is_taken_once_per_witness(self, counted):
+        """discrete v1..v16 with (v1 v2)(v3 v4): its stabilizer has mixed cycle
+        lengths, so the seed is `structured_seed`. Its dense polynomial is
+        taken once, when the seed is built; the plan, the assembly and the
+        renderers read it off the seed."""
+        candidates, calls = counted
+        graph = discrete_graph(16)
+        gen = VertexPermutation.from_cycles("(v1 v2)(v3 v4)", graph.vertices)
+        witness = build_witness(build_action(coherent_components(graph), [gen]))
+        witness.to_json_dict()
+        witness.to_text()
+        (plan,) = witness.plan
+        assert candidates == [plan.seed] and len(calls) == 1
+        assert plan.seed.char_poly == char_poly(calls[0])
 
     def test_catalog_candidates_carry_their_dense_polynomial(self):
         """Oracle: on every uniform cycle type on at most 16 points, lifts
-        included, each catalog candidate's polynomial q^d is the dense
-        `char_poly` of its rows; the structured candidate comes last, as plain rows."""
+        included, each candidate's polynomial is the dense `char_poly` of its
+        rows, and its base is squarefree with the same roots: q^d and q for a
+        catalog lift. The structured candidate comes last."""
         rng = random.Random(5)
-        checked = 0
+        checked = structured = 0
         for n in range(1, 17):
             for d in (d for d in range(1, n + 1) if n % d == 0):
                 points = list(range(n))
@@ -321,12 +345,17 @@ class TestSeedSearch:
                             perm[a] = b
                     perm = tuple(perm)
                     *catalog, last = seed_catalog(perm)
-                    assert type(last) is tuple and last == structured_seed(perm)
+                    assert last == structured_seed(perm)
                     for rows in catalog:
-                        assert isinstance(rows, CatalogSeed) and commutes_with_perm(rows, perm)
-                        assert rows.char_poly == rows.base ** d == char_poly(rows), (perm, rows.base)
+                        assert rows.char_poly == rows.base ** d, (perm, rows.base)
+                    for rows in catalog + [last]:
+                        assert type(rows) is Seed and commutes_with_perm(rows, perm)
+                        assert rows.char_poly == char_poly(rows), (perm, rows.base)
+                        # squarefree, with the polynomial's roots: the squarefree part of either is the base
+                        assert squarefree_part(rows.base) == rows.base == squarefree_part(rows.char_poly)
                         checked += 1
-        assert checked == 374
+                    structured += 1
+        assert (checked, structured) == (374 + 100, 100)
 
     def test_catalog_polynomials_are_squarefree(self):
         # so a catalog seed's bounds may be read off q instead of squarefree_part(q^d)
@@ -336,14 +365,17 @@ class TestSeedSearch:
             assert squarefree_part(q) == q, q
         assert len(polys) == 74
 
-    def test_catalog_seed_is_immutable(self):
-        seed = next(seed_catalog((1, 0, 3, 2)))
-        with pytest.raises(AttributeError):
-            seed.base = IntPolynomial((1, -1))
+    def test_seed_is_immutable(self):
+        for seed in (next(seed_catalog((1, 0, 3, 2))), structured_seed((1, 0, 2))):
+            for name in ("base", "char_poly", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(seed, name, IntPolynomial((1, -1)))
         # a plan given other rows reads their polynomial, not the catalog seed's
+        seed = next(seed_catalog((1, 0, 3, 2)))
         (orbit,) = action_for(discrete_graph(4), "(v1 v2)(v3 v4)").orbits
-        plan = replace(OrbitSeedPlan(orbit, seed, 1), seed=tuple(seed))
-        assert plan.seed_char_poly == char_poly(seed) == seed.char_poly
+        plan = replace(OrbitSeedPlan(orbit, seed, 1), seed=seed_from_rows(seed))
+        assert plan.seed.char_poly == char_poly(seed) == seed.char_poly
+        assert plan.seed.base == seed.base
 
     def test_cancel(self):
         token = CancelToken()
@@ -453,9 +485,13 @@ class TestLogBounds:
         assert hi == pytest.approx(0.8097, abs=1e-3)
 
     def test_repeated_roots_do_not_spread(self):
+        # rows whose polynomial is the cube of the cat map's: their base is
+        # the cat map's own polynomial, with simple roots
         cat = IntPolynomial((1, -3, 1))
-        cube = log_modulus_bounds(cat * cat * cat)
-        assert cube == pytest.approx(log_modulus_bounds(cat), rel=0, abs=1e-12)
+        rows = next(seed_catalog((1, 2, 0, 4, 5, 3)))  # the cat map lifted along two 3-cycles
+        cube = seed_from_rows(rows)
+        assert cube.char_poly == cat * cat * cat and cube.base == cat
+        assert log_modulus_bounds(cube.base) == pytest.approx(log_modulus_bounds(cat), rel=0, abs=1e-12)
 
     def test_unconverged_iteration_returns_finite_bounds(self, monkeypatch):
         """An iteration cut short still steers: its bounds are finite, and the
@@ -474,18 +510,21 @@ class TestLogBounds:
         ordered pair of seeds, also where 2 * max_i / min_j is an integer:
         there choose_exponents' relative slack of 1e-9 lies above the error of
         either solver."""
-        seeds = sorted(
-            {find_seed(o.stabilizer.restriction, o.c)[1].char_poly for o in yes_orbits(12)},
-            key=lambda p: p.coefficients,
-        )
+        bases = {}
+        for o in yes_orbits(12):
+            seed = find_seed(o.stabilizer.restriction, o.c)[0]
+            bases[seed.char_poly] = seed.base
+        seeds = sorted(bases, key=lambda p: p.coefficients)
         assert len(seeds) == 93
         pure, oracle = [], []
         for p in seeds:
             logs = [abs(log(abs(z))) for z in np.roots(squarefree_part(p).coefficients[::-1])]
             oracle.append((min(logs), max(logs)))
-            pure.append(log_modulus_bounds(p))
+            pure.append(log_modulus_bounds(bases[p]))
+            assert pure[-1] == pytest.approx(oracle[-1], rel=1e-9, abs=0), p
             for power in (p, p * p, p * p * p):
-                assert log_modulus_bounds(power) == pytest.approx(oracle[-1], rel=1e-9, abs=0), power
+                bounds = log_modulus_bounds(squarefree_part(power))
+                assert bounds == pytest.approx(oracle[-1], rel=1e-9, abs=0), power
         for i, j in itertools.product(range(len(seeds)), repeat=2):
             assert choose_exponents([pure[i], pure[j]]) == choose_exponents(
                 [oracle[i], oracle[j]]
@@ -784,7 +823,7 @@ class TestBlockCharPoly:
     @example([[0, 0], [0, 0]], 3)
     @example([[1, 2, 3], [2, 4, 6], [0, 1, -1]], 4)  # rank 2
     def test_matches_dense_power_on_integer_matrices(self, rows, exponent):
-        seed = tuple(map(tuple, rows))
+        seed = seed_from_rows(rows)
         plan = OrbitSeedPlan(orbit=None, seed=seed, exponent=exponent)  # the orbit is not read
         assert plan.block_char_poly == dense_block_char_poly(seed, exponent)
 
@@ -832,7 +871,7 @@ class TestAssembleGuard:
         broken = (
             OrbitSeedPlan(
                 orbit=plan[0].orbit,
-                seed=tuple(tuple(int(i == j) for j in range(3)) for i in range(3)),
+                seed=seed_from_rows([[int(i == j) for j in range(3)] for i in range(3)]),
                 exponent=1,
             ),
         )
@@ -885,7 +924,7 @@ class TestAssembleGuard:
             action = with_first_orbit(action, conjugators=())
         (orbit_plan,) = plan_blocks(action)
         if defect == "singular seed":
-            orbit_plan = replace(orbit_plan, seed=((1, 1, 0), (1, 1, 0), (0, 0, 1)), exponent=1)
+            orbit_plan = replace(orbit_plan, seed=seed_from_rows(((1, 1, 0), (1, 1, 0), (0, 0, 1))), exponent=1)
         with pytest.raises(WitnessAssemblyError) as err:
             assemble_witness(action, (orbit_plan,))
         assert err.value.stage == "extension"

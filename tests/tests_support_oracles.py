@@ -229,6 +229,11 @@ def path_graph(n, prefix="v"):
     return Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
 
 
+def has_edge(graph, u, v):
+    """Whether u and v are joined, read off the edge list (False for a label not in the graph)."""
+    return (u, v) in graph.edges or (v, u) in graph.edges
+
+
 def closed_neighborhood(graph, v):
     """The open neighborhood of v with v itself."""
     return graph.open_neighborhood(v) | {v}
@@ -361,7 +366,7 @@ def bracket(graph, x, y):
 def wedge_index(graph, u, v):
     """(sign, index) of the wedge u^v in the W basis, or None for non-edges."""
     iu, iv = graph.index(u), graph.index(v)
-    if not graph.has_edge(u, v):
+    if not has_edge(graph, u, v):
         return None
     edge = (u, v) if iu < iv else (v, u)
     return (1 if iu < iv else -1, graph.edges.index(edge))
